@@ -114,6 +114,19 @@ class MemoryBuildError(LinkerError):
         self.concept_id = concept_id
 
 
+class InvalidVector(ValidationError):
+    """A vector holds NaN or infinity, or has zero length, so it has no cosine."""
+
+    def __init__(self, what: str, index: int):
+        super().__init__(f"{what} {index} is not a finite nonzero vector")
+        self.what = what
+        self.index = index
+
+
+class MemoryLayoutError(ValidationError):
+    """Memory columns disagree: a concept's entries are split, or a code is out of range."""
+
+
 class BadMagic(ValidationError):
     """Memory file is not one of ours, or is truncated/corrupt."""
 

@@ -1,21 +1,35 @@
 """Persistent dual-variant vector memory and exact top-k retrieval.
 
 Every concept contributes a name-only embedding, plus a name+description
-embedding when it has a description. Retrieval scores a query against all
-entries by cosine similarity, keeps each concept's best variant, and
-returns the k best distinct concepts. The scan is exhaustive and exact;
-ties break on ascending concept id so runs are reproducible.
+embedding when it has a description. The store is columnar: one float32
+matrix with a row per entry, an entry-to-concept index and a variant byte
+per entry, and each concept's rows in one contiguous range.
+
+Retrieval is exhaustive and exact, after the flat inner-product index of
+FAISS (Johnson et al. 2017): a chunk of queries is scored against every
+entry with one float64 matrix product, each concept keeps its best entry,
+and a partition finds the k-th best concept. The product's last bits depend
+on the summation order the BLAS kernel picks, so it only selects: every
+concept within a proven error margin of the k-th score is rescored with
+:func:`cosine`, whose value depends on the two vectors alone. Concepts then
+rank by that exact score, descending, and tie-break by ascending id; within
+a concept the earlier, name-only entry wins an exact tie. Equal vectors
+therefore tie exactly wherever they sit in the store, and runs are
+reproducible on any machine.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -25,15 +39,21 @@ from .errors import (
     DimMismatch,
     EmptyOntology,
     FingerprintMismatch,
+    InvalidVector,
+    LinkerError,
     MemoryBuildError,
+    MemoryLayoutError,
     VersionMismatch,
 )
-from .errors import LinkerError
 from .ontology import Ontology, Query
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# float64 scores held at once while retrieving; queries are scored in chunks
+# of this many bytes' worth of entry-by-query block
+_BLOCK_BYTES = 4 << 20
 
 
 class Variant(str, Enum):
@@ -43,8 +63,15 @@ class Variant(str, Enum):
     NAME_WITH_CONTEXT = "nc"
 
 
+# the variant byte stored per entry indexes this tuple
+_VARIANTS = (Variant.NAME_ONLY, Variant.NAME_WITH_CONTEXT)
+_VARIANT_CODE = {variant: code for code, variant in enumerate(_VARIANTS)}
+
+
 @dataclass(frozen=True, eq=False)
 class MemoryEntry:
+    """One memory row as an object; :attr:`Memory.entries` yields views of these."""
+
     concept_id: str
     variant: Variant
     vector: np.ndarray  # unit-norm float32
@@ -62,28 +89,129 @@ class Candidate:
     variant: Variant
 
 
-class Memory:
-    """Immutable store of embedding entries sharing one dim and provider."""
+def _score_margin(dim: int) -> float:
+    """Twice the largest gap between a matrix-product score and its :func:`cosine`.
 
-    def __init__(self, entries: list[MemoryEntry], dim: int,
+    With u = 2**-53, a float64 dot product of n terms summed in any order,
+    with or without FMA, is within gamma_n * sum|a_i b_i| <= gamma_n |a||b|
+    of the true value, gamma_n = n u / (1 - n u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1). Scaling a row or a query to unit
+    length costs at most gamma_n / 2 + 2u of it (sum of squares, sqrt,
+    divide), so a product score is within 2 gamma_n + 4u of the true cosine.
+    :func:`cosine` is within 8u: one rounding per product, the two exactly
+    rounded sums of squares, the two square roots, the dot, the product of
+    norms and the quotient. Their gap delta is below (2.02 n + 12) u while
+    n u < 0.01, and a concept's best over its entries moves by no more than
+    delta. A concept whose product score trails the k-th best by more than
+    2 delta scores below k other concepts exactly as well, so only concepts
+    inside that margin can reach the top k. The bound rounds up to leave
+    slack for second-order terms.
+    """
+    return (5 * dim + 32) * 2.0 ** -53
+
+
+def _unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
+    """A float64 copy with rows scaled to unit length; each must be finite and nonzero."""
+    unit = np.array(matrix, dtype=np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))
+    bad = ~(np.isfinite(norms) & (norms > 0.0))
+    if bad.any():
+        raise InvalidVector(what, int(np.flatnonzero(bad)[0]))
+    unit /= norms[:, None]
+    return unit
+
+
+class Memory:
+    """Immutable columnar store of embedding entries sharing one dim and provider.
+
+    ``vectors`` is the float32 (entries, dim) matrix; ``concept_ids`` lists
+    each concept once in entry order; ``concept_index`` and ``variant_codes``
+    give each row's concept position and variant byte. A concept's rows are
+    contiguous. ``Memory(entries, ...)`` builds one from :class:`MemoryEntry`
+    objects, :meth:`from_columns` from the arrays.
+    """
+
+    def __init__(self, entries: Sequence[MemoryEntry], dim: int,
                  provider_fingerprint: tuple[str, str], ontology_tag: str):
         for e in entries:
             if e.vector.shape != (dim,):
                 raise DimMismatch(dim, e.vector.shape[0])
-        self.entries = tuple(entries)
+        vectors = (np.stack([e.vector for e in entries]) if entries
+                   else np.zeros((0, dim), dtype=np.float32))
+        ids: list[str] = []
+        index = []
+        for e in entries:
+            if not ids or ids[-1] != e.concept_id:
+                ids.append(e.concept_id)
+            index.append(len(ids) - 1)
+        codes = [_VARIANT_CODE[e.variant] for e in entries]
+        self._set_columns(ids, np.array(index, dtype=np.int64),
+                          np.array(codes, dtype=np.uint8), vectors, dim,
+                          provider_fingerprint, ontology_tag)
+
+    @classmethod
+    def from_columns(cls, concept_ids: Sequence[str], concept_index: np.ndarray,
+                     variant_codes: np.ndarray, vectors: np.ndarray, dim: int,
+                     provider_fingerprint: tuple[str, str], ontology_tag: str) -> Memory:
+        """A memory that takes ownership of the given columns and makes them read-only.
+
+        Raises :class:`MemoryLayoutError` if they disagree and
+        :class:`InvalidVector` for a NaN, infinite or zero row.
+        """
+        memory = cls.__new__(cls)
+        memory._set_columns(concept_ids, concept_index, variant_codes, vectors, dim,
+                            provider_fingerprint, ontology_tag)
+        return memory
+
+    def _set_columns(self, concept_ids, concept_index, variant_codes, vectors, dim,
+                     provider_fingerprint, ontology_tag) -> None:
+        vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+        if vectors.ndim != 2 or vectors.shape[1] != dim:
+            raise DimMismatch(dim, vectors.shape[-1] if vectors.ndim else 0)
+        count = len(vectors)
+        ids = tuple(concept_ids)
+        index = np.asarray(concept_index, dtype=np.int64)
+        codes = np.asarray(variant_codes, dtype=np.uint8)
+        if index.shape != (count,) or codes.shape != (count,):
+            raise MemoryLayoutError(
+                f"{count} vectors but {index.size} concept indices and {codes.size} variant codes"
+            )
+        if len(set(ids)) != len(ids):
+            split = min(cid for cid, n in Counter(ids).items() if n > 1)
+            raise MemoryLayoutError(f"entries of concept {split!r} are not contiguous")
+        # each concept's rows are contiguous exactly when the runs of equal
+        # index values take the values 0, 1, ... once each, in order
+        starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])[:count]
+        if not np.array_equal(index[starts], np.arange(len(ids))):
+            raise MemoryLayoutError("concept index does not list each concept's entries contiguously")
+        if (codes >= len(_VARIANTS)).any():
+            raise MemoryLayoutError(f"variant code above {len(_VARIANTS) - 1}")
+
+        self._unit = _unit_rows(vectors, "memory entry")
+        for array in (vectors, index, codes):
+            array.flags.writeable = False
+        self.vectors = vectors
+        self.concept_ids = ids
+        self.concept_index = index
+        self.variant_codes = codes
         self.dim = dim
         self.provider_fingerprint = tuple(provider_fingerprint)
         self.ontology_tag = ontology_tag
-        # float64 copies for scoring; float32 stays canonical for persistence
-        if entries:
-            self._matrix = np.stack([e.vector for e in entries]).astype(np.float64)
-            self._norms = np.linalg.norm(self._matrix, axis=1)
-        else:
-            self._matrix = np.zeros((0, dim), dtype=np.float64)
-            self._norms = np.zeros(0, dtype=np.float64)
+        self._starts = starts
+        self._bounds = list(zip(starts.tolist(), starts[1:].tolist() + [count]))
+        self._margin = _score_margin(dim)
+
+    @property
+    def entries(self) -> tuple[MemoryEntry, ...]:
+        """Each row as a :class:`MemoryEntry` whose vector is a read-only view."""
+        return tuple(
+            MemoryEntry(self.concept_ids[c], _VARIANTS[v], row)
+            for c, v, row in zip(self.concept_index.tolist(),
+                                 self.variant_codes.tolist(), self.vectors)
+        )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.vectors)
 
 
 def concept_text(name: str, description: str | None) -> str:
@@ -142,62 +270,111 @@ def _offending(concepts: list, exc: LinkerError) -> str:
     return "<unknown>"
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1], computed in float64.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # exactly rounded sum of the float64 products, so no summation order shows
+    return math.fsum((a * b).tolist())
 
-    Divides by both norms rather than trusting unit inputs: float32
-    storage leaves norms a hair off 1, and self-similarity must stay at
-    exactly 1.0.
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
+def _cosine(a: np.ndarray, b: np.ndarray, a_norm: float, b_norm: float) -> float:
+    return min(1.0, max(-1.0, _dot(a, b) / (a_norm * b_norm)))
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity in [-1, 1], computed in float64 independent of summation order.
+
+    ``fsum(a*b) / (sqrt(fsum(a*a)) * sqrt(fsum(b*b)))``, clipped: each sum
+    is exactly rounded, and products of float32 values are exact in float64,
+    so the result depends only on the two vectors, never on a kernel. It
+    divides by both norms rather than trusting unit inputs: float32 storage
+    leaves norms a hair off 1, and self-similarity must stay at 1.0.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimMismatch(a.shape[0], b.shape[0])
-    value = float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
-    return min(1.0, max(-1.0, value))
+    norms = (_norm(a), _norm(b))
+    for position, norm in enumerate(norms):
+        if not 0.0 < norm < math.inf:
+            raise InvalidVector("cosine argument", position)
+    return _cosine(a, b, *norms)
 
 
 def retrieve_top_k(memory: Memory, query: np.ndarray, k: int) -> list[Candidate]:
-    """The k distinct best-scoring concepts, best variant each, scores descending.
-
-    Per-concept score is the max over that concept's entries; the reported
-    variant is the arg-max (earlier entry on an exact tie). Concepts tie-break
-    by ascending id. Returns all concepts when fewer than k exist.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    """The k distinct best-scoring concepts for one query; see :func:`retrieve_batch`."""
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (memory.dim,):
         raise DimMismatch(memory.dim, query.shape[0])
+    return retrieve_batch(memory, query[None, :], k)[0]
 
-    qnorm = float(np.linalg.norm(query))
-    scores = (memory._matrix @ query) / (memory._norms * qnorm)
-    np.clip(scores, -1.0, 1.0, out=scores)
 
-    best: dict[str, tuple[float, Variant]] = {}
-    for entry, score in zip(memory.entries, scores):
-        score = float(score)
-        prev = best.get(entry.concept_id)
-        if prev is None or score > prev[0]:
-            best[entry.concept_id] = (score, entry.variant)
+def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
+                   k: int) -> list[list[Candidate]]:
+    """The k distinct best-scoring concepts per query, best variant each, in query order.
 
-    ranked = sorted(best.items(), key=lambda item: (-item[1][0], item[0]))
+    A concept's score is :func:`cosine` with its best entry; the reported
+    variant is that entry's (the earlier entry on an exact tie). Concepts
+    come in descending score, ties by ascending id. Returns all concepts
+    when fewer than k exist. Query vectors must be finite and nonzero.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if len(queries) == 0:
+        return []
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != memory.dim:
+        raise DimMismatch(memory.dim, queries.shape[-1])
+    units = _unit_rows(queries, "query")
+    n_concepts = len(memory.concept_ids)
+    if n_concepts == 0:
+        return [[] for _ in queries]
+
+    keep = min(k, n_concepts)
+    chunk = max(1, _BLOCK_BYTES // (8 * len(memory)))
+    slates = []
+    for lo in range(0, len(queries), chunk):
+        # entries x queries, so the per-concept max reduces contiguous rows
+        scores = memory._unit @ units[lo : lo + chunk].T
+        best = np.maximum.reduceat(scores, memory._starts, axis=0).T
+        kth = np.partition(best, n_concepts - keep, axis=1)[:, n_concepts - keep]
+        for row, floor, query in zip(best, kth - memory._margin, queries[lo : lo + chunk]):
+            slates.append(_exact_top(memory, np.flatnonzero(row >= floor), query, keep))
+    return slates
+
+
+def _exact_top(memory: Memory, concepts: np.ndarray, query: np.ndarray,
+               keep: int) -> list[Candidate]:
+    """The ``keep`` best of ``concepts`` by exact score, then id."""
+    query_norm = _norm(query)
+    ranked = []
+    for c in concepts.tolist():
+        start, end = memory._bounds[c]
+        best_row, best = start, -math.inf
+        for row in range(start, end):
+            entry = memory.vectors[row].astype(np.float64)
+            score = _cosine(entry, query, _norm(entry), query_norm)
+            if score > best:
+                best_row, best = row, score
+        ranked.append((-best, memory.concept_ids[c], best_row))
+    ranked.sort()
     return [
-        Candidate(concept_id=cid, score=score, variant=variant)
-        for cid, (score, variant) in ranked[:k]
+        Candidate(concept_id=cid, score=-negated,
+                  variant=_VARIANTS[memory.variant_codes[row]])
+        for negated, cid, row in ranked[:keep]
     ]
 
 
-def _format_vector(vec: np.ndarray) -> str:
-    # 9 significant digits round-trips float32 exactly
-    return "[" + ", ".join(format(float(x), ".9g") for x in vec) + "]"
-
-
 def save_memory(memory: Memory, path: str | Path) -> None:
-    """Write the store: one JSON header line, one JSON line per entry.
+    """Write the store in format v2; atomic (temp file + rename) and byte-deterministic.
 
-    The write is atomic (temp file + rename) and byte-deterministic for a
-    given memory.
+    Layout: one UTF-8 JSON header line (``format_version``, ``dim``,
+    ``provider_id``, ``model_id``, ``ontology_tag``, ``entry_count`` and the
+    ``concept_ids`` table), then per entry a uint32 little-endian concept
+    index, then per entry one variant byte, then the float32 little-endian
+    (entry_count, dim) matrix.
     """
     path = str(path)
     header = json.dumps(
@@ -207,24 +384,19 @@ def save_memory(memory: Memory, path: str | Path) -> None:
             "provider_id": memory.provider_fingerprint[0],
             "model_id": memory.provider_fingerprint[1],
             "ontology_tag": memory.ontology_tag,
-            "entry_count": len(memory.entries),
+            "entry_count": len(memory),
+            "concept_ids": list(memory.concept_ids),
         },
         ensure_ascii=False,
     )
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".memtmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for e in memory.entries:
-                fh.write(
-                    '{"cid": %s, "variant": %s, "v": %s}\n'
-                    % (
-                        json.dumps(e.concept_id, ensure_ascii=False),
-                        json.dumps(e.variant.value),
-                        _format_vector(e.vector),
-                    )
-                )
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header.encode("utf-8") + b"\n")
+            fh.write(memory.concept_index.astype("<u4").tobytes())
+            fh.write(memory.variant_codes.tobytes())
+            fh.write(memory.vectors.astype("<f4", copy=False).tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -240,13 +412,15 @@ def load_memory(
 ) -> Memory:
     """Read a store written by :func:`save_memory`; never yields a partial Memory.
 
-    When ``expected_provider`` differs from the stored fingerprint this warns,
-    or raises :class:`FingerprintMismatch` under ``strict``.
+    A file of the wrong size or layout raises :class:`BadMagic`, one from
+    another format version :class:`VersionMismatch`, and a NaN, infinite or
+    zero vector :class:`InvalidVector`. When ``expected_provider`` differs
+    from the stored fingerprint this warns, or raises
+    :class:`FingerprintMismatch` under ``strict``.
     """
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
+    with open(path, "rb") as fh:
         try:
-            header = json.loads(header_line)
+            header = json.loads(fh.readline().decode("utf-8"))
             if not isinstance(header, dict):
                 raise ValueError("header is not an object")
         except ValueError as exc:
@@ -258,36 +432,29 @@ def load_memory(
             dim = int(header["dim"])
             fingerprint = (str(header["provider_id"]), str(header["model_id"]))
             tag = str(header["ontology_tag"])
-            entry_count = int(header["entry_count"])
+            count = int(header["entry_count"])
+            ids = header["concept_ids"]
+            if (dim < 1 or count < 0 or not isinstance(ids, list)
+                    or not all(isinstance(cid, str) for cid in ids)):
+                raise ValueError("bad dim, entry_count or concept_ids")
         except (KeyError, TypeError, ValueError) as exc:
             raise BadMagic(f"memory header incomplete: {exc}") from None
 
-        entries: list[MemoryEntry] = []
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-                entry = MemoryEntry(
-                    concept_id=obj["cid"],
-                    variant=Variant(obj["variant"]),
-                    vector=np.asarray(obj["v"], dtype=np.float32),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BadMagic(f"bad memory entry: {exc}") from None
-            if entry.vector.shape != (dim,):
-                raise BadMagic(
-                    f"entry for {entry.concept_id!r} has dim {entry.vector.shape[0]}, "
-                    f"header says {dim}"
-                )
-            entries.append(entry)
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = count * (4 + 1 + 4 * dim)
+        if body != expected:
+            raise BadMagic(
+                f"memory file truncated or padded: header promises {count} entries "
+                f"of dim {dim} ({expected} bytes), body has {body} bytes"
+            )
+        index = np.fromfile(fh, dtype="<u4", count=count)
+        codes = np.fromfile(fh, dtype=np.uint8, count=count)
+        vectors = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
 
-    if len(entries) != entry_count:
-        raise BadMagic(
-            f"memory file truncated: header promises {entry_count} entries, "
-            f"found {len(entries)}"
-        )
+    try:
+        memory = Memory.from_columns(ids, index, codes, vectors, dim, fingerprint, tag)
+    except MemoryLayoutError as exc:
+        raise BadMagic(f"corrupt memory file: {exc}") from None
 
     if expected_provider is not None and tuple(expected_provider) != fingerprint:
         if strict:
@@ -296,4 +463,4 @@ def load_memory(
             "memory %s was built with provider %s but the run uses %s",
             path, fingerprint, expected_provider,
         )
-    return Memory(entries, dim=dim, provider_fingerprint=fingerprint, ontology_tag=tag)
+    return memory

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .memory import Candidate, Memory, query_text, retrieve_top_k
+from .memory import Candidate, Memory, query_text, retrieve_batch
 from .ontology import Ontology, Query
 from .ranker import (
     LinkResult,
@@ -43,8 +43,7 @@ def retrieve_for_queries(
     memory: Memory, queries: list[Query], provider, k: int
 ) -> list[list[Candidate]]:
     """Top-k candidates for each query, in input order."""
-    vectors = embed_queries(queries, provider)
-    return [retrieve_top_k(memory, v, k) for v in vectors]
+    return retrieve_batch(memory, embed_queries(queries, provider), k)
 
 
 class LinkJournal:

@@ -40,10 +40,15 @@ def embed_ref(text: str, dim: int, seed: int = 0) -> list[float]:
 
 
 def cosine_ref(a, b) -> float:
-    """Dot over norms with explicit loops; clamped to [-1, 1]."""
-    dot = sum(float(x) * float(y) for x, y in zip(a, b))
-    na = math.sqrt(sum(float(x) ** 2 for x in a))
-    nb = math.sqrt(sum(float(y) ** 2 for y in b))
+    """Dot over norms with explicit loops; clamped to [-1, 1].
+
+    Every sum is ``math.fsum`` of the float64 products, which is exactly
+    rounded, so the score depends on the two vectors alone and not on an
+    order of summation: equal vectors score equal wherever they sit.
+    """
+    dot = math.fsum(float(x) * float(y) for x, y in zip(a, b))
+    na = math.sqrt(math.fsum(float(x) * float(x) for x in a))
+    nb = math.sqrt(math.fsum(float(y) * float(y) for y in b))
     return max(-1.0, min(1.0, dot / (na * nb)))
 
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import json
 import random
+import string
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,15 +25,19 @@ from conceptlinker import (
     cosine,
     load_memory,
     query_text,
+    retrieve_for_queries,
     retrieve_top_k,
     save_memory,
 )
+from conceptlinker import memory as memory_module
 from conceptlinker.errors import (
     BadMagic,
     DimMismatch,
     EmptyOntology,
     FingerprintMismatch,
+    InvalidVector,
     MemoryBuildError,
+    MemoryLayoutError,
     VersionMismatch,
 )
 
@@ -237,6 +245,82 @@ class TestRetrieveTopK:
         assert top.score == pytest.approx(cosine_ref(near, q), abs=1e-9)
 
 
+    def test_bit_identical_vectors_tie_exactly_across_the_store(self):
+        # twins at the first and the last of 1201 rows: the matrix product
+        # reaches them through different kernel paths, exact rescoring does not
+        gen = np.random.default_rng(7)
+        vectors = gen.normal(size=(1201, 64)).astype(np.float32)
+        vectors[-1] = vectors[0]
+        ids = ["twin-b"] + [f"C{i:04d}" for i in range(1, 1200)] + ["twin-a"]
+        entries = [MemoryEntry(cid, Variant.NAME_ONLY, v) for cid, v in zip(ids, vectors)]
+        memory = Memory(entries, 64, ("local-trigram", "m"), "t")
+        queries = vectors[0] + 0.1 * gen.normal(size=(20, 64))
+        batch = memory_module.retrieve_batch(memory, queries, 2)
+        for query, slate in zip(queries, batch):
+            for top in (slate, retrieve_top_k(memory, query, 2)):
+                assert [c.concept_id for c in top] == ["twin-a", "twin-b"]
+                assert top[0].score == top[1].score == cosine_ref(vectors[0], query)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zero"])
+    def test_invalid_query_vector_rejected(self, rng, bad):
+        _, provider, memory = self.build(rng, 10)
+        qv = provider.embed_batch(["aspirin"])[0].copy()
+        if bad == "zero":
+            qv[:] = 0.0
+        else:
+            qv[5] = float(bad)
+        with pytest.raises(InvalidVector):
+            retrieve_top_k(memory, qv, 3)
+
+
+def _homonym_ontology() -> Ontology:
+    """Few distinct names and description words, so exact score ties abound."""
+    rng = random.Random(11)
+    words = ["".join(rng.choice(string.ascii_lowercase) for _ in range(5)) for _ in range(8)]
+    names = [f"{a} {b}" for a, b in zip(words, words[1:] + words[:1])]
+    return Ontology("homonyms", [
+        Concept(id=f"H{i:03d}", name=rng.choice(names),
+                description=" ".join(rng.sample(words, 3)) if rng.random() < 0.5 else None)
+        for i in range(60)
+    ])
+
+
+@functools.lru_cache(maxsize=None)
+def _homonym_store():
+    provider = local_provider(dim=32)
+    memory = build_memory(_homonym_ontology(), provider)
+    return provider, memory, [(e.concept_id, e.vector) for e in memory.entries]
+
+
+class TestBatchRetrieval:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(["aspirin", "fever", "heparin"]
+                                     + [c.name for c in _homonym_ontology()]),
+                     min_size=1, max_size=3).map(" ".join),
+            min_size=1, max_size=12,
+        ),
+        k=st.integers(min_value=1, max_value=70),
+        chunk=st.integers(min_value=1, max_value=5),
+    )
+    def test_batch_equals_single_query_and_oracle(self, texts, k, chunk):
+        provider, memory, entries = _homonym_store()
+        queries = [Query(id=f"q{i}", mention=text) for i, text in enumerate(texts)]
+        # a block of `chunk` queries, so batches cross chunk boundaries
+        with mock.patch.object(memory_module, "_BLOCK_BYTES", 8 * len(memory) * chunk):
+            batch = retrieve_for_queries(memory, queries, provider, k)
+        assert len(batch) == len(queries)
+        for query, slate in zip(queries, batch):
+            qv = provider.embed_batch([query_text(query)])[0]
+            assert slate == retrieve_top_k(memory, qv, k)
+            assert [(c.concept_id, c.score) for c in slate] == retrieve_ref(entries, qv, k)
+
+    def test_empty_batch(self):
+        provider, memory, _ = _homonym_store()
+        assert retrieve_for_queries(memory, [], provider, 5) == []
+
+
 class TestStoreFile:
     def test_round_trip_vectors_exact(self, tmp_path, rng):
         onto = synthetic_ontology(rng, 25)
@@ -273,8 +357,8 @@ class TestStoreFile:
         memory = build_memory(onto, local_provider(dim=32))
         path = tmp_path / "m.lm"
         save_memory(memory, path)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-2]))
+        data = path.read_bytes()
+        path.write_bytes(data[: -2 * 32 * 4])  # the last two rows of the matrix
         with pytest.raises(BadMagic):
             load_memory(path)
 
@@ -285,17 +369,70 @@ class TestStoreFile:
             load_memory(path)
 
     def test_version_mismatch(self, tmp_path, rng):
-        import json
-
         onto = synthetic_ontology(rng, 5)
         memory = build_memory(onto, local_provider(dim=32))
         path = tmp_path / "m.lm"
         save_memory(memory, path)
-        lines = path.read_text().splitlines(keepends=True)
-        header = json.loads(lines[0])
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
         header["format_version"] = 99
-        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
         with pytest.raises(VersionMismatch):
+            load_memory(path)
+
+    def test_v1_text_file_is_a_version_mismatch(self, tmp_path):
+        path = tmp_path / "m.lm"
+        header = {"format_version": 1, "dim": 4, "provider_id": "local-trigram",
+                  "model_id": "m", "ontology_tag": "t", "entry_count": 1}
+        path.write_text(json.dumps(header) + "\n"
+                        + '{"cid": "C1", "variant": "n", "v": [1.0, 0.0, 0.0, 0.0]}\n')
+        with pytest.raises(VersionMismatch) as exc:
+            load_memory(path)
+        assert exc.value.got == 1
+
+    @pytest.mark.parametrize("cut", [1, "matrix", "body"])
+    def test_truncated_matrix_rejected(self, tmp_path, rng, cut):
+        memory = build_memory(synthetic_ontology(rng, 10), local_provider(dim=32))
+        path = tmp_path / "m.lm"
+        save_memory(memory, path)
+        data = path.read_bytes()
+        body = len(memory) * (4 + 1 + 32 * 4)
+        drop = {"matrix": len(memory) * 32 * 4, "body": body}.get(cut, cut)
+        path.write_bytes(data[: len(data) - drop])
+        with pytest.raises(BadMagic):
+            load_memory(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        memory = build_memory(synthetic_ontology(rng, 5), local_provider(dim=32))
+        path = tmp_path / "m.lm"
+        save_memory(memory, path)
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(BadMagic):
+            load_memory(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_matrix_value_rejected(self, tmp_path, rng, value):
+        memory = build_memory(synthetic_ontology(rng, 10), local_provider(dim=32))
+        path = tmp_path / "m.lm"
+        save_memory(memory, path)
+        data = bytearray(path.read_bytes())
+        row, column = 3, 7
+        offset = len(data) - (len(memory) - row) * 32 * 4 + column * 4
+        data[offset : offset + 4] = np.float32(value).astype("<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidVector) as exc:
+            load_memory(path)
+        assert exc.value.index == row
+
+    def test_split_concept_in_file_rejected(self, tmp_path, rng):
+        memory = build_memory(synthetic_ontology(rng, 10), local_provider(dim=32))
+        path = tmp_path / "m.lm"
+        save_memory(memory, path)
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        index = np.frombuffer(body[: 4 * len(memory)], dtype="<u4").copy()
+        index[-1] = 0  # the last row now claims the first concept
+        path.write_bytes(header_line + b"\n" + index.tobytes() + body[4 * len(memory):])
+        with pytest.raises(BadMagic):
             load_memory(path)
 
     def test_fingerprint_warns_by_default(self, tmp_path, rng, caplog):
@@ -325,3 +462,22 @@ def test_memory_rejects_wrong_entry_dim():
     entry = MemoryEntry("C1", Variant.NAME_ONLY, np.ones(8, dtype=np.float32))
     with pytest.raises(DimMismatch):
         Memory([entry], 16, ("p", "m"), "t")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_memory_rejects_non_finite_or_zero_entry(value):
+    good = np.ones(8, dtype=np.float32)
+    bad = np.full(8, value, dtype=np.float32)
+    entries = [MemoryEntry("C1", Variant.NAME_ONLY, good),
+               MemoryEntry("C2", Variant.NAME_ONLY, bad)]
+    with pytest.raises(InvalidVector) as exc:
+        Memory(entries, 8, ("p", "m"), "t")
+    assert exc.value.index == 1
+
+
+def test_memory_rejects_split_concept():
+    v = np.ones(8, dtype=np.float32)
+    entries = [MemoryEntry("A", Variant.NAME_ONLY, v), MemoryEntry("B", Variant.NAME_ONLY, v),
+               MemoryEntry("A", Variant.NAME_WITH_CONTEXT, v)]
+    with pytest.raises(MemoryLayoutError):
+        Memory(entries, 8, ("p", "m"), "t")
