@@ -10,6 +10,7 @@ downstream is plain cosine on those.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -26,6 +27,7 @@ from .errors import (
     CacheError,
     DimMismatch,
     EmptyText,
+    InvalidVector,
     TransportError,
 )
 from .errors import Timeout as TimeoutError_
@@ -94,6 +96,11 @@ def trigrams(text: str) -> list[str]:
     return [padded[i : i + 3] for i in range(len(padded) - 2)]
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _bucket(gram: str, dim: int, seed: int) -> int:
+    return _fnv1a64(gram.encode("utf-8"), seed) % dim
+
+
 def local_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     """Deterministic trigram-hash embedding: unit-norm float32 of length ``dim``.
 
@@ -107,9 +114,8 @@ def local_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     text = normalize_whitespace(text)
     if not text:
         raise EmptyText()
-    counts = np.zeros(dim, dtype=np.float64)
-    for gram in trigrams(text.lower()):
-        counts[_fnv1a64(gram.encode("utf-8"), seed) % dim] += 1.0
+    buckets = [_bucket(gram, dim, seed) for gram in trigrams(text.lower())]
+    counts = np.bincount(buckets, minlength=dim).astype(np.float64)
     counts /= np.linalg.norm(counts)
     return counts.astype(np.float32)
 
@@ -215,14 +221,15 @@ class RemoteProvider:
                 if len(vec) != self.spec.dim:
                     raise DimMismatch(self.spec.dim, len(vec), index=j)
             for j, vec in zip(misses, fetched):
-                unit = _unit(np.asarray(vec, dtype=np.float64))
-                out[j] = unit
-                if self.cache is not None:
+                out[j] = _unit(np.asarray(vec, dtype=np.float64), j)
+            if self.cache is not None:
+                for j in misses:
                     key = VectorCache.key(
                         self.spec.provider_id, self.spec.model_id, cleaned[j]
                     )
-                    self.cache.put(key, unit)
-        return [v for v in out if v is not None]
+                    self.cache.put(key, out[j])
+        assert all(v is not None for v in out), "every text is a cache hit or fetched"
+        return out  # type: ignore[return-value]
 
     def _post(self, inputs: list[str]) -> list[list[float]]:
         headers = {}
@@ -270,10 +277,11 @@ def _clean_texts(texts: list[str]) -> list[str]:
     return cleaned
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
+def _unit(vec: np.ndarray, index: int) -> np.ndarray:
+    """``vec`` scaled to unit length as float32; InvalidVector if NaN, infinite or zero."""
     norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ValueError("embedding endpoint returned a zero vector")
+    if not 0.0 < norm < np.inf:
+        raise InvalidVector("embedding", index)
     return (vec / norm).astype(np.float32)
 
 

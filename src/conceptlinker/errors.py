@@ -115,10 +115,14 @@ class MemoryBuildError(LinkerError):
 
 
 class InvalidVector(ValidationError):
-    """A vector holds NaN or infinity, or has zero length, so it has no cosine."""
+    """A vector holds NaN or infinity, or has zero length, so it has no cosine.
 
-    def __init__(self, what: str, index: int):
-        super().__init__(f"{what} {index} is not a finite nonzero vector")
+    Memory entries must also have a length within 2**-64 to 2**64, the
+    range their float32 selection scores are proven for.
+    """
+
+    def __init__(self, what: str, index: int, problem: str = "is not a finite nonzero vector"):
+        super().__init__(f"{what} {index} {problem}")
         self.what = what
         self.index = index
 

@@ -7,10 +7,13 @@ per entry, and each concept's rows in one contiguous range.
 
 Retrieval is exhaustive and exact, after the flat inner-product index of
 FAISS (Johnson et al. 2017): a chunk of queries is scored against every
-entry with one float64 matrix product, each concept keeps its best entry,
-and a partition finds the k-th best concept. The product's last bits depend
-on the summation order the BLAS kernel picks, so it only selects: every
-concept within a proven error margin of the k-th score is rescored with
+entry with one float32 matrix product, scaled by each entry's inverse norm.
+Selection works on entries, not concepts: a concept has at most
+``max_run`` entries, so the best ``k * max_run`` entries span at least k
+concepts, and the concept maxima among them give the k-th best concept
+score. The product's last bits depend on the summation order the BLAS
+kernel picks, so it only selects: every entry within a proven error margin
+of that score, and of its own concept's best, is rescored with
 :func:`cosine`, whose value depends on the two vectors alone. Concepts then
 rank by that exact score, descending, and tie-break by ascending id; within
 a concept the earlier, name-only entry wins an exact tie. Equal vectors
@@ -20,6 +23,7 @@ reproducible on any machine.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
@@ -51,9 +55,14 @@ logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = 2
 
-# float64 scores held at once while retrieving; queries are scored in chunks
-# of this many bytes' worth of entry-by-query block
+# float32 scores held at once while retrieving; queries are scored in chunks
+# of this many bytes' worth of query-by-entry block
 _BLOCK_BYTES = 4 << 20
+
+# entry lengths the float32 scores are exact enough for: the inverse norm
+# stays a normal float32 and the matrix product can neither overflow nor
+# lose more than a negligible amount to subnormal products
+_NORM_RANGE = (2.0 ** -64, 2.0 ** 64)
 
 
 class Variant(str, Enum):
@@ -90,24 +99,42 @@ class Candidate:
 
 
 def _score_margin(dim: int) -> float:
-    """Twice the largest gap between a matrix-product score and its :func:`cosine`.
+    """Twice the largest gap between a float32 selection score and its :func:`cosine`.
 
-    With u = 2**-53, a float64 dot product of n terms summed in any order,
-    with or without FMA, is within gamma_n * sum|a_i b_i| <= gamma_n |a||b|
-    of the true value, gamma_n = n u / (1 - n u) (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1). Scaling a row or a query to unit
-    length costs at most gamma_n / 2 + 2u of it (sum of squares, sqrt,
-    divide), so a product score is within 2 gamma_n + 4u of the true cosine.
-    :func:`cosine` is within 8u: one rounding per product, the two exactly
-    rounded sums of squares, the two square roots, the dot, the product of
-    norms and the quotient. Their gap delta is below (2.02 n + 12) u while
-    n u < 0.01, and a concept's best over its entries moves by no more than
-    delta. A concept whose product score trails the k-th best by more than
-    2 delta scores below k other concepts exactly as well, so only concepts
-    inside that margin can reach the top k. The bound rounds up to leave
-    slack for second-order terms.
+    With u = 2**-24 and n = dim, let c be the true cosine of an entry e and
+    a query q, and s the selection score: q scaled to unit length in float64
+    and rounded to float32, a float32 matrix product with e, times e's
+    float32 inverse norm. Bounds (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2.2 and 3.1):
+
+    - rounding the unit query to float32 moves each component by at most u
+      of itself, so the dot with e moves by at most u |e|;
+    - a float32 dot of n products summed in any order, with or without
+      FMA, is within gamma_n |e| |q| of the exact dot of its operands,
+      gamma_n = n u / (1 - n u), and the rounded query has |q| <= 1 + u;
+    - the float32 inverse norm of e is within u of the float64 one, and the
+      scaling product adds u;
+    - the float64 steps (both norms, their square roots and the divisions)
+      cost (n + 4) 2**-53 in all, below u / 2**20 while n u < 0.01;
+    - entry lengths lie in ``_NORM_RANGE``, so nothing overflows, and
+      subnormal products and query components, even flushed to zero, add
+      below n 2**-61.
+
+    Together |s - c| <= (u + gamma_n (1 + u)) (1 + 3u) + 3u, which is
+    below (1.02 n + 4) u while n u < 0.01. :func:`cosine` is within 8 * 2**-53
+    of c, so delta = |s - cosine| < (1.02 n + 5) u. A concept whose best
+    selection score trails the k-th best concept's by more than 2 delta has
+    an exact score below that of each of those k concepts, so it cannot
+    reach the top k; an entry that trails its own concept's best by more
+    than 2 delta scores below that best exactly, so it can neither win nor
+    tie. Clipping to [-1, 1] keeps both orders strict: a score left out is
+    below 1, and if it clips at -1, the scores it trails exceed -1. The
+    bound rounds 2 delta up to leave slack for second-order terms. It holds
+    for every dim: gamma_n <= 1.67 n u while n u < 0.4, and above that the
+    margin exceeds 2, the width of the cosine range, so every entry is
+    rescored.
     """
-    return (5 * dim + 32) * 2.0 ** -53
+    return (5 * dim + 32) * 2.0 ** -24
 
 
 def _unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -127,8 +154,9 @@ class Memory:
     ``vectors`` is the float32 (entries, dim) matrix; ``concept_ids`` lists
     each concept once in entry order; ``concept_index`` and ``variant_codes``
     give each row's concept position and variant byte. A concept's rows are
-    contiguous. ``Memory(entries, ...)`` builds one from :class:`MemoryEntry`
-    objects, :meth:`from_columns` from the arrays.
+    contiguous, and each row's length lies within 2**-64 to 2**64.
+    ``Memory(entries, ...)`` builds one from :class:`MemoryEntry` objects,
+    :meth:`from_columns` from the arrays.
     """
 
     def __init__(self, entries: Sequence[MemoryEntry], dim: int,
@@ -156,7 +184,7 @@ class Memory:
         """A memory that takes ownership of the given columns and makes them read-only.
 
         Raises :class:`MemoryLayoutError` if they disagree and
-        :class:`InvalidVector` for a NaN, infinite or zero row.
+        :class:`InvalidVector` for a NaN, infinite, zero or out-of-range row.
         """
         memory = cls.__new__(cls)
         memory._set_columns(concept_ids, concept_index, variant_codes, vectors, dim,
@@ -187,7 +215,14 @@ class Memory:
         if (codes >= len(_VARIANTS)).any():
             raise MemoryLayoutError(f"variant code above {len(_VARIANTS) - 1}")
 
-        self._unit = _unit_rows(vectors, "memory entry")
+        # float64 sums of the exact float32 squares, without a float64 copy
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
+        bad = ~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1]))
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
+            if 0.0 < norms[row] < math.inf:
+                raise InvalidVector("memory entry", row, "has a length outside 2**-64 to 2**64")
+            raise InvalidVector("memory entry", row)
         for array in (vectors, index, codes):
             array.flags.writeable = False
         self.vectors = vectors
@@ -197,8 +232,9 @@ class Memory:
         self.dim = dim
         self.provider_fingerprint = tuple(provider_fingerprint)
         self.ontology_tag = ontology_tag
-        self._starts = starts
-        self._bounds = list(zip(starts.tolist(), starts[1:].tolist() + [count]))
+        self._inv_norms = (1.0 / norms).astype(np.float32)
+        # the most entries any one concept has
+        self._max_run = int(np.diff(np.r_[starts, count]).max()) if count else 1
         self._margin = _score_margin(dim)
 
     @property
@@ -279,8 +315,8 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _cosine(a: np.ndarray, b: np.ndarray, a_norm: float, b_norm: float) -> float:
-    return min(1.0, max(-1.0, _dot(a, b) / (a_norm * b_norm)))
+def _quotient(dot: float, a_norm: float, b_norm: float) -> float:
+    return min(1.0, max(-1.0, dot / (a_norm * b_norm)))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -300,7 +336,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     for position, norm in enumerate(norms):
         if not 0.0 < norm < math.inf:
             raise InvalidVector("cosine argument", position)
-    return _cosine(a, b, *norms)
+    return _quotient(_dot(a, b), *norms)
 
 
 def retrieve_top_k(memory: Memory, query: np.ndarray, k: int) -> list[Candidate]:
@@ -327,43 +363,61 @@ def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != memory.dim:
         raise DimMismatch(memory.dim, queries.shape[-1])
-    units = _unit_rows(queries, "query")
-    n_concepts = len(memory.concept_ids)
-    if n_concepts == 0:
+    units = _unit_rows(queries, "query").astype(np.float32)
+    count = len(memory)
+    if count == 0:
         return [[] for _ in queries]
 
-    keep = min(k, n_concepts)
-    chunk = max(1, _BLOCK_BYTES // (8 * len(memory)))
+    keep = min(k, len(memory.concept_ids))
+    # the best `top` entries span at least `keep` concepts
+    top = min(keep * memory._max_run, count)
+    chunk = max(1, _BLOCK_BYTES // (4 * count))
     slates = []
     for lo in range(0, len(queries), chunk):
-        # entries x queries, so the per-concept max reduces contiguous rows
-        scores = memory._unit @ units[lo : lo + chunk].T
-        best = np.maximum.reduceat(scores, memory._starts, axis=0).T
-        kth = np.partition(best, n_concepts - keep, axis=1)[:, n_concepts - keep]
-        for row, floor, query in zip(best, kth - memory._margin, queries[lo : lo + chunk]):
-            slates.append(_exact_top(memory, np.flatnonzero(row >= floor), query, keep))
+        scores = units[lo : lo + chunk] @ memory.vectors.T
+        scores *= memory._inv_norms
+        # every concept that can reach the top k has its best entry no
+        # further than the margin below the `top`-th best entry
+        tops = np.partition(scores, count - top, axis=1)[:, count - top].tolist()
+        for row, nth, query in zip(scores, tops, queries[lo : lo + chunk]):
+            rows = np.flatnonzero(row >= nth - memory._margin)
+            slates.append(_exact_top(memory, rows, row[rows].tolist(), query, keep))
     return slates
 
 
-def _exact_top(memory: Memory, concepts: np.ndarray, query: np.ndarray,
-               keep: int) -> list[Candidate]:
-    """The ``keep`` best of ``concepts`` by exact score, then id."""
+def _exact_top(memory: Memory, rows: np.ndarray, selection: list[float],
+               query: np.ndarray, keep: int) -> list[Candidate]:
+    """The ``keep`` best concepts by exact score, then id, among entries ``rows``.
+
+    ``rows`` ascend and hold the best entry of every concept that can reach
+    the top ``keep``, plus at least ``keep`` concepts' best entries;
+    ``selection`` is their float32 scores.
+    """
+    rows = rows.tolist()
+    concepts = memory.concept_index[rows].tolist()
+    best: dict[int, float] = {}
+    for c, score in zip(concepts, selection):
+        if score > best.get(c, -math.inf):
+            best[c] = score
+    kth = heapq.nlargest(keep, best.values())[-1]
+    margin = memory._margin
+    picked = [
+        (row, c) for row, c, score in zip(rows, concepts, selection)
+        if score >= kth - margin and score >= best[c] - margin
+    ]
+    block = memory.vectors[[row for row, _ in picked]].astype(np.float64)
+    sums = [math.fsum(terms) for terms in np.concatenate((block * query, block * block)).tolist()]
     query_norm = _norm(query)
-    ranked = []
-    for c in concepts.tolist():
-        start, end = memory._bounds[c]
-        best_row, best = start, -math.inf
-        for row in range(start, end):
-            entry = memory.vectors[row].astype(np.float64)
-            score = _cosine(entry, query, _norm(entry), query_norm)
-            if score > best:
-                best_row, best = row, score
-        ranked.append((-best, memory.concept_ids[c], best_row))
-    ranked.sort()
+    ranked: dict[int, tuple[float, int]] = {}
+    for (row, c), dot, square in zip(picked, sums, sums[len(picked):]):
+        score = _quotient(dot, math.sqrt(square), query_norm)
+        if c not in ranked or score > ranked[c][0]:
+            ranked[c] = (score, row)
+    order = sorted((-score, memory.concept_ids[c], row) for c, (score, row) in ranked.items())
     return [
         Candidate(concept_id=cid, score=-negated,
                   variant=_VARIANTS[memory.variant_codes[row]])
-        for negated, cid, row in ranked[:keep]
+        for negated, cid, row in order[:keep]
     ]
 
 

@@ -143,19 +143,19 @@ def link_queries(
 
     budget = getattr(endpoint, "token_budget", None)
     results: list[LinkResult | None] = [None] * len(queries)
+    prompts: list[str] = []
     pending: list[int] = []
     for i, (query, slate) in enumerate(zip(queries, candidates)):
-        digest = prompt_digest(
-            fit_prompt(query, slate, ontology, config, budget) if slate else ""
-        )
-        row = journal.get(query.id, digest) if journal is not None else None
+        prompts.append(fit_prompt(query, slate, ontology, config, budget) if slate else "")
+        row = journal.get(query.id, prompt_digest(prompts[i])) if journal is not None else None
         if row is not None:
             results[i] = result_from_row(row)
         else:
             pending.append(i)
 
     def run_one(i: int) -> LinkResult:
-        result = rank(queries[i], candidates[i], ontology, config, endpoint)
+        result = rank(queries[i], candidates[i], ontology, config, endpoint,
+                      prompt=prompts[i])
         if journal is not None and result.selection.kind is not SelectionKind.TRANSPORT_ERROR:
             journal.append(journal_row(result, candidates[i]))
         return result

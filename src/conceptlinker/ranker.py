@@ -254,6 +254,7 @@ def rank(
     endpoint,
     *,
     reask_limit: int = 1,
+    prompt: str | None = None,
 ) -> LinkResult:
     """Run one query through prompt, completion, and parsing.
 
@@ -261,6 +262,8 @@ def rank(
     touching the endpoint. A ParseFailure earns up to ``reask_limit``
     re-asks with an appended answer-format reminder. Transport failures
     become a distinct failure kind in the result, never a silent none.
+    ``prompt`` is what :func:`fit_prompt` returns for these arguments and
+    the endpoint's budget, for a caller that has already built it.
     """
     if not candidates:
         return LinkResult(
@@ -272,8 +275,9 @@ def rank(
             latency=0.0,
         )
 
-    budget = getattr(endpoint, "token_budget", None)
-    prompt = fit_prompt(query, candidates, ontology, config, budget)
+    if prompt is None:
+        budget = getattr(endpoint, "token_budget", None)
+        prompt = fit_prompt(query, candidates, ontology, config, budget)
     digest = prompt_digest(prompt)
 
     started = time.monotonic()

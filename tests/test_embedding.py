@@ -20,7 +20,7 @@ from conceptlinker import (
     make_provider,
 )
 from conceptlinker.embedding import CACHE_MAGIC, trigrams
-from conceptlinker.errors import DimMismatch, EmptyText, TransportError
+from conceptlinker.errors import DimMismatch, EmptyText, InvalidVector, TransportError
 
 from .oracles import embed_ref
 
@@ -248,6 +248,24 @@ class TestRemoteProvider:
         assert exc.value.index == 1
         # the batch is atomic: nothing may have been cached
         assert cache.get(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "alpha")) is None
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "zero"])
+    def test_non_finite_or_zero_reply_is_refused_and_never_cached(self, tmp_path, bad):
+        broken = [0.0, 0.0, 0.0, 0.0] if bad == "zero" else [bad, 0.1, 0.2, 0.3]
+        session = FakeSession([FakeResponse(200, embedding_payload([[1, 0, 0, 0], broken]))])
+        cache = VectorCache(tmp_path)
+        provider = RemoteProvider(remote_spec(), cache=cache, session=session)
+        with pytest.raises(InvalidVector) as exc:
+            provider.embed_batch(["alpha", "beta"])
+        assert exc.value.index == 1
+        # the valid first vector is not cached either: the reply is refused whole
+        assert list(tmp_path.iterdir()) == []
+        # so a second provider on the same cache has to ask the endpoint again
+        fresh = FakeSession([FakeResponse(200, embedding_payload([[1, 0, 0, 0], [0, 1, 0, 0]]))])
+        again = RemoteProvider(remote_spec(), cache=VectorCache(tmp_path), session=fresh)
+        out = again.embed_batch(["alpha", "beta"])
+        assert len(fresh.calls) == 1
+        assert all(np.isfinite(v).all() for v in out)
 
     def test_bearer_header_from_env(self, monkeypatch):
         monkeypatch.setenv("LINKER_API_KEY", "sk-test")

@@ -308,7 +308,7 @@ class TestBatchRetrieval:
         provider, memory, entries = _homonym_store()
         queries = [Query(id=f"q{i}", mention=text) for i, text in enumerate(texts)]
         # a block of `chunk` queries, so batches cross chunk boundaries
-        with mock.patch.object(memory_module, "_BLOCK_BYTES", 8 * len(memory) * chunk):
+        with mock.patch.object(memory_module, "_BLOCK_BYTES", 4 * len(memory) * chunk):
             batch = retrieve_for_queries(memory, queries, provider, k)
         assert len(batch) == len(queries)
         for query, slate in zip(queries, batch):
@@ -319,6 +319,137 @@ class TestBatchRetrieval:
     def test_empty_batch(self):
         provider, memory, _ = _homonym_store()
         assert retrieve_for_queries(memory, [], provider, 5) == []
+
+
+_VARIANTS_CYCLE = (Variant.NAME_ONLY, Variant.NAME_WITH_CONTEXT)
+
+
+def _ref_slates(memory: Memory, queries, k: int) -> list[list[tuple[str, float, Variant]]]:
+    """retrieve_ref with the winning variant: the earliest entry at its concept's best."""
+    slates = []
+    for query in queries:
+        best: dict[str, tuple[float, Variant]] = {}
+        for entry in memory.entries:
+            score = cosine_ref(entry.vector, query)
+            if entry.concept_id not in best or score > best[entry.concept_id][0]:
+                best[entry.concept_id] = (score, entry.variant)
+        ranked = sorted(best.items(), key=lambda item: (-item[1][0], item[0]))[:k]
+        slates.append([(cid, score, variant) for cid, (score, variant) in ranked])
+    return slates
+
+
+def _slates(memory: Memory, queries, k: int) -> list[list[tuple[str, float, Variant]]]:
+    return [[(c.concept_id, c.score, c.variant) for c in slate]
+            for slate in memory_module.retrieve_batch(memory, queries, k)]
+
+
+class TestEntrySelection:
+    """The float32 entry-level selection against the plain-Python oracle."""
+
+    @staticmethod
+    def runs_memory(seed: int, runs: list[int], dim: int = 24) -> tuple[Memory, np.ndarray]:
+        """Concepts with the given entry counts; entries of a concept cluster together."""
+        gen = np.random.default_rng(seed)
+        entries = []
+        for c, run in enumerate(runs):
+            centre = gen.normal(size=dim)
+            for r in range(run):
+                vector = (centre + 0.3 * gen.normal(size=dim)).astype(np.float32)
+                entries.append(MemoryEntry(f"C{c:03d}", _VARIANTS_CYCLE[r % 2], vector))
+        memory = Memory(entries, dim, ("local-trigram", "m"), "t")
+        queries = np.stack([e.vector for e in memory.entries[::7]]).astype(np.float64)
+        return memory, queries + 0.2 * gen.normal(size=queries.shape)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_concept_runs_match_oracle(self, seed):
+        runs = [1 + (c * 7 + seed) % 5 for c in range(40)]
+        memory, queries = self.runs_memory(seed, runs)
+        assert memory._max_run == 5
+        for k in (1, 3, 10):
+            assert _slates(memory, queries, k) == _ref_slates(memory, queries, k)
+
+    def test_best_entries_crowded_by_two_concepts(self):
+        # two concepts own the 12 best entries; the third concept is found only
+        # because selection keeps k * max_run entries, not k * 2
+        gen = np.random.default_rng(5)
+        query = gen.normal(size=16)
+        entries = []
+        for cid in ("A", "B"):
+            for r in range(6):
+                near = (query + 0.01 * gen.normal(size=16)).astype(np.float32)
+                entries.append(MemoryEntry(cid, _VARIANTS_CYCLE[r % 2], near))
+        for c in range(30):
+            entries.append(MemoryEntry(f"F{c:02d}", Variant.NAME_ONLY,
+                                       gen.normal(size=16).astype(np.float32)))
+        memory = Memory(entries, 16, ("local-trigram", "m"), "t")
+        got = _slates(memory, query[None, :], 3)
+        assert got == _ref_slates(memory, [query], 3)
+        assert [cid for cid, _, _ in got[0][:2]] in (["A", "B"], ["B", "A"])
+
+    def test_one_ulp_apart_ranks_by_exact_score(self):
+        # one float32 ulp in one component: the float32 scores of the pair tie
+        # or, with these seeds, often come out in the wrong order; only the
+        # exact rescore orders them
+        gen = np.random.default_rng(13)
+        dim = 32
+        base = gen.normal(size=dim).astype(np.float32)
+        bumped = base.copy()
+        bumped[1] = np.nextafter(base[1], np.float32(np.inf))
+        queries = base + 0.05 * gen.normal(size=(20, dim))
+        filler = [MemoryEntry(f"F{i:03d}", Variant.NAME_ONLY, v)
+                  for i, v in enumerate(gen.normal(size=(200, dim)).astype(np.float32))]
+        for query in queries:
+            low, high = sorted([base, bumped], key=lambda v: cosine_ref(v, query))
+            gap = cosine_ref(high, query) - cosine_ref(low, query)
+            assert 0.0 < gap < memory_module._score_margin(dim)
+            # two concepts: the better vector has the later id, so an id
+            # tie-break would misorder them
+            pair = Memory([MemoryEntry("Z", Variant.NAME_ONLY, high),
+                           MemoryEntry("A", Variant.NAME_ONLY, low)] + filler,
+                          dim, ("local-trigram", "m"), "t")
+            want = [("Z", cosine_ref(high, query)), ("A", cosine_ref(low, query))]
+            for k in (1, 2):
+                top = retrieve_top_k(pair, query, k)
+                assert [(c.concept_id, c.score) for c in top] == want[:k]
+            # one concept: the better vector is its second entry, so the
+            # earlier-entry tie rule would pick the wrong variant
+            one = Memory([MemoryEntry("P", Variant.NAME_ONLY, low),
+                          MemoryEntry("P", Variant.NAME_WITH_CONTEXT, high)] + filler,
+                         dim, ("local-trigram", "m"), "t")
+            top = retrieve_top_k(one, query, 1)[0]
+            assert (top.concept_id, top.score, top.variant) == (
+                "P", cosine_ref(high, query), Variant.NAME_WITH_CONTEXT)
+
+    @pytest.mark.parametrize("extra", [0, 1, 7])
+    def test_k_at_or_above_concept_count(self, extra):
+        runs = [1, 3, 2, 1, 4, 2]
+        memory, queries = self.runs_memory(9, runs)
+        k = len(runs) + extra
+        got = _slates(memory, queries, k)
+        assert all(len(slate) == len(runs) for slate in got)
+        assert got == _ref_slates(memory, queries, k)
+
+    def test_query_opposite_to_every_entry(self):
+        # every score sits near -1, where exact scores may clip
+        gen = np.random.default_rng(2)
+        query = gen.normal(size=16)
+        entries = [MemoryEntry(f"C{c}", _VARIANTS_CYCLE[r], (-query * (1 + c + r)
+                                                             + 1e-4 * gen.normal(size=16))
+                               .astype(np.float32))
+                   for c in range(6) for r in range(2)]
+        memory = Memory(entries, 16, ("local-trigram", "m"), "t")
+        for k in (1, 4):
+            assert _slates(memory, query[None, :], k) == _ref_slates(memory, [query], k)
+
+    @pytest.mark.parametrize("length", [2.0 ** -70, 2.0 ** 70])
+    def test_entry_length_outside_float32_range_rejected(self, length):
+        vector = np.zeros(16, dtype=np.float32)
+        vector[2] = length
+        entries = [MemoryEntry("C1", Variant.NAME_ONLY, np.ones(16, dtype=np.float32)),
+                   MemoryEntry("C2", Variant.NAME_ONLY, vector)]
+        with pytest.raises(InvalidVector) as exc:
+            Memory(entries, 16, ("local-trigram", "m"), "t")
+        assert exc.value.index == 1
 
 
 class TestStoreFile:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,7 @@ from conceptlinker import (
     query_text,
     retrieve_for_queries,
 )
+from conceptlinker import ranker as ranker_module
 from conceptlinker.errors import TransportError
 from conceptlinker.pipeline import journal_row, result_from_row
 
@@ -121,6 +123,21 @@ class TestLinkQueries:
         ontology = setting[0]
         assert link_queries([], [], ontology, PromptConfig(),
                             ExactMatchMockEndpoint()) == []
+
+    def test_each_prompt_built_once(self, setting):
+        ontology, queries, _, _, _, candidates = setting
+        candidates = [[] if i % 3 == 0 else slate for i, slate in enumerate(candidates)]
+        with mock.patch.object(ranker_module, "build_prompt",
+                               wraps=ranker_module.build_prompt) as build:
+            results = link_queries(queries, candidates, ontology, PromptConfig(),
+                                   ExactMatchMockEndpoint())
+        assert build.call_count == sum(1 for slate in candidates if slate)
+        # the digest and the prompt sent are still those rank builds alone
+        for query, slate, result in zip(queries, candidates, results):
+            alone = ranker_module.rank(query, slate, ontology, PromptConfig(),
+                                       ExactMatchMockEndpoint())
+            assert (result.prompt_digest, result.selection) == (alone.prompt_digest,
+                                                                alone.selection)
 
 
 class TestJournal:
