@@ -49,14 +49,13 @@ from .llm import (
 )
 from .memory import build_memory, load_memory, save_memory
 from .ontology import parse_ontology, parse_queries
-from .pipeline import LinkJournal, link_queries, retrieve_for_queries
+from .pipeline import DEFAULT_CONCURRENCY, LinkJournal, link_queries, retrieve_for_queries
 from .ranker import PromptConfig, SelectionKind, TEMPLATE_V1
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_K = 10
 DEFAULT_DIM = 256
-DEFAULT_CONCURRENCY = 4
 
 _MOCK_ENDPOINTS = {
     "mock:exact": ExactMatchMockEndpoint,

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import logging
 import os
 import struct
-import tempfile
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +27,12 @@ from .errors import (
     InvalidVector,
     TransportError,
 )
-from .errors import Timeout as TimeoutError_
+from .fileio import atomic_writer
 from .textutil import normalize_whitespace
-
-logger = logging.getLogger(__name__)
+from .transport import post_json
 
 LOCAL_PROVIDER_ID = "local-trigram"
 REMOTE_PROVIDER_ID = "remote"
-API_KEY_ENV = "LINKER_API_KEY"
 
 # FNV-1a 64-bit parameters
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -47,14 +42,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # cache entry: 16-byte header (magic, dim u32 LE, 8 reserved), then float32 LE body
 CACHE_MAGIC = b"LFV1"
 _CACHE_HEADER = struct.Struct("<4sI8x")
-
-RETRY_ATTEMPTS = 3
-RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
-
-
-def bearer_token() -> str | None:
-    """API key from the environment; the only place credentials come from."""
-    return os.environ.get(API_KEY_ENV) or None
 
 
 @dataclass(frozen=True)
@@ -156,16 +143,8 @@ class VectorCache:
     def put(self, key: str, vector: np.ndarray) -> None:
         blob = _CACHE_HEADER.pack(CACHE_MAGIC, vector.shape[0])
         blob += np.asarray(vector, dtype="<f4").tobytes()
-        with self._write_lock:
-            fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(blob)
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+        with self._write_lock, atomic_writer(self._path(key)) as fh:
+            fh.write(blob)
 
 
 class LocalTrigramProvider:
@@ -211,15 +190,7 @@ class RemoteProvider:
             misses.append(i)
 
         if misses:
-            fetched = self._post([cleaned[i] for i in misses])
-            if len(fetched) != len(misses):
-                raise TransportError(
-                    None, f"endpoint returned {len(fetched)} embeddings for {len(misses)} inputs"
-                )
-            # validate the whole reply before any cache write: a batch is atomic
-            for j, vec in zip(misses, fetched):
-                if len(vec) != self.spec.dim:
-                    raise DimMismatch(self.spec.dim, len(vec), index=j)
+            fetched = self._fetch([cleaned[i] for i in misses], misses)
             for j, vec in zip(misses, fetched):
                 out[j] = _unit(np.asarray(vec, dtype=np.float64), j)
             if self.cache is not None:
@@ -231,40 +202,32 @@ class RemoteProvider:
         assert all(v is not None for v in out), "every text is a cache hit or fetched"
         return out  # type: ignore[return-value]
 
-    def _post(self, inputs: list[str]) -> list[list[float]]:
-        headers = {}
-        api_key = bearer_token()
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        body = {"model": self.spec.model_id, "input": inputs}
+    def _fetch(self, inputs: list[str], indices: list[int]) -> list[list[float]]:
+        """One embedding per input, the whole reply checked before any use.
 
-        last: Exception | None = None
-        for attempt in range(RETRY_ATTEMPTS):
-            if attempt:
-                time.sleep(RETRY_BACKOFF_S[attempt - 1])
-            try:
-                resp = self.session.post(
-                    self.spec.endpoint, json=body, headers=headers,
-                    timeout=self.spec.timeout,
+        ``indices`` are the inputs' positions in the caller's batch, which
+        a :class:`DimMismatch` names.
+        """
+        body = {"model": self.spec.model_id, "input": inputs}
+        reply = post_json(self.session, self.spec.endpoint, body, self.spec.timeout)
+        try:
+            fetched = [row["embedding"] for row in reply.json()["data"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TransportError(reply.status_code, f"malformed reply: {exc}") from None
+        if len(fetched) != len(inputs):
+            raise TransportError(
+                None, f"endpoint returned {len(fetched)} embeddings for {len(inputs)} inputs"
+            )
+        for j, vec in zip(indices, fetched):
+            if not isinstance(vec, list) or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec
+            ):
+                raise TransportError(
+                    reply.status_code, f"malformed reply: embedding {j} is not a list of numbers"
                 )
-            except requests.Timeout as exc:
-                last = TimeoutError_(str(exc))
-                continue
-            except requests.RequestException as exc:
-                last = TransportError(None, str(exc))
-                continue
-            if resp.status_code >= 500:
-                last = TransportError(resp.status_code, resp.text[:200])
-                continue
-            if resp.status_code >= 400:
-                raise TransportError(resp.status_code, resp.text[:200])
-            try:
-                data = resp.json()["data"]
-                return [row["embedding"] for row in data]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TransportError(resp.status_code, f"malformed reply: {exc}") from None
-        assert last is not None
-        raise last
+            if len(vec) != self.spec.dim:
+                raise DimMismatch(self.spec.dim, len(vec), index=j)
+        return fetched
 
 
 def _clean_texts(texts: list[str]) -> list[str]:
@@ -297,13 +260,3 @@ def make_provider(spec: ProviderSpec, cache_dir: str | os.PathLike | None = None
         cache = VectorCache(cache_dir) if cache_dir is not None else None
         return RemoteProvider(spec, cache=cache, session=session)
     raise ValueError(f"unknown provider id {spec.provider_id!r}")
-
-
-def embed_text(provider: Provider, text: str) -> np.ndarray:
-    """Embed one text; unit-norm float32 of the provider's dimension."""
-    return provider.embed_batch([text])[0]
-
-
-def embed_batch(provider: Provider, texts: list[str]) -> list[np.ndarray]:
-    """Embed many texts; order preserved, all-or-nothing on failure."""
-    return provider.embed_batch(texts)

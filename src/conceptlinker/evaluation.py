@@ -12,8 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import tempfile
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -25,6 +23,7 @@ from .errors import (
     MissingPrediction,
     MissingRetrieval,
 )
+from .fileio import atomic_writer, read_records
 from .memory import Candidate, Memory
 from .ontology import Ontology, Query
 from .pipeline import link_queries, retrieve_for_queries
@@ -210,65 +209,43 @@ def parse_gold(path: str | Path) -> list[GoldPair]:
     pairs: list[GoldPair] = []
     seen: dict[str, str] = {}
     skipped = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise MalformedRecord(lineno, f"invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise MalformedRecord(lineno, "expected a JSON object")
-            try:
-                source = str(record["source"]).strip()
-                target = str(record["target"]).strip()
-            except KeyError as exc:
-                raise MalformedRecord(lineno, f"missing field {exc}") from None
-            if not source or not target:
-                raise MalformedRecord(lineno, "empty source or target")
-            if COMPOSITE_SEP in target:
+    for lineno, record in read_records(path):
+        try:
+            source = str(record["source"]).strip()
+            target = str(record["target"]).strip()
+        except KeyError as exc:
+            raise MalformedRecord(lineno, f"missing field {exc}") from None
+        if not source or not target:
+            raise MalformedRecord(lineno, "empty source or target")
+        if COMPOSITE_SEP in target:
+            skipped += 1
+            continue
+        if source in seen:
+            if seen[source] != target:
                 skipped += 1
-                continue
-            if source in seen:
-                if seen[source] != target:
-                    skipped += 1
-                continue
-            seen[source] = target
-            pairs.append(GoldPair(source, target))
+            continue
+        seen[source] = target
+        pairs.append(GoldPair(source, target))
     if skipped:
         logger.warning("skipped %d composite or conflicting gold records", skipped)
     return pairs
 
 
 def write_gold(path: str | Path, pairs: list[GoldPair]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for pair in pairs:
-            handle.write(
-                json.dumps({"source": pair.source_id, "target": pair.target_id}) + "\n"
-            )
+    _atomic_text(path, "".join(
+        json.dumps({"source": pair.source_id, "target": pair.target_id}) + "\n"
+        for pair in pairs
+    ))
+
+
+def _atomic_text(path: str | Path, text: str) -> None:
+    with atomic_writer(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 # --- prediction and retrieval files -----------------------------------------
 
 PREDICTION_NONE = "NONE"
-
-
-def _atomic_text(path: str | Path, text: str) -> None:
-    # readers never see a partial file, and an interrupted write leaves
-    # the previous version in place
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_predictions(
@@ -348,20 +325,15 @@ def write_retrievals(
 def parse_retrievals(path: str | Path) -> dict[str, list[str]]:
     """Read a retrieval file back to ranked id lists keyed by query id."""
     out: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                query_id = record["query_id"]
-                ranked = [c["cid"] for c in record["candidates"]]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise MalformedRecord(lineno, str(exc)) from None
-            if query_id in out:
-                raise MalformedRecord(lineno, f"duplicate query id {query_id!r}")
-            out[query_id] = ranked
+    for lineno, record in read_records(path):
+        try:
+            query_id = record["query_id"]
+            ranked = [c["cid"] for c in record["candidates"]]
+        except (KeyError, TypeError) as exc:
+            raise MalformedRecord(lineno, str(exc)) from None
+        if query_id in out:
+            raise MalformedRecord(lineno, f"duplicate query id {query_id!r}")
+        out[query_id] = ranked
     return out
 
 
@@ -384,29 +356,19 @@ def parse_grid(path: str | Path) -> list[AblationArm]:
     A ``one_shot`` field takes an object with query, options, and answer.
     """
     arms: list[AblationArm] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, record in read_records(path):
+        label = str(record.pop("label", f"arm-{len(arms)}"))
+        one_shot = record.pop("one_shot", None)
+        if one_shot is not None:
             try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise MalformedRecord(lineno, f"invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise MalformedRecord(lineno, "expected a JSON object")
-            label = str(record.pop("label", f"arm-{len(arms)}"))
-            one_shot = record.pop("one_shot", None)
-            if one_shot is not None:
-                try:
-                    one_shot = OneShotExample(**one_shot)
-                except TypeError as exc:
-                    raise MalformedRecord(lineno, f"bad one_shot: {exc}") from None
-            try:
-                config = PromptConfig(one_shot=one_shot, **record)
-            except (TypeError, ValueError) as exc:
-                raise MalformedRecord(lineno, str(exc)) from None
-            arms.append(AblationArm(label, config))
+                one_shot = OneShotExample(**one_shot)
+            except TypeError as exc:
+                raise MalformedRecord(lineno, f"bad one_shot: {exc}") from None
+        try:
+            config = PromptConfig(one_shot=one_shot, **record)
+        except (TypeError, ValueError) as exc:
+            raise MalformedRecord(lineno, str(exc)) from None
+        arms.append(AblationArm(label, config))
     if not arms:
         raise EmptyFile(str(path))
     return arms

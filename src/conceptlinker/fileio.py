@@ -1,0 +1,105 @@
+"""The file edge: a strict record reader, a keyed append log, an atomic writer.
+
+Every JSON Lines input goes through :func:`read_records`, both append-only
+logs (link journal, completion transcript) are a :class:`KeyedLog`, and the
+memory file, cache entries, predictions, retrievals, gold files and reports
+are written through :func:`atomic_writer`.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import os
+import tempfile
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+from typing import BinaryIO, Callable, Hashable, Iterator
+
+from .errors import MalformedRecord
+
+logger = logging.getLogger(__name__)
+
+
+def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, object) for every record line of a JSON Lines file.
+
+    Blank lines and lines starting with ``#`` are skipped; a line that is not
+    valid JSON, or not a JSON object, raises :class:`MalformedRecord`.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            try:
+                obj = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(lineno, f"invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise MalformedRecord(lineno, "record is not a JSON object")
+            yield lineno, obj
+
+
+class KeyedLog:
+    """Append-only JSON Lines log of rows, held in memory by key.
+
+    ``entry`` maps a row to its (key, value); a later row replaces an
+    earlier one with the same key. Loading logs and skips lines that are not
+    JSON or that ``entry`` rejects, such as the truncated last line of a
+    killed process. A row whose value equals the stored one is not written
+    again.
+    """
+
+    def __init__(self, path: str | Path, what: str,
+                 entry: Callable[[dict], tuple[Hashable, object]]) -> None:
+        self.path = Path(path)
+        self._entry = entry
+        self._lock = threading.Lock()
+        self._rows: dict = {}
+        if self.path.exists():
+            with open(self.path, encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        key, value = entry(json.loads(line))
+                        self._rows[key] = value
+                    except (ValueError, KeyError, TypeError):
+                        logger.warning("skipping malformed %s line in %s", what, self.path)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def append(self, row: dict) -> None:
+        key, value = self._entry(row)
+        with self._lock:
+            if key in self._rows and self._rows[key] == value:
+                return
+            self._rows[key] = value
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(row) + "\n")
+
+
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
+    """Binary handle on a temp file beside ``path``, renamed over it on success.
+
+    Readers never see a partial file, and a write interrupted by any
+    exception leaves the previous version in place and no temp file behind.
+    Missing parent directories are created.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

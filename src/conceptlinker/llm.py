@@ -9,17 +9,13 @@ no network at all.
 
 from __future__ import annotations
 
-import json
-import logging
 import re
-import threading
-import time
 from pathlib import Path
 
 import requests
 
-from .embedding import API_KEY_ENV, RETRY_ATTEMPTS, RETRY_BACKOFF_S, bearer_token
-from .errors import TransportError, Timeout, TranscriptMiss
+from .errors import TransportError, TranscriptMiss
+from .fileio import KeyedLog
 from .ranker import (
     ABSTRACT_CLOSE,
     ABSTRACT_OPEN,
@@ -28,8 +24,7 @@ from .ranker import (
     QUERY_MARKER,
     prompt_digest,
 )
-
-logger = logging.getLogger(__name__)
+from .transport import post_json
 
 _OPTION_LINE = re.compile(r"^(\d+): (.*)$")
 
@@ -39,8 +34,8 @@ class HttpCompletionEndpoint:
 
     Sends ``{"model", "messages": [{"role": "user", "content": prompt}],
     "temperature": 0}`` and reads the first choice's message content.
-    Server errors and transport failures are retried with backoff;
-    client errors fail fast.
+    Server errors, rate limiting (429) and transport failures are retried
+    with backoff; other client errors fail fast.
     """
 
     def __init__(
@@ -68,35 +63,7 @@ class HttpCompletionEndpoint:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": 0,
         }
-        headers = {}
-        token = bearer_token()
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-
-        last: Exception | None = None
-        for attempt in range(RETRY_ATTEMPTS):
-            if attempt:
-                pause = RETRY_BACKOFF_S[attempt - 1]
-                logger.warning("completion retry %d after %.0fs: %s", attempt, pause, last)
-                time.sleep(pause)
-            try:
-                reply = self._session.post(
-                    self.url, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.Timeout as exc:
-                last = Timeout(str(exc))
-                continue
-            except requests.RequestException as exc:
-                last = TransportError(None, str(exc))
-                continue
-            if reply.status_code >= 500:
-                last = TransportError(reply.status_code, reply.text[:200])
-                continue
-            if reply.status_code >= 400:
-                raise TransportError(reply.status_code, reply.text[:200])
-            return _extract_content(reply)
-        assert last is not None
-        raise last
+        return _extract_content(post_json(self._session, self.url, payload, self.timeout))
 
 
 def _extract_content(reply: requests.Response) -> str:
@@ -110,50 +77,26 @@ def _extract_content(reply: requests.Response) -> str:
     return content
 
 
-class TranscriptStore:
+class TranscriptStore(KeyedLog):
     """Append-only prompt-digest to response log backing record/replay.
 
     One JSON object per line: ``{"digest": ..., "response": ...}``.
     Loading tolerates a partially written final line, so an interrupted
-    recording run resumes cleanly.
+    recording run resumes cleanly. Saving a response equal to the stored
+    one writes nothing.
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._responses: dict[str, str] = {}
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    self._responses[record["digest"]] = record["response"]
-                except (ValueError, KeyError, TypeError):
-                    logger.warning("skipping malformed transcript line in %s", self.path)
-
-    def __len__(self) -> int:
-        return len(self._responses)
+        super().__init__(path, "transcript", lambda row: (row["digest"], row["response"]))
 
     def __contains__(self, digest: str) -> bool:
-        return digest in self._responses
+        return digest in self._rows
 
     def lookup(self, digest: str) -> str | None:
-        return self._responses.get(digest)
+        return self._rows.get(digest)
 
     def save(self, digest: str, response: str) -> None:
-        with self._lock:
-            if self._responses.get(digest) == response:
-                return
-            self._responses[digest] = response
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps({"digest": digest, "response": response}) + "\n")
+        self.append({"digest": digest, "response": response})
 
     def recording(self, inner) -> RecordingEndpoint:
         return RecordingEndpoint(inner, self)

@@ -28,7 +28,6 @@ import json
 import logging
 import math
 import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import Provider, ProviderSpec, embed_batch
+from .embedding import Provider, ProviderSpec
 from .errors import (
     BadMagic,
     DimMismatch,
@@ -49,6 +48,7 @@ from .errors import (
     MemoryLayoutError,
     VersionMismatch,
 )
+from .fileio import atomic_writer
 from .ontology import Ontology, Query
 
 logger = logging.getLogger(__name__)
@@ -277,11 +277,11 @@ def build_memory(ontology: Ontology, provider: Provider) -> Memory:
     context_texts = [concept_text(c.name, c.description) for c in described]
 
     try:
-        name_vecs = embed_batch(provider, name_texts)
+        name_vecs = provider.embed_batch(name_texts)
     except LinkerError as exc:
         raise MemoryBuildError(_offending(concepts, exc), str(exc)) from exc
     try:
-        context_vecs = embed_batch(provider, context_texts) if context_texts else []
+        context_vecs = provider.embed_batch(context_texts) if context_texts else []
     except LinkerError as exc:
         raise MemoryBuildError(_offending(described, exc), str(exc)) from exc
 
@@ -424,13 +424,14 @@ def _exact_top(memory: Memory, rows: np.ndarray, selection: list[float],
 def save_memory(memory: Memory, path: str | Path) -> None:
     """Write the store in format v2; atomic (temp file + rename) and byte-deterministic.
 
+    Missing parent directories are created.
+
     Layout: one UTF-8 JSON header line (``format_version``, ``dim``,
     ``provider_id``, ``model_id``, ``ontology_tag``, ``entry_count`` and the
     ``concept_ids`` table), then per entry a uint32 little-endian concept
     index, then per entry one variant byte, then the float32 little-endian
     (entry_count, dim) matrix.
     """
-    path = str(path)
     header = json.dumps(
         {
             "format_version": FORMAT_VERSION,
@@ -443,19 +444,11 @@ def save_memory(memory: Memory, path: str | Path) -> None:
         },
         ensure_ascii=False,
     )
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".memtmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header.encode("utf-8") + b"\n")
-            fh.write(memory.concept_index.astype("<u4").tobytes())
-            fh.write(memory.variant_codes.tobytes())
-            fh.write(memory.vectors.astype("<f4", copy=False).tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_writer(path) as fh:
+        fh.write(header.encode("utf-8") + b"\n")
+        fh.write(memory.concept_index.astype("<u4").tobytes())
+        fh.write(memory.variant_codes.tobytes())
+        fh.write(memory.vectors.astype("<f4", copy=False).tobytes())
 
 
 def load_memory(

@@ -10,6 +10,7 @@ in both. Validation stops at the first bad line and the diagnostic names it.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -22,6 +23,7 @@ from .errors import (
     MissingField,
     UnknownId,
 )
+from .fileio import read_records
 from .textutil import normalize_whitespace, truncate_at_word
 
 DEFAULT_DESCRIPTION_BUDGET = 2000
@@ -56,8 +58,8 @@ class Ontology:
         self._concepts = list(concepts)
         self._index = {c.id: c for c in self._concepts}
         if len(self._index) != len(self._concepts):
-            dupes = sorted({c.id for c in self._concepts if sum(
-                1 for d in self._concepts if d.id == c.id) > 1})
+            counts = Counter(c.id for c in self._concepts)
+            dupes = sorted(cid for cid, n in counts.items() if n > 1)
             raise ValueError(f"duplicate concept ids: {dupes}")
 
     def __len__(self) -> int:
@@ -74,31 +76,11 @@ class Ontology:
         return tuple(self._concepts)
 
     def get(self, concept_id: str) -> Concept:
+        """Look up a concept by id; raises :class:`UnknownId` if absent."""
         try:
             return self._index[concept_id]
         except KeyError:
             raise UnknownId(concept_id) from None
-
-
-def get_concept(ontology: Ontology, concept_id: str) -> Concept:
-    """Look up a concept by id; raises :class:`UnknownId` if absent."""
-    return ontology.get(concept_id)
-
-
-def _record_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, parsed object) for every non-comment record line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(lineno, f"invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise MalformedRecord(lineno, "record is not a JSON object")
-            yield lineno, obj
 
 
 def _required_str(obj: dict, key: str, lineno: int) -> str:
@@ -149,7 +131,7 @@ def parse_ontology(
     """
     concepts: list[Concept] = []
     seen: set[str] = set()
-    for lineno, obj in _record_lines(path):
+    for lineno, obj in read_records(path):
         cid = _required_id(obj, "id", lineno)
         if cid in seen:
             raise DuplicateId(cid, lineno)
@@ -204,7 +186,7 @@ def parse_queries(path: str | Path) -> list[Query]:
     An empty file yields an empty list.
     """
     queries: list[Query] = []
-    for lineno, obj in _record_lines(path):
+    for lineno, obj in read_records(path):
         qid = _required_id(obj, "id", lineno)
         mention = _optional_str(obj, "mention", lineno)
         if mention is None:

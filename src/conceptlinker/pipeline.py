@@ -9,14 +9,12 @@ journaled, which makes them retryable.
 
 from __future__ import annotations
 
-import json
-import logging
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from .fileio import KeyedLog
 from .memory import Candidate, Memory, query_text, retrieve_batch
 from .ontology import Ontology, Query
 from .ranker import (
@@ -28,8 +26,6 @@ from .ranker import (
     prompt_digest,
     rank,
 )
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_CONCURRENCY = 4
 
@@ -46,48 +42,20 @@ def retrieve_for_queries(
     return retrieve_batch(memory, embed_queries(queries, provider), k)
 
 
-class LinkJournal:
+class LinkJournal(KeyedLog):
     """Append-only per-query detail log that doubles as resume state.
 
     Rows carry the prompt digest, the selection, the raw response, and the
     candidate slate, so a journaled query can be replayed into a LinkResult
-    without touching the endpoint. A truncated final line (killed process)
-    is skipped on load.
+    without touching the endpoint. Rows are keyed by (query id, digest); a
+    truncated final line (killed process) is skipped on load.
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._rows: dict[tuple[str, str], dict] = {}
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                    key = (row["query_id"], row["digest"])
-                except (ValueError, KeyError, TypeError):
-                    logger.warning("skipping malformed journal line in %s", self.path)
-                    continue
-                self._rows[key] = row
-
-    def __len__(self) -> int:
-        return len(self._rows)
+        super().__init__(path, "journal", lambda row: ((row["query_id"], row["digest"]), row))
 
     def get(self, query_id: str, digest: str) -> dict | None:
         return self._rows.get((query_id, digest))
-
-    def append(self, row: dict) -> None:
-        with self._lock:
-            self._rows[(row["query_id"], row["digest"])] = row
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(row) + "\n")
 
 
 def journal_row(result: LinkResult, candidates: list[Candidate]) -> dict:

@@ -93,6 +93,12 @@ class PromptConfig:
     template_id: str = TEMPLATE_V1
 
     def __post_init__(self) -> None:
+        for name, kind in (("include_source_context", bool), ("include_candidate_context", bool),
+                           ("none_label", str), ("max_option_context_chars", int),
+                           ("template_id", str)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
         label = self.none_label.strip()
         if not label:
             raise ValueError("none_label must be non-empty")

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import re
-
-_WS = re.compile(r"\s+")
-
 
 def normalize_whitespace(text: str) -> str:
     """Trim and collapse all internal whitespace runs to single spaces."""
-    return _WS.sub(" ", text.strip())
+    return " ".join(text.split())
 
 
 def truncate_at_word(text: str, budget: int) -> str:

@@ -1,0 +1,68 @@
+"""The network edge: one JSON POST with a bearer token and bounded retries.
+
+Both the remote embedder and the HTTP completion endpoint send their
+requests through :func:`post_json`; each keeps only its body shape and its
+reply extraction.
+"""
+
+from __future__ import annotations
+
+import logging
+import os
+import time
+
+import requests
+
+from .errors import Timeout, TransportError
+
+logger = logging.getLogger(__name__)
+
+API_KEY_ENV = "LINKER_API_KEY"
+
+RETRY_ATTEMPTS = 3
+RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
+
+
+def bearer_token() -> str | None:
+    """API key from the environment; the only place credentials come from."""
+    return os.environ.get(API_KEY_ENV) or None
+
+
+def post_json(session: requests.Session, url: str, body: dict,
+              timeout: float) -> requests.Response:
+    """POST ``body`` as JSON and return the first reply below HTTP 400.
+
+    Timeouts, transport failures, HTTP 429 and 5xx are retried up to
+    ``RETRY_ATTEMPTS`` times with ``RETRY_BACKOFF_S`` pauses, each retry
+    logged; the last failure is raised as :class:`Timeout` or
+    :class:`TransportError`. Any other 4xx raises :class:`TransportError`
+    at once.
+    """
+    headers = {}
+    token = bearer_token()
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+
+    last: Exception | None = None
+    for attempt in range(RETRY_ATTEMPTS):
+        if attempt:
+            pause = RETRY_BACKOFF_S[attempt - 1]
+            logger.warning("retry %d of POST %s after %.0fs: %s", attempt, url, pause, last)
+            time.sleep(pause)
+        try:
+            reply = session.post(url, json=body, headers=headers, timeout=timeout)
+        except requests.Timeout as exc:
+            last = Timeout(str(exc))
+            continue
+        except requests.RequestException as exc:
+            last = TransportError(None, str(exc))
+            continue
+        # rate limiting (429) is transient, like a server error
+        if reply.status_code == 429 or reply.status_code >= 500:
+            last = TransportError(reply.status_code, reply.text[:200])
+            continue
+        if reply.status_code >= 400:
+            raise TransportError(reply.status_code, reply.text[:200])
+        return reply
+    assert last is not None
+    raise last

@@ -145,7 +145,7 @@ class TestRetrieve:
 
     def test_unreachable_embedding_service_exits_3(self, workspace, capsys, monkeypatch):
         build(workspace)
-        monkeypatch.setattr("conceptlinker.embedding.time.sleep", lambda s: None)
+        monkeypatch.setattr("conceptlinker.transport.time.sleep", lambda s: None)
         config = workspace["out"] / "remote.ini"
         config.write_text("[provider]\nendpoint = http://127.0.0.1:9/v1/embed\n")
         code = main([
@@ -220,7 +220,7 @@ class TestLink:
 
     def test_unreachable_endpoint_exits_3(self, workspace, monkeypatch):
         build(workspace)
-        monkeypatch.setattr("conceptlinker.llm.time.sleep", lambda s: None)
+        monkeypatch.setattr("conceptlinker.transport.time.sleep", lambda s: None)
         code = link(workspace, "--endpoint", "http://127.0.0.1:9/v1/chat")
         assert code == 0  # per-query transport failures do not abort the batch
         predictions = parse_predictions(workspace["out"] / "pred.tsv")

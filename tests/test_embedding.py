@@ -178,7 +178,7 @@ def embedding_payload(vectors):
 
 @pytest.fixture(autouse=True)
 def _no_backoff(monkeypatch):
-    monkeypatch.setattr("conceptlinker.embedding.time.sleep", lambda s: None)
+    monkeypatch.setattr("conceptlinker.transport.time.sleep", lambda s: None)
 
 
 class TestRemoteProvider:
@@ -209,6 +209,17 @@ class TestRemoteProvider:
         out = provider.embed_batch(["alpha"])
         assert len(session.calls) == 2
         assert out[0].shape == (4,)
+
+    def test_rate_limit_retried_and_logged(self, caplog):
+        session = FakeSession(
+            [FakeResponse(429, text="slow down"), FakeResponse(200, embedding_payload([[1, 0, 0, 0]]))]
+        )
+        provider = RemoteProvider(remote_spec(), session=session)
+        with caplog.at_level("WARNING"):
+            out = provider.embed_batch(["alpha"])
+        assert len(session.calls) == 2
+        assert out[0].shape == (4,)
+        assert "retry 1" in caplog.text
 
     def test_client_error_fails_fast(self):
         session = FakeSession([FakeResponse(403, text="denied")])
@@ -248,6 +259,19 @@ class TestRemoteProvider:
         assert exc.value.index == 1
         # the batch is atomic: nothing may have been cached
         assert cache.get(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "alpha")) is None
+
+    @pytest.mark.parametrize(
+        "bad", [["x", 0, 0, 0], [[1], 0, 0, 0], "abcd", 5, None, {"a": 1}],
+        ids=["string-item", "nested-item", "string", "number", "null", "object"],
+    )
+    def test_malformed_embedding_is_refused_and_never_cached(self, tmp_path, bad):
+        payload = {"data": [{"embedding": [1, 0, 0, 0]}, {"embedding": bad}]}
+        session = FakeSession([FakeResponse(200, payload)])
+        provider = RemoteProvider(remote_spec(), cache=VectorCache(tmp_path), session=session)
+        with pytest.raises(TransportError, match="malformed reply") as exc:
+            provider.embed_batch(["alpha", "beta"])
+        assert exc.value.status == 200
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "zero"])
     def test_non_finite_or_zero_reply_is_refused_and_never_cached(self, tmp_path, bad):

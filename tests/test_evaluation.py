@@ -343,6 +343,12 @@ class TestRetrievalFiles:
         write_retrievals(path, rows)
         assert parse_retrievals(path) == {"q0": ["C0"], "q1": ["C1", "C2"]}
 
+    def test_comments_and_blanks_skipped(self, tmp_path):
+        path = tmp_path / "ret.jsonl"
+        row = json.dumps({"query_id": "q0", "candidates": [{"cid": "C0", "score": 0.5}]})
+        path.write_text("# written by retrieve\n\n" + row + "\n")
+        assert parse_retrievals(path) == {"q0": ["C0"]}
+
     def test_duplicate_query_rejected(self, tmp_path):
         path = tmp_path / "ret.jsonl"
         row = json.dumps({"query_id": "q0", "candidates": []})
@@ -387,6 +393,8 @@ class TestGridFiles:
         '{"one_shot": {"query": "q"}}',
         "not json",
         "[1]",
+        '{"none_label": 5}',
+        '{"include_source_context": "no"}',
     ])
     def test_malformed(self, tmp_path, line):
         path = tmp_path / "grid.jsonl"

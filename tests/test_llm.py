@@ -38,7 +38,7 @@ def chat_payload(content) -> dict:
 
 @pytest.fixture(autouse=True)
 def _no_backoff(monkeypatch):
-    monkeypatch.setattr("conceptlinker.llm.time.sleep", lambda s: None)
+    monkeypatch.setattr("conceptlinker.transport.time.sleep", lambda s: None)
 
 
 class TestHttpCompletionEndpoint:
@@ -76,6 +76,14 @@ class TestHttpCompletionEndpoint:
     def test_server_error_retried(self):
         endpoint, session = self.make([
             FakeResponse(500, text="boom"),
+            FakeResponse(200, chat_payload("ok")),
+        ])
+        assert endpoint.complete("p") == "ok"
+        assert len(session.calls) == 2
+
+    def test_rate_limit_retried(self):
+        endpoint, session = self.make([
+            FakeResponse(429, text="slow down"),
             FakeResponse(200, chat_payload("ok")),
         ])
         assert endpoint.complete("p") == "ok"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conceptlinker import (
     Concept,
     Ontology,
-    get_concept,
     parse_ontology,
     parse_queries,
     write_ontology,
@@ -139,7 +138,7 @@ class TestOntologyContainer:
         onto = Ontology("t", [Concept(id="C1", name="a"), Concept(id="C2", name="b")])
         assert "C1" in onto and "C9" not in onto
         assert onto.get("C2").name == "b"
-        assert get_concept(onto, "C1").id == "C1"
+        assert onto.get("C1").id == "C1"
 
     def test_unknown_id(self):
         onto = Ontology("t", [Concept(id="C1", name="a")])
