@@ -50,16 +50,46 @@ from .llm import (
 from .memory import build_memory, load_memory, save_memory
 from .ontology import parse_ontology, parse_queries
 from .pipeline import DEFAULT_CONCURRENCY, LinkJournal, link_queries, retrieve_for_queries
-from .ranker import PromptConfig, SelectionKind, TEMPLATE_V1
-
-logger = logging.getLogger(__name__)
-
-DEFAULT_K = 10
-DEFAULT_DIM = 256
+from .ranker import PromptConfig, SelectionKind
 
 _MOCK_ENDPOINTS = {
     "mock:exact": ExactMatchMockEndpoint,
     "mock:keyword": KeywordMockEndpoint,
+}
+
+# Every setting: name -> (config-file section, key, default). The name is
+# the dest of the flag that sets it; the five names without a flag are
+# config-file only. ``tag`` defaults to the ontology file's stem.
+SETTINGS = {
+    "ontology": ("paths", "ontology", None),
+    "queries": ("paths", "queries", None),
+    "memory": ("paths", "memory", None),
+    "gold": ("paths", "gold", None),
+    "grid": ("paths", "grid", None),
+    "predictions": ("paths", "predictions", None),
+    "retrievals": ("paths", "retrievals", None),
+    "output": ("paths", "output", None),
+    "cache_dir": ("paths", "cache_dir", None),
+    "fixtures": ("paths", "fixtures", None),
+    "provider": ("provider", "kind", "local"),
+    "model": ("provider", "model", None),
+    "dim": ("provider", "dim", 256),
+    "seed": ("provider", "seed", 0),
+    "provider_endpoint": ("provider", "endpoint", None),
+    "provider_timeout": ("provider", "timeout", 30.0),
+    "endpoint": ("endpoint", "url", None),
+    "completion_model": ("endpoint", "model", "ranker"),
+    "token_budget": ("endpoint", "token_budget", None),
+    "endpoint_timeout": ("endpoint", "timeout", 60.0),
+    "k": ("run", "k", 10),
+    "ks": ("run", "ks", ",".join(map(str, DEFAULT_HITS_KS))),
+    "concurrency": ("run", "concurrency", DEFAULT_CONCURRENCY),
+    "strict": ("run", "strict", False),
+    "tag": ("run", "tag", None),
+    "source_context": ("prompt", "source_context", True),
+    "candidate_context": ("prompt", "candidate_context", True),
+    "none_label": ("prompt", "none_label", "None"),
+    "max_option_context_chars": ("prompt", "max_option_context_chars", 600),
 }
 
 
@@ -67,149 +97,149 @@ class UsageError(ValidationError):
     """Bad flag or config-file combination; maps to exit code 2."""
 
 
-# --- settings resolution ----------------------------------------------------
+class Settings:
+    """One command's settings: the flag if given, else the config file, else the default."""
 
-def _load_config(path: str | None) -> configparser.ConfigParser | None:
-    if path is None:
-        return None
-    if not Path(path).exists():
-        raise UsageError(f"config path does not exist: {path}")
-    config = configparser.ConfigParser(interpolation=None)
-    config.read(path, encoding="utf-8")
-    return config
+    def __init__(self, args: argparse.Namespace) -> None:
+        self._args = args
+        self._config = None
+        if args.config is not None:
+            if not Path(args.config).exists():
+                raise UsageError(f"config path does not exist: {args.config}")
+            self._config = configparser.ConfigParser(interpolation=None)
+            self._config.read(args.config, encoding="utf-8")
 
+    def get(self, name: str):
+        section, key, default = SETTINGS[name]
+        value = getattr(self._args, name, None)
+        if value is None and self._config is not None:
+            value = self._config.get(section, key, fallback=None)
+        return default if value is None else value
 
-def _setting(args, config, attr: str | None, section: str, key: str, default=None):
-    """One resolved setting: flag if given, else config file, else default.
+    def integer(self, name: str) -> int | None:
+        value = self.get(name)
+        if value is None:
+            return None
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"{SETTINGS[name][1]} must be an integer, got {value!r}") from None
 
-    ``attr`` is None for config-file-only settings with no flag.
-    """
-    value = getattr(args, attr, None) if attr else None
-    if value is None and config is not None:
-        value = config.get(section, key, fallback=None)
-    return default if value is None else value
-
-
-def _int_setting(args, config, attr, section, key, default=None) -> int | None:
-    value = _setting(args, config, attr, section, key, default)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be an integer, got {value!r}") from None
-
-
-def _bool_setting(args, config, attr, section, key, default: bool) -> bool:
-    value = _setting(args, config, attr, section, key, default)
-    if isinstance(value, bool):
+    def positive(self, name: str) -> int:
+        value = self.integer(name)
+        if value < 1:
+            raise UsageError(f"{SETTINGS[name][1]} must be >= 1, got {value}")
         return value
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    try:
-        return states[str(value).lower()]
-    except KeyError:
-        raise UsageError(f"{key} must be a boolean, got {value!r}") from None
+
+    def boolean(self, name: str) -> bool:
+        value = self.get(name)
+        if isinstance(value, bool):
+            return value
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[str(value).lower()]
+        except KeyError:
+            raise UsageError(f"{SETTINGS[name][1]} must be a boolean, got {value!r}") from None
+
+    def input_path(self, name: str) -> Path:
+        value = self.get(name)
+        if not value:
+            raise UsageError(f"missing required {name} path")
+        path = Path(value)
+        if not path.exists():
+            raise UsageError(f"{name} path does not exist: {path}")
+        return path
+
+    def output_path(self, what: str, fallback: str | None = None) -> Path:
+        """The ``output`` setting, else the ``fallback`` setting when one is named."""
+        value = self.get("output") or (fallback and self.get(fallback))
+        if not value:
+            raise UsageError(f"missing required {what} output path")
+        return Path(value)
 
 
-def _input_path(value, what: str) -> Path:
-    if not value:
-        raise UsageError(f"missing required {what} path")
-    path = Path(value)
-    if not path.exists():
-        raise UsageError(f"{what} path does not exist: {path}")
-    return path
-
-
-def _output_path(value, what: str) -> Path:
-    if not value:
-        raise UsageError(f"missing required {what} output path")
-    return Path(value)
-
-
-def _positive(value: int, what: str) -> int:
-    if value < 1:
-        raise UsageError(f"{what} must be >= 1, got {value}")
-    return value
-
-
-def _provider(args, config):
-    kind = _setting(args, config, "provider", "provider", "kind", "local")
-    dim = _positive(_int_setting(args, config, "dim", "provider", "dim", DEFAULT_DIM), "dim")
-    seed = _int_setting(args, config, "seed", "provider", "seed", 0)
-    model = _setting(args, config, "model", "provider", "model")
-    cache_dir = _setting(args, config, "cache_dir", "paths", "cache_dir")
+def _provider(s: Settings):
+    kind = s.get("provider")
+    dim = s.positive("dim")
+    seed = s.integer("seed")
+    model = s.get("model")
     if kind == "local":
-        model = model or f"trigram-d{dim}-s{seed}"
-        spec = ProviderSpec(LOCAL_PROVIDER_ID, model, dim, seed=seed)
+        spec = ProviderSpec(LOCAL_PROVIDER_ID, model or f"trigram-d{dim}-s{seed}", dim, seed=seed)
     elif kind == "remote":
         if not model:
             raise UsageError("remote provider requires a model id")
-        endpoint = _setting(args, config, None, "provider", "endpoint")
+        endpoint = s.get("provider_endpoint")
         if not endpoint:
-            raise UsageError("remote provider requires [provider] endpoint in the config")
-        timeout = float(_setting(args, config, None, "provider", "timeout", 30.0))
+            section, key, _ = SETTINGS["provider_endpoint"]
+            raise UsageError(f"remote provider requires [{section}] {key} in the config")
+        timeout = float(s.get("provider_timeout"))
         spec = ProviderSpec(REMOTE_PROVIDER_ID, model, dim, endpoint=endpoint, timeout=timeout)
     else:
         raise UsageError(f"unknown provider kind {kind!r} (expected local or remote)")
-    return make_provider(spec, cache_dir=cache_dir)
+    return make_provider(spec, cache_dir=s.get("cache_dir"))
 
 
-def _completion_endpoint(args, config, *, required: bool):
-    url = _setting(args, config, "endpoint", "endpoint", "url")
-    fixtures = _setting(args, config, "fixtures", "paths", "fixtures")
+def _completion_endpoint(s: Settings):
+    url = s.get("endpoint")
+    fixtures = s.get("fixtures")
     base = None
-    if url is not None:
-        if url in _MOCK_ENDPOINTS:
-            base = _MOCK_ENDPOINTS[url]()
-        elif url.startswith("mock:"):
-            raise UsageError(
-                f"unknown mock endpoint {url!r} (expected one of {sorted(_MOCK_ENDPOINTS)})"
-            )
-        else:
-            model = _setting(args, config, "completion_model", "endpoint", "model", "ranker")
-            budget = _int_setting(args, config, None, "endpoint", "token_budget")
-            timeout = float(_setting(args, config, None, "endpoint", "timeout", 60.0))
-            base = HttpCompletionEndpoint(url, model, timeout=timeout, token_budget=budget)
+    if url in _MOCK_ENDPOINTS:
+        base = _MOCK_ENDPOINTS[url]()
+    elif url is not None and url.startswith("mock:"):
+        raise UsageError(
+            f"unknown mock endpoint {url!r} (expected one of {sorted(_MOCK_ENDPOINTS)})"
+        )
+    elif url is not None:
+        base = HttpCompletionEndpoint(
+            url, s.get("completion_model"), token_budget=s.integer("token_budget"),
+            timeout=float(s.get("endpoint_timeout")),
+        )
     if fixtures is not None:
         store = TranscriptStore(fixtures)
         return store.recording(base) if base is not None else store.replay()
-    if base is None and required:
+    if base is None:
         raise UsageError("no completion endpoint: pass --endpoint or --fixtures")
     return base
 
 
-def _prompt_config(args, config) -> PromptConfig:
+def _prompt_config(s: Settings) -> PromptConfig:
     return PromptConfig(
-        include_source_context=_bool_setting(
-            args, config, "source_context", "prompt", "source_context", True
-        ),
-        include_candidate_context=_bool_setting(
-            args, config, "candidate_context", "prompt", "candidate_context", True
-        ),
-        none_label=_setting(args, config, "none_label", "prompt", "none_label", "None"),
-        max_option_context_chars=_int_setting(
-            args, config, None, "prompt", "max_option_context_chars", 600
-        ),
-        template_id=_setting(args, config, "template", "run", "template", TEMPLATE_V1),
+        include_source_context=s.boolean("source_context"),
+        include_candidate_context=s.boolean("candidate_context"),
+        none_label=s.get("none_label"),
+        max_option_context_chars=s.integer("max_option_context_chars"),
     )
+
+
+def _read_ontology(s: Settings, path: Path):
+    tag = s.get("tag")
+    return parse_ontology(path, path.stem if tag is None else tag)
+
+
+def _open_inputs(s: Settings, *, with_ontology: bool = False):
+    """Check the input paths, ``strict`` and the provider, then read the
+    ontology (if asked for), the memory and the queries.
+
+    Callers resolve their own settings first, so that every usage error is
+    raised before the first file is parsed.
+    """
+    ontology_path = s.input_path("ontology") if with_ontology else None
+    queries_path = s.input_path("queries")
+    memory_path = s.input_path("memory")
+    strict = s.boolean("strict")
+    provider = _provider(s)
+    ontology = None if ontology_path is None else _read_ontology(s, ontology_path)
+    memory = load_memory(memory_path, expected_provider=provider.spec.fingerprint, strict=strict)
+    return ontology, provider, memory, parse_queries(queries_path)
 
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_build_memory(args) -> int:
-    config = _load_config(args.config)
-    ontology_path = _input_path(
-        _setting(args, config, "ontology", "paths", "ontology"), "ontology"
-    )
-    out = _output_path(
-        _setting(args, config, "output", "paths", "output")
-        or _setting(args, config, "memory", "paths", "memory"),
-        "memory",
-    )
-    tag = _setting(args, config, "tag", "run", "tag", ontology_path.stem)
-    provider = _provider(args, config)
+def cmd_build_memory(s: Settings) -> int:
+    ontology_path = s.input_path("ontology")
+    out = s.output_path("memory", fallback="memory")
+    provider = _provider(s)
 
-    ontology = parse_ontology(ontology_path, tag)
+    ontology = _read_ontology(s, ontology_path)
     memory = build_memory(ontology, provider)
     save_memory(memory, out)
 
@@ -223,23 +253,11 @@ def cmd_build_memory(args) -> int:
     return 0
 
 
-def cmd_retrieve(args) -> int:
-    config = _load_config(args.config)
-    queries_path = _input_path(
-        _setting(args, config, "queries", "paths", "queries"), "queries"
-    )
-    memory_path = _input_path(
-        _setting(args, config, "memory", "paths", "memory"), "memory"
-    )
-    out = _output_path(_setting(args, config, "output", "paths", "output"), "retrieval")
-    k = _positive(_int_setting(args, config, "k", "run", "k", DEFAULT_K), "k")
-    strict = _bool_setting(args, config, "strict", "run", "strict", False)
-    provider = _provider(args, config)
+def cmd_retrieve(s: Settings) -> int:
+    out = s.output_path("retrieval")
+    k = s.positive("k")
+    _, provider, memory, queries = _open_inputs(s)
 
-    memory = load_memory(
-        memory_path, expected_provider=provider.spec.fingerprint, strict=strict
-    )
-    queries = parse_queries(queries_path)
     candidates = retrieve_for_queries(memory, queries, provider, k)
     write_retrievals(out, [(q.id, slate) for q, slate in zip(queries, candidates)])
     print(f"queries: {len(queries)}")
@@ -247,34 +265,14 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
-def cmd_link(args) -> int:
-    config = _load_config(args.config)
-    ontology_path = _input_path(
-        _setting(args, config, "ontology", "paths", "ontology"), "ontology"
-    )
-    queries_path = _input_path(
-        _setting(args, config, "queries", "paths", "queries"), "queries"
-    )
-    memory_path = _input_path(
-        _setting(args, config, "memory", "paths", "memory"), "memory"
-    )
-    out = _output_path(_setting(args, config, "output", "paths", "output"), "predictions")
-    k = _positive(_int_setting(args, config, "k", "run", "k", DEFAULT_K), "k")
-    concurrency = _positive(
-        _int_setting(args, config, "concurrency", "run", "concurrency", DEFAULT_CONCURRENCY),
-        "concurrency",
-    )
-    strict = _bool_setting(args, config, "strict", "run", "strict", False)
-    tag = _setting(args, config, "tag", "run", "tag", ontology_path.stem)
-    provider = _provider(args, config)
-    endpoint = _completion_endpoint(args, config, required=True)
-    prompt_config = _prompt_config(args, config)
+def cmd_link(s: Settings) -> int:
+    out = s.output_path("predictions")
+    k = s.positive("k")
+    concurrency = s.positive("concurrency")
+    endpoint = _completion_endpoint(s)
+    prompt_config = _prompt_config(s)
+    ontology, provider, memory, queries = _open_inputs(s, with_ontology=True)
 
-    ontology = parse_ontology(ontology_path, tag)
-    memory = load_memory(
-        memory_path, expected_provider=provider.spec.fingerprint, strict=strict
-    )
-    queries = parse_queries(queries_path)
     candidates = retrieve_for_queries(memory, queries, provider, k)
     journal = LinkJournal(Path(str(out) + ".details.jsonl"))
     results = link_queries(
@@ -290,78 +288,45 @@ def cmd_link(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
-    gold_path = _input_path(_setting(args, config, "gold", "paths", "gold"), "gold")
-    predictions = _setting(args, config, "predictions", "paths", "predictions")
-    retrievals = _setting(args, config, "retrievals", "paths", "retrievals")
+def cmd_evaluate(s: Settings) -> int:
+    gold_path = s.input_path("gold")
+    predictions, retrievals = s.get("predictions"), s.get("retrievals")
     if (predictions is None) == (retrievals is None):
         raise UsageError("pass exactly one of --predictions or --retrievals")
-
-    gold = parse_gold(gold_path)
-    if predictions is not None:
-        rows = parse_predictions(_input_path(predictions, "predictions"))
-        metrics = score_predictions(rows, gold)
-        report = {
-            "mode": "predictions",
-            "inputs": {"predictions": str(predictions), "gold": str(gold_path)},
-            "rows": [{"label": "evaluation", "metrics": metrics.to_dict(), "error": None}],
-        }
-    else:
-        ranked = parse_retrievals(_input_path(retrievals, "retrievals"))
-        ks_raw = _setting(
-            args, config, "ks", "run", "ks", ",".join(map(str, DEFAULT_HITS_KS))
-        )
+    mode = "predictions" if predictions is not None else "retrievals"
+    path = s.input_path(mode)
+    report: dict = {"mode": mode, "inputs": {mode: str(s.get(mode)), "gold": str(gold_path)}}
+    if mode == "retrievals":
+        ks_raw = s.get("ks")
         try:
-            ks = [int(part) for part in str(ks_raw).split(",") if part.strip()]
+            report["ks"] = [int(part) for part in str(ks_raw).split(",") if part.strip()]
         except ValueError:
             raise UsageError(f"--ks must be comma-separated integers, got {ks_raw!r}") from None
+
+    gold = parse_gold(gold_path)
+    if mode == "predictions":
+        metrics = score_predictions(parse_predictions(path), gold)
+    else:
         pairs = {pair.source_id: pair.target_id for pair in gold}
-        metrics = score_retrievals(ranked, pairs, ks)
-        report = {
-            "mode": "retrievals",
-            "inputs": {"retrievals": str(retrievals), "gold": str(gold_path)},
-            "ks": ks,
-            "rows": [{"label": "evaluation", "metrics": metrics.to_dict(), "error": None}],
-        }
+        metrics = score_retrievals(parse_retrievals(path), pairs, report["ks"])
+    report["rows"] = [{"label": "evaluation", "metrics": metrics.to_dict(), "error": None}]
 
     print(render_report(report))
-    output = _setting(args, config, "output", "paths", "output")
+    output = s.get("output")
     if output:
         write_report(output, report)
         print(f"wrote {output}")
     return 0
 
 
-def cmd_ablate(args) -> int:
-    config = _load_config(args.config)
-    ontology_path = _input_path(
-        _setting(args, config, "ontology", "paths", "ontology"), "ontology"
-    )
-    queries_path = _input_path(
-        _setting(args, config, "queries", "paths", "queries"), "queries"
-    )
-    memory_path = _input_path(
-        _setting(args, config, "memory", "paths", "memory"), "memory"
-    )
-    gold_path = _input_path(_setting(args, config, "gold", "paths", "gold"), "gold")
-    grid_path = _input_path(_setting(args, config, "grid", "paths", "grid"), "grid")
-    out = _output_path(_setting(args, config, "output", "paths", "output"), "report")
-    k = _positive(_int_setting(args, config, "k", "run", "k", DEFAULT_K), "k")
-    concurrency = _positive(
-        _int_setting(args, config, "concurrency", "run", "concurrency", DEFAULT_CONCURRENCY),
-        "concurrency",
-    )
-    strict = _bool_setting(args, config, "strict", "run", "strict", False)
-    tag = _setting(args, config, "tag", "run", "tag", ontology_path.stem)
-    provider = _provider(args, config)
-    endpoint = _completion_endpoint(args, config, required=True)
-
-    ontology = parse_ontology(ontology_path, tag)
-    memory = load_memory(
-        memory_path, expected_provider=provider.spec.fingerprint, strict=strict
-    )
-    queries = parse_queries(queries_path)
+def cmd_ablate(s: Settings) -> int:
+    gold_path = s.input_path("gold")
+    grid_path = s.input_path("grid")
+    out = s.output_path("report")
+    k = s.positive("k")
+    concurrency = s.positive("concurrency")
+    endpoint = _completion_endpoint(s)
+    ontology, provider, memory, queries = _open_inputs(s, with_ontology=True)
     gold = parse_gold(gold_path)
     arms = parse_grid(grid_path)
 
@@ -397,20 +362,18 @@ def _common_flags() -> argparse.ArgumentParser:
     add("--dim", type=int, help="embedding dimension")
     add("--seed", type=int, help="local embedder seed")
     add("--endpoint", help="completion endpoint URL, mock:exact, or mock:keyword")
-    add("--completion-model", dest="completion_model", help="completion model id")
+    add("--completion-model", help="completion model id")
     add("--concurrency", type=int, help="parallel ranking calls")
-    add("--cache-dir", dest="cache_dir", help="embedding cache directory")
+    add("--cache-dir", help="embedding cache directory")
     add("--fixtures", help="transcript file: records with --endpoint, replays without")
     add("--output", help="output path for this command's artifact")
     add("--strict", action=argparse.BooleanOptionalAction,
         help="fail instead of warn on provider fingerprint mismatch")
-    add("--template", help="prompt template id")
     add("--tag", help="ontology tag (defaults to the ontology file stem)")
-    add("--none-label", dest="none_label", help="label of the none-of-the-above option")
-    add("--source-context", dest="source_context", action=argparse.BooleanOptionalAction,
+    add("--none-label", help="label of the none-of-the-above option")
+    add("--source-context", action=argparse.BooleanOptionalAction,
         help="include the query's context block in prompts")
-    add("--candidate-context", dest="candidate_context",
-        action=argparse.BooleanOptionalAction,
+    add("--candidate-context", action=argparse.BooleanOptionalAction,
         help="include candidate descriptions in prompts")
     return common
 
@@ -422,31 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = _common_flags()
     sub = parser.add_subparsers(dest="command", metavar="command")
+    commands = {}
+    for name, func, summary in (
+        ("build-memory", cmd_build_memory, "embed an ontology into a memory file"),
+        ("retrieve", cmd_retrieve, "write top-k candidates per query, no ranking"),
+        ("link", cmd_link, "retrieve and rank every query, write predictions"),
+        ("evaluate", cmd_evaluate, "score predictions or retrievals against gold"),
+        ("ablate", cmd_ablate, "run a grid of prompt configurations, one report row each"),
+    ):
+        commands[name] = sub.add_parser(name, parents=[common], help=summary)
+        commands[name].set_defaults(func=func)
 
-    p = sub.add_parser("build-memory", parents=[common],
-                       help="embed an ontology into a memory file")
-    p.set_defaults(func=cmd_build_memory)
-
-    p = sub.add_parser("retrieve", parents=[common],
-                       help="write top-k candidates per query, no ranking")
-    p.set_defaults(func=cmd_retrieve)
-
-    p = sub.add_parser("link", parents=[common],
-                       help="retrieve and rank every query, write predictions")
-    p.set_defaults(func=cmd_link)
-
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="score predictions or retrievals against gold")
-    p.add_argument("--predictions", help="predictions TSV to score")
-    p.add_argument("--retrievals", help="retrieval file to score with hits@k")
-    p.add_argument("--ks", help="comma-separated hits@k cutoffs (default 1,5,10)")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("ablate", parents=[common],
-                       help="run a grid of prompt configurations, one report row each")
-    p.add_argument("--grid", help="JSON Lines grid of prompt configurations")
-    p.set_defaults(func=cmd_ablate)
-
+    add = commands["evaluate"].add_argument
+    add("--predictions", help="predictions TSV to score")
+    add("--retrievals", help="retrieval file to score with hits@k")
+    add("--ks", help="comma-separated hits@k cutoffs (default 1,5,10)")
+    commands["ablate"].add_argument("--grid", help="JSON Lines grid of prompt configurations")
     return parser
 
 
@@ -469,17 +423,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return args.func(Settings(args))
     except configparser.Error as exc:
         print(f"error: bad config file: {exc}", file=sys.stderr)
         return 2
     except LinkerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _classify(exc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -23,7 +23,7 @@ from .errors import (
     MissingPrediction,
     MissingRetrieval,
 )
-from .fileio import atomic_writer, read_records
+from .fileio import atomic_text, read_records
 from .memory import Candidate, Memory
 from .ontology import Ontology, Query
 from .pipeline import link_queries, retrieve_for_queries
@@ -232,15 +232,10 @@ def parse_gold(path: str | Path) -> list[GoldPair]:
 
 
 def write_gold(path: str | Path, pairs: list[GoldPair]) -> None:
-    _atomic_text(path, "".join(
+    atomic_text(path, "".join(
         json.dumps({"source": pair.source_id, "target": pair.target_id}) + "\n"
         for pair in pairs
     ))
-
-
-def _atomic_text(path: str | Path, text: str) -> None:
-    with atomic_writer(path) as handle:
-        handle.write(text.encode("utf-8"))
 
 
 # --- prediction and retrieval files -----------------------------------------
@@ -277,7 +272,7 @@ def write_predictions(
                 ]
             )
         )
-    _atomic_text(path, "".join(line + "\n" for line in lines))
+    atomic_text(path, "".join(line + "\n" for line in lines))
 
 
 def parse_predictions(path: str | Path) -> list[Prediction]:
@@ -319,7 +314,7 @@ def write_retrievals(
         )
         for query_id, slate in rows
     ]
-    _atomic_text(path, "".join(line + "\n" for line in lines))
+    atomic_text(path, "".join(line + "\n" for line in lines))
 
 
 def parse_retrievals(path: str | Path) -> dict[str, list[str]]:
@@ -451,7 +446,7 @@ def run_ablation(
 
 def write_report(path: str | Path, report: dict) -> None:
     """Write a report object as one pretty-printed JSON document."""
-    _atomic_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    atomic_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def render_report(report: dict) -> str:

@@ -2,8 +2,8 @@
 
 Every JSON Lines input goes through :func:`read_records`, both append-only
 logs (link journal, completion transcript) are a :class:`KeyedLog`, and the
-memory file, cache entries, predictions, retrievals, gold files and reports
-are written through :func:`atomic_writer`.
+memory file, cache entries, predictions, retrievals, gold, ontology and
+query files and reports are written through :func:`atomic_writer`.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class KeyedLog:
     ``entry`` maps a row to its (key, value); a later row replaces an
     earlier one with the same key. Loading logs and skips lines that are not
     JSON or that ``entry`` rejects, such as the truncated last line of a
-    killed process. A row whose value equals the stored one is not written
-    again.
+    killed process; the first append then starts a new line after it. A row
+    whose value equals the stored one is not written again.
     """
 
     def __init__(self, path: str | Path, what: str,
@@ -58,9 +58,11 @@ class KeyedLog:
         self._entry = entry
         self._lock = threading.Lock()
         self._rows: dict = {}
+        self._unterminated = False
         if self.path.exists():
             with open(self.path, encoding="utf-8") as handle:
                 for line in handle:
+                    self._unterminated = not line.endswith("\n")
                     line = line.strip()
                     if not line:
                         continue
@@ -81,7 +83,8 @@ class KeyedLog:
             self._rows[key] = value
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(row) + "\n")
+                handle.write(("\n" if self._unterminated else "") + json.dumps(row) + "\n")
+            self._unterminated = False
 
 
 @contextmanager
@@ -103,3 +106,9 @@ def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 through :func:`atomic_writer`."""
+    with atomic_writer(path) as handle:
+        handle.write(text.encode("utf-8"))

@@ -1,8 +1,8 @@
 """Concept inventories and linking queries.
 
 An ontology file is UTF-8 JSON Lines, one object per line with fields
-``id`` (required), ``name`` (required), ``description`` and ``synonyms``
-(optional). A query file is JSON Lines with ``id``, ``mention`` (required),
+``id`` (required), ``name`` (required) and ``description`` (optional).
+A query file is JSON Lines with ``id``, ``mention`` (required),
 ``context`` and ``gold`` (optional). Lines starting with ``#`` are skipped
 in both. Validation stops at the first bad line and the diagnostic names it.
 """
@@ -23,7 +23,7 @@ from .errors import (
     MissingField,
     UnknownId,
 )
-from .fileio import read_records
+from .fileio import atomic_text, read_records
 from .textutil import normalize_whitespace, truncate_at_word
 
 DEFAULT_DESCRIPTION_BUDGET = 2000
@@ -36,7 +36,6 @@ class Concept:
     id: str
     name: str
     description: str | None = None
-    synonyms: tuple[str, ...] = ()
     ontology_tag: str = ""
 
 
@@ -70,10 +69,6 @@ class Ontology:
 
     def __contains__(self, concept_id: str) -> bool:
         return concept_id in self._index
-
-    @property
-    def concepts(self) -> tuple[Concept, ...]:
-        return tuple(self._concepts)
 
     def get(self, concept_id: str) -> Concept:
         """Look up a concept by id; raises :class:`UnknownId` if absent."""
@@ -126,8 +121,8 @@ def parse_ontology(
     """Load and validate a concept inventory from a JSON Lines file.
 
     Record order is preserved. Descriptions are whitespace-normalized and
-    capped at ``max_description_chars`` ending on a whole word; synonyms are
-    deduplicated and never contain the canonical name.
+    capped at ``max_description_chars`` ending on a whole word. Fields other
+    than ``id``, ``name`` and ``description`` are ignored.
     """
     concepts: list[Concept] = []
     seen: set[str] = set()
@@ -145,23 +140,8 @@ def parse_ontology(
             if not description:
                 description = None
 
-        raw_syn = obj.get("synonyms")
-        synonyms: tuple[str, ...] = ()
-        if raw_syn is not None:
-            if not isinstance(raw_syn, list) or not all(
-                isinstance(s, str) for s in raw_syn
-            ):
-                raise MalformedRecord(lineno, "field 'synonyms' is not a list of strings")
-            cleaned: list[str] = []
-            for s in raw_syn:
-                s = normalize_whitespace(s)
-                if s and s != name and s not in cleaned:
-                    cleaned.append(s)
-            synonyms = tuple(cleaned)
-
         concepts.append(
-            Concept(id=cid, name=name, description=description,
-                    synonyms=synonyms, ontology_tag=tag)
+            Concept(id=cid, name=name, description=description, ontology_tag=tag)
         )
     if not concepts:
         raise EmptyFile(str(path))
@@ -170,14 +150,15 @@ def parse_ontology(
 
 def write_ontology(path: str | Path, ontology: Ontology) -> None:
     """Serialize back to the JSON Lines format accepted by :func:`parse_ontology`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in ontology:
-            record: dict = {"id": c.id, "name": c.name}
-            if c.description is not None:
-                record["description"] = c.description
-            if c.synonyms:
-                record["synonyms"] = list(c.synonyms)
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    atomic_text(path, "".join(
+        _json_line(id=c.id, name=c.name, description=c.description) for c in ontology
+    ))
+
+
+def _json_line(**fields) -> str:
+    """One JSON Lines record holding the fields that are not None, in order."""
+    record = {key: value for key, value in fields.items() if value is not None}
+    return json.dumps(record, ensure_ascii=False) + "\n"
 
 
 def parse_queries(path: str | Path) -> list[Query]:
@@ -211,11 +192,7 @@ def parse_queries(path: str | Path) -> list[Query]:
 
 def write_queries(path: str | Path, queries: list[Query]) -> None:
     """Serialize queries back to the JSON Lines query format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for q in queries:
-            record: dict = {"id": q.id, "mention": q.mention}
-            if q.context is not None:
-                record["context"] = q.context
-            if q.gold is not None:
-                record["gold"] = q.gold
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    atomic_text(path, "".join(
+        _json_line(id=q.id, mention=q.mention, context=q.context, gold=q.gold)
+        for q in queries
+    ))

@@ -26,8 +26,6 @@ from .memory import Candidate
 from .ontology import Ontology, Query
 from .textutil import truncate_at_word
 
-TEMPLATE_V1 = "v1"
-
 # line markers shared with the template-aware mock endpoints
 QUERY_MARKER = "Query term: "
 OPTIONS_MARKER = "Options:"
@@ -90,12 +88,10 @@ class PromptConfig:
     one_shot: OneShotExample | None = None
     none_label: str = "None"
     max_option_context_chars: int = 600
-    template_id: str = TEMPLATE_V1
 
     def __post_init__(self) -> None:
         for name, kind in (("include_source_context", bool), ("include_candidate_context", bool),
-                           ("none_label", str), ("max_option_context_chars", int),
-                           ("template_id", str)):
+                           ("none_label", str), ("max_option_context_chars", int)):
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
@@ -106,8 +102,6 @@ class PromptConfig:
             raise ValueError("none_label must be distinct from option index tokens")
         if self.max_option_context_chars < 50:
             raise ValueError("max_option_context_chars must be at least 50")
-        if self.template_id != TEMPLATE_V1:
-            raise ValueError(f"unknown template {self.template_id!r}")
 
 
 def build_prompt(

@@ -11,12 +11,15 @@ from conceptlinker import (
     GoldPair,
     Ontology,
     Query,
+    ValidationError,
+    load_memory,
     parse_predictions,
     parse_retrievals,
     write_gold,
     write_ontology,
     write_queries,
 )
+from conceptlinker import cli as cli_module
 from conceptlinker.cli import main
 
 CONCEPTS = [
@@ -427,3 +430,281 @@ class TestConfigFile:
 
 def test_no_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+def write_config(workspace, text: str):
+    path = workspace["out"] / "run.ini"
+    path.write_text(text)
+    return path
+
+
+class Stop(ValidationError):
+    """Raised by a recording stand-in once it has seen what the CLI passed it."""
+
+
+class TestConfigKeys:
+    """Each key the CLI reads from a config file reaches what it configures."""
+
+    def test_build_memory_paths_tag_and_local_provider(self, workspace, capsys):
+        config = write_config(workspace, (
+            "[paths]\n"
+            f"ontology = {workspace['ontology']}\n"
+            f"memory = {workspace['memory']}\n"
+            "[provider]\n"
+            "kind = local\n"
+            "model = my-trigrams\n"
+            "dim = 32\n"
+            "[run]\n"
+            "tag = from-config\n"
+        ))
+        assert main(["build-memory", "--config", str(config)]) == 0
+        assert "provider: local-trigram/my-trigrams" in capsys.readouterr().out
+        memory = load_memory(workspace["memory"])
+        assert memory.ontology_tag == "from-config"
+        assert memory.dim == 32
+
+    def test_remote_provider_settings(self, workspace, monkeypatch):
+        seen = {}
+
+        def recording(spec, cache_dir=None):
+            seen.update(spec=spec, cache_dir=cache_dir)
+            raise Stop("stop")
+
+        monkeypatch.setattr("conceptlinker.cli.make_provider", recording)
+        cache = workspace["out"] / "cache"
+        config = write_config(workspace, (
+            "[paths]\n"
+            f"cache_dir = {cache}\n"
+            "[provider]\n"
+            "kind = remote\n"
+            "model = embed-x\n"
+            "dim = 48\n"
+            "endpoint = http://127.0.0.1:9/v1/embed\n"
+            "timeout = 7.5\n"
+        ))
+        code = main(["build-memory", "--config", str(config),
+                     "--ontology", str(workspace["ontology"]),
+                     "--output", str(workspace["memory"])])
+        assert code == 2
+        spec = seen["spec"]
+        assert (spec.provider_id, spec.model_id, spec.dim) == ("remote", "embed-x", 48)
+        assert spec.endpoint == "http://127.0.0.1:9/v1/embed"
+        assert spec.timeout == 7.5
+        assert str(seen["cache_dir"]) == str(cache)
+
+    def test_local_seed_and_strict_from_file_bool_overridden_by_flag(self, workspace, capsys):
+        build(workspace)  # seed 0
+        config = write_config(workspace, "[provider]\nseed = 1\n[run]\nstrict = yes\n")
+        args = ["retrieve", "--config", str(config),
+                "--queries", str(workspace["queries"]),
+                "--memory", str(workspace["memory"]),
+                "--output", str(workspace["out"] / "ret.jsonl"),
+                "--dim", "64"]
+        assert main(args) == 2
+        assert "trigram-d64-s1" in capsys.readouterr().err
+        assert main(args + ["--no-strict"]) == 0
+
+    def test_int_from_file_overridden_by_flag(self, workspace, capsys):
+        build(workspace)
+        config = write_config(workspace, "[run]\nconcurrency = 0\n")
+        assert link(workspace, "--config", str(config)) == 2
+        assert "concurrency must be >= 1, got 0" in capsys.readouterr().err
+        assert link(workspace, "--config", str(config), "--concurrency", "2") == 0
+
+    def test_http_endpoint_settings(self, workspace, monkeypatch):
+        seen = {}
+
+        class Recording:
+            def __init__(self, url, model, *, timeout, token_budget):
+                seen.update(url=url, model=model, timeout=timeout, budget=token_budget)
+                raise Stop("stop")
+
+        monkeypatch.setattr("conceptlinker.cli.HttpCompletionEndpoint", Recording)
+        build(workspace)
+        config = write_config(workspace, (
+            "[endpoint]\n"
+            "url = http://127.0.0.1:9/v1/chat\n"
+            "model = ranker-x\n"
+            "token_budget = 5000\n"
+            "timeout = 12.5\n"
+        ))
+        assert main([
+            "link", "--config", str(config),
+            "--ontology", str(workspace["ontology"]),
+            "--queries", str(workspace["queries"]),
+            "--memory", str(workspace["memory"]),
+            "--output", str(workspace["out"] / "pred.tsv"),
+            "--dim", "64",
+        ]) == 2
+        assert seen == {"url": "http://127.0.0.1:9/v1/chat", "model": "ranker-x",
+                        "timeout": 12.5, "budget": 5000}
+
+    def test_token_budget_from_file_applies(self, workspace, capsys):
+        build(workspace)
+        config = write_config(
+            workspace, "[endpoint]\nurl = http://127.0.0.1:9/v1/chat\ntoken_budget = 1\n"
+        )
+        assert main([
+            "link", "--config", str(config),
+            "--ontology", str(workspace["ontology"]),
+            "--queries", str(workspace["queries"]),
+            "--memory", str(workspace["memory"]),
+            "--output", str(workspace["out"] / "pred.tsv"),
+            "--dim", "64",
+        ]) == 2
+        assert "budget of 1" in capsys.readouterr().err
+
+    def test_prompt_settings(self, workspace, monkeypatch):
+        seen = {}
+        real = cli_module.link_queries
+
+        def recording(queries, candidates, ontology, config, endpoint, **kwargs):
+            seen.update(config=config, concurrency=kwargs["concurrency"])
+            return real(queries, candidates, ontology, config, endpoint, **kwargs)
+
+        monkeypatch.setattr("conceptlinker.cli.link_queries", recording)
+        build(workspace)
+        config = write_config(workspace, (
+            "[run]\n"
+            "concurrency = 3\n"
+            "[prompt]\n"
+            "source_context = false\n"
+            "candidate_context = off\n"
+            "none_label = Nothing fits\n"
+            "max_option_context_chars = 80\n"
+        ))
+        assert link(workspace, "--config", str(config)) == 0
+        prompt = seen["config"]
+        assert prompt.include_source_context is False
+        assert prompt.include_candidate_context is False
+        assert prompt.none_label == "Nothing fits"
+        assert prompt.max_option_context_chars == 80
+        assert seen["concurrency"] == 3
+
+    def test_bad_max_option_context_chars_exits_2(self, workspace, capsys):
+        build(workspace)
+        config = write_config(workspace, "[prompt]\nmax_option_context_chars = 10\n")
+        assert link(workspace, "--config", str(config)) == 2
+        assert "max_option_context_chars" in capsys.readouterr().err
+
+    def test_endpoint_and_fixtures_from_file(self, workspace):
+        build(workspace)
+        fixtures = workspace["out"] / "transcript.jsonl"
+        config = write_config(
+            workspace, f"[paths]\nfixtures = {fixtures}\n[endpoint]\nurl = mock:exact\n"
+        )
+        args = ["link", "--config", str(config),
+                "--ontology", str(workspace["ontology"]),
+                "--queries", str(workspace["queries"]),
+                "--memory", str(workspace["memory"]),
+                "--output", str(workspace["out"] / "pred.tsv"),
+                "--dim", "64"]
+        assert main(args) == 0
+        assert fixtures.exists() and fixtures.read_text().count("\n") == 4
+
+    def test_evaluate_paths_and_ks(self, workspace, capsys):
+        retrievals = workspace["out"] / "ret.jsonl"
+        retrievals.write_text("".join(
+            json.dumps({"query_id": pair.source_id,
+                        "candidates": [{"cid": pair.target_id, "score": 1.0}]}) + "\n"
+            for pair in GOLD
+        ))
+        report = workspace["out"] / "report.json"
+        config = write_config(workspace, (
+            "[paths]\n"
+            f"gold = {workspace['gold']}\n"
+            f"retrievals = {retrievals}\n"
+            f"output = {report}\n"
+            "[run]\n"
+            "ks = 1,3\n"
+        ))
+        assert main(["evaluate", "--config", str(config)]) == 0
+        assert json.loads(report.read_text())["ks"] == [1, 3]
+
+        predictions = workspace["out"] / "pred.tsv"
+        predictions.write_text("q1\tD:1\t0.900000\toption\n" + "".join(
+            f"q{i}\tNONE\t0.500000\tnone\n" for i in (2, 3, 4)
+        ))
+        config = write_config(workspace, (
+            "[paths]\n"
+            f"gold = {workspace['gold']}\n"
+            f"predictions = {predictions}\n"
+        ))
+        assert main(["evaluate", "--config", str(config)]) == 0
+        assert "0.2500" in capsys.readouterr().out  # accuracy 1 of 4
+
+    def test_ablate_paths_from_file(self, workspace):
+        build(workspace)
+        grid = workspace["out"] / "grid.jsonl"
+        grid.write_text('{"label": "both"}\n')
+        report = workspace["out"] / "ablation.json"
+        config = write_config(workspace, (
+            "[paths]\n"
+            f"ontology = {workspace['ontology']}\n"
+            f"queries = {workspace['queries']}\n"
+            f"memory = {workspace['memory']}\n"
+            f"gold = {workspace['gold']}\n"
+            f"grid = {grid}\n"
+            f"output = {report}\n"
+            "[provider]\n"
+            "dim = 64\n"
+            "[endpoint]\n"
+            "url = mock:keyword\n"
+        ))
+        assert main(["ablate", "--config", str(config)]) == 0
+        assert [row["label"] for row in json.loads(report.read_text())["rows"]] == ["both"]
+
+    def test_link_checks_endpoint_before_reading_ontology(self, workspace, capsys):
+        build(workspace)
+        workspace["ontology"].write_text('{"id": "D:1", "name": \n')
+        code = main([
+            "link",
+            "--ontology", str(workspace["ontology"]),
+            "--queries", str(workspace["queries"]),
+            "--memory", str(workspace["memory"]),
+            "--output", str(workspace["out"] / "pred.tsv"),
+            "--dim", "64",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no completion endpoint" in err
+        assert "line" not in err
+
+
+READERS = ("parse_ontology", "load_memory", "parse_queries", "parse_gold", "parse_grid",
+           "parse_predictions", "parse_retrievals")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["build-memory", "--dim", "0"], ""),
+    (["retrieve", "--k", "0"], ""),
+    (["retrieve", "--provider", "remote"], ""),
+    (["retrieve"], "[run]\nstrict = maybe\n"),
+    (["link", "--endpoint", "mock:exact", "--concurrency", "0"], ""),
+    (["link"], ""),
+    (["link", "--endpoint", "mock:exact", "--none-label", "7"], ""),
+    (["link", "--endpoint", "mock:exact"], "[prompt]\nmax_option_context_chars = 10\n"),
+    (["link", "--endpoint", "mock:exact"], "[provider]\nkind = other\n"),
+    (["ablate", "--endpoint", "mock:keyword", "--k", "0"], ""),
+    (["ablate", "--endpoint", "mock:keyword"], "[provider]\nseed = x\n"),
+    (["ablate", "--endpoint", "mock:keyword", "--grid", ""], ""),
+    (["evaluate", "--retrievals", "{queries}", "--ks", "one"], ""),
+    (["evaluate", "--predictions", "{out}/absent.tsv"], ""),
+])
+def test_usage_errors_come_before_any_input_is_read(workspace, monkeypatch, argv, config):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("an input was read before the settings were checked")
+
+    for reader in READERS:
+        monkeypatch.setattr(f"conceptlinker.cli.{reader}", unexpected)
+    workspace["memory"].write_bytes(b"")
+    grid = workspace["out"] / "grid.jsonl"
+    grid.write_text("{}\n")
+    ini = write_config(workspace, config)
+    argv = [arg.format(queries=workspace["queries"], out=workspace["out"]) for arg in argv]
+    inputs = ["--ontology", str(workspace["ontology"]), "--queries", str(workspace["queries"]),
+              "--memory", str(workspace["memory"]), "--gold", str(workspace["gold"]),
+              "--output", str(workspace["out"] / "artifact"), "--config", str(ini)]
+    if argv[0] == "ablate" and "--grid" not in argv:
+        inputs += ["--grid", str(grid)]
+    assert main(argv + inputs) == 2

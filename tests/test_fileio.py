@@ -1,4 +1,4 @@
-"""Atomic output files: an interrupted write keeps the previous version."""
+"""Atomic output files keep the previous version; append logs survive a torn tail."""
 
 from __future__ import annotations
 
@@ -10,13 +10,18 @@ import pytest
 from conceptlinker import (
     Candidate,
     Concept,
+    LinkJournal,
     Ontology,
+    Query,
+    TranscriptStore,
     VectorCache,
     Variant,
     build_memory,
     load_memory,
     save_memory,
+    write_ontology,
     write_predictions,
+    write_queries,
 )
 
 from .conftest import local_provider
@@ -63,8 +68,17 @@ def cache_put_version(path, version):
     VectorCache(path.parent).put(path.name, np.full(4, version + 1, dtype=np.float32))
 
 
+def write_ontology_version(path, version):
+    write_ontology(path, Ontology("t", [Concept(id="C1", name=f"Aspirin {version}")]))
+
+
+def write_queries_version(path, version):
+    write_queries(path, [Query(id="q1", mention=f"aspirin {version}")])
+
+
 @pytest.mark.parametrize(
-    "write", [write_predictions_version, save_memory_version, cache_put_version]
+    "write", [write_predictions_version, save_memory_version, cache_put_version,
+              write_ontology_version, write_queries_version]
 )
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, write):
     target = tmp_path / "artifact"
@@ -88,3 +102,26 @@ def test_save_memory_creates_missing_directories(tmp_path):
     path = tmp_path / "new" / "dir" / "memory.bin"
     save_memory(memory, path)
     assert load_memory(path).concept_ids == memory.concept_ids
+
+
+def transcript_row(log, key):
+    log.save(key, f"option {key}")
+
+
+def journal_row(log, key):
+    log.append({"query_id": key, "digest": "d", "kind": "none"})
+
+
+@pytest.mark.parametrize("log_type, add", [(TranscriptStore, transcript_row),
+                                           (LinkJournal, journal_row)])
+def test_append_after_truncated_tail_starts_a_new_line(tmp_path, log_type, add):
+    path = tmp_path / "log.jsonl"
+    add(log_type(path), "k1")
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"digest": "k2", "resp')  # a killed writer's last line
+
+    resumed = log_type(path)
+    assert len(resumed) == 1
+    add(resumed, "k3")
+    add(resumed, "k4")
+    assert len(log_type(path)) == 3

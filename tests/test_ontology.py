@@ -117,20 +117,10 @@ class TestParseOntology:
         onto = parse_ontology(path, "t", max_description_chars=12)
         assert onto.get("C1").description == "alpha beta"
 
-    def test_synonyms_deduped_and_name_dropped(self, tmp_path):
+    def test_unknown_fields_ignored(self, tmp_path):
         path = tmp_path / "onto.jsonl"
-        write_jsonl(path, [{
-            "id": "C1", "name": "Aspirin",
-            "synonyms": ["ASA", "Aspirin", "ASA", "  acetylsalicylic  acid "],
-        }])
-        onto = parse_ontology(path, "t")
-        assert onto.get("C1").synonyms == ("ASA", "acetylsalicylic acid")
-
-    def test_bad_synonyms_type(self, tmp_path):
-        path = tmp_path / "onto.jsonl"
-        write_jsonl(path, [{"id": "C1", "name": "x", "synonyms": "ASA"}])
-        with pytest.raises(MalformedRecord):
-            parse_ontology(path, "t")
+        write_jsonl(path, [{"id": "C1", "name": "x", "synonyms": "ASA", "extra": [1]}])
+        assert parse_ontology(path, "t").get("C1") == Concept(id="C1", name="x", ontology_tag="t")
 
 
 class TestOntologyContainer:

@@ -204,10 +204,6 @@ class TestPromptConfig:
         with pytest.raises(ValueError):
             PromptConfig(max_option_context_chars=49)
 
-    def test_unknown_template(self):
-        with pytest.raises(ValueError):
-            PromptConfig(template_id="v2")
-
 
 class TestParseResponse:
     @pytest.mark.parametrize("text,n,kind,index", PARSE_FIXTURES)
