@@ -15,6 +15,7 @@ import argparse
 import configparser
 import hashlib
 import logging
+import math
 import sys
 import traceback
 from collections import Counter
@@ -131,6 +132,17 @@ class Settings:
             raise UsageError(f"{SETTINGS[name][1]} must be >= 1, got {value}")
         return value
 
+    def positive_float(self, name: str) -> float:
+        value = self.get(name)
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not 0 < number < math.inf:
+            section, key, _ = SETTINGS[name]
+            raise UsageError(f"[{section}] {key} must be a positive number, got {value!r}")
+        return number
+
     def boolean(self, name: str) -> bool:
         value = self.get(name)
         if isinstance(value, bool):
@@ -171,7 +183,7 @@ def _provider(s: Settings):
         if not endpoint:
             section, key, _ = SETTINGS["provider_endpoint"]
             raise UsageError(f"remote provider requires [{section}] {key} in the config")
-        timeout = float(s.get("provider_timeout"))
+        timeout = s.positive_float("provider_timeout")
         spec = ProviderSpec(REMOTE_PROVIDER_ID, model, dim, endpoint=endpoint, timeout=timeout)
     else:
         raise UsageError(f"unknown provider kind {kind!r} (expected local or remote)")
@@ -191,7 +203,7 @@ def _completion_endpoint(s: Settings):
     elif url is not None:
         base = HttpCompletionEndpoint(
             url, s.get("completion_model"), token_budget=s.integer("token_budget"),
-            timeout=float(s.get("endpoint_timeout")),
+            timeout=s.positive_float("endpoint_timeout"),
         )
     if fixtures is not None:
         store = TranscriptStore(fixtures)

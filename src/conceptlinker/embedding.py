@@ -10,7 +10,6 @@ downstream is plain cosine on those.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 import struct
@@ -36,8 +35,12 @@ REMOTE_PROVIDER_ID = "remote"
 
 # FNV-1a 64-bit parameters
 _FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+_FNV_PRIME = np.uint64(0x100000001B3)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MAX_GRAM_BYTES = 12
+
+# characters hashed together by the local embedder; bounds its working memory
+_BLOCK_CHARS = 1 << 14
 
 # cache entry: 16-byte header (magic, dim u32 LE, 8 reserved), then float32 LE body
 CACHE_MAGIC = b"LFV1"
@@ -68,42 +71,71 @@ class ProviderSpec:
         return (self.provider_id, self.model_id)
 
 
-def _fnv1a64(data: bytes, seed: int = 0) -> int:
-    """Fixed 64-bit FNV-1a; a nonzero seed perturbs the initial state."""
-    h = (_FNV_OFFSET ^ (seed & _MASK64)) & _MASK64
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
-def trigrams(text: str) -> list[str]:
-    """Character trigrams of ``text`` padded with one space on each side."""
-    padded = f" {text} "
-    return [padded[i : i + 3] for i in range(len(padded) - 2)]
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _bucket(gram: str, dim: int, seed: int) -> int:
-    return _fnv1a64(gram.encode("utf-8"), seed) % dim
-
-
 def local_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     """Deterministic trigram-hash embedding: unit-norm float32 of length ``dim``.
 
     Lowercases the normalized text, hashes each character trigram of the
-    space-padded string with 64-bit FNV-1a, buckets by ``hash % dim``,
-    accumulates counts and L2-normalizes. Non-empty text always yields at
-    least one trigram, so the vector is never zero.
+    space-padded string with 64-bit FNV-1a over its UTF-8 bytes, buckets by
+    ``hash % dim``, accumulates counts and L2-normalizes. Non-empty text
+    always yields at least one trigram, so the vector is never zero.
     """
-    if dim < 16:
-        raise ValueError(f"local embedder needs dim >= 16, got {dim}")
     text = normalize_whitespace(text)
     if not text:
         raise EmptyText()
-    buckets = [_bucket(gram, dim, seed) for gram in trigrams(text.lower())]
-    counts = np.bincount(buckets, minlength=dim).astype(np.float64)
-    counts /= np.linalg.norm(counts)
+    return _trigram_matrix([text], dim, seed)[0]
+
+
+def _trigram_matrix(texts: list[str], dim: int, seed: int) -> np.ndarray:
+    """:func:`local_embed` of every normalized, non-empty text, one row each.
+
+    Texts are hashed in blocks of about ``_BLOCK_CHARS`` characters, so the
+    per-gram working arrays stay small however large the batch is.
+    """
+    if dim < 16:
+        raise ValueError(f"local embedder needs dim >= 16, got {dim}")
+    padded = [f" {text.lower()} " for text in texts]
+    ends = np.cumsum([len(p) for p in padded])
+    out = np.empty((len(padded), dim), dtype=np.float32)
+    lo = 0
+    while lo < len(padded):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _BLOCK_CHARS, side="right")))
+        out[lo:hi] = _hash_block(padded[lo:hi], dim, seed)
+        lo = hi
+    return out
+
+
+def _hash_block(padded: list[str], dim: int, seed: int) -> np.ndarray:
+    """Trigram-hash vectors of padded texts, hashed together in numpy.
+
+    A trigram is three characters, so it spans 3 to 12 contiguous UTF-8
+    bytes. Step ``j`` folds byte ``j`` into every gram that is longer than
+    ``j``; the first three steps apply to every gram, and a later step runs
+    only when some gram in the block has that many bytes.
+    """
+    # zero bytes after the text, so that a masked step may read past its gram
+    data = np.frombuffer("".join(padded).encode("utf-8") + bytes(_MAX_GRAM_BYTES),
+                         dtype=np.uint8)
+    # a character starts at every byte that is not a UTF-8 continuation byte;
+    # the first zero byte ends the last character
+    char_start = np.flatnonzero((data & 0xC0) != 0x80)
+    chars = np.array([len(p) for p in padded], dtype=np.int64)
+    grams = chars - 2
+    # the first character of every gram, indexed over the block's characters
+    first = np.arange(int(grams.sum())) + np.repeat(2 * np.arange(len(padded)), grams)
+    gram_start = char_start[first]
+    gram_bytes = char_start[first + 3] - gram_start
+
+    h = np.full(gram_start.shape, (_FNV_OFFSET ^ seed) & _MASK64, dtype=np.uint64)
+    for j in range(int(gram_bytes.max())):
+        step = (h ^ data[gram_start + j]) * _FNV_PRIME  # wraps modulo 2**64
+        h = step if j < 3 else np.where(gram_bytes > j, step, h)
+    row = np.repeat(np.arange(len(padded)), grams)
+    bucket = (h % np.uint64(dim)).astype(np.int64)
+    counts = np.bincount(row * dim + bucket, minlength=len(padded) * dim)
+    counts = counts.reshape(len(padded), dim).astype(np.float64)
+    # whole-number counts: the sum of squares is exact, so the norm is too
+    counts /= np.sqrt((counts * counts).sum(axis=1))[:, None]
     return counts.astype(np.float32)
 
 
@@ -156,8 +188,7 @@ class LocalTrigramProvider:
         self.spec = spec
 
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
-        cleaned = _clean_texts(texts)
-        return [local_embed(t, self.spec.dim, self.spec.seed) for t in cleaned]
+        return list(_trigram_matrix(_clean_texts(texts), self.spec.dim, self.spec.seed))
 
 
 class RemoteProvider:

@@ -9,7 +9,7 @@ journaled, which makes them retryable.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -99,8 +99,13 @@ def link_queries(
 ) -> list[LinkResult]:
     """Rank every query against its candidate slate; results in input order.
 
-    Queries are ranked concurrently up to ``concurrency``; the journal, when
-    given, is consulted before and appended after each query.
+    The calling thread and up to ``concurrency - 1`` helper threads take
+    pending queries one at a time, so at most ``concurrency`` completions
+    are in flight; ``concurrency=1`` ranks inline. The journal, when given,
+    is consulted before and appended after each query. Once a query raises,
+    or the caller is interrupted, no further query is started; the calls
+    in flight finish and are journaled, then the exception of the earliest
+    failing query in input order propagates.
     """
     if len(queries) != len(candidates):
         raise ValueError(
@@ -128,11 +133,37 @@ def link_queries(
             journal.append(journal_row(result, candidates[i]))
         return result
 
-    if pending:
-        workers = min(concurrency, len(pending))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, result in zip(pending, pool.map(run_one, pending)):
-                results[i] = result
+    todo = iter(pending)
+    lock = threading.Lock()
+    stop = threading.Event()
+    failures: dict[int, Exception] = {}
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = run_one(i)
+            except Exception as exc:
+                failures[i] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=drain)
+               for _ in range(min(concurrency, len(pending)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        # an interrupt in the caller also stops dispatch; helpers only
+        # finish the call they hold
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
 
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]

@@ -671,6 +671,10 @@ class TestConfigKeys:
         assert "line" not in err
 
 
+REMOTE = "[provider]\nkind = remote\nmodel = m\nendpoint = http://127.0.0.1:9/embed\n"
+HTTP_ENDPOINT = "http://127.0.0.1:9/complete"
+BAD_TIMEOUTS = ("x", "0", "-1")
+
 READERS = ("parse_ontology", "load_memory", "parse_queries", "parse_gold", "parse_grid",
            "parse_predictions", "parse_retrievals")
 
@@ -690,6 +694,9 @@ READERS = ("parse_ontology", "load_memory", "parse_queries", "parse_gold", "pars
     (["ablate", "--endpoint", "mock:keyword", "--grid", ""], ""),
     (["evaluate", "--retrievals", "{queries}", "--ks", "one"], ""),
     (["evaluate", "--predictions", "{out}/absent.tsv"], ""),
+    *[(["retrieve"], REMOTE + f"timeout = {bad}\n") for bad in BAD_TIMEOUTS],
+    *[(["link", "--endpoint", HTTP_ENDPOINT], f"[endpoint]\ntimeout = {bad}\n")
+      for bad in BAD_TIMEOUTS],
 ])
 def test_usage_errors_come_before_any_input_is_read(workspace, monkeypatch, argv, config):
     def unexpected(*args, **kwargs):
@@ -708,3 +715,18 @@ def test_usage_errors_come_before_any_input_is_read(workspace, monkeypatch, argv
     if argv[0] == "ablate" and "--grid" not in argv:
         inputs += ["--grid", str(grid)]
     assert main(argv + inputs) == 2
+
+
+@pytest.mark.parametrize("bad", BAD_TIMEOUTS)
+@pytest.mark.parametrize("section", ["provider", "endpoint"])
+def test_bad_timeout_names_its_setting(workspace, capsys, section, bad):
+    config = REMOTE if section == "provider" else "[endpoint]\n"
+    argv = ["retrieve"] if section == "provider" else ["link", "--endpoint", HTTP_ENDPOINT]
+    ini = write_config(workspace, config + f"timeout = {bad}\n")
+    workspace["memory"].write_bytes(b"")
+    assert main(argv + [
+        "--ontology", str(workspace["ontology"]), "--queries", str(workspace["queries"]),
+        "--memory", str(workspace["memory"]), "--output", str(workspace["out"] / "artifact"),
+        "--config", str(ini),
+    ]) == 2
+    assert f"[{section}] timeout must be a positive number, got '{bad}'" in capsys.readouterr().err

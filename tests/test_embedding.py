@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from conceptlinker import (
     local_embed,
     make_provider,
 )
-from conceptlinker.embedding import CACHE_MAGIC, trigrams
+from conceptlinker import embedding as embedding_module
+from conceptlinker.embedding import CACHE_MAGIC
 from conceptlinker.errors import DimMismatch, EmptyText, InvalidVector, TransportError
 
 from .oracles import embed_ref
@@ -39,7 +41,25 @@ class TestLocalEmbed:
         want = embed_ref(text, dim, seed)
         assert got.dtype == np.float32
         assert got.shape == (dim,)
-        np.testing.assert_allclose(got, want, atol=1e-6)
+        assert np.array_equal(got, np.asarray(want, dtype=np.float32))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.lists(st.one_of(texts, st.text(alphabet="abc xyz", min_size=1, max_size=30)
+                                 .filter(lambda t: t.strip())), min_size=1, max_size=12),
+        block=st.integers(min_value=1, max_value=40),
+        seed=st.sampled_from([0, 7]),
+    )
+    def test_batch_matches_single_and_oracle(self, batch, block, seed):
+        # a small block budget puts texts on both sides of block boundaries
+        provider = make_provider(ProviderSpec(LOCAL_PROVIDER_ID, "m", 64, seed=seed))
+        with mock.patch.object(embedding_module, "_BLOCK_CHARS", block):
+            rows = provider.embed_batch(batch)
+        assert len(rows) == len(batch)
+        for text, row in zip(batch, rows):
+            want = np.asarray(embed_ref(text, 64, seed), dtype=np.float32)
+            assert np.array_equal(row, local_embed(text, 64, seed))
+            assert np.array_equal(row, want)
 
     @settings(max_examples=100, deadline=None)
     @given(text=texts, dim=st.sampled_from([16, 64]))
@@ -63,8 +83,12 @@ class TestLocalEmbed:
         assert not np.array_equal(a, b)
 
     def test_trigram_padding(self):
-        assert trigrams("ab") == [" ab", "ab "]
-        assert trigrams("a") == [" a "]
+        # " a " is the one trigram of "a"; " ab" and "ab " are the two of "ab"
+        one = local_embed("a", 64)
+        assert np.count_nonzero(one) == 1 and one.max() == 1.0
+        two = local_embed("ab", 64)
+        assert np.count_nonzero(two) == 2
+        assert np.array_equal(two[two > 0], np.full(2, 2 ** -0.5, dtype=np.float32))
 
     def test_dim_floor(self):
         with pytest.raises(ValueError):

@@ -441,6 +441,36 @@ class TestEntrySelection:
         for k in (1, 4):
             assert _slates(memory, query[None, :], k) == _ref_slates(memory, [query], k)
 
+    def test_thousands_of_exact_ties_at_the_kth_score(self):
+        # 2,100 homonyms share one name vector; four concepts score above it
+        # and 400 below, so for small k the k-th score is a 2,100-way exact tie
+        gen = np.random.default_rng(21)
+        dim = 32
+        query = gen.normal(size=dim)
+        homonym = (query + 0.6 * gen.normal(size=dim)).astype(np.float32)
+        vectors = {f"L{i}": [query + 0.05 * gen.normal(size=dim)] for i in range(4)}
+        for i in range(2100):
+            vectors[f"H{i:04d}"] = [homonym] + ([gen.normal(size=dim)] if i % 3 == 0 else [])
+        for i in range(400):
+            vectors[f"F{i:03d}"] = [gen.normal(size=dim)]
+        order = list(vectors)
+        random.Random(4).shuffle(order)
+        entries = [MemoryEntry(cid, _VARIANTS_CYCLE[r], np.asarray(vector, dtype=np.float32))
+                   for cid in order for r, vector in enumerate(vectors[cid])]
+        memory = Memory(entries, dim, ("local-trigram", "m"), "t")
+        pairs = [(e.concept_id, e.vector) for e in memory.entries]
+        for q in (query, homonym.astype(np.float64)):
+            best = dict(retrieve_ref(pairs, q, len(vectors)))
+            assert sum(score == best["H0000"] for score in best.values()) >= 2000
+            for k in (1, 5, 10, 40):
+                slate = [(c.concept_id, c.score)
+                         for c in memory_module.retrieve_batch(memory, [q], k)[0]]
+                # order is free among exact ties: each concept carries its own
+                # exact score, and the scores are the k best, position by position
+                assert [score for _, score in slate] == sorted(best.values(), reverse=True)[:k]
+                assert len({cid for cid, _ in slate}) == k
+                assert all(best[cid] == score for cid, score in slate)
+
     @pytest.mark.parametrize("length", [2.0 ** -70, 2.0 ** 70])
     def test_entry_length_outside_float32_range_rejected(self, length):
         vector = np.zeros(16, dtype=np.float32)

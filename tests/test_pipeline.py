@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import re
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -48,6 +52,97 @@ class FlakyEndpoint(ExactMatchMockEndpoint):
         self.calls += 1
         if self.calls <= self.failures:
             raise TransportError(503, "flaky")
+        return super().complete(prompt)
+
+
+class InFlightEndpoint(ExactMatchMockEndpoint):
+    """Holds the first ``width`` calls until all of them are in flight at once.
+
+    Records the most calls ever in flight and the threads that made them.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.barrier = threading.Barrier(width, timeout=30)
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.in_flight = 0
+        self.most = 0
+        self.threads: set[int] = set()
+
+    def complete(self, prompt):
+        with self.lock:
+            self.calls += 1
+            first_round = self.calls <= self.width
+            self.in_flight += 1
+            self.most = max(self.most, self.in_flight)
+            self.threads.add(threading.get_ident())
+        try:
+            if first_round:
+                self.barrier.wait()
+            return super().complete(prompt)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+class RecordingEndpoint(ExactMatchMockEndpoint):
+    """Records every prompt it completes, from any thread."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.prompts: list[str] = []
+
+    def complete(self, prompt):
+        with self.lock:
+            self.prompts.append(prompt)
+        return super().complete(prompt)
+
+
+class RaisingEndpoint(ExactMatchMockEndpoint):
+    """Raises RuntimeError for queries ``first`` to ``first + width - 1``.
+
+    Each of those calls waits until all ``width`` of them are in flight,
+    then raises its query's marker. Records the marker of every call.
+    """
+
+    def __init__(self, first: int, width: int):
+        self.failing = {f"<{i}>" for i in range(first, first + width)}
+        self.barrier = threading.Barrier(width, timeout=30)
+        self.lock = threading.Lock()
+        self.called: list[int] = []
+
+    def complete(self, prompt):
+        marker = re.search(r"<\d+>", prompt).group()
+        with self.lock:
+            self.called.append(int(marker[1:-1]))
+        if marker in self.failing:
+            self.barrier.wait()
+            raise RuntimeError(marker)
+        return super().complete(prompt)
+
+
+class InterruptedEndpoint(ExactMatchMockEndpoint):
+    """Interrupts the calling thread once a helper's call is in flight.
+
+    The helper's call returns only after ``released`` is set, which the test
+    does when the caller starts joining its helpers.
+    """
+
+    def __init__(self):
+        self.caller = threading.get_ident()
+        self.barrier = threading.Barrier(2, timeout=30)
+        self.released = threading.Event()
+        self.lock = threading.Lock()
+        self.calls = 0
+
+    def complete(self, prompt):
+        with self.lock:
+            self.calls += 1
+        self.barrier.wait()
+        if threading.get_ident() == self.caller:
+            raise KeyboardInterrupt
+        assert self.released.wait(30)
         return super().complete(prompt)
 
 
@@ -138,6 +233,83 @@ class TestLinkQueries:
                                        ExactMatchMockEndpoint())
             assert (result.prompt_digest, result.selection) == (alone.prompt_digest,
                                                                 alone.selection)
+
+
+    def test_concurrency_bounds_calls_in_flight(self, setting):
+        ontology, queries, _, _, _, candidates = setting
+        endpoint = InFlightEndpoint(3)
+        results = link_queries(queries, candidates, ontology, PromptConfig(), endpoint,
+                               concurrency=3)
+        # three threads made every call and one thread holds one call at a time,
+        # so the barrier proves three in flight and no more can be
+        assert endpoint.most == 3
+        assert len(endpoint.threads) == 3
+        assert [r.query_id for r in results] == [q.id for q in queries]
+
+    def test_many_threads_rank_each_query_exactly_once(self, setting):
+        # more threads than cores and a short switch interval, so a query handed
+        # out twice or not at all would show in the per-prompt call counts
+        ontology, queries, _, _, _, candidates = setting
+        many = [dataclasses.replace(queries[i % len(queries)], id=f"s{i:03d}",
+                                    mention=f"{queries[i % len(queries)].mention} <{i}>")
+                for i in range(240)]
+        slates = [candidates[i % len(queries)] for i in range(240)]
+        endpoint = RecordingEndpoint()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = link_queries(many, slates, ontology, PromptConfig(), endpoint,
+                                   concurrency=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(endpoint.prompts) == len(set(endpoint.prompts)) == len(many)
+        assert [r.query_id for r in results] == [q.id for q in many]
+
+    def test_concurrency_one_starts_no_thread(self, setting):
+        ontology, queries, _, _, _, candidates = setting
+        with mock.patch.object(threading.Thread, "start",
+                               side_effect=AssertionError("a thread was started")):
+            results = link_queries(queries, candidates, ontology, PromptConfig(),
+                                   ExactMatchMockEndpoint(), concurrency=1)
+        assert len(results) == len(queries)
+
+    @pytest.mark.parametrize("concurrency", [1, 2, 4])
+    def test_raising_query_stops_dispatch(self, setting, tmp_path, concurrency):
+        ontology, queries, _, _, _, candidates = setting
+        # a marker in each mention shows the endpoint which query a prompt is for
+        queries = [dataclasses.replace(q, mention=f"{q.mention} <{i}>")
+                   for i, q in enumerate(queries)]
+        journal = LinkJournal(tmp_path / "run.jsonl")
+        # queries 2 .. concurrency + 1 fail together, one in each thread
+        endpoint = RaisingEndpoint(2, concurrency)
+        with pytest.raises(RuntimeError) as raised:
+            link_queries(queries, candidates, ontology, PromptConfig(), endpoint,
+                         concurrency=concurrency, journal=journal)
+        # the earliest failing query in input order, whatever the finishing order
+        assert str(raised.value) == "<2>"
+        # no query is started once one has failed
+        assert sorted(endpoint.called) == list(range(concurrency + 2))
+        rows = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]
+        assert sorted(row["query_id"] for row in rows) == [queries[0].id, queries[1].id]
+
+    def test_interrupt_stops_dispatch(self, setting, tmp_path, monkeypatch):
+        ontology, queries, _, _, _, candidates = setting
+        endpoint = InterruptedEndpoint()
+        join = threading.Thread.join
+
+        def releasing_join(thread, timeout=None):
+            endpoint.released.set()
+            return join(thread, timeout)
+
+        monkeypatch.setattr(threading.Thread, "join", releasing_join)
+        journal = LinkJournal(tmp_path / "run.jsonl")
+        with pytest.raises(KeyboardInterrupt):
+            link_queries(queries, candidates, ontology, PromptConfig(), endpoint,
+                         concurrency=2, journal=journal)
+        # the helper finished the call it held and started no other
+        assert endpoint.calls == 2
+        rows = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]
+        assert [row["query_id"] for row in rows] in ([queries[0].id], [queries[1].id])
 
 
 class TestJournal:
