@@ -19,7 +19,7 @@ from conceptlinker import (
     parse_ontology,
     parse_queries,
     query_text,
-    retrieve_top_k,
+    retrieve_batch,
     save_memory,
 )
 
@@ -44,11 +44,14 @@ memory = load_memory(out, expected_provider=provider.spec.fingerprint)
 print(f"reloaded from {out.name}: dim={memory.dim}\n")
 
 # Retrieve top-5 candidates for each demo query. The query text follows
-# the same "mention: context" shape the described entries use.
-for query in parse_queries(DATA / "queries.jsonl"):
-    vector = provider.embed_batch([query_text(query)])[0]
+# the same "mention: context" shape the described entries use. The provider
+# embeds the whole batch as one (queries, dim) float32 matrix, and
+# retrieve_batch returns one slate per row.
+queries = parse_queries(DATA / "queries.jsonl")
+vectors = provider.embed_batch([query_text(query) for query in queries])
+for query, slate in zip(queries, retrieve_batch(memory, vectors, 5)):
     print(f"{query.id}: {query.mention!r}")
-    for candidate in retrieve_top_k(memory, vector, 5):
+    for candidate in slate:
         name = ontology.get(candidate.concept_id).name
         print(f"   {candidate.score:6.3f}  {candidate.concept_id}  "
               f"[{candidate.variant.value}]  {name}")

@@ -30,6 +30,7 @@ from .embedding import (
 from .errors import LinkerError, ServiceError, ValidationError
 from .evaluation import (
     DEFAULT_HITS_KS,
+    check_ks,
     parse_gold,
     parse_grid,
     parse_predictions,
@@ -314,6 +315,7 @@ def cmd_evaluate(s: Settings) -> int:
             report["ks"] = [int(part) for part in str(ks_raw).split(",") if part.strip()]
         except ValueError:
             raise UsageError(f"--ks must be comma-separated integers, got {ks_raw!r}") from None
+        check_ks(report["ks"])
 
     gold = parse_gold(gold_path)
     if mode == "predictions":

@@ -4,8 +4,8 @@ Two providers: a remote JSON-over-HTTP embedding endpoint (responses cached
 on disk so repeat calls are free and identical), and a deterministic local
 character-trigram embedder so every pipeline stage runs offline.
 
-All vectors leave this module unit-normalized as float32 arrays; similarity
-downstream is plain cosine on those.
+A batch leaves this module as one float32 (texts, dim) matrix of
+unit-normalized rows; similarity downstream is plain cosine on those.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ class ProviderSpec:
     def __post_init__(self) -> None:
         if self.dim <= 0:
             raise ValueError(f"dim must be positive, got {self.dim}")
+        if self.provider_id == LOCAL_PROVIDER_ID:
+            _check_local_dim(self.dim)
         if self.provider_id == REMOTE_PROVIDER_ID and not self.endpoint:
             raise ValueError("remote provider requires an endpoint URL")
         if self.provider_id != REMOTE_PROVIDER_ID and self.endpoint:
@@ -85,14 +87,18 @@ def local_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     return _trigram_matrix([text], dim, seed)[0]
 
 
+def _check_local_dim(dim: int) -> None:
+    if dim < 16:
+        raise ValueError(f"local embedder needs dim >= 16, got {dim}")
+
+
 def _trigram_matrix(texts: list[str], dim: int, seed: int) -> np.ndarray:
     """:func:`local_embed` of every normalized, non-empty text, one row each.
 
     Texts are hashed in blocks of about ``_BLOCK_CHARS`` characters, so the
     per-gram working arrays stay small however large the batch is.
     """
-    if dim < 16:
-        raise ValueError(f"local embedder needs dim >= 16, got {dim}")
+    _check_local_dim(dim)
     padded = [f" {text.lower()} " for text in texts]
     ends = np.cumsum([len(p) for p in padded])
     out = np.empty((len(padded), dim), dtype=np.float32)
@@ -187,8 +193,9 @@ class LocalTrigramProvider:
             raise ValueError(f"not a local spec: {spec.provider_id!r}")
         self.spec = spec
 
-    def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
-        return list(_trigram_matrix(_clean_texts(texts), self.spec.dim, self.spec.seed))
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
+        """The float32 (len(texts), dim) matrix of unit rows, in input order."""
+        return _trigram_matrix(_clean_texts(texts), self.spec.dim, self.spec.seed)
 
 
 class RemoteProvider:
@@ -207,15 +214,22 @@ class RemoteProvider:
         self.cache = cache
         self.session = session or requests.Session()
 
-    def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
+        """The float32 (len(texts), dim) matrix of unit rows, in input order.
+
+        Cache hits fill their rows; every miss goes into one request, whose
+        reply is checked whole before any row of it is cached.
+        """
         cleaned = _clean_texts(texts)
-        out: list[np.ndarray | None] = [None] * len(cleaned)
+        out = np.empty((len(cleaned), self.spec.dim), dtype=np.float32)
         misses: list[int] = []
         for i, text in enumerate(cleaned):
             if self.cache is not None:
                 key = VectorCache.key(self.spec.provider_id, self.spec.model_id, text)
                 hit = self.cache.get(key)
                 if hit is not None:
+                    if hit.shape != (self.spec.dim,):
+                        raise DimMismatch(self.spec.dim, hit.shape[0], index=i)
                     out[i] = hit
                     continue
             misses.append(i)
@@ -230,8 +244,7 @@ class RemoteProvider:
                         self.spec.provider_id, self.spec.model_id, cleaned[j]
                     )
                     self.cache.put(key, out[j])
-        assert all(v is not None for v in out), "every text is a cache hit or fetched"
-        return out  # type: ignore[return-value]
+        return out
 
     def _fetch(self, inputs: list[str], indices: list[int]) -> list[list[float]]:
         """One embedding per input, the whole reply checked before any use.

@@ -134,12 +134,25 @@ def prf1(
     results: Sequence[Linked], gold: list[GoldPair]
 ) -> tuple[float, float, float]:
     """Precision over resolved predictions, recall over gold, and their F1."""
+    return _prf1_counts(results, gold)[2:]
+
+
+def _prf1_counts(
+    results: Sequence[Linked], gold: list[GoldPair]
+) -> tuple[int, int, float, float, float]:
+    """Resolved predictions, true positives, precision, recall and F1."""
     wanted = {(p.source_id, p.target_id) for p in gold}
-    resolved = [r for r in results if r.resolved is not None]
-    tp = sum((r.query_id, r.resolved) in wanted for r in resolved)
-    precision = tp / len(resolved) if resolved else 0.0
+    resolved = sum(r.resolved is not None for r in results)
+    tp = sum((r.query_id, r.resolved) in wanted for r in results if r.resolved is not None)
+    precision = tp / resolved if resolved else 0.0
     recall = tp / len(gold) if gold else 0.0
-    return precision, recall, f1_from(precision, recall)
+    return resolved, tp, precision, recall, f1_from(precision, recall)
+
+
+def check_ks(ks: list[int]) -> None:
+    """Raise ValueError unless the hits@k cutoffs are non-empty, positive and ascending."""
+    if not ks or ks != sorted(ks) or ks[0] < 1:
+        raise ValueError(f"ks must be positive and ascending, got {ks}")
 
 
 def hits_at_k(
@@ -150,8 +163,7 @@ def hits_at_k(
     """Fraction of gold queries whose gold id is in the top k, for each k."""
     if not gold:
         raise ValueError("gold is empty")
-    if not ks or ks != sorted(ks) or ks[0] < 1:
-        raise ValueError(f"ks must be positive and ascending, got {ks}")
+    check_ks(ks)
     ranks: list[int | None] = []
     for query_id, target in gold.items():
         ranked = retrievals.get(query_id)
@@ -164,17 +176,15 @@ def hits_at_k(
 
 
 def score_predictions(results: Sequence[Linked], gold: list[GoldPair]) -> MetricsReport:
-    wanted = {(p.source_id, p.target_id) for p in gold}
-    precision, recall, f1 = prf1(results, gold)
-    resolved = [r for r in results if r.resolved is not None]
+    n_predicted, n_correct, precision, recall, f1 = _prf1_counts(results, gold)
     return MetricsReport(
         accuracy=accuracy(results, gold_map(gold)),
         precision=precision,
         recall=recall,
         f1=f1,
         n_queries=len(results),
-        n_predicted=len(resolved),
-        n_correct=sum((r.query_id, r.resolved) in wanted for r in resolved),
+        n_predicted=n_predicted,
+        n_correct=n_correct,
         n_gold=len(gold),
     )
 

@@ -77,18 +77,6 @@ _VARIANTS = (Variant.NAME_ONLY, Variant.NAME_WITH_CONTEXT)
 _VARIANT_CODE = {variant: code for code, variant in enumerate(_VARIANTS)}
 
 
-@dataclass(frozen=True, eq=False)
-class MemoryEntry:
-    """One memory row as an object; :attr:`Memory.entries` yields views of these."""
-
-    concept_id: str
-    variant: Variant
-    vector: np.ndarray  # unit-norm float32
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=np.float32))
-
-
 @dataclass(frozen=True)
 class Candidate:
     """One retrieval hit: a concept, its best score, and the winning variant."""
@@ -155,44 +143,16 @@ class Memory:
     each concept once in entry order; ``concept_index`` and ``variant_codes``
     give each row's concept position and variant byte. A concept's rows are
     contiguous, and each row's length lies within 2**-64 to 2**64.
-    ``Memory(entries, ...)`` builds one from :class:`MemoryEntry` objects,
-    :meth:`from_columns` from the arrays.
     """
 
-    def __init__(self, entries: Sequence[MemoryEntry], dim: int,
+    def __init__(self, concept_ids: Sequence[str], concept_index: np.ndarray,
+                 variant_codes: np.ndarray, vectors: np.ndarray, dim: int,
                  provider_fingerprint: tuple[str, str], ontology_tag: str):
-        for e in entries:
-            if e.vector.shape != (dim,):
-                raise DimMismatch(dim, e.vector.shape[0])
-        vectors = (np.stack([e.vector for e in entries]) if entries
-                   else np.zeros((0, dim), dtype=np.float32))
-        ids: list[str] = []
-        index = []
-        for e in entries:
-            if not ids or ids[-1] != e.concept_id:
-                ids.append(e.concept_id)
-            index.append(len(ids) - 1)
-        codes = [_VARIANT_CODE[e.variant] for e in entries]
-        self._set_columns(ids, np.array(index, dtype=np.int64),
-                          np.array(codes, dtype=np.uint8), vectors, dim,
-                          provider_fingerprint, ontology_tag)
-
-    @classmethod
-    def from_columns(cls, concept_ids: Sequence[str], concept_index: np.ndarray,
-                     variant_codes: np.ndarray, vectors: np.ndarray, dim: int,
-                     provider_fingerprint: tuple[str, str], ontology_tag: str) -> Memory:
-        """A memory that takes ownership of the given columns and makes them read-only.
+        """Take ownership of the given columns and make them read-only.
 
         Raises :class:`MemoryLayoutError` if they disagree and
         :class:`InvalidVector` for a NaN, infinite, zero or out-of-range row.
         """
-        memory = cls.__new__(cls)
-        memory._set_columns(concept_ids, concept_index, variant_codes, vectors, dim,
-                            provider_fingerprint, ontology_tag)
-        return memory
-
-    def _set_columns(self, concept_ids, concept_index, variant_codes, vectors, dim,
-                     provider_fingerprint, ontology_tag) -> None:
         vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] != dim:
             raise DimMismatch(dim, vectors.shape[-1] if vectors.ndim else 0)
@@ -237,15 +197,6 @@ class Memory:
         self._max_run = int(np.diff(np.r_[starts, count]).max()) if count else 1
         self._margin = _score_margin(dim)
 
-    @property
-    def entries(self) -> tuple[MemoryEntry, ...]:
-        """Each row as a :class:`MemoryEntry` whose vector is a read-only view."""
-        return tuple(
-            MemoryEntry(self.concept_ids[c], _VARIANTS[v], row)
-            for c, v, row in zip(self.concept_index.tolist(),
-                                 self.variant_codes.tolist(), self.vectors)
-        )
-
     def __len__(self) -> int:
         return len(self.vectors)
 
@@ -272,31 +223,34 @@ def build_memory(ontology: Ontology, provider: Provider) -> Memory:
     if not concepts:
         raise EmptyOntology(ontology.tag)
 
-    name_texts = [c.name for c in concepts]
     described = [c for c in concepts if c.description]
-    context_texts = [concept_text(c.name, c.description) for c in described]
-
-    try:
-        name_vecs = provider.embed_batch(name_texts)
-    except LinkerError as exc:
-        raise MemoryBuildError(_offending(concepts, exc), str(exc)) from exc
-    try:
-        context_vecs = provider.embed_batch(context_texts) if context_texts else []
-    except LinkerError as exc:
-        raise MemoryBuildError(_offending(described, exc), str(exc)) from exc
-
-    by_id = {c.id: v for c, v in zip(described, context_vecs)}
-    entries: list[MemoryEntry] = []
-    for concept, vec in zip(concepts, name_vecs):
-        entries.append(MemoryEntry(concept.id, Variant.NAME_ONLY, vec))
-        if concept.id in by_id:
-            entries.append(
-                MemoryEntry(concept.id, Variant.NAME_WITH_CONTEXT, by_id[concept.id])
-            )
-
+    has_context = np.array([bool(c.description) for c in concepts])
+    # a concept's name row follows every row of the concepts before it, and
+    # its context row, when it has one, follows its name row
+    name_rows = np.arange(len(concepts)) + np.cumsum(has_context) - has_context
+    context_rows = name_rows[has_context] + 1
     spec: ProviderSpec = provider.spec
-    return Memory(entries, dim=spec.dim, provider_fingerprint=spec.fingerprint,
-                  ontology_tag=ontology.tag)
+    vectors = np.empty((len(concepts) + len(described), spec.dim), dtype=np.float32)
+    for rows, owners, texts in (
+        (name_rows, concepts, [c.name for c in concepts]),
+        (context_rows, described, [concept_text(c.name, c.description) for c in described]),
+    ):
+        if not texts:
+            continue
+        try:
+            batch = provider.embed_batch(texts)
+        except LinkerError as exc:
+            raise MemoryBuildError(_offending(owners, exc), str(exc)) from exc
+        if np.shape(batch) != (len(rows), spec.dim):
+            raise DimMismatch(spec.dim, np.shape(batch)[-1])
+        vectors[rows] = batch
+        del batch  # so the next batch is not embedded while this one is held
+
+    codes = np.zeros(len(vectors), dtype=np.uint8)
+    codes[context_rows] = _VARIANT_CODE[Variant.NAME_WITH_CONTEXT]
+    return Memory([c.id for c in concepts],
+                  np.repeat(np.arange(len(concepts)), 1 + has_context), codes, vectors,
+                  spec.dim, spec.fingerprint, ontology.tag)
 
 
 def _offending(concepts: list, exc: LinkerError) -> str:
@@ -337,14 +291,6 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
         if not 0.0 < norm < math.inf:
             raise InvalidVector("cosine argument", position)
     return _quotient(_dot(a, b), *norms)
-
-
-def retrieve_top_k(memory: Memory, query: np.ndarray, k: int) -> list[Candidate]:
-    """The k distinct best-scoring concepts for one query; see :func:`retrieve_batch`."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (memory.dim,):
-        raise DimMismatch(memory.dim, query.shape[0])
-    return retrieve_batch(memory, query[None, :], k)[0]
 
 
 def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
@@ -448,7 +394,7 @@ def save_memory(memory: Memory, path: str | Path) -> None:
         fh.write(header.encode("utf-8") + b"\n")
         fh.write(memory.concept_index.astype("<u4").tobytes())
         fh.write(memory.variant_codes.tobytes())
-        fh.write(memory.vectors.astype("<f4", copy=False).tobytes())
+        fh.write(memory.vectors.astype("<f4", copy=False).data)
 
 
 def load_memory(
@@ -499,7 +445,7 @@ def load_memory(
         vectors = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
 
     try:
-        memory = Memory.from_columns(ids, index, codes, vectors, dim, fingerprint, tag)
+        memory = Memory(ids, index, codes, vectors, dim, fingerprint, tag)
     except MemoryLayoutError as exc:
         raise BadMagic(f"corrupt memory file: {exc}") from None
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
-import numpy as np
-
 from .fileio import KeyedLog
 from .memory import Candidate, Memory, query_text, retrieve_batch
 from .ontology import Ontology, Query
@@ -30,16 +28,11 @@ from .ranker import (
 DEFAULT_CONCURRENCY = 4
 
 
-def embed_queries(queries: list[Query], provider) -> list[np.ndarray]:
-    """Embed every query's mention-plus-context text, in input order."""
-    return provider.embed_batch([query_text(q) for q in queries])
-
-
 def retrieve_for_queries(
     memory: Memory, queries: list[Query], provider, k: int
 ) -> list[list[Candidate]]:
-    """Top-k candidates for each query, in input order."""
-    return retrieve_batch(memory, embed_queries(queries, provider), k)
+    """Top-k candidates for each query's mention-plus-context text, in input order."""
+    return retrieve_batch(memory, provider.embed_batch([query_text(q) for q in queries]), k)
 
 
 class LinkJournal(KeyedLog):

@@ -5,16 +5,20 @@ from __future__ import annotations
 import random
 import string
 
+import numpy as np
 import pytest
 
 from conceptlinker import (
     LOCAL_PROVIDER_ID,
     Concept,
     LocalTrigramProvider,
+    Memory,
     Ontology,
     ProviderSpec,
     Query,
+    Variant,
 )
+from conceptlinker.memory import _VARIANTS
 
 MASTER_SEED = 20260823
 
@@ -93,6 +97,32 @@ def queries_for(
 def local_provider(dim: int = 64, seed: int = 0) -> LocalTrigramProvider:
     spec = ProviderSpec(LOCAL_PROVIDER_ID, f"trigram-d{dim}-s{seed}", dim, seed=seed)
     return LocalTrigramProvider(spec)
+
+
+def memory_from_rows(rows, dim: int) -> Memory:
+    """A Memory from (concept id, Variant, vector) rows in entry order.
+
+    A concept id starts a new concept whenever it differs from the row
+    before, so a concept whose rows are not adjacent is a layout error.
+    """
+    ids: list[str] = []
+    index = []
+    for concept_id, _, _ in rows:
+        if not ids or ids[-1] != concept_id:
+            ids.append(concept_id)
+        index.append(len(ids) - 1)
+    codes = [_VARIANTS.index(variant) for _, variant, _ in rows]
+    vectors = np.stack([vector for _, _, vector in rows])
+    return Memory(ids, index, codes, vectors, dim, ("local-trigram", "m"), "t")
+
+
+def memory_rows(memory: Memory) -> list[tuple[str, Variant, np.ndarray]]:
+    """(concept id, Variant, vector) for each row of a memory's columns."""
+    return [
+        (memory.concept_ids[c], _VARIANTS[v], vector)
+        for c, v, vector in zip(memory.concept_index.tolist(),
+                                memory.variant_codes.tolist(), memory.vectors)
+    ]
 
 
 # --- acceptance criteria reporting ------------------------------------------

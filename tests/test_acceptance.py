@@ -27,8 +27,8 @@ from conceptlinker import (
     link_queries,
     parse_predictions,
     parse_response,
+    retrieve_batch,
     retrieve_for_queries,
-    retrieve_top_k,
     run_ablation,
     score_predictions,
     write_gold,
@@ -42,6 +42,7 @@ from .conftest import (
     MASTER_SEED,
     local_provider,
     make_word,
+    memory_rows,
     queries_for,
     synthetic_ontology,
 )
@@ -79,10 +80,10 @@ def test_criterion_1_retrieval_matches_oracle(corpus):
         vectors = provider.embed_batch(
             [f"{q.mention}: {q.context}" if q.context else q.mention for q in queries]
         )
-        entries = [(e.concept_id, e.vector) for e in memory.entries]
+        entries = [(cid, vector) for cid, _, vector in memory_rows(memory)]
         for vector in vectors:
             for k in KS:
-                got = retrieve_top_k(memory, vector, k)
+                got = retrieve_batch(memory, [vector], k)[0]
                 want = retrieve_ref(entries, vector, k)
                 assert [c.concept_id for c in got] == [cid for cid, _ in want]
                 for candidate, (_, score) in zip(got, want):
@@ -95,7 +96,7 @@ def test_criterion_2_memory_entry_accounting(corpus):
     for _, ontology, memory in corpus["runs"]:
         n = len(ontology)
         m = sum(1 for concept in ontology if concept.description)
-        assert len(memory.entries) == n + m
+        assert len(memory_rows(memory)) == n + m
 
 
 def test_criterion_3_exact_match_end_to_end(rng):
@@ -185,7 +186,7 @@ def test_criterion_6_hits_monotone_and_oracle_equal(corpus):
             [f"{q.mention}: {q.context}" if q.context else q.mention for q in queries]
         )
         retrievals = {
-            q.id: [c.concept_id for c in retrieve_top_k(memory, v, max(KS))]
+            q.id: [c.concept_id for c in retrieve_batch(memory, [v], max(KS))[0]]
             for q, v in zip(queries, vectors)
         }
         hits = hits_at_k(retrievals, gold, list(KS))

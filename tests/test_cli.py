@@ -697,6 +697,9 @@ READERS = ("parse_ontology", "load_memory", "parse_queries", "parse_gold", "pars
     *[(["retrieve"], REMOTE + f"timeout = {bad}\n") for bad in BAD_TIMEOUTS],
     *[(["link", "--endpoint", HTTP_ENDPOINT], f"[endpoint]\ntimeout = {bad}\n")
       for bad in BAD_TIMEOUTS],
+    (["retrieve", "--dim", "8"], ""),
+    (["build-memory", "--dim", "8"], ""),
+    *[(["evaluate", "--retrievals", "{queries}", "--ks", ks], "") for ks in ("5,1", "0", ",")],
 ])
 def test_usage_errors_come_before_any_input_is_read(workspace, monkeypatch, argv, config):
     def unexpected(*args, **kwargs):

@@ -112,6 +112,11 @@ class TestProviderSpec:
         with pytest.raises(ValueError):
             ProviderSpec(LOCAL_PROVIDER_ID, "m", 0)
 
+    def test_local_dim_floor_checked_at_construction(self):
+        with pytest.raises(ValueError, match="dim >= 16, got 15"):
+            ProviderSpec(LOCAL_PROVIDER_ID, "m", 15)
+        assert ProviderSpec(REMOTE_PROVIDER_ID, "m", 4, endpoint="https://x").dim == 4
+
     def test_fingerprint(self):
         spec = ProviderSpec(LOCAL_PROVIDER_ID, "trigram-d64-s0", 64)
         assert spec.fingerprint == (LOCAL_PROVIDER_ID, "trigram-d64-s0")
@@ -332,6 +337,33 @@ class TestRemoteProvider:
         with pytest.raises(EmptyText) as exc:
             provider.embed_batch(["alpha", "  "])
         assert exc.value.index == 1
+
+
+def test_embed_batch_returns_one_float32_matrix(tmp_path):
+    local = make_provider(ProviderSpec(LOCAL_PROVIDER_ID, "m", 64))
+    cache = VectorCache(tmp_path)
+    cache.put(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "beta"),
+              np.array([0, 0, 1, 0], dtype=np.float32))
+    session = FakeSession([FakeResponse(200, embedding_payload([[2, 0, 0, 0], [0, 0, 0, 5]]))])
+    remote = RemoteProvider(remote_spec(), cache=cache, session=session)
+    for provider, batch in ((local, []), (local, ["alpha", "beta"]),
+                            (remote, []), (remote, ["alpha", "beta", "gamma"])):
+        out = provider.embed_batch(batch)
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float32
+        assert out.shape == (len(batch), provider.spec.dim)
+    # the cache hit keeps its row between the two fetched ones, in one request
+    assert session.calls[0]["json"]["input"] == ["alpha", "gamma"]
+    np.testing.assert_array_equal(out, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_cache_hit_of_another_dim_is_refused(tmp_path):
+    cache = VectorCache(tmp_path)
+    cache.put(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "beta"), np.ones(8, dtype=np.float32))
+    provider = RemoteProvider(remote_spec(), cache=cache, session=FakeSession([]))
+    with pytest.raises(DimMismatch) as exc:
+        provider.embed_batch(["alpha", "beta"])
+    assert exc.value.index == 1
 
 
 def test_make_provider_dispatch(tmp_path):

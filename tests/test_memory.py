@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from conceptlinker import (
     Concept,
     Memory,
-    MemoryEntry,
     Ontology,
     Query,
     Variant,
@@ -25,8 +24,8 @@ from conceptlinker import (
     cosine,
     load_memory,
     query_text,
+    retrieve_batch,
     retrieve_for_queries,
-    retrieve_top_k,
     save_memory,
 )
 from conceptlinker import memory as memory_module
@@ -41,7 +40,7 @@ from conceptlinker.errors import (
     VersionMismatch,
 )
 
-from .conftest import local_provider, synthetic_ontology
+from .conftest import local_provider, memory_from_rows, memory_rows, synthetic_ontology
 from .oracles import cosine_ref, retrieve_ref
 
 
@@ -71,7 +70,7 @@ class TestBuildMemory:
         memory = build_memory(small_ontology(), provider)
         # N + M: 3 concepts, 2 described
         assert len(memory) == 5
-        got = [(e.concept_id, e.variant) for e in memory.entries]
+        got = [(cid, variant) for cid, variant, _ in memory_rows(memory)]
         assert got == [
             ("C1", Variant.NAME_ONLY), ("C1", Variant.NAME_WITH_CONTEXT),
             ("C2", Variant.NAME_ONLY), ("C2", Variant.NAME_WITH_CONTEXT),
@@ -83,8 +82,9 @@ class TestBuildMemory:
         memory = build_memory(small_ontology(), provider)
         name_vec = provider.embed_batch(["Aspirin"])[0]
         ctx_vec = provider.embed_batch(["Aspirin: pain and fever relief"])[0]
-        assert np.array_equal(memory.entries[0].vector, name_vec)
-        assert np.array_equal(memory.entries[1].vector, ctx_vec)
+        rows = memory_rows(memory)
+        assert np.array_equal(rows[0][2], name_vec)
+        assert np.array_equal(rows[1][2], ctx_vec)
 
     def test_metadata(self):
         provider = local_provider(dim=32)
@@ -162,12 +162,12 @@ class TestRetrieveTopK:
 
     def test_matches_oracle_randomized(self, rng):
         onto, provider, memory = self.build(rng, 80)
-        entries = [(e.concept_id, e.vector) for e in memory.entries]
+        entries = [(cid, vector) for cid, _, vector in memory_rows(memory)]
         for _ in range(10):
             concept = rng.choice(list(onto))
             qv = provider.embed_batch([concept.name])[0]
             for k in (1, 5, 10):
-                got = retrieve_top_k(memory, qv, k)
+                got = retrieve_batch(memory, [qv], k)[0]
                 want = retrieve_ref(entries, qv, k)
                 assert [c.concept_id for c in got] == [cid for cid, _ in want]
                 for cand, (_, score) in zip(got, want):
@@ -177,14 +177,14 @@ class TestRetrieveTopK:
         onto, provider, memory = self.build(rng, 30)
         concept = list(onto)[7]
         qv = provider.embed_batch([concept.name])[0]
-        top = retrieve_top_k(memory, qv, 1)[0]
+        top = retrieve_batch(memory, [qv], 1)[0][0]
         assert top.concept_id == concept.id
         assert top.score == pytest.approx(1.0, abs=1e-9)
 
     def test_distinct_concepts_and_descending(self, rng):
         onto, provider, memory = self.build(rng, 50)
         qv = provider.embed_batch([list(onto)[0].name])[0]
-        got = retrieve_top_k(memory, qv, 10)
+        got = retrieve_batch(memory, [qv], 10)[0]
         ids = [c.concept_id for c in got]
         assert len(ids) == len(set(ids))
         scores = [c.score for c in got]
@@ -193,28 +193,28 @@ class TestRetrieveTopK:
     def test_k_clamped_to_concept_count(self, rng):
         onto, provider, memory = self.build(rng, 4)
         qv = provider.embed_batch(["anything at all"])[0]
-        assert len(retrieve_top_k(memory, qv, 10)) == 4
+        assert len(retrieve_batch(memory, [qv], 10)[0]) == 4
 
     def test_k_validation(self, rng):
         _, provider, memory = self.build(rng, 4)
         with pytest.raises(ValueError):
-            retrieve_top_k(memory, provider.embed_batch(["x"])[0], 0)
+            retrieve_batch(memory, [provider.embed_batch(["x"])[0]], 0)
 
     def test_query_dim_checked(self, rng):
         _, _, memory = self.build(rng, 4)
         with pytest.raises(DimMismatch):
-            retrieve_top_k(memory, np.ones(16), 3)
+            retrieve_batch(memory, [np.ones(16)], 3)
 
     def test_variant_tie_prefers_name_only(self):
         # both variants of C1 hold the identical vector: exact tie
         v = np.zeros(16, dtype=np.float32)
         v[0] = 1.0
         entries = [
-            MemoryEntry("C1", Variant.NAME_ONLY, v),
-            MemoryEntry("C1", Variant.NAME_WITH_CONTEXT, v),
+            ("C1", Variant.NAME_ONLY, v),
+            ("C1", Variant.NAME_WITH_CONTEXT, v),
         ]
-        memory = Memory(entries, 16, ("local-trigram", "m"), "t")
-        top = retrieve_top_k(memory, v, 1)[0]
+        memory = memory_from_rows(entries, 16)
+        top = retrieve_batch(memory, [v], 1)[0][0]
         assert top.variant is Variant.NAME_ONLY
         assert top.score == pytest.approx(1.0, abs=1e-12)
 
@@ -222,11 +222,11 @@ class TestRetrieveTopK:
         v = np.zeros(16, dtype=np.float32)
         v[3] = 1.0
         entries = [
-            MemoryEntry("B", Variant.NAME_ONLY, v),
-            MemoryEntry("A", Variant.NAME_ONLY, v),
+            ("B", Variant.NAME_ONLY, v),
+            ("A", Variant.NAME_ONLY, v),
         ]
-        memory = Memory(entries, 16, ("local-trigram", "m"), "t")
-        assert [c.concept_id for c in retrieve_top_k(memory, v, 2)] == ["A", "B"]
+        memory = memory_from_rows(entries, 16)
+        assert [c.concept_id for c in retrieve_batch(memory, [v], 2)[0]] == ["A", "B"]
 
     def test_best_variant_wins(self):
         q = np.zeros(16, dtype=np.float32)
@@ -236,11 +236,11 @@ class TestRetrieveTopK:
         far = np.zeros(16, dtype=np.float32)
         far[1] = 1.0
         entries = [
-            MemoryEntry("C1", Variant.NAME_ONLY, far),
-            MemoryEntry("C1", Variant.NAME_WITH_CONTEXT, near),
+            ("C1", Variant.NAME_ONLY, far),
+            ("C1", Variant.NAME_WITH_CONTEXT, near),
         ]
-        memory = Memory(entries, 16, ("local-trigram", "m"), "t")
-        top = retrieve_top_k(memory, q, 1)[0]
+        memory = memory_from_rows(entries, 16)
+        top = retrieve_batch(memory, [q], 1)[0][0]
         assert top.variant is Variant.NAME_WITH_CONTEXT
         assert top.score == pytest.approx(cosine_ref(near, q), abs=1e-9)
 
@@ -252,12 +252,12 @@ class TestRetrieveTopK:
         vectors = gen.normal(size=(1201, 64)).astype(np.float32)
         vectors[-1] = vectors[0]
         ids = ["twin-b"] + [f"C{i:04d}" for i in range(1, 1200)] + ["twin-a"]
-        entries = [MemoryEntry(cid, Variant.NAME_ONLY, v) for cid, v in zip(ids, vectors)]
-        memory = Memory(entries, 64, ("local-trigram", "m"), "t")
+        entries = [(cid, Variant.NAME_ONLY, v) for cid, v in zip(ids, vectors)]
+        memory = memory_from_rows(entries, 64)
         queries = vectors[0] + 0.1 * gen.normal(size=(20, 64))
-        batch = memory_module.retrieve_batch(memory, queries, 2)
+        batch = retrieve_batch(memory, queries, 2)
         for query, slate in zip(queries, batch):
-            for top in (slate, retrieve_top_k(memory, query, 2)):
+            for top in (slate, retrieve_batch(memory, [query], 2)[0]):
                 assert [c.concept_id for c in top] == ["twin-a", "twin-b"]
                 assert top[0].score == top[1].score == cosine_ref(vectors[0], query)
 
@@ -270,7 +270,7 @@ class TestRetrieveTopK:
         else:
             qv[5] = float(bad)
         with pytest.raises(InvalidVector):
-            retrieve_top_k(memory, qv, 3)
+            retrieve_batch(memory, [qv], 3)[0]
 
 
 def _homonym_ontology() -> Ontology:
@@ -289,7 +289,7 @@ def _homonym_ontology() -> Ontology:
 def _homonym_store():
     provider = local_provider(dim=32)
     memory = build_memory(_homonym_ontology(), provider)
-    return provider, memory, [(e.concept_id, e.vector) for e in memory.entries]
+    return provider, memory, [(cid, vector) for cid, _, vector in memory_rows(memory)]
 
 
 class TestBatchRetrieval:
@@ -313,7 +313,7 @@ class TestBatchRetrieval:
         assert len(batch) == len(queries)
         for query, slate in zip(queries, batch):
             qv = provider.embed_batch([query_text(query)])[0]
-            assert slate == retrieve_top_k(memory, qv, k)
+            assert slate == retrieve_batch(memory, [qv], k)[0]
             assert [(c.concept_id, c.score) for c in slate] == retrieve_ref(entries, qv, k)
 
     def test_empty_batch(self):
@@ -329,10 +329,10 @@ def _ref_slates(memory: Memory, queries, k: int) -> list[list[tuple[str, float, 
     slates = []
     for query in queries:
         best: dict[str, tuple[float, Variant]] = {}
-        for entry in memory.entries:
-            score = cosine_ref(entry.vector, query)
-            if entry.concept_id not in best or score > best[entry.concept_id][0]:
-                best[entry.concept_id] = (score, entry.variant)
+        for concept_id, variant, vector in memory_rows(memory):
+            score = cosine_ref(vector, query)
+            if concept_id not in best or score > best[concept_id][0]:
+                best[concept_id] = (score, variant)
         ranked = sorted(best.items(), key=lambda item: (-item[1][0], item[0]))[:k]
         slates.append([(cid, score, variant) for cid, (score, variant) in ranked])
     return slates
@@ -340,7 +340,7 @@ def _ref_slates(memory: Memory, queries, k: int) -> list[list[tuple[str, float, 
 
 def _slates(memory: Memory, queries, k: int) -> list[list[tuple[str, float, Variant]]]:
     return [[(c.concept_id, c.score, c.variant) for c in slate]
-            for slate in memory_module.retrieve_batch(memory, queries, k)]
+            for slate in retrieve_batch(memory, queries, k)]
 
 
 class TestEntrySelection:
@@ -355,9 +355,9 @@ class TestEntrySelection:
             centre = gen.normal(size=dim)
             for r in range(run):
                 vector = (centre + 0.3 * gen.normal(size=dim)).astype(np.float32)
-                entries.append(MemoryEntry(f"C{c:03d}", _VARIANTS_CYCLE[r % 2], vector))
-        memory = Memory(entries, dim, ("local-trigram", "m"), "t")
-        queries = np.stack([e.vector for e in memory.entries[::7]]).astype(np.float64)
+                entries.append((f"C{c:03d}", _VARIANTS_CYCLE[r % 2], vector))
+        memory = memory_from_rows(entries, dim)
+        queries = memory.vectors[::7].astype(np.float64)
         return memory, queries + 0.2 * gen.normal(size=queries.shape)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -377,11 +377,11 @@ class TestEntrySelection:
         for cid in ("A", "B"):
             for r in range(6):
                 near = (query + 0.01 * gen.normal(size=16)).astype(np.float32)
-                entries.append(MemoryEntry(cid, _VARIANTS_CYCLE[r % 2], near))
+                entries.append((cid, _VARIANTS_CYCLE[r % 2], near))
         for c in range(30):
-            entries.append(MemoryEntry(f"F{c:02d}", Variant.NAME_ONLY,
-                                       gen.normal(size=16).astype(np.float32)))
-        memory = Memory(entries, 16, ("local-trigram", "m"), "t")
+            entries.append((f"F{c:02d}", Variant.NAME_ONLY,
+                            gen.normal(size=16).astype(np.float32)))
+        memory = memory_from_rows(entries, 16)
         got = _slates(memory, query[None, :], 3)
         assert got == _ref_slates(memory, [query], 3)
         assert [cid for cid, _, _ in got[0][:2]] in (["A", "B"], ["B", "A"])
@@ -396,7 +396,7 @@ class TestEntrySelection:
         bumped = base.copy()
         bumped[1] = np.nextafter(base[1], np.float32(np.inf))
         queries = base + 0.05 * gen.normal(size=(20, dim))
-        filler = [MemoryEntry(f"F{i:03d}", Variant.NAME_ONLY, v)
+        filler = [(f"F{i:03d}", Variant.NAME_ONLY, v)
                   for i, v in enumerate(gen.normal(size=(200, dim)).astype(np.float32))]
         for query in queries:
             low, high = sorted([base, bumped], key=lambda v: cosine_ref(v, query))
@@ -404,19 +404,17 @@ class TestEntrySelection:
             assert 0.0 < gap < memory_module._score_margin(dim)
             # two concepts: the better vector has the later id, so an id
             # tie-break would misorder them
-            pair = Memory([MemoryEntry("Z", Variant.NAME_ONLY, high),
-                           MemoryEntry("A", Variant.NAME_ONLY, low)] + filler,
-                          dim, ("local-trigram", "m"), "t")
+            pair = memory_from_rows([("Z", Variant.NAME_ONLY, high),
+                                     ("A", Variant.NAME_ONLY, low)] + filler, dim)
             want = [("Z", cosine_ref(high, query)), ("A", cosine_ref(low, query))]
             for k in (1, 2):
-                top = retrieve_top_k(pair, query, k)
+                top = retrieve_batch(pair, [query], k)[0]
                 assert [(c.concept_id, c.score) for c in top] == want[:k]
             # one concept: the better vector is its second entry, so the
             # earlier-entry tie rule would pick the wrong variant
-            one = Memory([MemoryEntry("P", Variant.NAME_ONLY, low),
-                          MemoryEntry("P", Variant.NAME_WITH_CONTEXT, high)] + filler,
-                         dim, ("local-trigram", "m"), "t")
-            top = retrieve_top_k(one, query, 1)[0]
+            one = memory_from_rows([("P", Variant.NAME_ONLY, low),
+                                    ("P", Variant.NAME_WITH_CONTEXT, high)] + filler, dim)
+            top = retrieve_batch(one, [query], 1)[0][0]
             assert (top.concept_id, top.score, top.variant) == (
                 "P", cosine_ref(high, query), Variant.NAME_WITH_CONTEXT)
 
@@ -433,11 +431,11 @@ class TestEntrySelection:
         # every score sits near -1, where exact scores may clip
         gen = np.random.default_rng(2)
         query = gen.normal(size=16)
-        entries = [MemoryEntry(f"C{c}", _VARIANTS_CYCLE[r], (-query * (1 + c + r)
-                                                             + 1e-4 * gen.normal(size=16))
-                               .astype(np.float32))
+        entries = [(f"C{c}", _VARIANTS_CYCLE[r], (-query * (1 + c + r)
+                                                  + 1e-4 * gen.normal(size=16))
+                    .astype(np.float32))
                    for c in range(6) for r in range(2)]
-        memory = Memory(entries, 16, ("local-trigram", "m"), "t")
+        memory = memory_from_rows(entries, 16)
         for k in (1, 4):
             assert _slates(memory, query[None, :], k) == _ref_slates(memory, [query], k)
 
@@ -455,16 +453,16 @@ class TestEntrySelection:
             vectors[f"F{i:03d}"] = [gen.normal(size=dim)]
         order = list(vectors)
         random.Random(4).shuffle(order)
-        entries = [MemoryEntry(cid, _VARIANTS_CYCLE[r], np.asarray(vector, dtype=np.float32))
+        entries = [(cid, _VARIANTS_CYCLE[r], np.asarray(vector, dtype=np.float32))
                    for cid in order for r, vector in enumerate(vectors[cid])]
-        memory = Memory(entries, dim, ("local-trigram", "m"), "t")
-        pairs = [(e.concept_id, e.vector) for e in memory.entries]
+        memory = memory_from_rows(entries, dim)
+        pairs = [(cid, vector) for cid, _, vector in memory_rows(memory)]
         for q in (query, homonym.astype(np.float64)):
             best = dict(retrieve_ref(pairs, q, len(vectors)))
             assert sum(score == best["H0000"] for score in best.values()) >= 2000
             for k in (1, 5, 10, 40):
                 slate = [(c.concept_id, c.score)
-                         for c in memory_module.retrieve_batch(memory, [q], k)[0]]
+                         for c in retrieve_batch(memory, [q], k)[0]]
                 # order is free among exact ties: each concept carries its own
                 # exact score, and the scores are the k best, position by position
                 assert [score for _, score in slate] == sorted(best.values(), reverse=True)[:k]
@@ -475,10 +473,10 @@ class TestEntrySelection:
     def test_entry_length_outside_float32_range_rejected(self, length):
         vector = np.zeros(16, dtype=np.float32)
         vector[2] = length
-        entries = [MemoryEntry("C1", Variant.NAME_ONLY, np.ones(16, dtype=np.float32)),
-                   MemoryEntry("C2", Variant.NAME_ONLY, vector)]
+        entries = [("C1", Variant.NAME_ONLY, np.ones(16, dtype=np.float32)),
+                   ("C2", Variant.NAME_ONLY, vector)]
         with pytest.raises(InvalidVector) as exc:
-            Memory(entries, 16, ("local-trigram", "m"), "t")
+            memory_from_rows(entries, 16)
         assert exc.value.index == 1
 
 
@@ -493,9 +491,9 @@ class TestStoreFile:
         assert loaded.provider_fingerprint == memory.provider_fingerprint
         assert loaded.ontology_tag == memory.ontology_tag
         assert len(loaded) == len(memory)
-        for a, b in zip(loaded.entries, memory.entries):
-            assert (a.concept_id, a.variant) == (b.concept_id, b.variant)
-            assert np.array_equal(a.vector, b.vector)
+        for a, b in zip(memory_rows(loaded), memory_rows(memory)):
+            assert a[:2] == b[:2]
+            assert np.array_equal(a[2], b[2])
 
     def test_save_is_deterministic(self, tmp_path, rng):
         onto = synthetic_ontology(rng, 10)
@@ -511,7 +509,7 @@ class TestStoreFile:
         save_memory(memory, tmp_path / "m.lm")
         loaded = load_memory(tmp_path / "m.lm")
         qv = provider.embed_batch([list(onto)[3].name])[0]
-        assert retrieve_top_k(loaded, qv, 5) == retrieve_top_k(memory, qv, 5)
+        assert retrieve_batch(loaded, [qv], 5)[0] == retrieve_batch(memory, [qv], 5)[0]
 
     def test_truncated_file_rejected(self, tmp_path, rng):
         onto = synthetic_ontology(rng, 10)
@@ -614,31 +612,31 @@ class TestStoreFile:
             load_memory(path, expected_provider=("local-trigram", "other"), strict=True)
 
 
-def test_memory_entry_coerces_float32():
-    entry = MemoryEntry("C1", Variant.NAME_ONLY, np.ones(4, dtype=np.float64))
-    assert entry.vector.dtype == np.float32
+def test_memory_coerces_vectors_to_float32():
+    memory = Memory(["C1"], [0], [0], np.ones((1, 4), dtype=np.float64), 4, ("p", "m"), "t")
+    assert memory.vectors.dtype == np.float32
 
 
 def test_memory_rejects_wrong_entry_dim():
-    entry = MemoryEntry("C1", Variant.NAME_ONLY, np.ones(8, dtype=np.float32))
+    entry = ("C1", Variant.NAME_ONLY, np.ones(8, dtype=np.float32))
     with pytest.raises(DimMismatch):
-        Memory([entry], 16, ("p", "m"), "t")
+        memory_from_rows([entry], 16)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
 def test_memory_rejects_non_finite_or_zero_entry(value):
     good = np.ones(8, dtype=np.float32)
     bad = np.full(8, value, dtype=np.float32)
-    entries = [MemoryEntry("C1", Variant.NAME_ONLY, good),
-               MemoryEntry("C2", Variant.NAME_ONLY, bad)]
+    entries = [("C1", Variant.NAME_ONLY, good),
+               ("C2", Variant.NAME_ONLY, bad)]
     with pytest.raises(InvalidVector) as exc:
-        Memory(entries, 8, ("p", "m"), "t")
+        memory_from_rows(entries, 8)
     assert exc.value.index == 1
 
 
 def test_memory_rejects_split_concept():
     v = np.ones(8, dtype=np.float32)
-    entries = [MemoryEntry("A", Variant.NAME_ONLY, v), MemoryEntry("B", Variant.NAME_ONLY, v),
-               MemoryEntry("A", Variant.NAME_WITH_CONTEXT, v)]
+    entries = [("A", Variant.NAME_ONLY, v), ("B", Variant.NAME_ONLY, v),
+               ("A", Variant.NAME_WITH_CONTEXT, v)]
     with pytest.raises(MemoryLayoutError):
-        Memory(entries, 8, ("p", "m"), "t")
+        memory_from_rows(entries, 8)

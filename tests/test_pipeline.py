@@ -18,7 +18,6 @@ from conceptlinker import (
     PromptConfig,
     SelectionKind,
     build_memory,
-    embed_queries,
     link_queries,
     query_text,
     retrieve_for_queries,
@@ -166,8 +165,18 @@ def setting(rng):
 
 class TestEmbedAndRetrieve:
     def test_embed_queries_in_order(self, setting):
-        ontology, queries, _, provider, _, _ = setting
-        vectors = embed_queries(queries, provider)
+        ontology, queries, _, provider, memory, _ = setting
+        batches = []
+
+        class Recording:
+            spec = provider.spec
+
+            def embed_batch(self, texts):
+                batches.append(provider.embed_batch(texts))
+                return batches[-1]
+
+        retrieve_for_queries(memory, queries, Recording(), 5)
+        [vectors] = batches
         assert len(vectors) == len(queries)
         singles = [provider.embed_batch([query_text(q)])[0] for q in queries]
         for got, want in zip(vectors, singles):
