@@ -15,6 +15,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import requests
@@ -41,6 +42,10 @@ _MAX_GRAM_BYTES = 12
 
 # characters hashed together by the local embedder; bounds its working memory
 _BLOCK_CHARS = 1 << 14
+
+# texts the library asks a provider for at once; bounds the batch held beside
+# the matrix it fills and the inputs of one remote request
+_SLICE_TEXTS = 2048
 
 # cache entry: 16-byte header (magic, dim u32 LE, 8 reserved), then float32 LE body
 CACHE_MAGIC = b"LFV1"
@@ -85,6 +90,16 @@ def local_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     if not text:
         raise EmptyText()
     return _trigram_matrix([text], dim, seed)[0]
+
+
+def text_slices(count: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_SLICE_TEXTS`` positions covering ``range(count)``.
+
+    Each slice is one provider call; a text's vector does not depend on
+    the batch it is embedded in, so slicing never changes a row.
+    """
+    for lo in range(0, count, _SLICE_TEXTS):
+        yield slice(lo, min(lo + _SLICE_TEXTS, count))
 
 
 def _check_local_dim(dim: int) -> None:
@@ -217,13 +232,20 @@ class RemoteProvider:
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """The float32 (len(texts), dim) matrix of unit rows, in input order.
 
-        Cache hits fill their rows; every miss goes into one request, whose
-        reply is checked whole before any row of it is cached.
+        Cache hits fill their rows; every distinct miss goes once into one
+        request, whose reply is checked whole before any row of it is
+        cached. A repeated text copies the row of its first occurrence.
         """
         cleaned = _clean_texts(texts)
         out = np.empty((len(cleaned), self.spec.dim), dtype=np.float32)
+        first: dict[str, int] = {}
+        repeats: list[int] = []
         misses: list[int] = []
         for i, text in enumerate(cleaned):
+            if text in first:
+                repeats.append(i)
+                continue
+            first[text] = i
             if self.cache is not None:
                 key = VectorCache.key(self.spec.provider_id, self.spec.model_id, text)
                 hit = self.cache.get(key)
@@ -244,6 +266,7 @@ class RemoteProvider:
                         self.spec.provider_id, self.spec.model_id, cleaned[j]
                     )
                     self.cache.put(key, out[j])
+        out[repeats] = out[[first[cleaned[i]] for i in repeats]]
         return out
 
     def _fetch(self, inputs: list[str], indices: list[int]) -> list[list[float]]:

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import Provider, ProviderSpec
+from .embedding import Provider, ProviderSpec, text_slices
 from .errors import (
     BadMagic,
     DimMismatch,
@@ -217,7 +217,9 @@ def build_memory(ontology: Ontology, provider: Provider) -> Memory:
     Entry order is the ontology's file order, name-only first then
     name+context per concept, so identical inputs always produce an
     identical store. Entry count is N + M for N concepts of which M carry
-    a description.
+    a description. Names are embedded first, then ``name: description``
+    texts, each pass in slices of at most 2,048 texts that are written
+    straight into their rows of the one stored matrix.
     """
     concepts = list(ontology)
     if not concepts:
@@ -235,16 +237,16 @@ def build_memory(ontology: Ontology, provider: Provider) -> Memory:
         (name_rows, concepts, [c.name for c in concepts]),
         (context_rows, described, [concept_text(c.name, c.description) for c in described]),
     ):
-        if not texts:
-            continue
-        try:
-            batch = provider.embed_batch(texts)
-        except LinkerError as exc:
-            raise MemoryBuildError(_offending(owners, exc), str(exc)) from exc
-        if np.shape(batch) != (len(rows), spec.dim):
-            raise DimMismatch(spec.dim, np.shape(batch)[-1])
-        vectors[rows] = batch
-        del batch  # so the next batch is not embedded while this one is held
+        for part in text_slices(len(texts)):
+            try:
+                batch = provider.embed_batch(texts[part])
+            except LinkerError as exc:
+                # the provider's index counts from the start of the slice
+                raise MemoryBuildError(_offending(owners[part], exc), str(exc)) from exc
+            if np.shape(batch) != (len(rows[part]), spec.dim):
+                raise DimMismatch(spec.dim, np.shape(batch)[-1])
+            vectors[rows[part]] = batch
+            del batch  # so the next slice is not embedded while this one is held
 
     codes = np.zeros(len(vectors), dtype=np.uint8)
     codes[context_rows] = _VARIANT_CODE[Variant.NAME_WITH_CONTEXT]

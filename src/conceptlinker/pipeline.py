@@ -12,6 +12,7 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
+from .embedding import text_slices
 from .fileio import KeyedLog
 from .memory import Candidate, Memory, query_text, retrieve_batch
 from .ontology import Ontology, Query
@@ -31,8 +32,15 @@ DEFAULT_CONCURRENCY = 4
 def retrieve_for_queries(
     memory: Memory, queries: list[Query], provider, k: int
 ) -> list[list[Candidate]]:
-    """Top-k candidates for each query's mention-plus-context text, in input order."""
-    return retrieve_batch(memory, provider.embed_batch([query_text(q) for q in queries]), k)
+    """Top-k candidates for each query's mention-plus-context text, in input order.
+
+    Queries are embedded and retrieved a slice of at most 2,048 at a time.
+    """
+    texts = [query_text(q) for q in queries]
+    slates: list[list[Candidate]] = []
+    for part in text_slices(len(texts)):
+        slates += retrieve_batch(memory, provider.embed_batch(texts[part]), k)
+    return slates
 
 
 class LinkJournal(KeyedLog):

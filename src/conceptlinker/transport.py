@@ -21,6 +21,8 @@ API_KEY_ENV = "LINKER_API_KEY"
 
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
+# the longest pause a server's Retry-After may ask for
+RETRY_AFTER_CAP_S = 30.0
 
 
 def bearer_token() -> str | None:
@@ -34,9 +36,11 @@ def post_json(session: requests.Session, url: str, body: dict,
 
     Timeouts, transport failures, HTTP 429 and 5xx are retried up to
     ``RETRY_ATTEMPTS`` times with ``RETRY_BACKOFF_S`` pauses, each retry
-    logged; the last failure is raised as :class:`Timeout` or
-    :class:`TransportError`. Any other 4xx raises :class:`TransportError`
-    at once.
+    logged with its pause; the last failure is raised as :class:`Timeout`
+    or :class:`TransportError`. A 429 or 503 whose ``Retry-After`` gives
+    delay-seconds pauses that long instead, at most ``RETRY_AFTER_CAP_S``
+    (RFC 9110 10.2.3). Any other 4xx raises :class:`TransportError` at
+    once.
     """
     headers = {}
     token = bearer_token()
@@ -44,11 +48,12 @@ def post_json(session: requests.Session, url: str, body: dict,
         headers["Authorization"] = f"Bearer {token}"
 
     last: Exception | None = None
+    pause = 0.0
     for attempt in range(RETRY_ATTEMPTS):
         if attempt:
-            pause = RETRY_BACKOFF_S[attempt - 1]
             logger.warning("retry %d of POST %s after %.0fs: %s", attempt, url, pause, last)
             time.sleep(pause)
+        pause = RETRY_BACKOFF_S[attempt]
         try:
             reply = session.post(url, json=body, headers=headers, timeout=timeout)
         except requests.Timeout as exc:
@@ -60,9 +65,19 @@ def post_json(session: requests.Session, url: str, body: dict,
         # rate limiting (429) is transient, like a server error
         if reply.status_code == 429 or reply.status_code >= 500:
             last = TransportError(reply.status_code, reply.text[:200])
+            if reply.status_code in (429, 503):
+                pause = _retry_after(reply, pause)
             continue
         if reply.status_code >= 400:
             raise TransportError(reply.status_code, reply.text[:200])
         return reply
     assert last is not None
     raise last
+
+
+def _retry_after(reply: requests.Response, default: float) -> float:
+    """The reply's ``Retry-After`` delay-seconds, capped; ``default`` for none or an HTTP-date."""
+    value = (getattr(reply, "headers", None) or {}).get("Retry-After", "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return default
+    return min(float(value), RETRY_AFTER_CAP_S)

@@ -14,13 +14,17 @@ from hypothesis import strategies as st
 from conceptlinker import (
     LOCAL_PROVIDER_ID,
     REMOTE_PROVIDER_ID,
+    Concept,
+    Ontology,
     ProviderSpec,
     RemoteProvider,
     VectorCache,
+    build_memory,
     local_embed,
     make_provider,
 )
 from conceptlinker import embedding as embedding_module
+from conceptlinker import transport
 from conceptlinker.embedding import CACHE_MAGIC
 from conceptlinker.errors import DimMismatch, EmptyText, InvalidVector, TransportError
 
@@ -171,10 +175,12 @@ class TestVectorCache:
 
 
 class FakeResponse:
-    def __init__(self, status_code: int, payload=None, text: str = ""):
+    def __init__(self, status_code: int, payload=None, text: str = "", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text or json.dumps(payload)
+        if headers is not None:  # a stub without headers stands for a bare reply
+            self.headers = headers
 
     def json(self):
         if self._payload is None:
@@ -332,6 +338,22 @@ class TestRemoteProvider:
         RemoteProvider(remote_spec(), session=session).embed_batch(["alpha"])
         assert "Authorization" not in session.calls[0]["headers"]
 
+    def test_each_distinct_miss_is_sent_once(self, tmp_path):
+        session = FakeSession([FakeResponse(200, embedding_payload([[2, 0, 0, 0], [0, 3, 0, 0]]))])
+        provider = RemoteProvider(remote_spec(), cache=VectorCache(tmp_path), session=session)
+        out = provider.embed_batch(["a", "b", "a", " a "])
+        assert [call["json"]["input"] for call in session.calls] == [["a", "b"]]
+        assert np.array_equal(out[0], out[2]) and np.array_equal(out[0], out[3])
+        np.testing.assert_array_equal(out[:2], [[1, 0, 0, 0], [0, 1, 0, 0]])
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_repeated_text_errors_name_its_first_occurrence(self):
+        session = FakeSession([FakeResponse(200, embedding_payload([[1, 0, 0, 0], [1, 0]]))])
+        provider = RemoteProvider(remote_spec(), session=session)
+        with pytest.raises(DimMismatch) as exc:
+            provider.embed_batch(["a", "a", "b", "b"])
+        assert exc.value.index == 2
+
     def test_empty_text_rejected_with_index(self):
         provider = RemoteProvider(remote_spec(), session=FakeSession([]))
         with pytest.raises(EmptyText) as exc:
@@ -357,6 +379,31 @@ def test_embed_batch_returns_one_float32_matrix(tmp_path):
     np.testing.assert_array_equal(out, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
+def test_remote_build_sends_one_bounded_post_per_slice(tmp_path):
+    class EchoSession(FakeSession):
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.calls.append({"url": url, "json": json, "headers": headers})
+            return FakeResponse(200, embedding_payload([[len(t), 1, 0, 0] for t in json["input"]]))
+
+    cache = VectorCache(tmp_path)
+    cache.put(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "name 1"),
+              np.array([0, 0, 1, 0], dtype=np.float32))
+    ontology = Ontology("remote", [
+        Concept(id=f"C{i}", name=f"name {i}", description="about" if i % 2 else None)
+        for i in range(7)
+    ])
+    session = EchoSession([])
+    provider = RemoteProvider(remote_spec(), cache=cache, session=session)
+    with mock.patch.object(embedding_module, "_SLICE_TEXTS", 3):
+        memory = build_memory(ontology, provider)
+    # names in slices of three, the cached "name 1" left out, then the contexts
+    assert [call["json"]["input"] for call in session.calls] == [
+        ["name 0", "name 2"], ["name 3", "name 4", "name 5"], ["name 6"],
+        ["name 1: about", "name 3: about", "name 5: about"],
+    ]
+    assert len(memory) == 10
+
+
 def test_cache_hit_of_another_dim_is_refused(tmp_path):
     cache = VectorCache(tmp_path)
     cache.put(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "beta"), np.ones(8, dtype=np.float32))
@@ -373,3 +420,52 @@ def test_make_provider_dispatch(tmp_path):
     assert isinstance(remote, RemoteProvider)
     with pytest.raises(ValueError):
         make_provider(ProviderSpec("nope", "m", 64))
+
+
+class TestRetryAfter:
+    """A 429 or 503 may ask for its pause; anything else keeps the fixed backoff."""
+
+    @pytest.fixture
+    def pauses(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("conceptlinker.transport.time.sleep", slept.append)
+        return slept
+
+    def embed(self, *failures):
+        ok = FakeResponse(200, embedding_payload([[1, 0, 0, 0]]))
+        session = FakeSession([*failures, ok])
+        RemoteProvider(remote_spec(), session=session).embed_batch(["alpha"])
+        return session
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_delay_seconds_are_honoured(self, pauses, status, caplog):
+        with caplog.at_level("WARNING"):
+            self.embed(FakeResponse(status, text="wait", headers={"Retry-After": "7"}))
+        assert pauses == [7.0]
+        assert "after 7s" in caplog.text
+
+    def test_pause_is_capped(self, pauses):
+        self.embed(FakeResponse(429, text="wait", headers={"Retry-After": "3600"}))
+        assert pauses == [transport.RETRY_AFTER_CAP_S]
+
+    @pytest.mark.parametrize("headers", [
+        {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"},
+        {"Retry-After": "-5"},
+        {"Retry-After": "1.5"},
+        {"Retry-After": "soon"},
+        {},
+        None,
+    ], ids=["http-date", "negative", "fraction", "junk", "missing", "no-headers"])
+    def test_other_values_fall_back_to_backoff(self, pauses, headers):
+        self.embed(FakeResponse(429, text="wait", headers=headers),
+                   FakeResponse(503, text="wait", headers=headers))
+        assert pauses == list(transport.RETRY_BACKOFF_S[:2])
+
+    def test_only_429_and_503_are_asked(self, pauses):
+        self.embed(FakeResponse(500, text="boom", headers={"Retry-After": "7"}))
+        assert pauses == [transport.RETRY_BACKOFF_S[0]]
+
+    def test_each_pause_comes_from_its_own_reply(self, pauses):
+        self.embed(FakeResponse(503, text="wait", headers={"Retry-After": "0"}),
+                   FakeResponse(500, text="boom"))
+        assert pauses == [0.0, transport.RETRY_BACKOFF_S[1]]

@@ -21,6 +21,7 @@ from conceptlinker import (
     parse_prompt,
     prompt_digest,
 )
+from conceptlinker import transport
 from conceptlinker.errors import Timeout, TranscriptMiss, TransportError
 
 from .test_embedding import FakeResponse, FakeSession
@@ -88,6 +89,24 @@ class TestHttpCompletionEndpoint:
         ])
         assert endpoint.complete("p") == "ok"
         assert len(session.calls) == 2
+
+    @pytest.mark.parametrize("status, headers, pause", [
+        (429, {"Retry-After": "5"}, 5.0),
+        (503, {"Retry-After": "5"}, 5.0),
+        (503, {"Retry-After": "86400"}, transport.RETRY_AFTER_CAP_S),
+        (429, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, transport.RETRY_BACKOFF_S[0]),
+        (429, {}, transport.RETRY_BACKOFF_S[0]),
+        (503, None, transport.RETRY_BACKOFF_S[0]),
+    ], ids=["429", "503", "capped", "http-date", "missing", "no-headers"])
+    def test_retry_after_sets_the_pause(self, monkeypatch, status, headers, pause):
+        slept = []
+        monkeypatch.setattr("conceptlinker.transport.time.sleep", slept.append)
+        endpoint, _ = self.make([
+            FakeResponse(status, text="wait", headers=headers),
+            FakeResponse(200, chat_payload("ok")),
+        ])
+        assert endpoint.complete("p") == "ok"
+        assert slept == [pause]
 
     def test_retries_exhaust_to_transport_error(self):
         endpoint, session = self.make([FakeResponse(503, text="down")] * 3)

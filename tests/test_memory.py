@@ -28,11 +28,13 @@ from conceptlinker import (
     retrieve_for_queries,
     save_memory,
 )
+from conceptlinker import embedding as embedding_module
 from conceptlinker import memory as memory_module
 from conceptlinker.errors import (
     BadMagic,
     DimMismatch,
     EmptyOntology,
+    EmptyText,
     FingerprintMismatch,
     InvalidVector,
     MemoryBuildError,
@@ -116,6 +118,87 @@ class TestBuildMemory:
         with pytest.raises(MemoryBuildError) as exc:
             build_memory(small_ontology(), Boom())
         assert exc.value.concept_id == "C2"
+
+
+words = st.text(alphabet="abcde ", min_size=1, max_size=12).filter(str.strip)
+concept_rows = st.lists(st.tuples(words, st.none() | words), min_size=1, max_size=20)
+
+
+def ontology_of(rows) -> Ontology:
+    return Ontology("sliced", [
+        Concept(id=f"C{i:02d}", name=name, description=description)
+        for i, (name, description) in enumerate(rows)
+    ])
+
+
+class TestSlicedEmbedding:
+    """Build and query embedding go to the provider in slices; output does not change."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=concept_rows)
+    def test_build_bytes_do_not_depend_on_slice(self, tmp_path_factory, rows):
+        ontology = ontology_of(rows)
+        provider = local_provider(dim=32)
+        root = tmp_path_factory.mktemp("sliced")
+        save_memory(build_memory(ontology, provider), root / "whole.bin")
+        for size in (1, 3, 7):
+            with mock.patch.object(embedding_module, "_SLICE_TEXTS", size):
+                save_memory(build_memory(ontology, provider), root / f"{size}.bin")
+            assert (root / f"{size}.bin").read_bytes() == (root / "whole.bin").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=concept_rows, mentions=st.lists(st.tuples(words, st.none() | words),
+                                                min_size=1, max_size=20))
+    def test_sliced_retrieval_equals_one_batch(self, rows, mentions):
+        provider = local_provider(dim=32)
+        memory = build_memory(ontology_of(rows), provider)
+        queries = [Query(id=f"q{i}", mention=m, context=c) for i, (m, c) in enumerate(mentions)]
+        whole = retrieve_batch(memory, provider.embed_batch([query_text(q) for q in queries]), 4)
+        for size in (1, 3, 7):
+            with mock.patch.object(embedding_module, "_SLICE_TEXTS", size):
+                assert retrieve_for_queries(memory, queries, provider, 4) == whole
+
+    def test_no_call_exceeds_the_slice(self):
+        sizes = []
+        inner = local_provider(dim=32)
+
+        class Recording:
+            spec = inner.spec
+
+            def embed_batch(self, texts):
+                sizes.append(len(texts))
+                return inner.embed_batch(texts)
+
+        ontology = ontology_of([(f"name {i}", "context" if i % 2 else None) for i in range(7)])
+        with mock.patch.object(embedding_module, "_SLICE_TEXTS", 3):
+            build_memory(ontology, Recording())
+            retrieve_for_queries(build_memory(ontology, inner),
+                                 [Query(id=f"q{i}", mention="name") for i in range(5)],
+                                 Recording(), 2)
+        # 7 names, then 3 contexts, then 5 queries
+        assert sizes == [3, 3, 1, 3, 3, 2]
+
+    @pytest.mark.parametrize("failing, concept_id", [
+        ("name 4", "C04"),  # second slice of names, its second text
+        ("name 7: about 7", "C07"),  # second slice of contexts, its first text
+    ])
+    def test_failure_in_a_later_slice_names_its_concept(self, failing, concept_id):
+        inner = local_provider(dim=32)
+
+        class FailsOnOneText:
+            spec = inner.spec
+
+            def embed_batch(self, texts):
+                if failing in texts:
+                    raise EmptyText(index=texts.index(failing))
+                return inner.embed_batch(texts)
+
+        # C01, C03, C05 and C07 are described, so C07's context is fourth of four
+        ontology = ontology_of([(f"name {i}", f"about {i}" if i % 2 else None) for i in range(8)])
+        with mock.patch.object(embedding_module, "_SLICE_TEXTS", 3):
+            with pytest.raises(MemoryBuildError) as exc:
+                build_memory(ontology, FailsOnOneText())
+        assert exc.value.concept_id == concept_id
 
 
 unit_vectors = st.integers(min_value=0, max_value=2**32 - 1).map(
