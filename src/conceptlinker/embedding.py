@@ -232,9 +232,11 @@ class RemoteProvider:
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """The float32 (len(texts), dim) matrix of unit rows, in input order.
 
-        Cache hits fill their rows; every distinct miss goes once into one
-        request, whose reply is checked whole before any row of it is
-        cached. A repeated text copies the row of its first occurrence.
+        Cache hits fill their rows; every distinct miss is sent once, in
+        requests of at most ``_SLICE_TEXTS`` inputs. Each reply is checked
+        whole before any row of it is cached, so a failed request leaves the
+        earlier ones cached. A repeated text copies the row of its first
+        occurrence.
         """
         cleaned = _clean_texts(texts)
         out = np.empty((len(cleaned), self.spec.dim), dtype=np.float32)
@@ -256,12 +258,13 @@ class RemoteProvider:
                     continue
             misses.append(i)
 
-        if misses:
-            fetched = self._fetch([cleaned[i] for i in misses], misses)
-            for j, vec in zip(misses, fetched):
+        for part in text_slices(len(misses)):
+            sent = misses[part]
+            fetched = self._fetch([cleaned[i] for i in sent], sent)
+            for j, vec in zip(sent, fetched):
                 out[j] = _unit(np.asarray(vec, dtype=np.float64), j)
             if self.cache is not None:
-                for j in misses:
+                for j in sent:
                     key = VectorCache.key(
                         self.spec.provider_id, self.spec.model_id, cleaned[j]
                     )

@@ -13,12 +13,23 @@ Selection works on entries, not concepts: a concept has at most
 concepts, and the concept maxima among them give the k-th best concept
 score. The product's last bits depend on the summation order the BLAS
 kernel picks, so it only selects: every entry within a proven error margin
-of that score, and of its own concept's best, is rescored with
-:func:`cosine`, whose value depends on the two vectors alone. Concepts then
+of that score, and of its own concept's best, is rescored to the value
+:func:`cosine` gives, which depends on the two vectors alone. Concepts then
 rank by that exact score, descending, and tie-break by ascending id; within
 a concept the earlier, name-only entry wins an exact tie. Equal vectors
 therefore tie exactly wherever they sit in the store, and runs are
 reproducible on any machine.
+
+The rescore does one numpy pass per chunk instead of a ``math.fsum`` per
+sum. Error-free transformations make a correctly rounded sum cheap to
+vectorise (Ogita, Rump and Oishi, Accurate Sum and Dot Product, 2005): a
+pairwise TwoSum tree sums each row to hi and keeps every rounding error
+exactly, the errors sum to lo with a proven bound, and fl(hi + lo) is kept
+only where the exact remainder plus that bound stays below half the gap to
+the next float toward zero, so no exact sum could round elsewhere. A second
+TwoSum tree over the errors certifies most of the rest, exact midpoints
+included, and what neither settles goes to ``math.fsum``; every sum is
+therefore fsum's, bit for bit. :func:`_exact_sums` gives the proof.
 """
 
 from __future__ import annotations
@@ -63,6 +74,17 @@ _BLOCK_BYTES = 4 << 20
 # stays a normal float32 and the matrix product can neither overflow nor
 # lose more than a negligible amount to subnormal products
 _NORM_RANGE = (2.0 ** -64, 2.0 ** 64)
+
+# entries whose scores bound each query's selection threshold from below
+_HEAD_ENTRIES = 4096
+
+# the fewest float64 products the exact rescore sums at once, 128 KB; it
+# holds about three times its block
+_SUM_BLOCK = 1 << 14
+
+# a column of n values each below this over n sums without overflow, in
+# the TwoSum tree and in fsum alike
+_SUM_LIMIT = 2.0 ** 1020
 
 
 class Variant(str, Enum):
@@ -312,36 +334,50 @@ def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
     if queries.ndim != 2 or queries.shape[1] != memory.dim:
         raise DimMismatch(memory.dim, queries.shape[-1])
     units = _unit_rows(queries, "query").astype(np.float32)
-    count = len(memory)
-    if count == 0:
+    if len(memory) == 0:
         return [[] for _ in queries]
 
     keep = min(k, len(memory.concept_ids))
-    # the best `top` entries span at least `keep` concepts
-    top = min(keep * memory._max_run, count)
-    chunk = max(1, _BLOCK_BYTES // (4 * count))
+    chunk = max(1, _BLOCK_BYTES // (4 * len(memory)))
     slates = []
     for lo in range(0, len(queries), chunk):
-        scores = units[lo : lo + chunk] @ memory.vectors.T
-        scores *= memory._inv_norms
-        # every concept that can reach the top k has its best entry no
-        # further than the margin below the `top`-th best entry
-        tops = np.partition(scores, count - top, axis=1)[:, count - top].tolist()
-        for row, nth, query in zip(scores, tops, queries[lo : lo + chunk]):
-            rows = np.flatnonzero(row >= nth - memory._margin)
-            slates.append(_exact_top(memory, rows, row[rows].tolist(), query, keep))
+        picks = _select(memory, units[lo : lo + chunk], keep)
+        slates += _exact_top(memory, picks, queries[lo : lo + chunk], keep)
     return slates
 
 
-def _exact_top(memory: Memory, rows: np.ndarray, selection: list[float],
-               query: np.ndarray, keep: int) -> list[Candidate]:
-    """The ``keep`` best concepts by exact score, then id, among entries ``rows``.
+def _select(memory: Memory, units: np.ndarray, keep: int) -> list[list[tuple[int, int]]]:
+    """Per query, the (entry, concept) pairs that may decide its top ``keep``.
 
-    ``rows`` ascend and hold the best entry of every concept that can reach
-    the top ``keep``, plus at least ``keep`` concepts' best entries;
-    ``selection`` is their float32 scores.
+    Every concept that can reach the top ``keep`` has its best entry no
+    further than the margin below the ``top``-th best entry, as do the best
+    entries of at least ``keep`` concepts; of those entries, each that trails
+    the ``keep``-th best concept or its own concept's best by more than the
+    margin can neither win nor tie, so it is dropped. The ``top``-th best of
+    the first ``_HEAD_ENTRIES`` entries is a lower bound on the ``top``-th best
+    of all, so only the entries that clear it are partitioned.
     """
-    rows = rows.tolist()
+    count = len(memory)
+    # the best `top` entries span at least `keep` concepts
+    top = min(keep * memory._max_run, count)
+    margin = memory._margin
+    scores = units @ memory.vectors.T
+    scores *= memory._inv_norms
+    head = scores[:, :max(top, _HEAD_ENTRIES)]
+    floors = np.partition(head, head.shape[1] - top, axis=1)[:, head.shape[1] - top].tolist()
+    picks = []
+    for row, floor in zip(scores, floors):
+        rows = np.flatnonzero(row >= floor - margin)
+        selection = row[rows]
+        nth = np.partition(selection, len(rows) - top)[len(rows) - top].item()
+        inside = selection >= nth - margin
+        picks.append(_pick(memory, rows[inside].tolist(), selection[inside].tolist(), keep))
+    return picks
+
+
+def _pick(memory: Memory, rows: list[int], selection: list[float],
+          keep: int) -> list[tuple[int, int]]:
+    """The (entry, concept) pairs of ``rows`` that may win or tie, by their float32 ``selection``."""
     concepts = memory.concept_index[rows].tolist()
     best: dict[int, float] = {}
     for c, score in zip(concepts, selection):
@@ -349,24 +385,201 @@ def _exact_top(memory: Memory, rows: np.ndarray, selection: list[float],
             best[c] = score
     kth = heapq.nlargest(keep, best.values())[-1]
     margin = memory._margin
-    picked = [
+    return [
         (row, c) for row, c, score in zip(rows, concepts, selection)
         if score >= kth - margin and score >= best[c] - margin
     ]
-    block = memory.vectors[[row for row, _ in picked]].astype(np.float64)
-    sums = [math.fsum(terms) for terms in np.concatenate((block * query, block * block)).tolist()]
-    query_norm = _norm(query)
-    ranked: dict[int, tuple[float, int]] = {}
-    for (row, c), dot, square in zip(picked, sums, sums[len(picked):]):
-        score = _quotient(dot, math.sqrt(square), query_norm)
-        if c not in ranked or score > ranked[c][0]:
-            ranked[c] = (score, row)
-    order = sorted((-score, memory.concept_ids[c], row) for c, (score, row) in ranked.items())
-    return [
-        Candidate(concept_id=cid, score=-negated,
-                  variant=_VARIANTS[memory.variant_codes[row]])
-        for negated, cid, row in order[:keep]
-    ]
+
+
+def _exact_top(memory: Memory, picks: list[list[tuple[int, int]]], queries: np.ndarray,
+               keep: int) -> list[list[Candidate]]:
+    """Each query's ``keep`` best concepts by exact score, then id, among its ``picks``."""
+    rows = np.array([row for pairs in picks for row, _ in pairs], dtype=np.int64)
+    owners = np.repeat(np.arange(len(picks)), [len(pairs) for pairs in picks])
+    # products summed at once: a sixteenth of the chunk's selection scores,
+    # so the rescore never holds more than they did, but at least _SUM_BLOCK
+    block = max(_SUM_BLOCK, len(queries) * len(memory) // 16)
+    dots, squares = _pair_sums(memory, rows, owners, queries, block)
+    query_squares = _row_squares(queries, block)
+    # the IEEE operations of _quotient, one pass for the chunk
+    scores = dots / (np.sqrt(squares) * np.sqrt(query_squares)[owners])
+    np.clip(scores, -1.0, 1.0, out=scores)
+    scores = iter(scores.tolist())
+    slates = []
+    for pairs in picks:
+        ranked: dict[int, tuple[float, int]] = {}
+        for (row, c), score in zip(pairs, scores):
+            if c not in ranked or score > ranked[c][0]:
+                ranked[c] = (score, row)
+        order = sorted((-score, memory.concept_ids[c], row) for c, (score, row) in ranked.items())
+        slates.append([
+            Candidate(concept_id=cid, score=-negated,
+                      variant=_VARIANTS[memory.variant_codes[row]])
+            for negated, cid, row in order[:keep]
+        ])
+    return slates
+
+
+def _pair_sums(memory: Memory, rows: np.ndarray, owners: np.ndarray, queries: np.ndarray,
+               block: int) -> tuple[np.ndarray, np.ndarray]:
+    """``fsum`` of each entry ``rows[i]`` times ``queries[owners[i]]``, and of its square.
+
+    The products go into column blocks of about ``block`` values, and the
+    scratch space of three such blocks serves every block in turn.
+    """
+    dim = memory.dim
+    step = max(1, block // (2 * dim))
+    flat = np.empty(3 * dim * 2 * min(step, len(rows)))
+    sums = np.empty((2, len(rows)))
+    for lo in range(0, len(rows), step):
+        picked = rows[lo : lo + step]
+        width = len(picked)
+        cols = flat[: dim * 2 * width].reshape(dim, 2 * width)
+        # the factors are laid out in the scratch space the sums use next
+        work = flat[dim * 2 * width :]
+        entries = work[: dim * width].reshape(width, dim)
+        entries[...] = memory.vectors[picked]
+        products = np.take(queries, owners[lo : lo + step], axis=0, mode="clip",
+                           out=work[dim * width : dim * 2 * width].reshape(width, dim))
+        cols[:, :width] = np.multiply(entries, products, out=products).T
+        cols[:, width:] = np.multiply(entries, entries, out=entries).T
+        sums[:, lo : lo + width] = _exact_sums(cols, work).reshape(2, width)
+    return sums[0], sums[1]
+
+
+def _row_squares(queries: np.ndarray, block: int) -> np.ndarray:
+    """``fsum`` of each query's squares, in column blocks of about ``block`` values."""
+    step = max(1, block // queries.shape[1])
+    sums = []
+    for lo in range(0, len(queries), step):
+        cols = queries[lo : lo + step].T.copy()  # never the caller's array
+        sums.append(_exact_sums(np.multiply(cols, cols, out=cols)))
+    return np.concatenate(sums)
+
+
+def _exact_sums(columns: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """``[math.fsum(c) for c in columns.T.tolist()]`` as one float64 array, bit for bit.
+
+    Sums each column of the float64 (n, m) ``columns``; raises, returns
+    infinity or NaN exactly as :func:`math.fsum` does. ``work`` is scratch
+    space of at least 2 n m values; ``columns`` is left as it is.
+
+    Why it is exact. Let S be a column's exact sum.
+
+    - TwoSum (Knuth; Ogita, Rump and Oishi 2005, algorithm 3.1) of floats a
+      and b gives s = fl(a + b) and e with s + e = a + b exactly, in any
+      binary floating-point arithmetic with round-to-nearest and gradual
+      underflow, unless something overflows. Every entry is below
+      ``_SUM_LIMIT`` / n in magnitude, so no partial sum of the tree, nor
+      of fsum, comes near the overflow threshold; a column outside that
+      goes to fsum itself.
+    - The pairwise tree makes n - 1 TwoSums, so S = hi + sum(errs) exactly,
+      with hi the tree's sum and errs its n - 1 errors.
+    - lo, the plain float sum of errs in any order, is within gamma_n A of
+      sum(errs), where A bounds sum(|errs|), u = 2**-53 and gamma_n =
+      n u / (1 - n u) (Higham 4.2). A float sum of the |errs| is at least
+      (1 - gamma_n) of their exact sum; scaling it by 4 n u covers both,
+      and the rounding of that product, while n u < 0.01. Had the scaled
+      bound underflowed, the error it bounds would be below the smallest
+      subnormal, and a sum of floats is off by a multiple of that, so 0.
+    - r = fl(hi + lo), and t, the exact remainder hi + lo - r, comes from
+      one more TwoSum. Then S = r + t + d with |d| <= the bound, and r is
+      the correctly rounded S when |t| + bound is below half the gap from
+      r to its neighbour toward zero. That gap is the smaller of the two:
+      at a power of two the gap away from zero is twice as wide, elsewhere
+      they are equal. The rounded sum |t| + bound can only fall below a
+      power of two if the exact one does, so the test in floats is sound.
+    - A column that fails (an exact midpoint fails by construction) gets a
+      second distillation: the same tree over its errs gives hi2 and errs2,
+      S = hi + hi2 + sum(errs2) exactly, and r = fl(hi + hi2) is tested the
+      same way with bound = (1 + 4 n u) times the float sum of |errs2|.
+      When errs2 are all zero the bound is 0, hi + hi2 is S itself, and
+      IEEE addition rounds it exactly as fsum does, midpoints included.
+    - r = 0, whose sign fsum fixes by its own rule, and a column whose
+      second test fails too, go to fsum.
+    """
+    n, m = columns.shape
+    if n == 0 or m == 0:
+        return np.zeros(m)
+    if work is None:
+        work = np.empty(2 * n * m)
+    peak = max(columns.max(), -columns.min())
+    if not peak < _SUM_LIMIT / n:  # NaN compares false as well
+        sums = np.empty(m)
+        fine = np.maximum(columns.max(axis=0), -columns.min(axis=0)) < _SUM_LIMIT / n
+        # in column order, so the first column fsum raises for raises first
+        for j in np.flatnonzero(~fine).tolist():
+            sums[j] = math.fsum(columns[:, j].tolist())
+        sums[fine] = _exact_sums(columns[:, fine])
+        return sums
+
+    hi, errs = _distill(columns, work[: 2 * n * m].reshape(2 * n, m))
+    lo = errs.sum(axis=0)
+    spread = np.abs(errs, out=work[(n - 1) * m : 2 * (n - 1) * m].reshape(n - 1, m))
+    sums, certified = _round(hi, lo, spread.sum(axis=0) * (n * 2.0 ** -51))
+    retry = np.flatnonzero(~certified)
+    if len(retry) and n > 1:
+        # the gathered errors are all the second tree needs beside ``work``
+        errs = errs[:, retry]
+        hi2, errs2 = _distill(errs, work[: 2 * (n - 1) * len(retry)].reshape(2 * (n - 1), -1))
+        spread = np.abs(errs2, out=work[(n - 2) * len(retry) : 2 * (n - 2) * len(retry)]
+                        .reshape(n - 2, len(retry)))
+        bound = spread.sum(axis=0) * (1.0 + n * 2.0 ** -51)
+        sums[retry], certified = _round(hi[retry], hi2, bound)
+        retry = retry[~certified]
+    for j in retry.tolist():
+        sums[j] = math.fsum(columns[:, j].tolist())
+    return sums
+
+
+def _distill(columns: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pairwise TwoSum tree down each column: its sums, and its n - 1 errors per column.
+
+    ``work`` is (2 n, m) scratch; the errors are its first n - 1 rows. The
+    two halves of each level pair up, and an odd row is carried to the
+    next level as it is.
+    """
+    n = len(columns)
+    half = (n + 1) // 2
+    errs = work[: n - 1]
+    spare = (work[n - 1 : n - 1 + half], work[n - 1 + half : n - 1 + 2 * half])
+    # each level sums into the spare buffer that does not hold the level
+    level, at, (free, held) = columns, 0, spare
+    while len(level) > 1:
+        pairs = len(level) // 2
+        width = len(level) - pairs
+        sums = free[:width]
+        scratch = held[:pairs] if level is columns else free[width : width + pairs]
+        _two_sum(level[:pairs], level[pairs : 2 * pairs], sums[:pairs], errs[at : at + pairs],
+                 scratch)
+        if width > pairs:
+            sums[pairs] = level[2 * pairs]
+        at += pairs
+        level, free, held = sums, held, free
+    return level[0].copy(), errs
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray, s: np.ndarray, err: np.ndarray,
+             scratch: np.ndarray) -> None:
+    """s = fl(a + b) and err = a + b - s exactly; s, err and scratch alias neither input."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=scratch)
+    np.subtract(b, scratch, out=err)
+    np.subtract(s, scratch, out=scratch)
+    np.subtract(a, scratch, out=scratch)
+    np.add(err, scratch, out=err)
+
+
+def _round(hi: np.ndarray, lo: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fl(hi + lo), and where it is certainly the correctly rounded hi + lo + d, |d| <= bound."""
+    r = hi + lo
+    back = r - hi
+    remainder = (hi - (r - back)) + (lo - back)
+    size = np.abs(r)
+    half_gap = (size - np.nextafter(size, 0.0)) * 0.5
+    certified = np.abs(remainder) + bound < half_gap
+    certified |= (bound == 0.0) & (r != 0.0)
+    return r, certified
 
 
 def save_memory(memory: Memory, path: str | Path) -> None:

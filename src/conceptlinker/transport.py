@@ -19,8 +19,10 @@ logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "LINKER_API_KEY"
 
+# attempts in all, so RETRY_ATTEMPTS - 1 retries, the n-th after a pause of
+# RETRY_BACKOFF_S[n - 1]
 RETRY_ATTEMPTS = 3
-RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
+RETRY_BACKOFF_S = (1.0, 2.0)
 # the longest pause a server's Retry-After may ask for
 RETRY_AFTER_CAP_S = 30.0
 
@@ -34,13 +36,13 @@ def post_json(session: requests.Session, url: str, body: dict,
               timeout: float) -> requests.Response:
     """POST ``body`` as JSON and return the first reply below HTTP 400.
 
-    Timeouts, transport failures, HTTP 429 and 5xx are retried up to
-    ``RETRY_ATTEMPTS`` times with ``RETRY_BACKOFF_S`` pauses, each retry
-    logged with its pause; the last failure is raised as :class:`Timeout`
-    or :class:`TransportError`. A 429 or 503 whose ``Retry-After`` gives
-    delay-seconds pauses that long instead, at most ``RETRY_AFTER_CAP_S``
-    (RFC 9110 10.2.3). Any other 4xx raises :class:`TransportError` at
-    once.
+    Timeouts, transport failures, HTTP 429 and 5xx are retried, in at most
+    ``RETRY_ATTEMPTS`` attempts in all: each retry follows one pause from
+    ``RETRY_BACKOFF_S`` in turn and is logged with it, and the last failure
+    is raised as :class:`Timeout` or :class:`TransportError`. A 429 or 503
+    whose ``Retry-After`` gives delay-seconds pauses that long instead, at
+    most ``RETRY_AFTER_CAP_S`` (RFC 9110 10.2.3). Any other 4xx raises
+    :class:`TransportError` at once.
     """
     headers = {}
     token = bearer_token()
@@ -48,12 +50,13 @@ def post_json(session: requests.Session, url: str, body: dict,
         headers["Authorization"] = f"Bearer {token}"
 
     last: Exception | None = None
-    pause = 0.0
+    asked = None  # the pause the last reply asked for
     for attempt in range(RETRY_ATTEMPTS):
         if attempt:
+            pause = RETRY_BACKOFF_S[attempt - 1] if asked is None else asked
             logger.warning("retry %d of POST %s after %.0fs: %s", attempt, url, pause, last)
             time.sleep(pause)
-        pause = RETRY_BACKOFF_S[attempt]
+            asked = None
         try:
             reply = session.post(url, json=body, headers=headers, timeout=timeout)
         except requests.Timeout as exc:
@@ -66,7 +69,7 @@ def post_json(session: requests.Session, url: str, body: dict,
         if reply.status_code == 429 or reply.status_code >= 500:
             last = TransportError(reply.status_code, reply.text[:200])
             if reply.status_code in (429, 503):
-                pause = _retry_after(reply, pause)
+                asked = _retry_after(reply)
             continue
         if reply.status_code >= 400:
             raise TransportError(reply.status_code, reply.text[:200])
@@ -75,9 +78,9 @@ def post_json(session: requests.Session, url: str, body: dict,
     raise last
 
 
-def _retry_after(reply: requests.Response, default: float) -> float:
-    """The reply's ``Retry-After`` delay-seconds, capped; ``default`` for none or an HTTP-date."""
+def _retry_after(reply: requests.Response) -> float | None:
+    """The reply's ``Retry-After`` delay-seconds, capped; None for none or an HTTP-date."""
     value = (getattr(reply, "headers", None) or {}).get("Retry-After", "").strip()
     if not (value.isascii() and value.isdigit()):
-        return default
+        return None
     return min(float(value), RETRY_AFTER_CAP_S)

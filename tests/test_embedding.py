@@ -379,12 +379,21 @@ def test_embed_batch_returns_one_float32_matrix(tmp_path):
     np.testing.assert_array_equal(out, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
-def test_remote_build_sends_one_bounded_post_per_slice(tmp_path):
-    class EchoSession(FakeSession):
-        def post(self, url, json=None, headers=None, timeout=None):
-            self.calls.append({"url": url, "json": json, "headers": headers})
-            return FakeResponse(200, embedding_payload([[len(t), 1, 0, 0] for t in json["input"]]))
+class EchoSession(FakeSession):
+    """Answers every request with one embedding per input, or with its scripted failure."""
 
+    def __init__(self, failures=None):
+        super().__init__([])
+        self.failures = dict(failures or {})  # call number -> reply
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls.append({"url": url, "json": json, "headers": headers})
+        if len(self.calls) in self.failures:
+            return self.failures[len(self.calls)]
+        return FakeResponse(200, embedding_payload([[len(t), 1, 0, 0] for t in json["input"]]))
+
+
+def test_remote_build_sends_one_bounded_post_per_slice(tmp_path):
     cache = VectorCache(tmp_path)
     cache.put(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "name 1"),
               np.array([0, 0, 1, 0], dtype=np.float32))
@@ -392,7 +401,7 @@ def test_remote_build_sends_one_bounded_post_per_slice(tmp_path):
         Concept(id=f"C{i}", name=f"name {i}", description="about" if i % 2 else None)
         for i in range(7)
     ])
-    session = EchoSession([])
+    session = EchoSession()
     provider = RemoteProvider(remote_spec(), cache=cache, session=session)
     with mock.patch.object(embedding_module, "_SLICE_TEXTS", 3):
         memory = build_memory(ontology, provider)
@@ -402,6 +411,57 @@ def test_remote_build_sends_one_bounded_post_per_slice(tmp_path):
         ["name 1: about", "name 3: about", "name 5: about"],
     ]
     assert len(memory) == 10
+
+
+class TestRemoteSlices:
+    """A direct embed_batch call posts its misses in bounded requests."""
+
+    def test_distinct_misses_go_in_requests_of_at_most_a_slice(self):
+        session = EchoSession()
+        texts = [f"text {i}" for i in range(5000)]
+        out = RemoteProvider(remote_spec(), session=session).embed_batch(texts)
+        sent = [call["json"]["input"] for call in session.calls]
+        assert [len(inputs) for inputs in sent] == [2048, 2048, 904]
+        assert [t for inputs in sent for t in inputs] == texts
+        np.testing.assert_allclose(out[4321], np.array([9, 1, 0, 0]) / np.sqrt(82), rtol=1e-6)
+
+    @pytest.mark.parametrize("failure", [
+        FakeResponse(400, text="bad request"),
+        FakeResponse(200, {"data": [{"embedding": [1, 0, 0, 0]}]}),  # one row short
+        FakeResponse(200, embedding_payload([[1, 0, 0, 0], [0, 0, 0, 0]])),  # a zero row
+    ], ids=["http-400", "short-reply", "zero-row"])
+    def test_failed_second_request_keeps_the_first_cached(self, tmp_path, failure):
+        cache = VectorCache(tmp_path)
+        session = EchoSession({2: failure})
+        provider = RemoteProvider(remote_spec(), cache=cache, session=session)
+        texts = ["a", "bb", "ccc", "dddd", "eeeee"]
+        with mock.patch.object(embedding_module, "_SLICE_TEXTS", 2):
+            with pytest.raises((TransportError, InvalidVector)) as exc:
+                provider.embed_batch(texts)
+        if isinstance(exc.value, InvalidVector):
+            assert exc.value.index == 3  # named by its position in the caller's batch
+        assert len(session.calls) == 2
+        # the first slice is cached whole; nothing of the failed reply is
+        assert len(list(tmp_path.iterdir())) == 2
+        for text, length in (("a", 1), ("bb", 2)):
+            hit = cache.get(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", text))
+            np.testing.assert_allclose(hit, np.array([length, 1, 0, 0]) / np.hypot(length, 1),
+                                       rtol=1e-6)
+        # a rerun posts only what the first slice did not cover
+        again = EchoSession()
+        with mock.patch.object(embedding_module, "_SLICE_TEXTS", 2):
+            RemoteProvider(remote_spec(), cache=cache, session=again).embed_batch(texts)
+        assert [call["json"]["input"] for call in again.calls] == [["ccc", "dddd"], ["eeeee"]]
+
+
+def test_always_failing_post_pauses_once_per_retry(monkeypatch):
+    slept = []
+    monkeypatch.setattr("conceptlinker.transport.time.sleep", slept.append)
+    session = FakeSession([FakeResponse(500, text="boom")] * 10)
+    with pytest.raises(TransportError):
+        transport.post_json(session, "https://e.test/v1", {}, 1.0)
+    assert len(session.calls) == transport.RETRY_ATTEMPTS == 3
+    assert slept == list(transport.RETRY_BACKOFF_S)
 
 
 def test_cache_hit_of_another_dim_is_refused(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 import string
 from unittest import mock
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conceptlinker import (
     Concept,
@@ -561,6 +563,246 @@ class TestEntrySelection:
         with pytest.raises(InvalidVector) as exc:
             memory_from_rows(entries, 16)
         assert exc.value.index == 1
+
+
+def _fsum_bits(rows: np.ndarray) -> list[int]:
+    return np.array([math.fsum(r) for r in rows.tolist()]).view(np.uint64).tolist()
+
+
+def _assert_exact_sums(rows) -> None:
+    """The rescore's column sums equal fsum of each row, bit for bit, sign of zero included."""
+    rows = np.asarray(rows, dtype=np.float64)
+    columns = np.ascontiguousarray(rows.T)
+    before = columns.copy()
+    got = memory_module._exact_sums(columns)
+    assert got.dtype == np.float64 and got.shape == (len(rows),)
+    assert got.view(np.uint64).tolist() == _fsum_bits(rows)
+    assert np.array_equal(columns, before)
+    # a strided view of the same values sums the same
+    assert memory_module._exact_sums(rows.T).view(np.uint64).tolist() == _fsum_bits(rows)
+
+
+_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_F64 = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e30, max_value=1e30)
+
+
+def _shapes(max_rows: int = 6, max_width: int = 40):
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_width))
+
+
+def _half_gap_up(x: float) -> float:
+    return (math.nextafter(x, math.inf) - x) / 2
+
+
+def _half_gap_down(x: float) -> float:
+    return (x - math.nextafter(x, 0.0)) / 2
+
+
+@st.composite
+def _midpoint_rows(draw, tail: bool):
+    """Rows summing to an exact midpoint between two floats, or a hair beside one.
+
+    The halfway step is split in two, so no single term carries it, and
+    cancelling pairs widen the row and spread its exponents.
+    """
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        x = draw(st.floats(1.0, 2.0, exclude_max=True)) * 2.0 ** draw(st.integers(-40, 40))
+        if draw(st.booleans()):
+            x = 2.0 ** draw(st.integers(-40, 40))  # where the gap below is half the gap above
+        # the midpoint above x, or the one below, which at a power of two
+        # is half as far
+        half = _half_gap_up(x) if draw(st.booleans()) else -_half_gap_down(x)
+        terms = [x, half / 2, half / 2]
+        if tail:
+            terms.append(draw(st.sampled_from([1.0, -1.0])) * half
+                         * 2.0 ** -draw(st.integers(1, 90)))
+        for y in draw(st.lists(st.floats(-1.0, 1.0), max_size=6)):
+            y *= 2.0 ** draw(st.integers(-70, 0))
+            terms += [y, -y]
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        rows.append([sign * t for t in draw(st.permutations(terms))])
+    width = max(len(r) for r in rows)
+    return np.array([r + [0.0] * (width - len(r)) for r in rows])
+
+
+class TestExactSums:
+    """The rescore's vectorised sums against math.fsum, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=_shapes())
+    def test_float32_products(self, data, shape):
+        a = data.draw(hnp.arrays(np.float32, shape, elements=_F32)).astype(np.float64)
+        b = data.draw(hnp.arrays(np.float32, shape, elements=_F32)).astype(np.float64)
+        products = a * b
+        if np.isfinite(products).all():
+            _assert_exact_sums(products)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=_shapes())
+    def test_float32_times_float64(self, data, shape):
+        # a library caller's float64 query against float32 entries
+        a = data.draw(hnp.arrays(np.float32, shape, elements=_F32)).astype(np.float64)
+        b = data.draw(hnp.arrays(np.float64, shape, elements=_F64))
+        products = a * b
+        if np.isfinite(products).all():
+            _assert_exact_sums(products)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=_shapes(max_width=300))
+    def test_exponent_spread_across_norm_range(self, data, shape):
+        # entries of any length inside _NORM_RANGE, against unit queries
+        low, high = (int(math.log2(x)) for x in memory_module._NORM_RANGE)
+        mantissas = data.draw(hnp.arrays(np.float32, shape, elements=st.floats(
+            -2.0, 2.0, width=32, allow_subnormal=False)))
+        exponents = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(low, high)))
+        entries = np.ldexp(mantissas.astype(np.float64), exponents).astype(np.float32)
+        queries = data.draw(hnp.arrays(np.float32, shape, elements=st.floats(
+            -1.0, 1.0, width=32)))
+        _assert_exact_sums(entries.astype(np.float64) * queries.astype(np.float64))
+        _assert_exact_sums(np.square(entries.astype(np.float64)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), shape=_shapes(max_width=30))
+    def test_gradual_underflow(self, data, shape):
+        values = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
+            -2.0 ** -1000, 2.0 ** -1000)))
+        _assert_exact_sums(values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_midpoint_rows(tail=False))
+    def test_exact_midpoints(self, rows):
+        _assert_exact_sums(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_midpoint_rows(tail=True))
+    def test_a_hair_beside_a_midpoint(self, rows):
+        _assert_exact_sums(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=_shapes(max_width=20))
+    def test_cancellation(self, data, shape):
+        values = data.draw(hnp.arrays(np.float32, shape, elements=_F32)).astype(np.float64)
+        tiny = data.draw(hnp.arrays(np.float64, (shape[0], 1), elements=st.floats(-1e-30, 1e-30)))
+        rows = np.concatenate([values, -values[:, ::-1], tiny], axis=1)
+        order = data.draw(st.permutations(range(rows.shape[1])))
+        _assert_exact_sums(rows[:, order])
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (1, 1), (4, 1), (2, 2), (5, 3),
+                                       (3, 7), (2, 255), (2, 257)])
+    def test_widths_and_empty(self, shape):
+        gen = np.random.default_rng(sum(shape))
+        _assert_exact_sums(gen.normal(size=shape))
+        _assert_exact_sums(np.zeros(shape))
+        _assert_exact_sums(-np.zeros(shape))
+
+    def test_signed_zero_rows(self):
+        _assert_exact_sums([[-0.0, -0.0, -0.0], [1.0, -1.0, -0.0], [-0.0, 0.0, -0.0],
+                            [2.0 ** -1074, -(2.0 ** -1074), 0.0]])
+
+    def test_certificate_refuses_a_plain_rounding(self):
+        # the TwoSum tree gives hi = 1.5 and errors summing to half an ulp of
+        # 1.5 plus 2**-113; fl(hi + lo) rounds that to 1.5, but the exact sum
+        # lies above the midpoint, so fsum rounds up
+        half = _half_gap_up(1.5)
+        row = np.array([half / 2, 1.5, half * 2.0 ** -60, half / 2])
+        columns = row[:, None].copy()
+        hi, errs = memory_module._distill(columns, np.empty((2 * len(row), 1)))
+        plain = hi[0] + errs[:, 0].sum()
+        assert plain == 1.5 != math.fsum(row.tolist())
+        _assert_exact_sums(row[None, :])
+
+    def test_gap_below_a_power_of_two_is_the_narrow_one(self):
+        # hi = 1.0 and the errors sum to a hair below -2**-54, so fl(hi + lo)
+        # ties to 1.0 with remainder -2**-54: inside half the gap above 1.0,
+        # but exactly half the gap below, where the exact sum lies and fsum
+        # rounds down
+        row = np.array([1.0, -(2.0 ** -55), -(2.0 ** -55), -(2.0 ** -200)])
+        assert math.fsum(row.tolist()) == math.nextafter(1.0, 0.0)
+        _assert_exact_sums(row[None, :])
+        _assert_exact_sums(-row[None, :])
+
+    @pytest.mark.parametrize("row, error", [
+        ([1e308, 1e308], OverflowError),
+        ([1e308, 1e308, -1e308], OverflowError),  # fsum overflows on the way
+        ([1e308, -1e308, 1e308, 1e308], OverflowError),
+        ([math.inf, -math.inf], ValueError),
+        ([math.inf, 1e308, 1e308], OverflowError),
+    ])
+    def test_overflow_raises_as_fsum_does(self, row, error):
+        with pytest.raises(error):
+            math.fsum(row)
+        # the same row beside fine ones, in either order
+        for rows in ([row, [1.0] * len(row)], [[2.0] * len(row), row]):
+            with pytest.raises(error):
+                memory_module._exact_sums(np.array(rows).T)
+
+    def test_first_failing_row_decides_the_error(self):
+        rows = np.array([[1.0, 2.0], [math.inf, -math.inf], [1e308, 1e308]])
+        with pytest.raises(ValueError):
+            memory_module._exact_sums(rows.T)
+
+    def test_non_finite_rows_as_fsum(self):
+        rows = np.array([[math.inf, 1.0, 2.0], [math.nan, 1.0, 0.0], [-math.inf, -math.inf, 5.0],
+                         [1e308, 1.0, -1e308], [3.0, 4.0, 5.0]])
+        got = memory_module._exact_sums(rows.T)
+        want = np.array([math.fsum(r) for r in rows.tolist()])
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_large_but_safe_rows(self):
+        # the largest magnitudes the tree takes without deferring to fsum
+        limit = memory_module._SUM_LIMIT
+        _assert_exact_sums([[limit / 8, limit / 8, -limit / 16, 1.0], [limit / 5, 3.0, 0.5, -1.5]])
+
+
+class TestRescoreBlocks:
+    """Selection and rescore give the same slates however they are blocked."""
+
+    @pytest.mark.parametrize("head", [1, 7, 100])
+    @pytest.mark.parametrize("block", [1, 97, 1 << 14])
+    def test_blocking_does_not_change_slates(self, head, block):
+        gen = np.random.default_rng(head + block)
+        runs = [1 + (c * 5) % 3 for c in range(300)]
+        memory, queries = TestEntrySelection.runs_memory(3, runs, dim=20)
+        # best entries far past the head, and a run of twins, so the head's
+        # bound is loose and exact ties straddle block edges
+        queries = np.concatenate([queries, memory.vectors[-40:].astype(np.float64),
+                                  gen.normal(size=(5, 20))])
+        want = _ref_slates(memory, queries, 10)
+        with mock.patch.object(memory_module, "_HEAD_ENTRIES", head), \
+                mock.patch.object(memory_module, "_SUM_BLOCK", block):
+            for k in (1, 10):
+                assert _slates(memory, queries, k) == [slate[:k] for slate in want]
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_float64_queries_are_left_as_they_are(self, count):
+        # a single float64 query row is its own contiguous transpose
+        memory, queries = TestEntrySelection.runs_memory(4, [2, 1, 3], dim=12)
+        queries = np.ascontiguousarray(queries[:count])
+        before = queries.copy()
+        retrieve_batch(memory, queries, 2)
+        assert np.array_equal(queries, before)
+
+    def test_rescore_scratch_stays_bounded(self):
+        # 32 queries over 2,000 entries of dim 256, as at 1k concepts: the
+        # rescore's temporaries must not outgrow the score block they follow
+        import tracemalloc
+
+        gen = np.random.default_rng(8)
+        vectors = gen.normal(size=(2000, 256)).astype(np.float32)
+        memory = memory_from_rows([(f"C{i // 2:04d}", _VARIANTS_CYCLE[i % 2], v)
+                                   for i, v in enumerate(vectors)], 256)
+        queries = (vectors[::60] + 0.1 * gen.normal(size=(34, 256)).astype(np.float32))[:32]
+        retrieve_batch(memory, queries, 10)
+        tracemalloc.start()
+        try:
+            retrieve_batch(memory, queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float32 score block and its partitioned copy, plus the queries
+        scores = 4 * len(queries) * len(memory)
+        assert peak < 2 * scores + 12 * queries.size + (128 << 10)
 
 
 class TestStoreFile:
