@@ -256,7 +256,7 @@ def cmd_build_memory(s: Settings) -> int:
     memory = build_memory(ontology, provider)
     save_memory(memory, out)
 
-    described = sum(1 for concept in ontology if concept.description)
+    described = sum(1 for description in ontology.descriptions if description)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     print(f"entries: {len(ontology)}+{described}")
     print(f"provider: {memory.provider_fingerprint[0]}/{memory.provider_fingerprint[1]}")

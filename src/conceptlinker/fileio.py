@@ -21,22 +21,37 @@ from .errors import MalformedRecord
 
 logger = logging.getLogger(__name__)
 
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+
+# one decoder for every line: raw_decode skips the two whitespace matches
+# and the extra frames json.loads spends per call
+_decode = json.JSONDecoder().raw_decode
+
 
 def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, object) for every record line of a JSON Lines file.
 
-    Blank lines and lines starting with ``#`` are skipped; a line that is not
-    valid JSON, or not a JSON object, raises :class:`MalformedRecord`.
+    Line numbers count universal-newline lines (``\\n``, ``\\r\\n`` or a lone
+    ``\\r``). Blank lines and lines starting with ``#`` are skipped; a line
+    that is not valid JSON, or not a JSON object, raises
+    :class:`MalformedRecord`.
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
+            if not stripped or stripped[0] == "#":
                 continue
             try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(lineno, f"invalid JSON ({exc.msg})") from None
+                obj, end = _decode(stripped)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(stripped):
+                # the line ends in non-whitespace, so json.loads rejects it
+                # too, and its message (extra data, a BOM, ...) is reported
+                try:
+                    obj = json.loads(stripped)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(lineno, f"invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict):
                 raise MalformedRecord(lineno, "record is not a JSON object")
             yield lineno, obj
@@ -81,9 +96,19 @@ class KeyedLog:
             if key in self._rows and self._rows[key] == value:
                 return
             self._rows[key] = value
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(("\n" if self._unterminated else "") + json.dumps(row) + "\n")
+            data = (("\n" if self._unterminated else "") + json.dumps(row) + "\n").encode()
+            try:
+                fd = os.open(self.path, _APPEND_FLAGS, 0o666)
+            except FileNotFoundError:
+                # the directory is made on the first append that misses it,
+                # not checked on every row
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.path, _APPEND_FLAGS, 0o666)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             self._unterminated = False
 
 

@@ -243,21 +243,23 @@ def build_memory(ontology: Ontology, provider: Provider) -> Memory:
     texts, each pass in slices of at most 2,048 texts that are written
     straight into their rows of the one stored matrix.
     """
-    concepts = list(ontology)
-    if not concepts:
+    ids, names, descriptions = ontology.ids, ontology.names, ontology.descriptions
+    if not ids:
         raise EmptyOntology(ontology.tag)
 
-    described = [c for c in concepts if c.description]
-    has_context = np.array([bool(c.description) for c in concepts])
+    described = [i for i, description in enumerate(descriptions) if description]
+    has_context = np.zeros(len(ids), dtype=bool)
+    has_context[described] = True
     # a concept's name row follows every row of the concepts before it, and
     # its context row, when it has one, follows its name row
-    name_rows = np.arange(len(concepts)) + np.cumsum(has_context) - has_context
+    name_rows = np.arange(len(ids)) + np.cumsum(has_context) - has_context
     context_rows = name_rows[has_context] + 1
     spec: ProviderSpec = provider.spec
-    vectors = np.empty((len(concepts) + len(described), spec.dim), dtype=np.float32)
+    vectors = np.empty((len(ids) + len(described), spec.dim), dtype=np.float32)
     for rows, owners, texts in (
-        (name_rows, concepts, [c.name for c in concepts]),
-        (context_rows, described, [concept_text(c.name, c.description) for c in described]),
+        (name_rows, ids, list(names)),
+        (context_rows, [ids[i] for i in described],
+         [concept_text(names[i], descriptions[i]) for i in described]),
     ):
         for part in text_slices(len(texts)):
             try:
@@ -272,15 +274,14 @@ def build_memory(ontology: Ontology, provider: Provider) -> Memory:
 
     codes = np.zeros(len(vectors), dtype=np.uint8)
     codes[context_rows] = _VARIANT_CODE[Variant.NAME_WITH_CONTEXT]
-    return Memory([c.id for c in concepts],
-                  np.repeat(np.arange(len(concepts)), 1 + has_context), codes, vectors,
+    return Memory(list(ids), np.repeat(np.arange(len(ids)), 1 + has_context), codes, vectors,
                   spec.dim, spec.fingerprint, ontology.tag)
 
 
-def _offending(concepts: list, exc: LinkerError) -> str:
+def _offending(ids: Sequence[str], exc: LinkerError) -> str:
     index = getattr(exc, "index", None)
-    if index is not None and 0 <= index < len(concepts):
-        return concepts[index].id
+    if index is not None and 0 <= index < len(ids):
+        return ids[index]
     return "<unknown>"
 
 

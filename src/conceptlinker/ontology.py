@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import (
     DuplicateId,
@@ -22,6 +23,7 @@ from .errors import (
     MalformedRecord,
     MissingField,
     UnknownId,
+    ValidationError,
 )
 from .fileio import atomic_text, read_records
 from .textutil import normalize_whitespace, truncate_at_word
@@ -50,56 +52,64 @@ class Query:
 
 
 class Ontology:
-    """Immutable, id-addressable collection of concepts in file order."""
+    """Immutable, id-addressable concept inventory, held as columns in file order.
 
-    def __init__(self, tag: str, concepts: list[Concept]):
+    ``ids``, ``names`` and ``descriptions`` are equal-length tuples, one
+    position per concept. A :class:`Concept` is built only when :meth:`get`
+    or iteration asks for one.
+    """
+
+    def __init__(self, tag: str, ids: Sequence[str], names: Sequence[str],
+                 descriptions: Sequence[str | None]):
         self.tag = tag
-        self._concepts = list(concepts)
-        self._index = {c.id: c for c in self._concepts}
-        if len(self._index) != len(self._concepts):
-            counts = Counter(c.id for c in self._concepts)
+        self.ids = tuple(ids)
+        self.names = tuple(names)
+        self.descriptions = tuple(descriptions)
+        if not len(self.ids) == len(self.names) == len(self.descriptions):
+            raise ValueError(
+                f"column lengths differ: {len(self.ids)} ids, {len(self.names)} names, "
+                f"{len(self.descriptions)} descriptions"
+            )
+        self._positions = dict(zip(self.ids, range(len(self.ids))))
+        if len(self._positions) != len(self.ids):
+            counts = Counter(self.ids)
             dupes = sorted(cid for cid, n in counts.items() if n > 1)
             raise ValueError(f"duplicate concept ids: {dupes}")
 
     def __len__(self) -> int:
-        return len(self._concepts)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Concept]:
-        return iter(self._concepts)
+        return map(Concept, self.ids, self.names, self.descriptions, repeat(self.tag))
 
     def __contains__(self, concept_id: str) -> bool:
-        return concept_id in self._index
+        return concept_id in self._positions
 
-    def get(self, concept_id: str) -> Concept:
-        """Look up a concept by id; raises :class:`UnknownId` if absent."""
+    def position(self, concept_id: str) -> int:
+        """A concept's position in the columns; raises :class:`UnknownId` if absent."""
         try:
-            return self._index[concept_id]
+            return self._positions[concept_id]
         except KeyError:
             raise UnknownId(concept_id) from None
 
+    def get(self, concept_id: str) -> Concept:
+        """Look up a concept by id; raises :class:`UnknownId` if absent."""
+        i = self.position(concept_id)
+        return Concept(self.ids[i], self.names[i], self.descriptions[i], self.tag)
 
-def _required_str(obj: dict, key: str, lineno: int) -> str:
-    value = obj.get(key)
-    if value is None:
-        raise MissingField(key, lineno)
-    if not isinstance(value, str):
-        raise MalformedRecord(lineno, f"field {key!r} is not a string")
-    value = normalize_whitespace(value)
-    if not value:
-        raise MissingField(key, lineno)
-    return value
+
+def _field_error(key: str, value: object, lineno: int) -> ValidationError:
+    """The error for a required field that is absent, blank or not a string."""
+    if value is None or isinstance(value, str):
+        return MissingField(key, lineno)
+    return MalformedRecord(lineno, f"field {key!r} is not a string")
 
 
 def _required_id(obj: dict, key: str, lineno: int) -> str:
     # ids are opaque: trim only, never collapse internal whitespace
     value = obj.get(key)
-    if value is None:
-        raise MissingField(key, lineno)
-    if not isinstance(value, str):
-        raise MalformedRecord(lineno, f"field {key!r} is not a string")
-    value = value.strip()
-    if not value:
-        raise MissingField(key, lineno)
+    if not isinstance(value, str) or not (value := value.strip()):
+        raise _field_error(key, value, lineno)
     return value
 
 
@@ -120,38 +130,50 @@ def parse_ontology(
 ) -> Ontology:
     """Load and validate a concept inventory from a JSON Lines file.
 
-    Record order is preserved. Descriptions are whitespace-normalized and
-    capped at ``max_description_chars`` ending on a whole word. Fields other
-    than ``id``, ``name`` and ``description`` are ignored.
+    Record order is preserved. Names and descriptions are
+    whitespace-normalized, and descriptions are capped at
+    ``max_description_chars`` ending on a whole word. Fields other than
+    ``id``, ``name`` and ``description`` are ignored.
     """
-    concepts: list[Concept] = []
+    ids: list[str] = []
+    names: list[str] = []
+    descriptions: list[str | None] = []
     seen: set[str] = set()
+    # the checks of _required_id and _optional_str, inlined: this loop runs
+    # once per concept on every command that reads an ontology
     for lineno, obj in read_records(path):
-        cid = _required_id(obj, "id", lineno)
+        cid = obj.get("id")
+        if not isinstance(cid, str) or not (cid := cid.strip()):
+            raise _field_error("id", cid, lineno)
         if cid in seen:
             raise DuplicateId(cid, lineno)
         seen.add(cid)
-        name = _required_str(obj, "name", lineno)
+        name = obj.get("name")
+        if not isinstance(name, str) or not (name := " ".join(name.split())):
+            raise _field_error("name", name, lineno)
 
-        description = _optional_str(obj, "description", lineno)
+        description = obj.get("description")
         if description is not None:
-            description = normalize_whitespace(description)
-            description = truncate_at_word(description, max_description_chars)
-            if not description:
-                description = None
+            if not isinstance(description, str):
+                raise MalformedRecord(lineno, "field 'description' is not a string")
+            description = " ".join(description.split())
+            if len(description) > max_description_chars:
+                description = truncate_at_word(description, max_description_chars)
+            description = description or None
 
-        concepts.append(
-            Concept(id=cid, name=name, description=description, ontology_tag=tag)
-        )
-    if not concepts:
+        ids.append(cid)
+        names.append(name)
+        descriptions.append(description)
+    if not ids:
         raise EmptyFile(str(path))
-    return Ontology(tag, concepts)
+    return Ontology(tag, ids, names, descriptions)
 
 
 def write_ontology(path: str | Path, ontology: Ontology) -> None:
     """Serialize back to the JSON Lines format accepted by :func:`parse_ontology`."""
     atomic_text(path, "".join(
-        _json_line(id=c.id, name=c.name, description=c.description) for c in ontology
+        _json_line(id=cid, name=name, description=description)
+        for cid, name, description in zip(ontology.ids, ontology.names, ontology.descriptions)
     ))
 
 

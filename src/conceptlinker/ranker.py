@@ -20,6 +20,7 @@ from .errors import (
     EmptyCandidates,
     PromptBudgetExceeded,
     ServiceError,
+    UnknownId,
     UnresolvableCandidate,
 )
 from .memory import Candidate
@@ -113,11 +114,12 @@ def build_prompt(
     """Render the ranking prompt; deterministic for identical inputs."""
     if not candidates:
         raise EmptyCandidates()
-    concepts = []
+    positions = []
     for cand in candidates:
-        if cand.concept_id not in ontology:
-            raise UnresolvableCandidate(cand.concept_id)
-        concepts.append(ontology.get(cand.concept_id))
+        try:
+            positions.append(ontology.position(cand.concept_id))
+        except UnknownId:
+            raise UnresolvableCandidate(cand.concept_id) from None
 
     none_label = config.none_label
     lines: list[str] = [
@@ -139,12 +141,12 @@ def build_prompt(
     if config.include_source_context and query.context:
         lines += [ABSTRACT_OPEN, query.context, ABSTRACT_CLOSE]
     lines += ["", OPTIONS_MARKER]
-    for i, concept in enumerate(concepts):
-        option = f"{i}: {concept.name}"
-        if config.include_candidate_context and concept.description:
-            option += OPTION_SEP + truncate_at_word(
-                concept.description, config.max_option_context_chars
-            )
+    names, descriptions = ontology.names, ontology.descriptions
+    for i, position in enumerate(positions):
+        option = f"{i}: {names[position]}"
+        description = descriptions[position]
+        if config.include_candidate_context and description:
+            option += OPTION_SEP + truncate_at_word(description, config.max_option_context_chars)
         lines.append(option)
     lines += [
         f"{none_label}: none of the above options match",

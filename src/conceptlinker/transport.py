@@ -23,7 +23,7 @@ API_KEY_ENV = "LINKER_API_KEY"
 # RETRY_BACKOFF_S[n - 1]
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = (1.0, 2.0)
-# the longest pause a server's Retry-After may ask for
+# the longest one request pauses in all, whatever Retry-After asks for
 RETRY_AFTER_CAP_S = 30.0
 
 
@@ -40,8 +40,10 @@ def post_json(session: requests.Session, url: str, body: dict,
     ``RETRY_ATTEMPTS`` attempts in all: each retry follows one pause from
     ``RETRY_BACKOFF_S`` in turn and is logged with it, and the last failure
     is raised as :class:`Timeout` or :class:`TransportError`. A 429 or 503
-    whose ``Retry-After`` gives delay-seconds pauses that long instead, at
-    most ``RETRY_AFTER_CAP_S`` (RFC 9110 10.2.3). Any other 4xx raises
+    whose ``Retry-After`` gives delay-seconds pauses that long instead (RFC
+    9110 10.2.3). The pauses of one call add up to at most
+    ``RETRY_AFTER_CAP_S``: a pause longer than what is left is cut to it,
+    and the log shows the cut value. Any other 4xx raises
     :class:`TransportError` at once.
     """
     headers = {}
@@ -51,9 +53,12 @@ def post_json(session: requests.Session, url: str, body: dict,
 
     last: Exception | None = None
     asked = None  # the pause the last reply asked for
+    waited = 0.0
     for attempt in range(RETRY_ATTEMPTS):
         if attempt:
             pause = RETRY_BACKOFF_S[attempt - 1] if asked is None else asked
+            pause = min(pause, RETRY_AFTER_CAP_S - waited)
+            waited += pause
             logger.warning("retry %d of POST %s after %.0fs: %s", attempt, url, pause, last)
             time.sleep(pause)
             asked = None
@@ -79,8 +84,8 @@ def post_json(session: requests.Session, url: str, body: dict,
 
 
 def _retry_after(reply: requests.Response) -> float | None:
-    """The reply's ``Retry-After`` delay-seconds, capped; None for none or an HTTP-date."""
+    """The reply's ``Retry-After`` delay-seconds; None for none or an HTTP-date."""
     value = (getattr(reply, "headers", None) or {}).get("Retry-After", "").strip()
     if not (value.isascii() and value.isdigit()):
         return None
-    return min(float(value), RETRY_AFTER_CAP_S)
+    return float(value)

@@ -59,7 +59,14 @@ def synthetic_ontology(
         concepts.append(
             Concept(id=f"C{i:04d}", name=name, description=description, ontology_tag=tag)
         )
-    return Ontology(tag, concepts)
+    return ontology_from(tag, concepts)
+
+
+def ontology_from(tag: str, concepts) -> Ontology:
+    """An Ontology holding the ids, names and descriptions of ``concepts``, in order."""
+    concepts = list(concepts)
+    return Ontology(tag, [c.id for c in concepts], [c.name for c in concepts],
+                    [c.description for c in concepts])
 
 
 def perturb(rng: random.Random, text: str) -> str:

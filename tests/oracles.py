@@ -7,6 +7,7 @@ oracle. Deliberately slow and simple.
 
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -80,3 +81,28 @@ def f1_ref(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
+
+
+def read_records_ref(path) -> tuple[list[tuple[int, dict]], tuple[int, str] | None]:
+    """Records of a JSON Lines file by one ``json.loads`` per line.
+
+    Returns the (line number, object) records before the first bad line,
+    and that line's number and diagnostic, or None when every line is good.
+    Blank lines and lines starting with ``#`` are skipped.
+    """
+    records = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            try:
+                obj = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                return records, (lineno, f"line {lineno}: malformed record: "
+                                         f"invalid JSON ({exc.msg})")
+            if not isinstance(obj, dict):
+                return records, (lineno, f"line {lineno}: malformed record: "
+                                         "record is not a JSON object")
+            records.append((lineno, obj))
+    return records, None

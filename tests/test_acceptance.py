@@ -18,7 +18,6 @@ from conceptlinker import (
     GoldPair,
     KeywordMockEndpoint,
     LinkJournal,
-    Ontology,
     PromptConfig,
     Query,
     build_memory,
@@ -43,6 +42,7 @@ from .conftest import (
     local_provider,
     make_word,
     memory_rows,
+    ontology_from,
     queries_for,
     synthetic_ontology,
 )
@@ -150,7 +150,7 @@ def homonym_dataset(rng, n_pairs=20):
         query_id = f"q{i:03d}"
         queries.append(Query(id=query_id, mention=name, context=context))
         gold.append(GoldPair(query_id, target.id))
-    return Ontology("homonyms", concepts), queries, gold
+    return ontology_from("homonyms", concepts), queries, gold
 
 
 def test_criterion_4_candidate_context_improves_f1(rng):

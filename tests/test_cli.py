@@ -9,7 +9,6 @@ import pytest
 from conceptlinker import (
     Concept,
     GoldPair,
-    Ontology,
     Query,
     ValidationError,
     load_memory,
@@ -21,6 +20,8 @@ from conceptlinker import (
 )
 from conceptlinker import cli as cli_module
 from conceptlinker.cli import main
+
+from .conftest import ontology_from
 
 CONCEPTS = [
     Concept(id="D:1", name="Iron deficiency anemia",
@@ -55,7 +56,7 @@ def workspace(tmp_path):
         "memory": tmp_path / "memory.bin",
         "out": tmp_path / "out",
     }
-    write_ontology(paths["ontology"], Ontology("anemia", CONCEPTS))
+    write_ontology(paths["ontology"], ontology_from("anemia", CONCEPTS))
     write_queries(paths["queries"], QUERIES)
     write_gold(paths["gold"], GOLD)
     paths["out"].mkdir()

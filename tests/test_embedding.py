@@ -15,7 +15,6 @@ from conceptlinker import (
     LOCAL_PROVIDER_ID,
     REMOTE_PROVIDER_ID,
     Concept,
-    Ontology,
     ProviderSpec,
     RemoteProvider,
     VectorCache,
@@ -28,6 +27,7 @@ from conceptlinker import transport
 from conceptlinker.embedding import CACHE_MAGIC
 from conceptlinker.errors import DimMismatch, EmptyText, InvalidVector, TransportError
 
+from .conftest import ontology_from
 from .oracles import embed_ref
 
 texts = st.text(
@@ -397,7 +397,7 @@ def test_remote_build_sends_one_bounded_post_per_slice(tmp_path):
     cache = VectorCache(tmp_path)
     cache.put(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "name 1"),
               np.array([0, 0, 1, 0], dtype=np.float32))
-    ontology = Ontology("remote", [
+    ontology = ontology_from("remote", [
         Concept(id=f"C{i}", name=f"name {i}", description="about" if i % 2 else None)
         for i in range(7)
     ])
@@ -524,6 +524,25 @@ class TestRetryAfter:
     def test_only_429_and_503_are_asked(self, pauses):
         self.embed(FakeResponse(500, text="boom", headers={"Retry-After": "7"}))
         assert pauses == [transport.RETRY_BACKOFF_S[0]]
+
+    def test_pauses_of_one_request_are_capped_in_all(self, pauses, caplog):
+        with caplog.at_level("WARNING"):
+            self.embed(FakeResponse(429, text="wait", headers={"Retry-After": "120"}),
+                       FakeResponse(503, text="wait", headers={"Retry-After": "120"}))
+        assert pauses == [transport.RETRY_AFTER_CAP_S, 0.0]
+        assert sum(pauses) == transport.RETRY_AFTER_CAP_S == 30.0
+        assert "retry 2 of POST https://e.test/v1 after 0s" in caplog.text
+
+    def test_a_later_pause_is_cut_to_what_is_left(self, pauses, caplog):
+        with caplog.at_level("WARNING"):
+            self.embed(FakeResponse(429, text="wait", headers={"Retry-After": "20"}),
+                       FakeResponse(429, text="wait", headers={"Retry-After": "20"}))
+        assert pauses == [20.0, 10.0]
+        assert "after 10s" in caplog.text
+
+    def test_fixed_backoff_is_not_cut(self, pauses):
+        self.embed(FakeResponse(500, text="boom"), FakeResponse(502, text="boom"))
+        assert pauses == [1.0, 2.0] == list(transport.RETRY_BACKOFF_S)
 
     def test_each_pause_comes_from_its_own_reply(self, pauses):
         self.embed(FakeResponse(503, text="wait", headers={"Retry-After": "0"}),

@@ -1,17 +1,19 @@
-"""Atomic output files keep the previous version; append logs survive a torn tail."""
+"""The file edge: strict record reading, atomic outputs, append logs that survive a torn tail."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptlinker import (
     Candidate,
     Concept,
     LinkJournal,
-    Ontology,
     Query,
     TranscriptStore,
     VectorCache,
@@ -23,8 +25,11 @@ from conceptlinker import (
     write_predictions,
     write_queries,
 )
+from conceptlinker.errors import MalformedRecord
+from conceptlinker.fileio import read_records
 
-from .conftest import local_provider
+from .conftest import local_provider, ontology_from
+from .oracles import read_records_ref
 from .test_evaluation import linked
 
 
@@ -48,7 +53,7 @@ class TornFile:
 
 
 def memory_version(version: int):
-    ontology = Ontology(f"v{version}", [
+    ontology = ontology_from(f"v{version}", [
         Concept(id="C1", name="Aspirin", description="pain and fever relief"),
         Concept(id="C2", name=f"Heparin {version}"),
     ])
@@ -69,7 +74,7 @@ def cache_put_version(path, version):
 
 
 def write_ontology_version(path, version):
-    write_ontology(path, Ontology("t", [Concept(id="C1", name=f"Aspirin {version}")]))
+    write_ontology(path, ontology_from("t", [Concept(id="C1", name=f"Aspirin {version}")]))
 
 
 def write_queries_version(path, version):
@@ -125,3 +130,101 @@ def test_append_after_truncated_tail_starts_a_new_line(tmp_path, log_type, add):
     add(resumed, "k3")
     add(resumed, "k4")
     assert len(log_type(path)) == 3
+
+
+@pytest.mark.parametrize("log_type, add", [(TranscriptStore, transcript_row),
+                                           (LinkJournal, journal_row)])
+def test_append_creates_missing_parent_directories(tmp_path, log_type, add):
+    path = tmp_path / "new" / "dir" / "log.jsonl"
+    log = log_type(path)
+    add(log, "k1")
+    add(log, "k2")
+    assert len(log_type(path)) == 2
+
+
+def test_append_writes_one_line_per_new_row(tmp_path):
+    path = tmp_path / "run.jsonl"
+    journal = LinkJournal(path)
+    row = {"query_id": "q1", "digest": "d", "kind": "none"}
+    journal.append(row)
+    journal.append(dict(row))  # equal to the stored row: not written again
+    journal.append({**row, "kind": "option"})
+    assert path.read_bytes() == (json.dumps(row) + "\n"
+                                 + json.dumps({**row, "kind": "option"}) + "\n").encode()
+
+
+# --- the record reader --------------------------------------------------------
+
+def read_outcome(path):
+    """read_records' records before its first error, and that error's line and text."""
+    records = []
+    try:
+        for lineno, obj in read_records(path):
+            records.append((lineno, obj))
+    except MalformedRecord as exc:
+        return records, (exc.line, str(exc))
+    return records, None
+
+
+def write_raw(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
+def same_outcome(got, want):
+    # NaN is not equal to itself, so records compare as JSON text
+    return (json.dumps(got[0]), got[1]) == (json.dumps(want[0]), want[1])
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_objects = st.dictionaries(st.text(max_size=6), _json_values, max_size=4).map(json.dumps)
+_lines = st.one_of(
+    _objects,
+    _objects.map(lambda obj: "\ufeff" + obj),
+    st.tuples(_objects, st.text(max_size=6)).map("".join),
+    st.tuples(_objects, _objects).map(" ".join),
+    _json_values.map(json.dumps),
+    st.text(max_size=12),
+    st.text(max_size=12).map(lambda text: "#" + text),
+    st.just(""),
+    st.text(alphabet=" \t\x0b\x0c\x1c\x1d\x1e\x85\xa0\u2028\u3000", max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(st.tuples(_lines, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
+def test_reader_matches_a_per_line_json_loads_reader(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("records") / "mixed.jsonl"
+    write_raw(path, "".join(line + end for line, end in lines))
+    assert same_outcome(read_outcome(path), read_records_ref(path))
+
+
+@pytest.mark.parametrize("text, records, error", [
+    ('\ufeff{"id": "a"}\n', [],
+     (1, "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))")),
+    ('{"id": "a"}\n{"id": "a"} x\n', [(1, {"id": "a"})], (2, "invalid JSON (Extra data)")),
+    ('{"a": 1}{"b": 2}\n', [], (1, "invalid JSON (Extra data)")),
+    ('{"a": 1} {"b": 2}\n', [], (1, "invalid JSON (Extra data)")),
+    ('[{"id": "a"}]\n', [], (1, "record is not a JSON object")),
+    ('"a"\n', [], (1, "record is not a JSON object")),
+    ("3\n", [], (1, "record is not a JSON object")),
+    ('{"x": NaN}\n', [(1, {"x": float("nan")})], None),
+    ('{"id": "a"}\r\n\r\n{"id": "b"}\r\n', [(1, {"id": "a"}), (3, {"id": "b"})], None),
+    ('{"id": "a"}\r# c\r{"id": "b"}', [(1, {"id": "a"}), (3, {"id": "b"})], None),
+    ('{"id": "a\u2028b"}\n\x0c{"id": "c"}\x0c\n{"id":\x0c"d"}\n',
+     [(1, {"id": "a\u2028b"}), (2, {"id": "c"})], (3, "invalid JSON (Expecting value)")),
+    ('{"id": "a\x0cb"}\n', [], (1, "invalid JSON (Invalid control character at)")),
+], ids=["bom", "extra-data", "two-objects", "two-objects-spaced", "list", "string", "number",
+        "nan", "crlf", "lone-cr", "separators-inside", "control-in-string"])
+def test_reader_diagnostics(tmp_path, text, records, error):
+    path = tmp_path / "records.jsonl"
+    write_raw(path, text)
+    if error is not None:
+        error = (error[0], f"line {error[0]}: malformed record: {error[1]}")
+    assert same_outcome(read_outcome(path), (records, error))
+    assert same_outcome(read_records_ref(path), (records, error))

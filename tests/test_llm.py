@@ -306,9 +306,11 @@ class TestKeywordMock:
         assert KeywordMockEndpoint().complete(prompt) == "option 2"
 
     def test_ambiguous_name_abstains(self):
-        from conceptlinker import Concept, Ontology, Query
+        from conceptlinker import Concept, Query
 
-        twins = Ontology("twins", [
+        from .conftest import ontology_from
+
+        twins = ontology_from("twins", [
             Concept(id="A:1", name="Cold", description="Viral infection of the nose"),
             Concept(id="A:2", name="Cold", description="Sensation of low temperature"),
         ])

@@ -44,12 +44,18 @@ from conceptlinker.errors import (
     VersionMismatch,
 )
 
-from .conftest import local_provider, memory_from_rows, memory_rows, synthetic_ontology
+from .conftest import (
+    local_provider,
+    memory_from_rows,
+    memory_rows,
+    ontology_from,
+    synthetic_ontology,
+)
 from .oracles import cosine_ref, retrieve_ref
 
 
 def small_ontology() -> Ontology:
-    return Ontology("demo", [
+    return ontology_from("demo", [
         Concept(id="C1", name="Aspirin", description="pain and fever relief"),
         Concept(id="C2", name="Heparin", description="anticoagulant"),
         Concept(id="C3", name="Fever"),
@@ -99,7 +105,7 @@ class TestBuildMemory:
 
     def test_empty_ontology_rejected(self):
         with pytest.raises(EmptyOntology):
-            build_memory(Ontology("empty", []), local_provider())
+            build_memory(ontology_from("empty", []), local_provider())
 
     def test_accounting_over_random_ontologies(self, rng):
         provider = local_provider(dim=32)
@@ -127,7 +133,7 @@ concept_rows = st.lists(st.tuples(words, st.none() | words), min_size=1, max_siz
 
 
 def ontology_of(rows) -> Ontology:
-    return Ontology("sliced", [
+    return ontology_from("sliced", [
         Concept(id=f"C{i:02d}", name=name, description=description)
         for i, (name, description) in enumerate(rows)
     ])
@@ -363,7 +369,7 @@ def _homonym_ontology() -> Ontology:
     rng = random.Random(11)
     words = ["".join(rng.choice(string.ascii_lowercase) for _ in range(5)) for _ in range(8)]
     names = [f"{a} {b}" for a, b in zip(words, words[1:] + words[:1])]
-    return Ontology("homonyms", [
+    return ontology_from("homonyms", [
         Concept(id=f"H{i:03d}", name=rng.choice(names),
                 description=" ".join(rng.sample(words, 3)) if rng.random() < 0.5 else None)
         for i in range(60)

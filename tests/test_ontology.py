@@ -25,7 +25,7 @@ from conceptlinker.errors import (
     UnknownId,
 )
 
-from .conftest import queries_for, synthetic_ontology
+from .conftest import ontology_from, queries_for, synthetic_ontology
 
 
 def write_jsonl(path, records):
@@ -125,19 +125,40 @@ class TestParseOntology:
 
 class TestOntologyContainer:
     def test_lookup_and_membership(self):
-        onto = Ontology("t", [Concept(id="C1", name="a"), Concept(id="C2", name="b")])
+        onto = ontology_from("t", [Concept(id="C1", name="a"), Concept(id="C2", name="b")])
         assert "C1" in onto and "C9" not in onto
         assert onto.get("C2").name == "b"
         assert onto.get("C1").id == "C1"
 
     def test_unknown_id(self):
-        onto = Ontology("t", [Concept(id="C1", name="a")])
+        onto = ontology_from("t", [Concept(id="C1", name="a")])
         with pytest.raises(UnknownId):
             onto.get("missing")
 
     def test_programmatic_duplicates_rejected(self):
         with pytest.raises(ValueError):
-            Ontology("t", [Concept(id="C1", name="a"), Concept(id="C1", name="b")])
+            ontology_from("t", [Concept(id="C1", name="a"), Concept(id="C1", name="b")])
+
+    def test_columns(self):
+        onto = Ontology("t", ["C1", "C2"], ["a", "b"], ["about a", None])
+        assert onto.ids == ("C1", "C2")
+        assert onto.names == ("a", "b")
+        assert onto.descriptions == ("about a", None)
+        assert onto.position("C2") == 1
+        assert list(onto) == [Concept("C1", "a", "about a", "t"), Concept("C2", "b", None, "t")]
+        with pytest.raises(UnknownId):
+            onto.position("C3")
+
+    @pytest.mark.parametrize("names, descriptions", [
+        (["a"], [None, None]), (["a", "b", "c"], [None, None]), (["a", "b"], []),
+    ])
+    def test_column_lengths_must_agree(self, names, descriptions):
+        with pytest.raises(ValueError, match="column lengths differ"):
+            Ontology("t", ["C1", "C2"], names, descriptions)
+
+    def test_constructor_names_duplicates(self):
+        with pytest.raises(ValueError, match=r"duplicate concept ids: \['C1', 'C2'\]"):
+            Ontology("t", ["C2", "C1", "C2", "C3", "C1"], list("abcde"), [None] * 5)
 
 
 class TestParseQueries:
@@ -212,5 +233,5 @@ class TestRoundTrip:
             for i, name in enumerate(names)
         ]
         path = tmp / "o.jsonl"
-        write_ontology(path, Ontology("t", concepts))
+        write_ontology(path, ontology_from("t", concepts))
         assert [c.name for c in parse_ontology(path, "t")] == [c.name for c in concepts]

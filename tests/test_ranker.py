@@ -32,6 +32,8 @@ from conceptlinker.errors import (
 )
 from conceptlinker.ranker import complete, estimate_tokens
 
+from .conftest import ontology_from
+
 DATA = Path(__file__).parent / "data"
 
 OPTION = SelectionKind.OPTION
@@ -68,7 +70,7 @@ PARSE_FIXTURES = [
 
 
 def fixture_ontology() -> Ontology:
-    return Ontology("orpha", [
+    return ontology_from("orpha", [
         Concept(
             id="ORPHA:721",
             name="Bleeding disorder due to P2Y12 defect",
