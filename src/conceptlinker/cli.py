@@ -59,40 +59,50 @@ _MOCK_ENDPOINTS = {
     "mock:keyword": KeywordMockEndpoint,
 }
 
-# Every setting: name -> (config-file section, key, default). The name is
-# the dest of the flag that sets it; the five names without a flag are
-# config-file only. ``tag`` defaults to the ontology file's stem.
+# Every setting: name -> (config-file section, key, default, flag help). The
+# name is the dest of the flag ``--<name with dashes>``, which a bool default
+# makes ``--x/--no-x`` and an int default an integer flag; the five settings
+# without help have no flag and are config-file only. ``tag`` defaults to the
+# ontology file's stem.
 SETTINGS = {
-    "ontology": ("paths", "ontology", None),
-    "queries": ("paths", "queries", None),
-    "memory": ("paths", "memory", None),
-    "gold": ("paths", "gold", None),
-    "grid": ("paths", "grid", None),
-    "predictions": ("paths", "predictions", None),
-    "retrievals": ("paths", "retrievals", None),
-    "output": ("paths", "output", None),
-    "cache_dir": ("paths", "cache_dir", None),
-    "fixtures": ("paths", "fixtures", None),
-    "provider": ("provider", "kind", "local"),
-    "model": ("provider", "model", None),
-    "dim": ("provider", "dim", 256),
-    "seed": ("provider", "seed", 0),
-    "provider_endpoint": ("provider", "endpoint", None),
-    "provider_timeout": ("provider", "timeout", 30.0),
-    "endpoint": ("endpoint", "url", None),
-    "completion_model": ("endpoint", "model", "ranker"),
-    "token_budget": ("endpoint", "token_budget", None),
-    "endpoint_timeout": ("endpoint", "timeout", 60.0),
-    "k": ("run", "k", 10),
-    "ks": ("run", "ks", ",".join(map(str, DEFAULT_HITS_KS))),
-    "concurrency": ("run", "concurrency", DEFAULT_CONCURRENCY),
-    "strict": ("run", "strict", False),
-    "tag": ("run", "tag", None),
-    "source_context": ("prompt", "source_context", True),
-    "candidate_context": ("prompt", "candidate_context", True),
-    "none_label": ("prompt", "none_label", "None"),
-    "max_option_context_chars": ("prompt", "max_option_context_chars", 600),
+    "ontology": ("paths", "ontology", None, "ontology concepts file (JSON Lines)"),
+    "queries": ("paths", "queries", None, "queries file (JSON Lines)"),
+    "memory": ("paths", "memory", None, "embedding memory file"),
+    "gold": ("paths", "gold", None, "gold pairs file (JSON Lines)"),
+    "grid": ("paths", "grid", None, "JSON Lines grid of prompt configurations"),
+    "predictions": ("paths", "predictions", None, "predictions TSV to score"),
+    "retrievals": ("paths", "retrievals", None, "retrieval file to score with hits@k"),
+    "output": ("paths", "output", None, "output path for this command's artifact"),
+    "cache_dir": ("paths", "cache_dir", None, "embedding cache directory"),
+    "fixtures": ("paths", "fixtures", None,
+                 "transcript file: records with --endpoint, replays without"),
+    "provider": ("provider", "kind", "local", "embedding provider kind"),
+    "model": ("provider", "model", None, "embedding model id"),
+    "dim": ("provider", "dim", 256, "embedding dimension"),
+    "seed": ("provider", "seed", 0, "local embedder seed"),
+    "provider_endpoint": ("provider", "endpoint", None, None),
+    "provider_timeout": ("provider", "timeout", 30.0, None),
+    "endpoint": ("endpoint", "url", None, "completion endpoint URL, mock:exact, or mock:keyword"),
+    "completion_model": ("endpoint", "model", "ranker", "completion model id"),
+    "token_budget": ("endpoint", "token_budget", None, None),
+    "endpoint_timeout": ("endpoint", "timeout", 60.0, None),
+    "k": ("run", "k", 10, "candidates to retrieve per query"),
+    "ks": ("run", "ks", ",".join(map(str, DEFAULT_HITS_KS)),
+           "comma-separated hits@k cutoffs (default 1,5,10)"),
+    "concurrency": ("run", "concurrency", DEFAULT_CONCURRENCY, "parallel ranking calls"),
+    "strict": ("run", "strict", False, "fail instead of warn on provider fingerprint mismatch"),
+    "tag": ("run", "tag", None, "ontology tag (defaults to the ontology file stem)"),
+    "source_context": ("prompt", "source_context", True,
+                       "include the query's context block in prompts"),
+    "candidate_context": ("prompt", "candidate_context", True,
+                          "include candidate descriptions in prompts"),
+    "none_label": ("prompt", "none_label", "None", "label of the none-of-the-above option"),
+    "max_option_context_chars": ("prompt", "max_option_context_chars", 600, None),
 }
+
+# the flags of one command only; every other flag is every command's
+_COMMAND_FLAGS = {"predictions": "evaluate", "retrievals": "evaluate", "ks": "evaluate",
+                  "grid": "ablate"}
 
 
 class UsageError(ValidationError):
@@ -112,7 +122,7 @@ class Settings:
             self._config.read(args.config, encoding="utf-8")
 
     def get(self, name: str):
-        section, key, default = SETTINGS[name]
+        section, key, default, _ = SETTINGS[name]
         value = getattr(self._args, name, None)
         if value is None and self._config is not None:
             value = self._config.get(section, key, fallback=None)
@@ -140,7 +150,7 @@ class Settings:
         except (TypeError, ValueError):
             number = math.nan
         if not 0 < number < math.inf:
-            section, key, _ = SETTINGS[name]
+            section, key = SETTINGS[name][:2]
             raise UsageError(f"[{section}] {key} must be a positive number, got {value!r}")
         return number
 
@@ -182,7 +192,7 @@ def _provider(s: Settings):
             raise UsageError("remote provider requires a model id")
         endpoint = s.get("provider_endpoint")
         if not endpoint:
-            section, key, _ = SETTINGS["provider_endpoint"]
+            section, key = SETTINGS["provider_endpoint"][:2]
             raise UsageError(f"remote provider requires [{section}] {key} in the config")
         timeout = s.positive_float("provider_timeout")
         spec = ProviderSpec(REMOTE_PROVIDER_ID, model, dim, endpoint=endpoint, timeout=timeout)
@@ -362,59 +372,32 @@ def cmd_ablate(s: Settings) -> int:
 
 # --- parser and dispatch ----------------------------------------------------
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    add = common.add_argument
-    add("--config", help="INI config file; flags override its values")
-    add("--ontology", help="ontology concepts file (JSON Lines)")
-    add("--queries", help="queries file (JSON Lines)")
-    add("--memory", help="embedding memory file")
-    add("--gold", help="gold pairs file (JSON Lines)")
-    add("--k", type=int, help="candidates to retrieve per query")
-    add("--provider", choices=["local", "remote"], help="embedding provider kind")
-    add("--model", help="embedding model id")
-    add("--dim", type=int, help="embedding dimension")
-    add("--seed", type=int, help="local embedder seed")
-    add("--endpoint", help="completion endpoint URL, mock:exact, or mock:keyword")
-    add("--completion-model", help="completion model id")
-    add("--concurrency", type=int, help="parallel ranking calls")
-    add("--cache-dir", help="embedding cache directory")
-    add("--fixtures", help="transcript file: records with --endpoint, replays without")
-    add("--output", help="output path for this command's artifact")
-    add("--strict", action=argparse.BooleanOptionalAction,
-        help="fail instead of warn on provider fingerprint mismatch")
-    add("--tag", help="ontology tag (defaults to the ontology file stem)")
-    add("--none-label", help="label of the none-of-the-above option")
-    add("--source-context", action=argparse.BooleanOptionalAction,
-        help="include the query's context block in prompts")
-    add("--candidate-context", action=argparse.BooleanOptionalAction,
-        help="include candidate descriptions in prompts")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conceptlinker",
         description="Retrieve-and-rank concept linking over ontology embeddings.",
     )
-    common = _common_flags()
     sub = parser.add_subparsers(dest="command", metavar="command")
-    commands = {}
-    for name, func, summary in (
+    for command, func, summary in (
         ("build-memory", cmd_build_memory, "embed an ontology into a memory file"),
         ("retrieve", cmd_retrieve, "write top-k candidates per query, no ranking"),
         ("link", cmd_link, "retrieve and rank every query, write predictions"),
         ("evaluate", cmd_evaluate, "score predictions or retrievals against gold"),
         ("ablate", cmd_ablate, "run a grid of prompt configurations, one report row each"),
     ):
-        commands[name] = sub.add_parser(name, parents=[common], help=summary)
-        commands[name].set_defaults(func=func)
-
-    add = commands["evaluate"].add_argument
-    add("--predictions", help="predictions TSV to score")
-    add("--retrievals", help="retrieval file to score with hits@k")
-    add("--ks", help="comma-separated hits@k cutoffs (default 1,5,10)")
-    commands["ablate"].add_argument("--grid", help="JSON Lines grid of prompt configurations")
+        flags = sub.add_parser(command, help=summary)
+        flags.set_defaults(func=func)
+        flags.add_argument("--config", help="INI config file; flags override its values")
+        for name, (_, _, default, help_text) in SETTINGS.items():
+            if help_text is None or _COMMAND_FLAGS.get(name, command) != command:
+                continue
+            if isinstance(default, bool):
+                kind = {"action": argparse.BooleanOptionalAction}
+            elif isinstance(default, int):
+                kind = {"type": int}
+            else:
+                kind = {"choices": ["local", "remote"]} if name == "provider" else {}
+            flags.add_argument("--" + name.replace("_", "-"), help=help_text, **kind)
     return parser
 
 

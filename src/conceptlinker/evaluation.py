@@ -210,7 +210,7 @@ def score_retrievals(
 # --- gold files -------------------------------------------------------------
 
 def parse_gold(path: str | Path) -> list[GoldPair]:
-    """Read JSON Lines ``{"source", "target"}`` pairs.
+    """Read JSON Lines ``{"source", "target"}`` pairs; both ids must be strings.
 
     Composite targets (several ids joined by ``|``) and conflicting
     duplicate sources are out of scope: they are skipped with a logged
@@ -220,11 +220,12 @@ def parse_gold(path: str | Path) -> list[GoldPair]:
     seen: dict[str, str] = {}
     skipped = 0
     for lineno, record in read_records(path):
-        try:
-            source = str(record["source"]).strip()
-            target = str(record["target"]).strip()
-        except KeyError as exc:
-            raise MalformedRecord(lineno, f"missing field {exc}") from None
+        for key in ("source", "target"):
+            if key not in record:
+                raise MalformedRecord(lineno, f"missing field {key!r}")
+            if not isinstance(record[key], str):
+                raise MalformedRecord(lineno, f"field {key!r} is not a string")
+        source, target = record["source"].strip(), record["target"].strip()
         if not source or not target:
             raise MalformedRecord(lineno, "empty source or target")
         if COMPOSITE_SEP in target:

@@ -95,7 +95,6 @@ class KeyedLog:
         with self._lock:
             if key in self._rows and self._rows[key] == value:
                 return
-            self._rows[key] = value
             data = (("\n" if self._unterminated else "") + json.dumps(row) + "\n").encode()
             try:
                 fd = os.open(self.path, _APPEND_FLAGS, 0o666)
@@ -104,11 +103,14 @@ class KeyedLog:
                 # not checked on every row
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 fd = os.open(self.path, _APPEND_FLAGS, 0o666)
+            # until the row is whole, a failed write's fragment must not join the next row
+            self._unterminated = True
             try:
                 while data:
                     data = data[os.write(fd, data):]
             finally:
                 os.close(fd)
+            self._rows[key] = value
             self._unterminated = False
 
 

@@ -147,17 +147,6 @@ def _score_margin(dim: int) -> float:
     return (5 * dim + 32) * 2.0 ** -24
 
 
-def _unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
-    """A float64 copy with rows scaled to unit length; each must be finite and nonzero."""
-    unit = np.array(matrix, dtype=np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))
-    bad = ~(np.isfinite(norms) & (norms > 0.0))
-    if bad.any():
-        raise InvalidVector(what, int(np.flatnonzero(bad)[0]))
-    unit /= norms[:, None]
-    return unit
-
-
 class Memory:
     """Immutable columnar store of embedding entries sharing one dim and provider.
 
@@ -285,19 +274,6 @@ def _offending(ids: Sequence[str], exc: LinkerError) -> str:
     return "<unknown>"
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    # exactly rounded sum of the float64 products, so no summation order shows
-    return math.fsum((a * b).tolist())
-
-
-def _norm(a: np.ndarray) -> float:
-    return math.sqrt(_dot(a, a))
-
-
-def _quotient(dot: float, a_norm: float, b_norm: float) -> float:
-    return min(1.0, max(-1.0, dot / (a_norm * b_norm)))
-
-
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity in [-1, 1], computed in float64 independent of summation order.
 
@@ -311,11 +287,12 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimMismatch(a.shape[0], b.shape[0])
-    norms = (_norm(a), _norm(b))
-    for position, norm in enumerate(norms):
-        if not 0.0 < norm < math.inf:
+    squares = _exact_sums(np.stack([a * a, b * b], axis=1)).tolist()
+    for position, square in enumerate(squares):
+        if not 0.0 < square < math.inf:
             raise InvalidVector("cosine argument", position)
-    return _quotient(_dot(a, b), *norms)
+    dot = _exact_sums((a * b)[:, None]).item()
+    return min(1.0, max(-1.0, dot / (math.sqrt(squares[0]) * math.sqrt(squares[1]))))
 
 
 def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
@@ -334,16 +311,21 @@ def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != memory.dim:
         raise DimMismatch(memory.dim, queries.shape[-1])
-    units = _unit_rows(queries, "query").astype(np.float32)
+    squares = _row_squares(queries, _SUM_BLOCK)
+    bad = ~((squares > 0.0) & (squares < math.inf))
+    if bad.any():
+        raise InvalidVector("query", int(np.flatnonzero(bad)[0]))
     if len(memory) == 0:
         return [[] for _ in queries]
 
+    units = (queries / np.sqrt(squares)[:, None]).astype(np.float32)
     keep = min(k, len(memory.concept_ids))
     chunk = max(1, _BLOCK_BYTES // (4 * len(memory)))
     slates = []
     for lo in range(0, len(queries), chunk):
-        picks = _select(memory, units[lo : lo + chunk], keep)
-        slates += _exact_top(memory, picks, queries[lo : lo + chunk], keep)
+        part = slice(lo, lo + chunk)
+        picks = _select(memory, units[part], keep)
+        slates += _exact_top(memory, picks, queries[part], squares[part], keep)
     return slates
 
 
@@ -393,7 +375,7 @@ def _pick(memory: Memory, rows: list[int], selection: list[float],
 
 
 def _exact_top(memory: Memory, picks: list[list[tuple[int, int]]], queries: np.ndarray,
-               keep: int) -> list[list[Candidate]]:
+               query_squares: np.ndarray, keep: int) -> list[list[Candidate]]:
     """Each query's ``keep`` best concepts by exact score, then id, among its ``picks``."""
     rows = np.array([row for pairs in picks for row, _ in pairs], dtype=np.int64)
     owners = np.repeat(np.arange(len(picks)), [len(pairs) for pairs in picks])
@@ -401,8 +383,7 @@ def _exact_top(memory: Memory, picks: list[list[tuple[int, int]]], queries: np.n
     # so the rescore never holds more than they did, but at least _SUM_BLOCK
     block = max(_SUM_BLOCK, len(queries) * len(memory) // 16)
     dots, squares = _pair_sums(memory, rows, owners, queries, block)
-    query_squares = _row_squares(queries, block)
-    # the IEEE operations of _quotient, one pass for the chunk
+    # the IEEE operations of cosine's quotient, one pass for the chunk
     scores = dots / (np.sqrt(squares) * np.sqrt(query_squares)[owners])
     np.clip(scores, -1.0, 1.0, out=scores)
     scores = iter(scores.tolist())
@@ -449,12 +430,18 @@ def _pair_sums(memory: Memory, rows: np.ndarray, owners: np.ndarray, queries: np
 
 
 def _row_squares(queries: np.ndarray, block: int) -> np.ndarray:
-    """``fsum`` of each query's squares, in column blocks of about ``block`` values."""
+    """``fsum`` of each query's squares, in column blocks of about ``block`` values.
+
+    A sum past the largest float, for which fsum raises, is infinity here.
+    """
     step = max(1, block // queries.shape[1])
     sums = []
     for lo in range(0, len(queries), step):
         cols = queries[lo : lo + step].T.copy()  # never the caller's array
-        sums.append(_exact_sums(np.multiply(cols, cols, out=cols)))
+        try:
+            sums.append(_exact_sums(np.multiply(cols, cols, out=cols)))
+        except OverflowError:  # one row at a time, to find the sums that overflow
+            sums.append(_row_squares(queries[lo : lo + step], 1) if step > 1 else [math.inf])
     return np.concatenate(sums)
 
 

@@ -9,6 +9,7 @@ journaled, which makes them retryable.
 
 from __future__ import annotations
 
+import logging
 import threading
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from .ranker import (
     prompt_digest,
     rank,
 )
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_CONCURRENCY = 4
 
@@ -55,8 +58,14 @@ class LinkJournal(KeyedLog):
     def __init__(self, path: str | Path) -> None:
         super().__init__(path, "journal", lambda row: ((row["query_id"], row["digest"]), row))
 
-    def get(self, query_id: str, digest: str) -> dict | None:
-        return self._rows.get((query_id, digest))
+    def get(self, query_id: str, digest: str) -> LinkResult | None:
+        """The journaled result, or None when there is none or its row cannot be replayed."""
+        row = self._rows.get((query_id, digest))
+        try:
+            return None if row is None else result_from_row(row)
+        except (KeyError, TypeError, ValueError):
+            logger.warning("cannot replay the journal row of %r in %s", query_id, self.path)
+            return None
 
 
 def journal_row(result: LinkResult, candidates: list[Candidate]) -> dict:
@@ -121,10 +130,9 @@ def link_queries(
     pending: list[int] = []
     for i, (query, slate) in enumerate(zip(queries, candidates)):
         prompts.append(fit_prompt(query, slate, ontology, config, budget) if slate else "")
-        row = journal.get(query.id, prompt_digest(prompts[i])) if journal is not None else None
-        if row is not None:
-            results[i] = result_from_row(row)
-        else:
+        if journal is not None:
+            results[i] = journal.get(query.id, prompt_digest(prompts[i]))
+        if results[i] is None:
             pending.append(i)
 
     def run_one(i: int) -> LinkResult:

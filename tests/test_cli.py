@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from conceptlinker import (
     write_queries,
 )
 from conceptlinker import cli as cli_module
-from conceptlinker.cli import main
+from conceptlinker.cli import SETTINGS, main
 
 from .conftest import ontology_from
 
@@ -734,3 +736,47 @@ def test_bad_timeout_names_its_setting(workspace, capsys, section, bad):
         "--config", str(ini),
     ]) == 2
     assert f"[{section}] timeout must be a positive number, got '{bad}'" in capsys.readouterr().err
+
+
+COMMANDS = ["build-memory", "retrieve", "link", "evaluate", "ablate"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_renders_its_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--config" in out and "--no-strict" in out
+    assert ("--ks" in out, "--grid" in out) == (command == "evaluate", command == "ablate")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_provider_flag_keeps_its_choices(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--provider", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_readme_config_table_agrees_with_settings():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| `[section] key` | flag | default |\n| --- | --- | --- |\n")[1]
+    table = table.split("\n\n")[0]
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| ([^|]*) \|", table, flags=re.MULTILINE)
+    assert len(rows) == len(table.splitlines())
+    keys = [(section, key) for section, key, _ in rows]
+    assert sorted(keys) == sorted((section, key) for section, key, _, _ in SETTINGS.values())
+    assert len(set(keys)) == len(keys)
+    flag_cells = {(section, key): cell.strip() for section, key, cell in rows}
+    for name, (section, key, default, help_text) in SETTINGS.items():
+        flag = name.replace("_", "-")
+        if help_text is None:
+            want = "file only"
+        elif isinstance(default, bool):
+            want = f"`--{flag}` / `--no-{flag}`"
+        else:
+            want = f"`--{flag}`"
+        if name in cli_module._COMMAND_FLAGS:
+            want += f" (`{cli_module._COMMAND_FLAGS[name]}`)"
+        assert flag_cells[section, key] == want, f"[{section}] {key}"

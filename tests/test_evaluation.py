@@ -291,6 +291,19 @@ class TestGoldFiles:
         with pytest.raises(MalformedRecord):
             parse_gold(path)
 
+    @pytest.mark.parametrize("line, field", [
+        ('{"source": null, "target": "C0"}', "source"),
+        ('{"source": 7, "target": "C0"}', "source"),
+        ('{"source": "q0", "target": ["C0"]}', "target"),
+    ])
+    def test_id_that_is_not_a_string_names_its_line(self, tmp_path, line, field):
+        path = tmp_path / "gold.jsonl"
+        path.write_text('{"source": "q9", "target": "C9"}\n' + line + "\n")
+        with pytest.raises(MalformedRecord) as exc:
+            parse_gold(path)
+        assert exc.value.line == 2
+        assert f"field {field!r} is not a string" in str(exc.value)
+
 
 class TestPredictionFiles:
     def slates(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 
@@ -151,6 +152,29 @@ def test_append_writes_one_line_per_new_row(tmp_path):
     journal.append({**row, "kind": "option"})
     assert path.read_bytes() == (json.dumps(row) + "\n"
                                  + json.dumps({**row, "kind": "option"}) + "\n").encode()
+
+
+@pytest.mark.parametrize("torn", [0, 10])
+def test_failed_append_is_not_stored_and_its_retry_starts_a_new_line(tmp_path, monkeypatch,
+                                                                      torn):
+    path = tmp_path / "run.jsonl"
+    journal = LinkJournal(path)
+    row = {"query_id": "q1", "digest": "d", "kind": "none"}
+    write = os.write
+
+    def full_disk(fd, data):
+        write(fd, data[:torn])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", full_disk)
+    with pytest.raises(OSError):
+        journal.append(row)
+    monkeypatch.undo()
+    assert len(journal) == 0
+    journal.append(row)  # not taken for stored, so written now
+    line = (json.dumps(row) + "\n").encode()
+    assert path.read_bytes() == line[:torn] + b"\n" + line
+    assert len(LinkJournal(path)) == 1
 
 
 # --- the record reader --------------------------------------------------------

@@ -363,6 +363,36 @@ class TestRetrieveTopK:
         with pytest.raises(InvalidVector):
             retrieve_batch(memory, [qv], 3)[0]
 
+    def test_query_whose_squares_overflow_rejected(self, rng):
+        _, provider, memory = self.build(rng, 10)
+        queries = np.repeat(provider.embed_batch(["aspirin"]).astype(np.float64), 3, axis=0)
+        queries[1] = 1e154  # each square is finite, their sum is not
+        with pytest.raises(InvalidVector) as exc:
+            retrieve_batch(memory, queries, 3)
+        assert exc.value.index == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_score_is_cosine_of_its_winning_entry_bit_for_bit(self, seed):
+        # few distinct vectors, so exact ties abound within and across concepts
+        gen = np.random.default_rng(seed)
+        dim, concepts = [8, 16, 48, 200][seed], 300
+        pool = gen.normal(size=(12, dim)).astype(np.float32)
+        described = gen.random(concepts) < 0.6
+        index = np.repeat(np.arange(concepts), 1 + described)
+        codes = np.concatenate([[0, 1][: 1 + d] for d in described]).astype(np.uint8)
+        vectors = pool[gen.integers(0, len(pool), len(index))]
+        ids = [f"C{i:04d}" for i in gen.permutation(concepts)]
+        memory = Memory(ids, index, codes, vectors, dim, ("p", "m"), "t")
+        queries = np.concatenate([pool[:4], pool[4:8] + 0.05 * gen.normal(size=(4, dim)),
+                                  gen.normal(size=(4, dim))])
+        for query, slate in zip(queries, retrieve_batch(memory, queries, 25)):
+            for candidate in slate:
+                rows = np.flatnonzero(index == ids.index(candidate.concept_id)).tolist()
+                scores = [cosine(vectors[row], query) for row in rows]
+                winner = rows[scores.index(max(scores))]  # the earlier entry on a tie
+                assert candidate.variant.value == ("n", "nc")[codes[winner]]
+                assert candidate.score.hex() == cosine(vectors[winner], query).hex()
+
 
 def _homonym_ontology() -> Ontology:
     """Few distinct names and description words, so exact score ties abound."""

@@ -426,6 +426,32 @@ class TestJournal:
         )
         assert endpoint.calls == 0
 
+    @pytest.mark.parametrize("corrupt", [lambda row: row.pop("kind"),
+                                         lambda row: row.update(kind="bogus")],
+                             ids=["missing-kind", "bogus-kind"])
+    def test_row_that_cannot_be_replayed_is_asked_again(self, setting, tmp_path, caplog,
+                                                         corrupt):
+        ontology, queries, _, _, _, candidates = setting
+        path = tmp_path / "run.jsonl"
+        first = link_queries(queries, candidates, ontology, PromptConfig(),
+                             ExactMatchMockEndpoint(), concurrency=1, journal=LinkJournal(path))
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        corrupt(rows[0])
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+        endpoint = RecordingEndpoint()
+        with caplog.at_level("WARNING"):
+            resumed = link_queries(queries, candidates, ontology, PromptConfig(), endpoint,
+                                   journal=LinkJournal(path))
+        assert [ranker_module.prompt_digest(p) for p in endpoint.prompts] == [rows[0]["digest"]]
+        assert stable_fields(resumed) == stable_fields(first)
+        assert "cannot replay" in caplog.text
+        # the fresh row, appended last, replaces the bad one on the next load
+        again = CountingExactMatch()
+        link_queries(queries, candidates, ontology, PromptConfig(), again,
+                     journal=LinkJournal(path))
+        assert again.calls == 0
+
     def test_tolerates_truncated_tail(self, setting, tmp_path):
         ontology, queries, _, _, _, candidates = setting
         path = tmp_path / "run.jsonl"
