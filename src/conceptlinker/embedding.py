@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-import requests
 
 from .errors import (
     CacheError,
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .fileio import atomic_writer
 from .textutil import normalize_whitespace
-from .transport import post_json
+from .transport import new_session, post_json
 
 LOCAL_PROVIDER_ID = "local-trigram"
 REMOTE_PROVIDER_ID = "remote"
@@ -227,7 +226,7 @@ class RemoteProvider:
             raise ValueError(f"not a remote spec: {spec.provider_id!r}")
         self.spec = spec
         self.cache = cache
-        self.session = session or requests.Session()
+        self.session = session or new_session()
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """The float32 (len(texts), dim) matrix of unit rows, in input order.

@@ -12,8 +12,6 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-import requests
-
 from .errors import TransportError, TranscriptMiss
 from .fileio import KeyedLog
 from .ranker import (
@@ -24,7 +22,7 @@ from .ranker import (
     QUERY_MARKER,
     prompt_digest,
 )
-from .transport import post_json
+from .transport import new_session, post_json
 
 _OPTION_LINE = re.compile(r"^(\d+): (.*)$")
 
@@ -55,7 +53,7 @@ class HttpCompletionEndpoint:
         self.model_id = model_id
         self.timeout = timeout
         self.token_budget = token_budget
-        self._session = session or requests.Session()
+        self._session = session or new_session()
 
     def complete(self, prompt: str) -> str:
         payload = {

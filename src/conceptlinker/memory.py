@@ -282,12 +282,14 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     so the result depends only on the two vectors, never on a kernel. It
     divides by both norms rather than trusting unit inputs: float32 storage
     leaves norms a hair off 1, and self-similarity must stay at 1.0.
+    An argument that is zero, holds a NaN or an infinity, or whose squares
+    sum past the largest float raises :class:`InvalidVector`.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimMismatch(a.shape[0], b.shape[0])
-    squares = _exact_sums(np.stack([a * a, b * b], axis=1)).tolist()
+    squares = _row_squares(np.stack([a, b]), _SUM_BLOCK).tolist()
     for position, square in enumerate(squares):
         if not 0.0 < square < math.inf:
             raise InvalidVector("cosine argument", position)
@@ -432,14 +434,17 @@ def _pair_sums(memory: Memory, rows: np.ndarray, owners: np.ndarray, queries: np
 def _row_squares(queries: np.ndarray, block: int) -> np.ndarray:
     """``fsum`` of each query's squares, in column blocks of about ``block`` values.
 
-    A sum past the largest float, for which fsum raises, is infinity here.
+    A sum past the largest float, for which fsum raises, is infinity here,
+    and so is a square past it, without a warning.
     """
-    step = max(1, block // queries.shape[1])
+    step = max(1, block // max(1, queries.shape[1]))
     sums = []
     for lo in range(0, len(queries), step):
         cols = queries[lo : lo + step].T.copy()  # never the caller's array
+        with np.errstate(over="ignore"):
+            np.multiply(cols, cols, out=cols)
         try:
-            sums.append(_exact_sums(np.multiply(cols, cols, out=cols)))
+            sums.append(_exact_sums(cols))
         except OverflowError:  # one row at a time, to find the sums that overflow
             sums.append(_row_squares(queries[lo : lo + step], 1) if step > 1 else [math.inf])
     return np.concatenate(sums)

@@ -2,7 +2,9 @@
 
 Both the remote embedder and the HTTP completion endpoint send their
 requests through :func:`post_json`; each keeps only its body shape and its
-reply extraction.
+reply extraction. This is the one module that names ``requests``, and it
+imports it only in :func:`new_session` and :func:`post_json`, so a process
+that never builds an HTTP client never loads the HTTP stack.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-
-import requests
 
 from .errors import Timeout, TransportError
 
@@ -32,6 +32,13 @@ def bearer_token() -> str | None:
     return os.environ.get(API_KEY_ENV) or None
 
 
+def new_session() -> requests.Session:
+    """The ``requests.Session`` an HTTP client uses when given none."""
+    import requests
+
+    return requests.Session()
+
+
 def post_json(session: requests.Session, url: str, body: dict,
               timeout: float) -> requests.Response:
     """POST ``body`` as JSON and return the first reply below HTTP 400.
@@ -46,6 +53,8 @@ def post_json(session: requests.Session, url: str, body: dict,
     and the log shows the cut value. Any other 4xx raises
     :class:`TransportError` at once.
     """
+    import requests
+
     headers = {}
     token = bearer_token()
     if token:

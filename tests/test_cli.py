@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import conceptlinker
 from conceptlinker import (
     Concept,
     GoldPair,
@@ -780,3 +784,45 @@ def test_readme_config_table_agrees_with_settings():
         if name in cli_module._COMMAND_FLAGS:
             want += f" (`{cli_module._COMMAND_FLAGS[name]}`)"
         assert flag_cells[section, key] == want, f"[{section}] {key}"
+
+
+# Every offline command in one fresh process: the HTTP stack stays unloaded.
+_OFFLINE_RUN = """
+import json, sys
+import conceptlinker
+from conceptlinker import cli
+
+config, out = sys.argv[1:]
+fixtures = ["--fixtures", out + "/transcript.jsonl"]
+runs = [
+    ["build-memory"],
+    ["retrieve", "--output", out + "/retrievals.jsonl"],
+    ["link", "--endpoint", "mock:keyword", *fixtures, "--output", out + "/recorded.tsv"],
+    ["link", *fixtures, "--output", out + "/replayed.tsv"],
+    ["evaluate", "--predictions", out + "/replayed.tsv"],
+    ["ablate", "--endpoint", "mock:keyword", "--output", out + "/ablation.json"],
+]
+codes = [cli.main([*argv, "--config", config]) for argv in runs]
+loaded = [name for name in ("requests", "urllib3", "ssl") if name in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_offline_commands_never_load_the_http_stack(tmp_path):
+    data = Path(__file__).parents[1] / "demos" / "data"
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[paths]\n"
+        + "".join(f"{key} = {data / key}.jsonl\n" for key in ("ontology", "queries", "gold", "grid"))
+        + f"memory = {tmp_path / 'memory.bin'}\n"
+    )
+    src = str(Path(conceptlinker.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _OFFLINE_RUN, str(config), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 6, "loaded": []}, run.stderr
+    assert (tmp_path / "recorded.tsv").read_bytes() == (tmp_path / "replayed.tsv").read_bytes()

@@ -482,6 +482,12 @@ def test_make_provider_dispatch(tmp_path):
         make_provider(ProviderSpec("nope", "m", 64))
 
 
+def test_remote_provider_builds_a_requests_session_when_given_none():
+    provider = make_provider(remote_spec())
+    assert type(provider.session) is requests.Session
+    provider.session.close()
+
+
 class TestRetryAfter:
     """A 429 or 503 may ask for its pause; anything else keeps the fixed backoff."""
 

@@ -150,6 +150,11 @@ class TestHttpCompletionEndpoint:
         with pytest.raises(ValueError):
             HttpCompletionEndpoint("https://x", "m", token_budget=0)
 
+    def test_builds_a_requests_session_when_given_none(self):
+        endpoint = HttpCompletionEndpoint("https://llm.test/v1/chat", "ranker-1")
+        assert type(endpoint._session) is requests.Session
+        endpoint._session.close()
+
 
 class TestTranscriptStore:
     def test_round_trip(self, tmp_path):

@@ -243,6 +243,17 @@ class TestCosine:
         with pytest.raises(DimMismatch):
             cosine(np.ones(3), np.ones(4))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("position", [0, 1])
+    # at 1e154 each square is finite but their sum is not; at 2e154 the squares overflow
+    @pytest.mark.parametrize("big", [1e154, 2e154])
+    def test_argument_whose_squares_overflow_rejected(self, position, big):
+        args = [np.ones(2), np.ones(2)]
+        args[position] = np.full(2, big)
+        with pytest.raises(InvalidVector) as exc:
+            cosine(*args)
+        assert exc.value.index == position
+
 
 class TestRetrieveTopK:
     def build(self, rng: random.Random, n: int):
@@ -370,6 +381,15 @@ class TestRetrieveTopK:
         with pytest.raises(InvalidVector) as exc:
             retrieve_batch(memory, queries, 3)
         assert exc.value.index == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_query_whose_squares_overflow_rejected_without_warning(self, rng):
+        _, provider, memory = self.build(rng, 10)
+        queries = np.repeat(provider.embed_batch(["aspirin"]).astype(np.float64), 3, axis=0)
+        queries[2] = 2e154  # the squares themselves pass the largest float
+        with pytest.raises(InvalidVector) as exc:
+            retrieve_batch(memory, queries, 3)
+        assert exc.value.index == 2
 
     @pytest.mark.parametrize("seed", range(4))
     def test_every_score_is_cosine_of_its_winning_entry_bit_for_bit(self, seed):
