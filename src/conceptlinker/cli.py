@@ -137,9 +137,9 @@ class Settings:
         except (TypeError, ValueError):
             raise UsageError(f"{SETTINGS[name][1]} must be an integer, got {value!r}") from None
 
-    def positive(self, name: str) -> int:
+    def positive(self, name: str) -> int | None:
         value = self.integer(name)
-        if value < 1:
+        if value is not None and value < 1:
             raise UsageError(f"{SETTINGS[name][1]} must be >= 1, got {value}")
         return value
 
@@ -213,8 +213,7 @@ def _completion_endpoint(s: Settings):
         )
     elif url is not None:
         base = HttpCompletionEndpoint(
-            url, s.get("completion_model"), token_budget=s.integer("token_budget"),
-            timeout=s.positive_float("endpoint_timeout"),
+            url, s.get("completion_model"), timeout=s.positive_float("endpoint_timeout"),
         )
     if fixtures is not None:
         store = TranscriptStore(fixtures)
@@ -292,6 +291,7 @@ def cmd_link(s: Settings) -> int:
     out = s.output_path("predictions")
     k = s.positive("k")
     concurrency = s.positive("concurrency")
+    token_budget = s.positive("token_budget")
     endpoint = _completion_endpoint(s)
     prompt_config = _prompt_config(s)
     ontology, provider, memory, queries = _open_inputs(s, with_ontology=True)
@@ -300,7 +300,7 @@ def cmd_link(s: Settings) -> int:
     journal = LinkJournal(Path(str(out) + ".details.jsonl"))
     results = link_queries(
         queries, candidates, ontology, prompt_config, endpoint,
-        concurrency=concurrency, journal=journal,
+        concurrency=concurrency, journal=journal, token_budget=token_budget,
     )
     write_predictions(out, results, candidates)
 
@@ -349,6 +349,7 @@ def cmd_ablate(s: Settings) -> int:
     out = s.output_path("report")
     k = s.positive("k")
     concurrency = s.positive("concurrency")
+    token_budget = s.positive("token_budget")
     endpoint = _completion_endpoint(s)
     ontology, provider, memory, queries = _open_inputs(s, with_ontology=True)
     gold = parse_gold(gold_path)
@@ -356,7 +357,7 @@ def cmd_ablate(s: Settings) -> int:
 
     rows = run_ablation(
         queries, gold, ontology, memory, provider, endpoint, arms,
-        k=k, concurrency=concurrency,
+        k=k, concurrency=concurrency, token_budget=token_budget,
     )
     report = {
         "k": k,

@@ -167,7 +167,7 @@ class UnresolvableCandidate(ValidationError):
 class PromptBudgetExceeded(ValidationError):
     def __init__(self, estimated: int, budget: int):
         super().__init__(
-            f"prompt estimated at {estimated} tokens exceeds the endpoint budget of {budget}"
+            f"prompt estimated at {estimated} tokens exceeds the token budget of {budget}"
         )
         self.estimated = estimated
         self.budget = budget

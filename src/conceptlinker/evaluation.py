@@ -422,12 +422,14 @@ def run_ablation(
     *,
     k: int,
     concurrency: int = 1,
+    token_budget: int | None = None,
 ) -> list[AblationRow]:
     """Score one prompt configuration per grid entry, sharing retrieval.
 
-    Retrieval runs once; only the prompt stage varies across rows. A row
-    that fails is recorded with its error and the remaining rows still
-    run. Rows come back in grid order.
+    Retrieval runs once; only the prompt stage varies across rows, and
+    every prompt fits ``token_budget`` when one is given. A row that fails
+    is recorded with its error and the remaining rows still run. Rows come
+    back in grid order.
     """
     if not grid:
         raise ValueError("grid is empty")
@@ -443,7 +445,7 @@ def run_ablation(
         try:
             results = link_queries(
                 queries, candidates, ontology, arm.config, endpoint,
-                concurrency=concurrency,
+                concurrency=concurrency, token_budget=token_budget,
             )
             report = score_predictions(results, gold)
             rows.append(AblationRow(arm.label, arm.config, report, None, digest))

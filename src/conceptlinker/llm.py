@@ -1,10 +1,11 @@
 """Completion endpoints: HTTP, transcript record/replay, and offline mocks.
 
-An endpoint is anything with ``complete(prompt) -> str`` and an optional
-``token_budget`` attribute. The HTTP endpoint speaks a chat-style JSON
-shape with temperature 0. Transcripts key responses by the SHA-256 of the
-prompt, so a replayed run is byte-identical to the recorded one and needs
-no network at all.
+An endpoint is anything with ``complete(prompt) -> str``. The prompt
+budget is not the endpoint's: it is a setting of the run, which fits every
+prompt to it before any endpoint sees one. The HTTP endpoint speaks a
+chat-style JSON shape with temperature 0. Transcripts key responses by the
+SHA-256 of the prompt, so a replayed run is byte-identical to the recorded
+one and needs no network at all.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .fileio import KeyedLog
 from .ranker import (
     ABSTRACT_CLOSE,
     ABSTRACT_OPEN,
+    NONE_OPTION,
     OPTION_SEP,
     OPTIONS_MARKER,
     QUERY_MARKER,
@@ -42,17 +44,13 @@ class HttpCompletionEndpoint:
         model_id: str,
         *,
         timeout: float = 60.0,
-        token_budget: int | None = None,
         session: requests.Session | None = None,
     ) -> None:
         if not url:
             raise ValueError("url must be non-empty")
-        if token_budget is not None and token_budget < 1:
-            raise ValueError("token_budget must be positive")
         self.url = url
         self.model_id = model_id
         self.timeout = timeout
-        self.token_budget = token_budget
         self._session = session or new_session()
 
     def complete(self, prompt: str) -> str:
@@ -110,10 +108,6 @@ class RecordingEndpoint:
         self._inner = inner
         self._store = store
 
-    @property
-    def token_budget(self) -> int | None:
-        return getattr(self._inner, "token_budget", None)
-
     def complete(self, prompt: str) -> str:
         digest = prompt_digest(prompt)
         cached = self._store.lookup(digest)
@@ -126,8 +120,6 @@ class RecordingEndpoint:
 
 class ReplayEndpoint:
     """Answers only from a transcript; unknown prompts are an error."""
-
-    token_budget = None
 
     def __init__(self, store: TranscriptStore) -> None:
         self._store = store
@@ -142,8 +134,6 @@ class ReplayEndpoint:
 
 class ScriptedEndpoint:
     """Returns canned responses in order; handy for tests and demos."""
-
-    token_budget = None
 
     def __init__(self, responses: list[str]) -> None:
         self._responses = list(responses)
@@ -196,14 +186,18 @@ def parse_prompt(prompt: str) -> tuple[str, str | None, list[tuple[str, str | No
     return mention, context, options
 
 
+def _none_label(prompt: str) -> str:
+    """The none label of a rendered prompt, read from its last none-option line."""
+    end = prompt.rindex(NONE_OPTION)
+    return prompt[prompt.rfind("\n", 0, end) + 1 : end]
+
+
 class ExactMatchMockEndpoint:
-    """Picks the option whose name equals the query term, else none.
+    """Picks the option whose name equals the query term, else the none label.
 
     Comparison is case-insensitive on whitespace-trimmed names. Purely
     lexical, so it is deterministic and needs no network.
     """
-
-    token_budget = None
 
     def complete(self, prompt: str) -> str:
         mention, _, options = parse_prompt(prompt)
@@ -211,7 +205,7 @@ class ExactMatchMockEndpoint:
         for i, (name, _) in enumerate(options):
             if name.strip().lower() == wanted:
                 return f"option {i}"
-        return "None"
+        return _none_label(prompt)
 
 
 class KeywordMockEndpoint:
@@ -221,12 +215,11 @@ class KeywordMockEndpoint:
     matched case-insensitively against the query context and term; the
     highest overlap wins, ties going to the earlier option. Without any
     overlap it answers by exact name match only when exactly one option
-    carries the queried name, and abstains otherwise: names alone cannot
-    separate homonyms. Meant to show context-sensitive ranking without a
-    live model.
+    carries the queried name, and answers the prompt's none label
+    otherwise: names alone cannot separate homonyms. Meant to show
+    context-sensitive ranking without a live model.
     """
 
-    token_budget = None
     _word = re.compile(r"[a-z]{4,}")
 
     def complete(self, prompt: str) -> str:
@@ -248,4 +241,4 @@ class KeywordMockEndpoint:
         ]
         if len(matches) == 1:
             return f"option {matches[0]}"
-        return "None"
+        return _none_label(prompt)

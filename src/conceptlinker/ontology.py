@@ -28,7 +28,7 @@ from .errors import (
 from .fileio import atomic_text, read_records
 from .textutil import normalize_whitespace, truncate_at_word
 
-DEFAULT_DESCRIPTION_BUDGET = 2000
+MAX_DESCRIPTION_CHARS = 2000
 
 
 @dataclass(frozen=True)
@@ -122,17 +122,12 @@ def _optional_str(obj: dict, key: str, lineno: int) -> str | None:
     return value
 
 
-def parse_ontology(
-    path: str | Path,
-    tag: str,
-    *,
-    max_description_chars: int = DEFAULT_DESCRIPTION_BUDGET,
-) -> Ontology:
+def parse_ontology(path: str | Path, tag: str) -> Ontology:
     """Load and validate a concept inventory from a JSON Lines file.
 
     Record order is preserved. Names and descriptions are
     whitespace-normalized, and descriptions are capped at
-    ``max_description_chars`` ending on a whole word. Fields other than
+    ``MAX_DESCRIPTION_CHARS``, ending on a whole word. Fields other than
     ``id``, ``name`` and ``description`` are ignored.
     """
     ids: list[str] = []
@@ -157,8 +152,8 @@ def parse_ontology(
             if not isinstance(description, str):
                 raise MalformedRecord(lineno, "field 'description' is not a string")
             description = " ".join(description.split())
-            if len(description) > max_description_chars:
-                description = truncate_at_word(description, max_description_chars)
+            if len(description) > MAX_DESCRIPTION_CHARS:
+                description = truncate_at_word(description, MAX_DESCRIPTION_CHARS)
             description = description or None
 
         ids.append(cid)

@@ -106,16 +106,18 @@ def link_queries(
     *,
     concurrency: int = DEFAULT_CONCURRENCY,
     journal: LinkJournal | None = None,
+    token_budget: int | None = None,
 ) -> list[LinkResult]:
     """Rank every query against its candidate slate; results in input order.
 
     The calling thread and up to ``concurrency - 1`` helper threads take
     pending queries one at a time, so at most ``concurrency`` completions
-    are in flight; ``concurrency=1`` ranks inline. The journal, when given,
-    is consulted before and appended after each query. Once a query raises,
-    or the caller is interrupted, no further query is started; the calls
-    in flight finish and are journaled, then the exception of the earliest
-    failing query in input order propagates.
+    are in flight; ``concurrency=1`` ranks inline. Every prompt sent fits
+    ``token_budget`` estimated tokens, when one is given. The journal, when
+    given, is consulted before and appended after each query. Once a query
+    raises, or the caller is interrupted, no further query is started; the
+    calls in flight finish and are journaled, then the exception of the
+    earliest failing query in input order propagates.
     """
     if len(queries) != len(candidates):
         raise ValueError(
@@ -123,13 +125,14 @@ def link_queries(
         )
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
+    if token_budget is not None and token_budget < 1:
+        raise ValueError("token_budget must be >= 1")
 
-    budget = getattr(endpoint, "token_budget", None)
     results: list[LinkResult | None] = [None] * len(queries)
     prompts: list[str] = []
     pending: list[int] = []
     for i, (query, slate) in enumerate(zip(queries, candidates)):
-        prompts.append(fit_prompt(query, slate, ontology, config, budget) if slate else "")
+        prompts.append(fit_prompt(query, slate, ontology, config, token_budget) if slate else "")
         if journal is not None:
             results[i] = journal.get(query.id, prompt_digest(prompts[i]))
         if results[i] is None:
@@ -137,7 +140,7 @@ def link_queries(
 
     def run_one(i: int) -> LinkResult:
         result = rank(queries[i], candidates[i], ontology, config, endpoint,
-                      prompt=prompts[i])
+                      prompt=prompts[i], token_budget=token_budget)
         if journal is not None and result.selection.kind is not SelectionKind.TRANSPORT_ERROR:
             journal.append(journal_row(result, candidates[i]))
         return result

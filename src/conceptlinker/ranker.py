@@ -33,10 +33,12 @@ OPTIONS_MARKER = "Options:"
 ABSTRACT_OPEN = "<abstract>"
 ABSTRACT_CLOSE = "</abstract>"
 OPTION_SEP = " | "
+NONE_OPTION = ": none of the above options match"  # follows the none label
 
 _OPTION_WORD = re.compile(r"\boption\s+(\d+)", re.IGNORECASE)
 _LINE_PREFIX = re.compile(r"^[ \t]*(\d+)[ \t]*:", re.MULTILINE)
 _LINE_EXACT = re.compile(r"^[ \t]*(\d+)[ \t]*$", re.MULTILINE)
+_OPTION_RULES = (_OPTION_WORD, _LINE_PREFIX, _LINE_EXACT)
 
 
 class SelectionKind(Enum):
@@ -99,7 +101,8 @@ class PromptConfig:
         label = self.none_label.strip()
         if not label:
             raise ValueError("none_label must be non-empty")
-        if label.isdigit():
+        # a reply equal to the label must not read as an option
+        if label.isdigit() or any(rule.search(self.none_label) for rule in _OPTION_RULES):
             raise ValueError("none_label must be distinct from option index tokens")
         if self.max_option_context_chars < 50:
             raise ValueError("max_option_context_chars must be at least 50")
@@ -149,7 +152,7 @@ def build_prompt(
             option += OPTION_SEP + truncate_at_word(description, config.max_option_context_chars)
         lines.append(option)
     lines += [
-        f"{none_label}: none of the above options match",
+        none_label + NONE_OPTION,
         "",
         f"Answer with exactly one option number or {none_label}, "
         "then briefly justify your choice.",
@@ -165,9 +168,10 @@ def parse_response(text: str, n_options: int, none_label: str = "None") -> Selec
     """Map a raw model response to a Selection; total, never raises.
 
     Priority: (1) "option N" anywhere, case-insensitive; (2) a standalone
-    line "N:" or exactly "N"; (3) the none label as a whole word,
-    case-insensitive. Within a rule the earliest text position wins;
-    indices >= n_options never match. No rule firing means ParseFailure.
+    line "N:" or exactly "N"; (3) the trimmed none label with no word
+    character right before or after it, case-insensitive. Within a rule
+    the earliest text position wins; indices >= n_options never match. No
+    rule firing means ParseFailure.
     """
     if n_options < 1:
         raise ValueError(f"n_options must be >= 1, got {n_options}")
@@ -186,7 +190,7 @@ def parse_response(text: str, n_options: int, none_label: str = "None") -> Selec
         if index < n_options:
             return Selection(SelectionKind.OPTION, text, index=index)
 
-    none_word = re.compile(rf"\b{re.escape(none_label)}\b", re.IGNORECASE)
+    none_word = re.compile(rf"(?<!\w){re.escape(none_label.strip())}(?!\w)", re.IGNORECASE)
     if none_word.search(text):
         return Selection(SelectionKind.NONE_OF_THE_ABOVE, text)
 
@@ -196,22 +200,6 @@ def parse_response(text: str, n_options: int, none_label: str = "None") -> Selec
 def estimate_tokens(text: str) -> int:
     """Crude chars/4 token estimate used for the prompt budget guard."""
     return len(text) // 4 + 1
-
-
-def complete(endpoint, prompt: str) -> str:
-    """Send one prompt to a completion endpoint and return the raw text.
-
-    Enforces the endpoint's token budget, when it advertises one, before
-    sending anything.
-    """
-    if not prompt:
-        raise ValueError("prompt must be non-empty")
-    budget = getattr(endpoint, "token_budget", None)
-    if budget is not None:
-        estimate = estimate_tokens(prompt)
-        if estimate > budget:
-            raise PromptBudgetExceeded(estimate, budget)
-    return endpoint.complete(prompt)
 
 
 def fit_prompt(
@@ -257,15 +245,17 @@ def rank(
     *,
     reask_limit: int = 1,
     prompt: str | None = None,
+    token_budget: int | None = None,
 ) -> LinkResult:
     """Run one query through prompt, completion, and parsing.
 
     An empty candidate list short-circuits to none-of-the-above without
     touching the endpoint. A ParseFailure earns up to ``reask_limit``
-    re-asks with an appended answer-format reminder. Transport failures
-    become a distinct failure kind in the result, never a silent none.
-    ``prompt`` is what :func:`fit_prompt` returns for these arguments and
-    the endpoint's budget, for a caller that has already built it.
+    re-asks with an appended answer-format reminder, unless the re-ask
+    would not fit ``token_budget``. Transport failures become a distinct
+    failure kind in the result, never a silent none. ``prompt`` is what
+    :func:`fit_prompt` returns for these arguments and ``token_budget``,
+    for a caller that has already built it.
     """
     if not candidates:
         return LinkResult(
@@ -278,8 +268,7 @@ def rank(
         )
 
     if prompt is None:
-        budget = getattr(endpoint, "token_budget", None)
-        prompt = fit_prompt(query, candidates, ontology, config, budget)
+        prompt = fit_prompt(query, candidates, ontology, config, token_budget)
     digest = prompt_digest(prompt)
 
     started = time.monotonic()
@@ -289,7 +278,7 @@ def rank(
     while attempts <= reask_limit:
         attempts += 1
         try:
-            raw = complete(endpoint, ask)
+            raw = endpoint.complete(ask)
         except ServiceError as exc:
             selection = Selection(SelectionKind.TRANSPORT_ERROR, str(exc))
             break
@@ -300,6 +289,8 @@ def rank(
             prompt
             + f"\nAnswer with only the option number or {config.none_label}."
         )
+        if token_budget is not None and estimate_tokens(ask) > token_budget:
+            break
     latency = time.monotonic() - started
 
     resolved = None

@@ -522,11 +522,15 @@ class TestConfigKeys:
         seen = {}
 
         class Recording:
-            def __init__(self, url, model, *, timeout, token_budget):
-                seen.update(url=url, model=model, timeout=timeout, budget=token_budget)
-                raise Stop("stop")
+            def __init__(self, url, model, *, timeout):
+                seen.update(url=url, model=model, timeout=timeout)
+
+        def link_queries(*args, **kwargs):
+            seen.update(budget=kwargs["token_budget"])
+            raise Stop("stop")
 
         monkeypatch.setattr("conceptlinker.cli.HttpCompletionEndpoint", Recording)
+        monkeypatch.setattr("conceptlinker.cli.link_queries", link_queries)
         build(workspace)
         config = write_config(workspace, (
             "[endpoint]\n"
@@ -826,3 +830,67 @@ def test_offline_commands_never_load_the_http_stack(tmp_path):
     result = json.loads(run.stdout.splitlines()[-1])
     assert result == {"codes": [0] * 6, "loaded": []}, run.stderr
     assert (tmp_path / "recorded.tsv").read_bytes() == (tmp_path / "replayed.tsv").read_bytes()
+
+
+DEMO_DATA = Path(__file__).parents[1] / "demos" / "data"
+
+
+def demo_config(tmp_path, name: str, budget: str | None) -> str:
+    path = tmp_path / name
+    path.write_text(
+        "[paths]\n"
+        + "".join(f"{key} = {DEMO_DATA / key}.jsonl\n" for key in ("ontology", "queries"))
+        + f"memory = {tmp_path / 'memory.bin'}\n"
+        + ("" if budget is None else f"[endpoint]\ntoken_budget = {budget}\n")
+    )
+    return str(path)
+
+
+def test_budget_applies_to_mock_recording_and_replay(tmp_path, capsys):
+    plain = demo_config(tmp_path, "plain.ini", None)
+    shed = demo_config(tmp_path, "shed.ini", "300")
+    assert main(["build-memory", "--config", plain]) == 0
+    recorded, replayed = tmp_path / "recorded.tsv", tmp_path / "replayed.tsv"
+    transcript, full = tmp_path / "shed.jsonl", tmp_path / "full.jsonl"
+    assert main(["link", "--config", shed, "--endpoint", "mock:keyword",
+                 "--fixtures", str(transcript), "--output", str(recorded)]) == 0
+    assert main(["link", "--config", shed, "--fixtures", str(transcript),
+                 "--output", str(replayed)]) == 0
+    assert recorded.read_bytes() == replayed.read_bytes()
+    # every demo prompt is over 300 estimated tokens, so none was sent whole
+    assert main(["link", "--config", plain, "--endpoint", "mock:keyword",
+                 "--fixtures", str(full), "--output", str(tmp_path / "full.tsv")]) == 0
+    digests = [{json.loads(line)["digest"] for line in path.read_text().splitlines()}
+               for path in (transcript, full)]
+    assert len(digests[0]) == 6 and not digests[0] & digests[1]
+
+    capsys.readouterr()
+    tight = demo_config(tmp_path, "tight.ini", "100")
+    assert main(["link", "--config", tight, "--endpoint", "mock:keyword",
+                 "--output", str(tmp_path / "tight.tsv")]) == 2
+    assert "budget of 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["link", "ablate"])
+@pytest.mark.parametrize("endpoint", [
+    ["--endpoint", "mock:exact"],
+    ["--endpoint", "mock:keyword"],
+    ["--endpoint", HTTP_ENDPOINT],
+    ["--endpoint", "mock:keyword", "--fixtures", "{transcript}"],
+    ["--fixtures", "{transcript}"],
+], ids=["mock-exact", "mock-keyword", "http", "recording", "replay"])
+def test_zero_token_budget_is_a_usage_error(tmp_path, capsys, command, endpoint):
+    config = tmp_path / "run.ini"
+    config.write_text("[endpoint]\ntoken_budget = 0\n")
+    # every input exists but none parses, so reading any of them would fail differently
+    inputs = []
+    names = ["ontology", "queries", "memory", "gold"] + (["grid"] if command == "ablate" else [])
+    for name in names:
+        (tmp_path / name).write_text("not an input\n")
+        inputs += [f"--{name}", str(tmp_path / name)]
+    transcript = tmp_path / "transcript.jsonl"
+    argv = [command, "--config", str(config), *inputs, "--output", str(tmp_path / "out"),
+            *(arg.format(transcript=transcript) for arg in endpoint)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: token_budget must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists() and not transcript.exists()

@@ -147,8 +147,6 @@ class TestHttpCompletionEndpoint:
     def test_validation(self):
         with pytest.raises(ValueError):
             HttpCompletionEndpoint("", "m")
-        with pytest.raises(ValueError):
-            HttpCompletionEndpoint("https://x", "m", token_budget=0)
 
     def test_builds_a_requests_session_when_given_none(self):
         endpoint = HttpCompletionEndpoint("https://llm.test/v1/chat", "ranker-1")
@@ -194,16 +192,6 @@ class TestTranscriptStore:
         assert endpoint.complete("prompt text") == "option 1"
         assert len(inner.prompts) == 1
         assert store.lookup(prompt_digest("prompt text")) == "option 1"
-
-    def test_recording_passes_token_budget(self, tmp_path):
-        class Budgeted:
-            token_budget = 77
-
-            def complete(self, prompt):
-                return "x"
-
-        endpoint = TranscriptStore(tmp_path / "t.jsonl").recording(Budgeted())
-        assert endpoint.token_budget == 77
 
     def test_replay_hit_and_miss(self, tmp_path):
         store = TranscriptStore(tmp_path / "t.jsonl")
@@ -293,6 +281,18 @@ class TestExactMatchMock:
 
     def test_no_match_is_none(self):
         assert ExactMatchMockEndpoint().complete(render_fixture()) == "None"
+
+    def test_abstains_with_the_prompts_none_label(self):
+        # the example block offers its own none line; the query's comes last
+        example = OneShotExample(
+            query="warfarin sensitivity",
+            options="0: Warfarin resistance\nNone: none of the above options match",
+            answer="None",
+        )
+        prompt = render_fixture(PromptConfig(none_label="N/A", one_shot=example))
+        assert ExactMatchMockEndpoint().complete(prompt) == "N/A"
+        bare = PromptConfig(none_label="(none)", include_candidate_context=False)
+        assert KeywordMockEndpoint().complete(render_fixture(bare)) == "(none)"
 
 
 class TestKeywordMock:

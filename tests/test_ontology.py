@@ -24,6 +24,7 @@ from conceptlinker.errors import (
     MissingField,
     UnknownId,
 )
+from conceptlinker.ontology import MAX_DESCRIPTION_CHARS
 
 from .conftest import ontology_from, queries_for, synthetic_ontology
 
@@ -112,10 +113,11 @@ class TestParseOntology:
 
     def test_description_truncated_at_word(self, tmp_path):
         path = tmp_path / "onto.jsonl"
-        long = "alpha beta gamma delta epsilon"
+        long = "alpha beta " * 200
         write_jsonl(path, [{"id": "C1", "name": "x", "description": long}])
-        onto = parse_ontology(path, "t", max_description_chars=12)
-        assert onto.get("C1").description == "alpha beta"
+        # the cut at MAX_DESCRIPTION_CHARS falls inside a word, which is dropped
+        assert MAX_DESCRIPTION_CHARS == 2000
+        assert parse_ontology(path, "t").get("C1").description == "alpha beta " * 181 + "alpha"
 
     def test_unknown_fields_ignored(self, tmp_path):
         path = tmp_path / "onto.jsonl"

@@ -14,16 +14,22 @@ import pytest
 
 from conceptlinker import (
     ExactMatchMockEndpoint,
+    KeywordMockEndpoint,
     LinkJournal,
     PromptConfig,
+    Query,
+    ScriptedEndpoint,
     SelectionKind,
+    TranscriptStore,
     build_memory,
+    fit_prompt,
     link_queries,
     query_text,
     retrieve_for_queries,
 )
 from conceptlinker import ranker as ranker_module
-from conceptlinker.errors import TransportError
+from conceptlinker.errors import TranscriptMiss, TransportError
+from conceptlinker.ranker import estimate_tokens
 from conceptlinker.pipeline import journal_row, result_from_row
 
 from .conftest import local_provider, queries_for, synthetic_ontology
@@ -319,6 +325,64 @@ class TestLinkQueries:
         assert endpoint.calls == 2
         rows = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]
         assert [row["query_id"] for row in rows] in ([queries[0].id], [queries[1].id])
+
+
+class TestTokenBudget:
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_validated(self, setting, budget):
+        ontology, queries, _, _, _, candidates = setting
+        with pytest.raises(ValueError, match="token_budget"):
+            link_queries(queries, candidates, ontology, PromptConfig(),
+                         ExactMatchMockEndpoint(), token_budget=budget)
+        with pytest.raises(ValueError, match="token_budget"):
+            link_queries([], [], ontology, PromptConfig(),
+                         ExactMatchMockEndpoint(), token_budget=budget)
+
+    def test_budgeted_record_then_replay(self, setting, tmp_path):
+        ontology, queries, _, _, _, candidates = setting
+        bare = PromptConfig(include_candidate_context=False)
+        budget = max(estimate_tokens(fit_prompt(q, slate, ontology, bare))
+                     for q, slate in zip(queries, candidates))
+        path = tmp_path / "transcript.jsonl"
+        inner = RecordingEndpoint()
+        recorded = link_queries(queries, candidates, ontology, PromptConfig(),
+                                TranscriptStore(path).recording(inner), token_budget=budget)
+        # the budget shed context from the prompts that were sent
+        sent = inner.prompts
+        assert max(estimate_tokens(p) for p in sent) <= budget
+        assert any(p != fit_prompt(q, slate, ontology, PromptConfig())
+                   for p, q, slate in zip(sent, queries, candidates))
+
+        replayed = link_queries(queries, candidates, ontology, PromptConfig(),
+                                TranscriptStore(path).replay(), token_budget=budget)
+        assert stable_fields(replayed) == stable_fields(recorded)
+        with pytest.raises(TranscriptMiss):
+            link_queries(queries, candidates, ontology, PromptConfig(),
+                         TranscriptStore(path).replay())
+
+    def test_reask_at_the_budget_is_not_sent(self, setting):
+        ontology, queries, _, _, _, candidates = setting
+        prompt = fit_prompt(queries[0], candidates[0], ontology, PromptConfig())
+        endpoint = ScriptedEndpoint(["mumble"] * 2)
+        [result] = link_queries(queries[:1], candidates[:1], ontology, PromptConfig(),
+                                endpoint, token_budget=estimate_tokens(prompt))
+        assert result.selection.kind is SelectionKind.PARSE_FAILURE
+        assert result.attempts == 1
+        assert endpoint.prompts == [prompt]
+
+
+class TestMockNoneLabel:
+    @pytest.mark.parametrize("mock_endpoint", [ExactMatchMockEndpoint, KeywordMockEndpoint])
+    @pytest.mark.parametrize("label", ["N/A", "(none)", " Nothing fits "])
+    def test_abstention_answers_the_prompts_label(self, setting, mock_endpoint, label):
+        ontology, _, _, _, _, candidates = setting
+        # no option is named after the mention and no word of it is in a description
+        query = Query(id="q", mention="zzzz qqqq")
+        [result] = link_queries([query], candidates[:1], ontology,
+                                PromptConfig(none_label=label), mock_endpoint())
+        assert result.selection.kind is SelectionKind.NONE_OF_THE_ABOVE
+        assert result.selection.raw_response == label
+        assert result.attempts == 1
 
 
 class TestJournal:

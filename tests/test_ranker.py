@@ -6,6 +6,8 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conceptlinker import (
     Candidate,
@@ -30,7 +32,7 @@ from conceptlinker.errors import (
     TransportError,
     UnresolvableCandidate,
 )
-from conceptlinker.ranker import complete, estimate_tokens
+from conceptlinker.ranker import estimate_tokens
 
 from .conftest import ontology_from
 
@@ -202,6 +204,11 @@ class TestPromptConfig:
         with pytest.raises(ValueError):
             PromptConfig(none_label="7")
 
+    @pytest.mark.parametrize("label", ["option 1", "Option 0?", "0:", " 2 ", "none\n3"])
+    def test_none_label_never_reads_as_an_option(self, label):
+        with pytest.raises(ValueError, match="distinct from option index"):
+            PromptConfig(none_label=label)
+
     def test_context_floor(self):
         with pytest.raises(ValueError):
             PromptConfig(max_option_context_chars=49)
@@ -222,6 +229,27 @@ class TestParseResponse:
     def test_custom_label_disables_default(self):
         selection = parse_response("None", 5, none_label="Ninguno")
         assert selection.kind is FAIL
+
+    @pytest.mark.parametrize("label", ["(none)", "-", " None ", "[none]", "N/A"])
+    def test_label_with_any_end_characters(self, label):
+        bare = label.strip()
+        for text in (label, bare, f"Answer: {bare}.", f"{bare.upper()}\nnothing fits"):
+            assert parse_response(text, 3, none_label=label).kind is NONE, text
+
+    @pytest.mark.parametrize("label,text", [
+        ("None", "Nonesuch"), (" None ", "Nonesuch"), ("-", "well-known"),
+        ("(none)", "none"), ("[none]", "x[none]"),
+    ])
+    def test_label_inside_a_word_is_not_none(self, label, text):
+        assert parse_response(text, 3, none_label=label).kind is FAIL
+
+    @given(label=st.text(min_size=1, max_size=12), n=st.integers(1, 20))
+    def test_reply_equal_to_any_accepted_label_is_none(self, label, n):
+        try:
+            PromptConfig(none_label=label)
+        except ValueError:
+            assume(False)
+        assert parse_response(label, n, none_label=label).kind is NONE
 
     def test_n_options_validated(self):
         with pytest.raises(ValueError):
@@ -353,17 +381,6 @@ class TestBudget:
                 PromptConfig(), 10,
             )
 
-    def test_complete_enforces_endpoint_budget(self):
-        class Tight:
-            token_budget = 3
-
-            def complete(self, prompt):
-                return "option 0"
-
-        with pytest.raises(PromptBudgetExceeded):
-            complete(Tight(), "a" * 100)
-        assert complete(Tight(), "ok") == "option 0"
-
     def test_rank_fits_to_endpoint_budget(self):
         config = PromptConfig()
         bare = build_prompt(
@@ -372,8 +389,6 @@ class TestBudget:
         )
 
         class Tight:
-            token_budget = estimate_tokens(bare)
-
             def __init__(self):
                 self.prompts = []
 
@@ -383,10 +398,37 @@ class TestBudget:
 
         endpoint = Tight()
         result = rank(
-            fixture_query(), fixture_candidates(), fixture_ontology(), config, endpoint
+            fixture_query(), fixture_candidates(), fixture_ontology(), config, endpoint,
+            token_budget=estimate_tokens(bare),
         )
         assert result.resolved == "ORPHA:721"
         assert endpoint.prompts[0] == bare
+
+    def test_reask_that_would_not_fit_is_not_sent(self):
+        prompt = build_prompt(
+            fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig()
+        )
+        endpoint = ScriptedEndpoint(["mumble", "option 0"])
+        result = rank(
+            fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig(),
+            endpoint, token_budget=estimate_tokens(prompt),
+        )
+        assert result.selection == Selection(FAIL, "mumble")
+        assert result.attempts == 1
+        assert endpoint.prompts == [prompt]
+
+    def test_reask_that_fits_is_sent(self):
+        prompt = build_prompt(
+            fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig()
+        )
+        endpoint = ScriptedEndpoint(["mumble", "option 0"])
+        result = rank(
+            fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig(),
+            endpoint, token_budget=estimate_tokens(prompt) + 20,
+        )
+        assert result.resolved == "ORPHA:721"
+        assert result.attempts == 2
+        assert all(estimate_tokens(p) <= estimate_tokens(prompt) + 20 for p in endpoint.prompts)
 
 
 def test_prompt_digest_is_sha256():
