@@ -68,9 +68,9 @@ print(f"after {result.attempts} attempts -> {result.selection.kind.value} "
 # Exchanges can be recorded once and replayed forever: responses are
 # keyed by the SHA-256 of the prompt, so a replayed run needs no model.
 with tempfile.TemporaryDirectory() as tmp:
-    store = TranscriptStore(Path(tmp) / "transcript.jsonl")
+    path = Path(tmp) / "transcript.jsonl"
     recorded = rank(query, candidates, ontology, config,
-                    store.recording(ScriptedEndpoint(["option 0"])))
-    replayed = rank(query, candidates, ontology, config, store.replay())
+                    TranscriptStore(path, ScriptedEndpoint(["option 0"])))
+    replayed = rank(query, candidates, ontology, config, TranscriptStore(path))
     print(f"record/replay agree: {recorded.resolved == replayed.resolved} "
           f"({replayed.resolved})")

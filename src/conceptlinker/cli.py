@@ -216,8 +216,7 @@ def _completion_endpoint(s: Settings):
             url, s.get("completion_model"), timeout=s.positive_float("endpoint_timeout"),
         )
     if fixtures is not None:
-        store = TranscriptStore(fixtures)
-        return store.recording(base) if base is not None else store.replay()
+        return TranscriptStore(fixtures, base)
     if base is None:
         raise UsageError("no completion endpoint: pass --endpoint or --fixtures")
     return base

@@ -174,7 +174,7 @@ class PromptBudgetExceeded(ValidationError):
 
 
 class TranscriptMiss(ValidationError):
-    """Replay-only endpoint has no recorded response for a prompt digest."""
+    """A transcript with no inner endpoint has no response for a prompt digest."""
 
     def __init__(self, digest: str):
         super().__init__(f"no recorded response for prompt digest {digest}")

@@ -1,11 +1,11 @@
-"""Completion endpoints: HTTP, transcript record/replay, and offline mocks.
+"""Completion endpoints: HTTP, the record/replay transcript, and offline mocks.
 
 An endpoint is anything with ``complete(prompt) -> str``. The prompt
 budget is not the endpoint's: it is a setting of the run, which fits every
 prompt to it before any endpoint sees one. The HTTP endpoint speaks a
-chat-style JSON shape with temperature 0. Transcripts key responses by the
-SHA-256 of the prompt, so a replayed run is byte-identical to the recorded
-one and needs no network at all.
+chat-style JSON shape with temperature 0. A transcript is an endpoint too:
+it records the replies of the endpoint it wraps by the SHA-256 of the prompt
+and replays them, so a replayed run needs no network at all.
 """
 
 from __future__ import annotations
@@ -74,16 +74,19 @@ def _extract_content(reply: requests.Response) -> str:
 
 
 class TranscriptStore(KeyedLog):
-    """Append-only prompt-digest to response log backing record/replay.
+    """Prompt-digest to response log, and the endpoint that records and replays it.
 
-    One JSON object per line: ``{"digest": ..., "response": ...}``.
-    Loading tolerates a partially written final line, so an interrupted
-    recording run resumes cleanly. Saving a response equal to the stored
-    one writes nothing.
+    One JSON object per line: ``{"digest": ..., "response": ...}``. Loading
+    skips a truncated final line and any row whose fields are not strings.
+    ``complete`` answers a recorded prompt from the log, and sends any other
+    to ``inner`` and saves its reply, or raises :class:`TranscriptMiss` when
+    there is no ``inner``. Saving a response equal to the stored one writes
+    nothing.
     """
 
-    def __init__(self, path: str | Path) -> None:
-        super().__init__(path, "transcript", lambda row: (row["digest"], row["response"]))
+    def __init__(self, path: str | Path, inner=None) -> None:
+        super().__init__(path, "transcript", _transcript_entry)
+        self._inner = inner
 
     def __contains__(self, digest: str) -> bool:
         return digest in self._rows
@@ -94,42 +97,21 @@ class TranscriptStore(KeyedLog):
     def save(self, digest: str, response: str) -> None:
         self.append({"digest": digest, "response": response})
 
-    def recording(self, inner) -> RecordingEndpoint:
-        return RecordingEndpoint(inner, self)
-
-    def replay(self) -> ReplayEndpoint:
-        return ReplayEndpoint(self)
-
-
-class RecordingEndpoint:
-    """Pass-through endpoint that writes every exchange to a transcript."""
-
-    def __init__(self, inner, store: TranscriptStore) -> None:
-        self._inner = inner
-        self._store = store
-
     def complete(self, prompt: str) -> str:
         digest = prompt_digest(prompt)
-        cached = self._store.lookup(digest)
-        if cached is not None:
-            return cached
-        response = self._inner.complete(prompt)
-        self._store.save(digest, response)
-        return response
-
-
-class ReplayEndpoint:
-    """Answers only from a transcript; unknown prompts are an error."""
-
-    def __init__(self, store: TranscriptStore) -> None:
-        self._store = store
-
-    def complete(self, prompt: str) -> str:
-        digest = prompt_digest(prompt)
-        response = self._store.lookup(digest)
+        response = self.lookup(digest)
         if response is None:
-            raise TranscriptMiss(digest)
+            if self._inner is None:
+                raise TranscriptMiss(digest)
+            response = self._inner.complete(prompt)
+            self.save(digest, response)
         return response
+
+
+def _transcript_entry(row: dict) -> tuple[str, str]:
+    if not all(isinstance(row[key], str) for key in ("digest", "response")):
+        raise TypeError("transcript digest and response must be strings")
+    return row["digest"], row["response"]
 
 
 class ScriptedEndpoint:

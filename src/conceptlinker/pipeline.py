@@ -2,9 +2,10 @@
 
 Linking keeps a JSON Lines journal beside its output. Each completed query
 appends one row keyed by (query_id, prompt digest); a re-run skips every
-journaled query whose prompt is unchanged, so an interrupted batch resumes
-without repeating endpoint calls. Transport failures are deliberately not
-journaled, which makes them retryable.
+journaled query whose prompt is unchanged and whose pick is still on its
+slate, so an interrupted batch resumes without repeating endpoint calls.
+Transport failures are deliberately not journaled, which makes them
+retryable.
 """
 
 from __future__ import annotations
@@ -52,20 +53,27 @@ class LinkJournal(KeyedLog):
     Rows carry the prompt digest, the selection, the raw response, and the
     candidate slate, so a journaled query can be replayed into a LinkResult
     without touching the endpoint. Rows are keyed by (query id, digest); a
-    truncated final line (killed process) is skipped on load.
+    truncated final line (killed process) is skipped on load. A prompt shows
+    names, not ids, so an option row replays only while its index is inside
+    the current slate and its resolved id is the candidate at that index.
     """
 
     def __init__(self, path: str | Path) -> None:
         super().__init__(path, "journal", lambda row: ((row["query_id"], row["digest"]), row))
 
-    def get(self, query_id: str, digest: str) -> LinkResult | None:
+    def get(self, query_id: str, digest: str, slate: list[Candidate]) -> LinkResult | None:
         """The journaled result, or None when there is none or its row cannot be replayed."""
-        row = self._rows.get((query_id, digest))
-        try:
-            return None if row is None else result_from_row(row)
-        except (KeyError, TypeError, ValueError):
-            logger.warning("cannot replay the journal row of %r in %s", query_id, self.path)
+        if (row := self._rows.get((query_id, digest))) is None:
             return None
+        try:
+            result = result_from_row(row)
+            index = result.selection.index
+            if index is None or (index >= 0 and slate[index].concept_id == result.resolved):
+                return result
+        except (KeyError, TypeError, ValueError, IndexError):
+            pass
+        logger.warning("cannot replay the journal row of %r in %s", query_id, self.path)
+        return None
 
 
 def journal_row(result: LinkResult, candidates: list[Candidate]) -> dict:
@@ -134,7 +142,7 @@ def link_queries(
     for i, (query, slate) in enumerate(zip(queries, candidates)):
         prompts.append(fit_prompt(query, slate, ontology, config, token_budget) if slate else "")
         if journal is not None:
-            results[i] = journal.get(query.id, prompt_digest(prompts[i]))
+            results[i] = journal.get(query.id, prompt_digest(prompts[i]), slate)
         if results[i] is None:
             pending.append(i)
 

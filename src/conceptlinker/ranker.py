@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import re
 import time
+import unicodedata
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -35,10 +36,11 @@ ABSTRACT_CLOSE = "</abstract>"
 OPTION_SEP = " | "
 NONE_OPTION = ": none of the above options match"  # follows the none label
 
-_OPTION_WORD = re.compile(r"\boption\s+(\d+)", re.IGNORECASE)
-_LINE_PREFIX = re.compile(r"^[ \t]*(\d+)[ \t]*:", re.MULTILINE)
-_LINE_EXACT = re.compile(r"^[ \t]*(\d+)[ \t]*$", re.MULTILINE)
-_OPTION_RULES = (_OPTION_WORD, _LINE_PREFIX, _LINE_EXACT)
+# "option N" anywhere, then a line that is "N" or starts "N:", in priority order
+_OPTION_RULES = (
+    re.compile(r"\boption\s+(\d+)", re.IGNORECASE),
+    re.compile(r"^[ \t]*(\d+)[ \t]*(?::|$)", re.MULTILINE),
+)
 
 
 class SelectionKind(Enum):
@@ -170,25 +172,20 @@ def parse_response(text: str, n_options: int, none_label: str = "None") -> Selec
     Priority: (1) "option N" anywhere, case-insensitive; (2) a standalone
     line "N:" or exactly "N"; (3) the trimmed none label with no word
     character right before or after it, case-insensitive. Within a rule
-    the earliest text position wins; indices >= n_options never match. No
-    rule firing means ParseFailure.
+    the earliest text position wins; indices >= n_options never match,
+    however many digits they have. No rule firing means ParseFailure.
     """
     if n_options < 1:
         raise ValueError(f"n_options must be >= 1, got {n_options}")
 
-    for match in _OPTION_WORD.finditer(text):
-        index = int(match.group(1))
-        if index < n_options:
-            return Selection(SelectionKind.OPTION, text, index=index)
-
-    line_hits = [
-        (m.start(), int(m.group(1)))
-        for pattern in (_LINE_PREFIX, _LINE_EXACT)
-        for m in pattern.finditer(text)
-    ]
-    for _, index in sorted(line_hits):
-        if index < n_options:
-            return Selection(SelectionKind.OPTION, text, index=index)
+    for rule in _OPTION_RULES:
+        for match in rule.finditer(text):
+            # int() refuses runs past its digit limit, so leading zeros go and
+            # the length is checked first; \d also matches other scripts' digits
+            digits = "".join(str(unicodedata.decimal(c)) for c in match.group(1))
+            digits = digits.lstrip("0") or "0"
+            if len(digits) <= len(str(n_options)) and int(digits) < n_options:
+                return Selection(SelectionKind.OPTION, text, index=int(digits))
 
     none_word = re.compile(rf"(?<!\w){re.escape(none_label.strip())}(?!\w)", re.IGNORECASE)
     if none_word.search(text):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 
 def fnv1a64_ref(data: bytes, seed: int = 0) -> int:
@@ -106,3 +107,27 @@ def read_records_ref(path) -> tuple[list[tuple[int, dict]], tuple[int, str] | No
                                          "record is not a JSON object")
             records.append((lineno, obj))
     return records, None
+
+
+def parse_response_ref(text: str, n_options: int, none_label: str = "None"):
+    """(kind, index) of a reply by the two-pass grammar, one rule at a time.
+
+    "option N" anywhere, earliest first; then a line that starts "N:" or is
+    exactly "N", the two line rules merged by text position; then the
+    trimmed none label as a whole word; else a parse failure. ``int()`` of
+    each digit run, so a run past Python's digit limit raises here.
+    """
+    for match in re.finditer(r"\boption\s+(\d+)", text, re.IGNORECASE):
+        if int(match.group(1)) < n_options:
+            return "option", int(match.group(1))
+    line_hits = sorted(
+        (m.start(), int(m.group(1)))
+        for pattern in (r"^[ \t]*(\d+)[ \t]*:", r"^[ \t]*(\d+)[ \t]*$")
+        for m in re.finditer(pattern, text, re.MULTILINE)
+    )
+    for _, index in line_hits:
+        if index < n_options:
+            return "option", index
+    if re.search(rf"(?<!\w){re.escape(none_label.strip())}(?!\w)", text, re.IGNORECASE):
+        return "none", None
+    return "parse_failure", None

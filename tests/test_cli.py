@@ -257,6 +257,33 @@ class TestLink:
         assert code == 0
         assert (workspace["out"] / "pred.tsv").read_bytes() == recorded
 
+    def test_transcript_row_with_a_non_string_response_is_not_replayed(self, workspace, caplog):
+        build(workspace)
+        fixtures = workspace["out"] / "transcript.jsonl"
+        pred = workspace["out"] / "pred.tsv"
+        assert link(workspace, "--fixtures", str(fixtures)) == 0
+        recorded = pred.read_bytes()
+        rows = [json.loads(line) for line in fixtures.read_text().splitlines()]
+        rows[0]["response"] = 5
+        fixtures.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+        def run(*endpoint) -> int:
+            # a fresh journal each time, so every query goes to the transcript
+            (workspace["out"] / "pred.tsv.details.jsonl").unlink(missing_ok=True)
+            return main(["link", "--ontology", str(workspace["ontology"]),
+                         "--queries", str(workspace["queries"]),
+                         "--memory", str(workspace["memory"]), "--output", str(pred),
+                         "--dim", "64", "--fixtures", str(fixtures), *endpoint])
+
+        with caplog.at_level("WARNING"):
+            assert run() == 2
+        assert "skipping malformed transcript line" in caplog.text
+        # a recording run asks for the skipped prompt again, and replay then agrees
+        assert run("--endpoint", "mock:exact") == 0
+        assert len(fixtures.read_text().splitlines()) == len(rows) + 1
+        assert run() == 0
+        assert pred.read_bytes() == recorded
+
     def test_replay_miss_exits_2(self, workspace, capsys):
         build(workspace)
         empty = workspace["out"] / "empty.jsonl"

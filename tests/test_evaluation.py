@@ -461,14 +461,14 @@ class TestRunAblation:
 
         # record transcripts for the "fine" arm only; replaying then starves
         # the "broken" arm, whose prompts were never seen
-        store = TranscriptStore(tmp_path / "partial.jsonl")
+        path = tmp_path / "partial.jsonl"
         run_ablation(
             queries, gold, ontology, memory, provider,
-            store.recording(KeywordMockEndpoint()), [fine], k=5,
+            TranscriptStore(path, KeywordMockEndpoint()), [fine], k=5,
         )
 
         rows = run_ablation(
-            queries, gold, ontology, memory, provider, store.replay(),
+            queries, gold, ontology, memory, provider, TranscriptStore(path),
             [broken, fine], k=5,
         )
         assert [r.label for r in rows] == ["broken", "fine"]

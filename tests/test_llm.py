@@ -180,32 +180,52 @@ class TestTranscriptStore:
         assert len(store) == 1
         assert store.lookup("d1") == "r1"
 
+    @pytest.mark.parametrize("row", [{"digest": "d1", "response": 5},
+                                     {"digest": "d1", "response": None},
+                                     {"digest": "d1", "response": ["option 0"]},
+                                     {"digest": 1, "response": "option 0"}])
+    def test_rows_with_a_non_string_field_are_skipped(self, tmp_path, caplog, row):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(row) + "\n" + json.dumps({"digest": "d2", "response": "r2"}))
+        with caplog.at_level("WARNING"):
+            store = TranscriptStore(path)
+        assert len(store) == 1
+        assert store.lookup("d2") == "r2"
+        assert "skipping malformed transcript line" in caplog.text
+
+    def test_skipped_row_misses_on_replay_and_is_asked_again(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"digest": prompt_digest("p"), "response": 5}) + "\n")
+        with pytest.raises(TranscriptMiss):
+            TranscriptStore(path).complete("p")
+        inner = ScriptedEndpoint(["option 0"])
+        assert TranscriptStore(path, inner).complete("p") == "option 0"
+        assert TranscriptStore(path).complete("p") == "option 0"
+
     def test_missing_file_is_empty(self, tmp_path):
         assert len(TranscriptStore(tmp_path / "absent.jsonl")) == 0
 
     def test_recording_records_then_reuses(self, tmp_path):
-        store = TranscriptStore(tmp_path / "t.jsonl")
         inner = ScriptedEndpoint(["option 1"])
-        endpoint = store.recording(inner)
-        assert endpoint.complete("prompt text") == "option 1"
+        store = TranscriptStore(tmp_path / "t.jsonl", inner)
+        assert store.complete("prompt text") == "option 1"
         # second call is served from the transcript, not the inner endpoint
-        assert endpoint.complete("prompt text") == "option 1"
+        assert store.complete("prompt text") == "option 1"
         assert len(inner.prompts) == 1
         assert store.lookup(prompt_digest("prompt text")) == "option 1"
 
     def test_replay_hit_and_miss(self, tmp_path):
         store = TranscriptStore(tmp_path / "t.jsonl")
         store.save(prompt_digest("known"), "option 0")
-        endpoint = store.replay()
-        assert endpoint.complete("known") == "option 0"
+        assert store.complete("known") == "option 0"
         with pytest.raises(TranscriptMiss):
-            endpoint.complete("never recorded")
+            store.complete("never recorded")
 
     def test_record_then_replay_identical(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        recording = TranscriptStore(path).recording(ScriptedEndpoint(["a", "b"]))
+        recording = TranscriptStore(path, ScriptedEndpoint(["a", "b"]))
         first = [recording.complete("p1"), recording.complete("p2")]
-        replay = TranscriptStore(path).replay()
+        replay = TranscriptStore(path)
         assert [replay.complete("p1"), replay.complete("p2")] == first
 
 

@@ -13,6 +13,8 @@ from unittest import mock
 import pytest
 
 from conceptlinker import (
+    Candidate,
+    Concept,
     ExactMatchMockEndpoint,
     KeywordMockEndpoint,
     LinkJournal,
@@ -21,6 +23,7 @@ from conceptlinker import (
     ScriptedEndpoint,
     SelectionKind,
     TranscriptStore,
+    Variant,
     build_memory,
     fit_prompt,
     link_queries,
@@ -32,7 +35,7 @@ from conceptlinker.errors import TranscriptMiss, TransportError
 from conceptlinker.ranker import estimate_tokens
 from conceptlinker.pipeline import journal_row, result_from_row
 
-from .conftest import local_provider, queries_for, synthetic_ontology
+from .conftest import local_provider, ontology_from, queries_for, synthetic_ontology
 
 
 class CountingExactMatch(ExactMatchMockEndpoint):
@@ -205,6 +208,16 @@ class TestLinkQueries:
         for result in results:
             assert result.resolved == gold[result.query_id]
 
+    def test_reply_with_a_digit_run_past_int_limit_is_a_parse_failure(self, setting):
+        ontology, queries, _, _, _, candidates = setting
+        long_run = "9" * 5000
+        endpoint = ScriptedEndpoint([f"option {long_run}", f"{long_run}: that one", "option 0"])
+        first, second = link_queries(queries[:2], candidates[:2], ontology, PromptConfig(),
+                                     endpoint, concurrency=1)
+        assert first.selection.kind is SelectionKind.PARSE_FAILURE
+        assert first.attempts == 2
+        assert second.resolved == candidates[1][0].concept_id
+
     def test_concurrency_matches_serial(self, setting):
         ontology, queries, _, _, _, candidates = setting
         serial = link_queries(
@@ -346,7 +359,7 @@ class TestTokenBudget:
         path = tmp_path / "transcript.jsonl"
         inner = RecordingEndpoint()
         recorded = link_queries(queries, candidates, ontology, PromptConfig(),
-                                TranscriptStore(path).recording(inner), token_budget=budget)
+                                TranscriptStore(path, inner), token_budget=budget)
         # the budget shed context from the prompts that were sent
         sent = inner.prompts
         assert max(estimate_tokens(p) for p in sent) <= budget
@@ -354,11 +367,11 @@ class TestTokenBudget:
                    for p, q, slate in zip(sent, queries, candidates))
 
         replayed = link_queries(queries, candidates, ontology, PromptConfig(),
-                                TranscriptStore(path).replay(), token_budget=budget)
+                                TranscriptStore(path), token_budget=budget)
         assert stable_fields(replayed) == stable_fields(recorded)
         with pytest.raises(TranscriptMiss):
             link_queries(queries, candidates, ontology, PromptConfig(),
-                         TranscriptStore(path).replay())
+                         TranscriptStore(path))
 
     def test_reask_at_the_budget_is_not_sent(self, setting):
         ontology, queries, _, _, _, candidates = setting
@@ -481,7 +494,7 @@ class TestJournal:
         empty_digest = hashlib.sha256(b"").hexdigest()
         assert results[0].selection.kind is SelectionKind.NONE_OF_THE_ABOVE
         assert results[0].prompt_digest == empty_digest
-        assert journal.get(queries[0].id, empty_digest) is not None
+        assert journal.get(queries[0].id, empty_digest, []) is not None
 
         endpoint = CountingExactMatch()
         link_queries(
@@ -515,6 +528,40 @@ class TestJournal:
         link_queries(queries, candidates, ontology, PromptConfig(), again,
                      journal=LinkJournal(path))
         assert again.calls == 0
+
+    @staticmethod
+    def link_aspirin(ids, path, endpoint):
+        """Link "aspirin" against the slate [ids[0] "aspirin", ids[1] "ibuprofen"]."""
+        ontology = ontology_from("drugs", [Concept(ids[0], "aspirin"),
+                                           Concept(ids[1], "ibuprofen")])
+        slate = [Candidate(cid, 0.5, Variant.NAME_ONLY) for cid in ids]
+        [result] = link_queries([Query(id="q1", mention="aspirin")], [slate], ontology,
+                                PromptConfig(), endpoint, journal=LinkJournal(path))
+        return result
+
+    def test_row_naming_an_id_off_the_slate_is_asked_again(self, tmp_path, caplog):
+        path = tmp_path / "run.jsonl"
+        assert self.link_aspirin(["OLD1", "B"], path, ExactMatchMockEndpoint()).resolved == "OLD1"
+        # prompts show names, not ids, so the new slate's prompt has the old digest
+        endpoint = CountingExactMatch()
+        with caplog.at_level("WARNING"):
+            result = self.link_aspirin(["NEW1", "B"], path, endpoint)
+        assert result.resolved == "NEW1"
+        assert endpoint.calls == 1
+        assert "cannot replay" in caplog.text
+
+    @pytest.mark.parametrize("change", [{"index": 2}, {"index": -1, "resolved": "B"},
+                                        {"index": 1}],
+                             ids=["past-the-end", "negative", "other-candidate"])
+    def test_option_row_off_its_slate_is_asked_again(self, tmp_path, change):
+        path = tmp_path / "run.jsonl"
+        self.link_aspirin(["OLD1", "B"], path, ExactMatchMockEndpoint())
+        [row] = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text(json.dumps({**row, **change}) + "\n")
+
+        endpoint = CountingExactMatch()
+        assert self.link_aspirin(["OLD1", "B"], path, endpoint).resolved == "OLD1"
+        assert endpoint.calls == 1
 
     def test_tolerates_truncated_tail(self, setting, tmp_path):
         ontology, queries, _, _, _, candidates = setting

@@ -35,12 +35,20 @@ from conceptlinker.errors import (
 from conceptlinker.ranker import estimate_tokens
 
 from .conftest import ontology_from
+from .oracles import parse_response_ref
 
 DATA = Path(__file__).parent / "data"
 
 OPTION = SelectionKind.OPTION
 NONE = SelectionKind.NONE_OF_THE_ABOVE
 FAIL = SelectionKind.PARSE_FAILURE
+
+LONG_RUN = "9" * 5000  # past int()'s default 4,300-digit limit
+
+# pieces of replies, digits of other scripts included, for the grammar oracle
+REPLY_TOKENS = ["option ", "Option", "option\t", "0", "1", "3", "07", "12", "00",
+                "\u0663", "\u0660", "\uff10", "\uff11", ":", " ", "\t", "\n", "\r",
+                "None", "none", "x", "."]
 
 # (response text, n_options, expected kind, expected index)
 PARSE_FIXTURES = [
@@ -68,6 +76,9 @@ PARSE_FIXTURES = [
     ("option one", 5, FAIL, None),
     ("12: big option index", 20, OPTION, 12),
     ("Answer: option 0", 1, OPTION, 0),
+    ("option 002", 5, OPTION, 2),
+    ("\u0660\u0663", 5, OPTION, 3),  # Arabic-Indic "03": leading zeros of any script
+    ("option \uff10\uff12", 5, OPTION, 2),
 ]
 
 
@@ -250,6 +261,29 @@ class TestParseResponse:
         except ValueError:
             assume(False)
         assert parse_response(label, n, none_label=label).kind is NONE
+
+    @pytest.mark.parametrize("text,kind,index", [
+        ("option " + LONG_RUN, FAIL, None),
+        (LONG_RUN + ": first", FAIL, None),
+        (LONG_RUN, FAIL, None),
+        ("option " + LONG_RUN + "\n2", OPTION, 2),
+        (LONG_RUN + ":\nNone", NONE, None),
+        ("option " + "0" * 5000 + "2", OPTION, 2),
+        ("0" * 5000, OPTION, 0),
+        ("option 0001", OPTION, 1),
+    ], ids=["option-word", "line-prefix", "line-exact", "then-line", "then-none",
+            "zeros-then-digit", "only-zeros", "short-zeros"])
+    def test_digit_runs_past_int_limit_never_raise(self, text, kind, index):
+        selection = parse_response(text, 3)
+        assert (selection.kind, selection.index) == (kind, index)
+
+    @given(text=st.one_of(
+        st.lists(st.sampled_from(REPLY_TOKENS), max_size=12).map("".join),
+        st.text(max_size=30),
+    ), n=st.integers(1, 15))
+    def test_agrees_with_the_two_pass_grammar(self, text, n):
+        selection = parse_response(text, n)
+        assert (selection.kind.value, selection.index) == parse_response_ref(text, n)
 
     def test_n_options_validated(self):
         with pytest.raises(ValueError):
