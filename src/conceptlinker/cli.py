@@ -24,10 +24,12 @@ from pathlib import Path
 from .embedding import (
     LOCAL_PROVIDER_ID,
     REMOTE_PROVIDER_ID,
+    LocalTrigramProvider,
     ProviderSpec,
-    make_provider,
+    RemoteProvider,
+    VectorCache,
 )
-from .errors import LinkerError, ServiceError, ValidationError
+from .errors import DimMismatch, LinkerError, ServiceError, ValidationError
 from .evaluation import (
     DEFAULT_HITS_KS,
     check_ks,
@@ -77,7 +79,7 @@ SETTINGS = {
     "fixtures": ("paths", "fixtures", None,
                  "transcript file: records with --endpoint, replays without"),
     "provider": ("provider", "kind", "local", "embedding provider kind"),
-    "model": ("provider", "model", None, "embedding model id"),
+    "model": ("provider", "model", None, "embedding model id (local: trigram-d<dim>-s<seed>)"),
     "dim": ("provider", "dim", 256, "embedding dimension"),
     "seed": ("provider", "seed", 0, "local embedder seed"),
     "provider_endpoint": ("provider", "endpoint", None, None),
@@ -187,7 +189,8 @@ def _provider(s: Settings):
     model = s.get("model")
     if kind == "local":
         spec = ProviderSpec(LOCAL_PROVIDER_ID, model or f"trigram-d{dim}-s{seed}", dim, seed=seed)
-    elif kind == "remote":
+        return LocalTrigramProvider(spec)
+    if kind == "remote":
         if not model:
             raise UsageError("remote provider requires a model id")
         endpoint = s.get("provider_endpoint")
@@ -196,9 +199,9 @@ def _provider(s: Settings):
             raise UsageError(f"remote provider requires [{section}] {key} in the config")
         timeout = s.positive_float("provider_timeout")
         spec = ProviderSpec(REMOTE_PROVIDER_ID, model, dim, endpoint=endpoint, timeout=timeout)
-    else:
-        raise UsageError(f"unknown provider kind {kind!r} (expected local or remote)")
-    return make_provider(spec, cache_dir=s.get("cache_dir"))
+        cache_dir = s.get("cache_dir")
+        return RemoteProvider(spec, cache=VectorCache(cache_dir) if cache_dir else None)
+    raise UsageError(f"unknown provider kind {kind!r} (expected local or remote)")
 
 
 def _completion_endpoint(s: Settings):
@@ -238,7 +241,7 @@ def _read_ontology(s: Settings, path: Path):
 
 def _open_inputs(s: Settings, *, with_ontology: bool = False):
     """Check the input paths, ``strict`` and the provider, then read the
-    ontology (if asked for), the memory and the queries.
+    ontology (if asked for), the memory and, if its dim fits, the queries.
 
     Callers resolve their own settings first, so that every usage error is
     raised before the first file is parsed.
@@ -250,6 +253,8 @@ def _open_inputs(s: Settings, *, with_ontology: bool = False):
     provider = _provider(s)
     ontology = None if ontology_path is None else _read_ontology(s, ontology_path)
     memory = load_memory(memory_path, expected_provider=provider.spec.fingerprint, strict=strict)
+    if memory.dim != provider.spec.dim:
+        raise DimMismatch(memory.dim, provider.spec.dim)
     return ontology, provider, memory, parse_queries(queries_path)
 
 

@@ -71,6 +71,10 @@ class ProviderSpec:
             raise ValueError("remote provider requires an endpoint URL")
         if self.provider_id != REMOTE_PROVIDER_ID and self.endpoint:
             raise ValueError(f"provider {self.provider_id!r} does not take an endpoint")
+        # the id names all a local vector depends on, so fingerprints compare spaces
+        local_id = f"trigram-d{self.dim}-s{self.seed}"
+        if self.provider_id == LOCAL_PROVIDER_ID and self.model_id != local_id:
+            raise ValueError(f"a local model id is {local_id!r}, got {self.model_id!r}")
 
     @property
     def fingerprint(self) -> tuple[str, str]:
@@ -318,14 +322,3 @@ def _unit(vec: np.ndarray, index: int) -> np.ndarray:
 
 
 Provider = LocalTrigramProvider | RemoteProvider
-
-
-def make_provider(spec: ProviderSpec, cache_dir: str | os.PathLike | None = None,
-                  session: requests.Session | None = None) -> Provider:
-    """Instantiate the provider named by ``spec``."""
-    if spec.provider_id == LOCAL_PROVIDER_ID:
-        return LocalTrigramProvider(spec)
-    if spec.provider_id == REMOTE_PROVIDER_ID:
-        cache = VectorCache(cache_dir) if cache_dir is not None else None
-        return RemoteProvider(spec, cache=cache, session=session)
-    raise ValueError(f"unknown provider id {spec.provider_id!r}")

@@ -287,8 +287,9 @@ def write_predictions(
 
 
 def parse_predictions(path: str | Path) -> list[Prediction]:
-    """Read a predictions table back for scoring."""
+    """Read a predictions table back for scoring, one row per query id."""
     out: list[Prediction] = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
@@ -306,6 +307,9 @@ def parse_predictions(path: str | Path) -> list[Prediction]:
             resolved = None if predicted == PREDICTION_NONE else predicted
             if (resolved_kind is SelectionKind.OPTION) != (resolved is not None):
                 raise MalformedRecord(lineno, f"kind {kind} contradicts {predicted!r}")
+            if query_id in seen:
+                raise MalformedRecord(lineno, f"duplicate query id {query_id!r}")
+            seen.add(query_id)
             out.append(Prediction(query_id, resolved))
     return out
 
@@ -418,7 +422,7 @@ def run_ablation(
     memory: Memory,
     provider,
     endpoint,
-    grid: list[AblationArm | PromptConfig],
+    grid: list[AblationArm],
     *,
     k: int,
     concurrency: int = 1,
@@ -433,15 +437,11 @@ def run_ablation(
     """
     if not grid:
         raise ValueError("grid is empty")
-    arms = [
-        arm if isinstance(arm, AblationArm) else AblationArm(f"arm-{i}", arm)
-        for i, arm in enumerate(grid)
-    ]
     candidates = retrieve_for_queries(memory, queries, provider, k)
     digest = retrieval_digest(candidates)
 
     rows: list[AblationRow] = []
-    for arm in arms:
+    for arm in grid:
         try:
             results = link_queries(
                 queries, candidates, ontology, arm.config, endpoint,

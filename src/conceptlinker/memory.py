@@ -488,8 +488,10 @@ def _exact_sums(columns: np.ndarray, work: np.ndarray | None = None) -> np.ndarr
       same way with bound = (1 + 4 n u) times the float sum of |errs2|.
       When errs2 are all zero the bound is 0, hi + hi2 is S itself, and
       IEEE addition rounds it exactly as fsum does, midpoints included.
-    - r = 0, whose sign fsum fixes by its own rule, and a column whose
-      second test fails too, go to fsum.
+    - A bound of 0 certifies r = 0 as well: S is then exactly 0, and
+      CPython's fsum returns +0.0 for every exactly zero sum (it keeps no
+      zero partial), so r + 0.0 is fsum's sum. A column whose second test
+      fails goes to fsum.
     """
     n, m = columns.shape
     if n == 0 or m == 0:
@@ -571,8 +573,8 @@ def _round(hi: np.ndarray, lo: np.ndarray, bound: np.ndarray) -> tuple[np.ndarra
     size = np.abs(r)
     half_gap = (size - np.nextafter(size, 0.0)) * 0.5
     certified = np.abs(remainder) + bound < half_gap
-    certified |= (bound == 0.0) & (r != 0.0)
-    return r, certified
+    certified |= bound == 0.0
+    return r + 0.0, certified  # an exact zero is fsum's +0.0
 
 
 def save_memory(memory: Memory, path: str | Path) -> None:

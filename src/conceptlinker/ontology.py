@@ -2,9 +2,10 @@
 
 An ontology file is UTF-8 JSON Lines, one object per line with fields
 ``id`` (required), ``name`` (required) and ``description`` (optional).
-A query file is JSON Lines with ``id``, ``mention`` (required),
-``context`` and ``gold`` (optional). Lines starting with ``#`` are skipped
-in both. Validation stops at the first bad line and the diagnostic names it.
+A query file is JSON Lines with ``id``, ``mention`` (required) and
+``context`` (optional); other fields, ``gold`` included, are ignored, as
+gold ids come from a gold file. Lines starting with ``#`` are skipped in
+both. Validation stops at the first bad line and the diagnostic names it.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ class Concept:
 
 @dataclass(frozen=True)
 class Query:
-    """One linking request: a mention, optional source context, optional gold id."""
+    """One linking request: a mention and optional source context."""
 
     id: str
     mention: str
     context: str | None = None
-    gold: str | None = None
 
 
 class Ontology:
@@ -181,7 +181,8 @@ def _json_line(**fields) -> str:
 def parse_queries(path: str | Path) -> list[Query]:
     """Load linking queries from a JSON Lines file, in file order.
 
-    An empty file yields an empty list.
+    An empty file yields an empty list. Fields other than ``id``,
+    ``mention`` and ``context`` are ignored.
     """
     queries: list[Query] = []
     for lineno, obj in read_records(path):
@@ -196,20 +197,13 @@ def parse_queries(path: str | Path) -> list[Query]:
         context = _optional_str(obj, "context", lineno)
         if context is not None:
             context = normalize_whitespace(context) or None
-
-        gold = _optional_str(obj, "gold", lineno)
-        if gold is not None:
-            gold = gold.strip()
-            if not gold:
-                raise MalformedRecord(lineno, "field 'gold' is empty")
-
-        queries.append(Query(id=qid, mention=mention, context=context, gold=gold))
+        queries.append(Query(id=qid, mention=mention, context=context))
     return queries
 
 
 def write_queries(path: str | Path, queries: list[Query]) -> None:
     """Serialize queries back to the JSON Lines query format."""
     atomic_text(path, "".join(
-        _json_line(id=q.id, mention=q.mention, context=q.context, gold=q.gold)
+        _json_line(id=q.id, mention=q.mention, context=q.context)
         for q in queries
     ))

@@ -240,16 +240,15 @@ def rank(
     config: PromptConfig,
     endpoint,
     *,
-    reask_limit: int = 1,
     prompt: str | None = None,
     token_budget: int | None = None,
 ) -> LinkResult:
     """Run one query through prompt, completion, and parsing.
 
     An empty candidate list short-circuits to none-of-the-above without
-    touching the endpoint. A ParseFailure earns up to ``reask_limit``
-    re-asks with an appended answer-format reminder, unless the re-ask
-    would not fit ``token_budget``. Transport failures become a distinct
+    touching the endpoint. A ParseFailure earns one re-ask with an
+    appended answer-format reminder, unless the re-ask would not fit
+    ``token_budget``. Transport failures become a distinct
     failure kind in the result, never a silent none. ``prompt`` is what
     :func:`fit_prompt` returns for these arguments and ``token_budget``,
     for a caller that has already built it.
@@ -269,11 +268,8 @@ def rank(
     digest = prompt_digest(prompt)
 
     started = time.monotonic()
-    attempts = 0
-    selection = Selection(SelectionKind.PARSE_FAILURE, "")
     ask = prompt
-    while attempts <= reask_limit:
-        attempts += 1
+    for attempts in (1, 2):  # the ask and at most one re-ask
         try:
             raw = endpoint.complete(ask)
         except ServiceError as exc:

@@ -153,6 +153,30 @@ class TestRetrieve:
         assert code == 2
         assert "provider" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mismatch, message", [
+        (["--seed", "1", "--strict"], "provider"),
+        (["--dim", "32"], "dimension mismatch: expected 64, got 32"),
+    ])
+    def test_other_embedding_space_stops_before_queries_are_read(
+            self, workspace, capsys, monkeypatch, mismatch, message):
+        build(workspace)  # seed 0, dim 64
+
+        def unexpected(path):
+            raise AssertionError("queries read for a memory of another space")
+
+        monkeypatch.setattr("conceptlinker.cli.parse_queries", unexpected)
+        code = main([
+            "retrieve",
+            "--queries", str(workspace["queries"]),
+            "--memory", str(workspace["memory"]),
+            "--output", str(workspace["out"] / "ret.jsonl"),
+            "--dim", "64",
+            *mismatch,
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (workspace["out"] / "ret.jsonl").exists()
+
     def test_unreachable_embedding_service_exits_3(self, workspace, capsys, monkeypatch):
         build(workspace)
         monkeypatch.setattr("conceptlinker.transport.time.sleep", lambda s: None)
@@ -486,13 +510,12 @@ class TestConfigKeys:
             f"memory = {workspace['memory']}\n"
             "[provider]\n"
             "kind = local\n"
-            "model = my-trigrams\n"
             "dim = 32\n"
             "[run]\n"
             "tag = from-config\n"
         ))
         assert main(["build-memory", "--config", str(config)]) == 0
-        assert "provider: local-trigram/my-trigrams" in capsys.readouterr().out
+        assert "provider: local-trigram/trigram-d32-s0" in capsys.readouterr().out
         memory = load_memory(workspace["memory"])
         assert memory.ontology_tag == "from-config"
         assert memory.dim == 32
@@ -500,11 +523,11 @@ class TestConfigKeys:
     def test_remote_provider_settings(self, workspace, monkeypatch):
         seen = {}
 
-        def recording(spec, cache_dir=None):
-            seen.update(spec=spec, cache_dir=cache_dir)
+        def recording(spec, cache=None):
+            seen.update(spec=spec, cache=cache)
             raise Stop("stop")
 
-        monkeypatch.setattr("conceptlinker.cli.make_provider", recording)
+        monkeypatch.setattr("conceptlinker.cli.RemoteProvider", recording)
         cache = workspace["out"] / "cache"
         config = write_config(workspace, (
             "[paths]\n"
@@ -524,7 +547,7 @@ class TestConfigKeys:
         assert (spec.provider_id, spec.model_id, spec.dim) == ("remote", "embed-x", 48)
         assert spec.endpoint == "http://127.0.0.1:9/v1/embed"
         assert spec.timeout == 7.5
-        assert str(seen["cache_dir"]) == str(cache)
+        assert str(seen["cache"].root) == str(cache)
 
     def test_local_seed_and_strict_from_file_bool_overridden_by_flag(self, workspace, capsys):
         build(workspace)  # seed 0
@@ -738,6 +761,9 @@ READERS = ("parse_ontology", "load_memory", "parse_queries", "parse_gold", "pars
     (["retrieve", "--dim", "8"], ""),
     (["build-memory", "--dim", "8"], ""),
     *[(["evaluate", "--retrievals", "{queries}", "--ks", ks], "") for ks in ("5,1", "0", ",")],
+    # a local model id is always trigram-d<dim>-s<seed>
+    (["build-memory", "--model", "m"], ""),
+    (["retrieve"], "[provider]\nmodel = trigram-d256-s1\n"),
 ])
 def test_usage_errors_come_before_any_input_is_read(workspace, monkeypatch, argv, config):
     def unexpected(*args, **kwargs):

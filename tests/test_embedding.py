@@ -15,12 +15,12 @@ from conceptlinker import (
     LOCAL_PROVIDER_ID,
     REMOTE_PROVIDER_ID,
     Concept,
+    LocalTrigramProvider,
     ProviderSpec,
     RemoteProvider,
     VectorCache,
     build_memory,
     local_embed,
-    make_provider,
 )
 from conceptlinker import embedding as embedding_module
 from conceptlinker import transport
@@ -56,7 +56,8 @@ class TestLocalEmbed:
     )
     def test_batch_matches_single_and_oracle(self, batch, block, seed):
         # a small block budget puts texts on both sides of block boundaries
-        provider = make_provider(ProviderSpec(LOCAL_PROVIDER_ID, "m", 64, seed=seed))
+        provider = LocalTrigramProvider(
+            ProviderSpec(LOCAL_PROVIDER_ID, f"trigram-d64-s{seed}", 64, seed=seed))
         with mock.patch.object(embedding_module, "_BLOCK_CHARS", block):
             rows = provider.embed_batch(batch)
         assert len(rows) == len(batch)
@@ -120,6 +121,15 @@ class TestProviderSpec:
         with pytest.raises(ValueError, match="dim >= 16, got 15"):
             ProviderSpec(LOCAL_PROVIDER_ID, "m", 15)
         assert ProviderSpec(REMOTE_PROVIDER_ID, "m", 4, endpoint="https://x").dim == 4
+
+    def test_local_model_id_names_dim_and_seed(self):
+        assert ProviderSpec(LOCAL_PROVIDER_ID, "trigram-d64-s3", 64, seed=3).seed == 3
+        for model, dim, seed in (("m", 64, 0), ("trigram-d64-s0", 64, 1),
+                                 ("trigram-d64-s0", 32, 0)):
+            with pytest.raises(ValueError, match="local model id is 'trigram-d"):
+                ProviderSpec(LOCAL_PROVIDER_ID, model, dim, seed=seed)
+        # a remote id is the service's own
+        assert ProviderSpec(REMOTE_PROVIDER_ID, "m", 64, endpoint="https://x").model_id == "m"
 
     def test_fingerprint(self):
         spec = ProviderSpec(LOCAL_PROVIDER_ID, "trigram-d64-s0", 64)
@@ -362,7 +372,7 @@ class TestRemoteProvider:
 
 
 def test_embed_batch_returns_one_float32_matrix(tmp_path):
-    local = make_provider(ProviderSpec(LOCAL_PROVIDER_ID, "m", 64))
+    local = LocalTrigramProvider(ProviderSpec(LOCAL_PROVIDER_ID, "trigram-d64-s0", 64))
     cache = VectorCache(tmp_path)
     cache.put(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "beta"),
               np.array([0, 0, 1, 0], dtype=np.float32))
@@ -473,17 +483,18 @@ def test_cache_hit_of_another_dim_is_refused(tmp_path):
     assert exc.value.index == 1
 
 
-def test_make_provider_dispatch(tmp_path):
-    local = make_provider(ProviderSpec(LOCAL_PROVIDER_ID, "m", 64))
-    assert local.embed_batch(["x"])[0].shape == (64,)
-    remote = make_provider(remote_spec(), cache_dir=tmp_path)
-    assert isinstance(remote, RemoteProvider)
-    with pytest.raises(ValueError):
-        make_provider(ProviderSpec("nope", "m", 64))
+def test_each_provider_class_refuses_another_kinds_spec():
+    local_spec = ProviderSpec(LOCAL_PROVIDER_ID, "trigram-d64-s0", 64)
+    for spec in (remote_spec(), ProviderSpec("nope", "m", 64)):
+        with pytest.raises(ValueError, match="not a local spec"):
+            LocalTrigramProvider(spec)
+    for spec in (local_spec, ProviderSpec("nope", "m", 64)):
+        with pytest.raises(ValueError, match="not a remote spec"):
+            RemoteProvider(spec, session=FakeSession([]))
 
 
 def test_remote_provider_builds_a_requests_session_when_given_none():
-    provider = make_provider(remote_spec())
+    provider = RemoteProvider(remote_spec())
     assert type(provider.session) is requests.Session
     provider.session.close()
 

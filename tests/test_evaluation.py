@@ -345,6 +345,15 @@ class TestPredictionFiles:
             parse_predictions(path)
 
 
+    def test_repeated_query_id_names_its_line(self, tmp_path):
+        # two rows for one query would count twice towards recall and F1
+        path = tmp_path / "pred.tsv"
+        path.write_text("q1\tRD:0001\t0.5\toption\n" * 2)
+        with pytest.raises(MalformedRecord, match="duplicate query id 'q1'") as exc:
+            parse_predictions(path)
+        assert exc.value.line == 2
+
+
 class TestRetrievalFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ret.jsonl"
@@ -444,7 +453,7 @@ class TestRunAblation:
         grid = [
             AblationArm("both", PromptConfig()),
             AblationArm("no candidate context", PromptConfig(include_candidate_context=False)),
-            PromptConfig(include_source_context=False),
+            AblationArm("arm-2", PromptConfig(include_source_context=False)),
         ]
         rows = run_ablation(
             queries, gold, ontology, memory, provider, KeywordMockEndpoint(),

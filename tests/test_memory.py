@@ -756,6 +756,30 @@ class TestExactSums:
         _assert_exact_sums([[-0.0, -0.0, -0.0], [1.0, -1.0, -0.0], [-0.0, 0.0, -0.0],
                             [2.0 ** -1074, -(2.0 ** -1074), 0.0]])
 
+    def test_exact_zero_sums_match_fsum_without_calling_it(self, monkeypatch):
+        gen = np.random.default_rng(11)
+        signed_zeros = np.where(gen.random((300, 64)) < 0.5, 0.0, -0.0)
+        # products of vectors with disjoint supports: every term is a signed zero
+        mask = gen.random((300, 64)) < 0.5
+        normal = gen.normal(size=(2, 300, 64)) * 2.0 ** gen.integers(-60, 60, size=(2, 300, 64))
+        zero = np.where(gen.random((2, 300, 64)) < 0.5, 0.0, -0.0)
+        disjoint = np.where(mask, normal[0], zero[0]) * np.where(mask, zero[1], normal[1])
+        halves = normal[0, :, :32]
+        cancelling = np.array([gen.permutation(row) for row in np.hstack([halves, -halves])])
+        rows = np.vstack([signed_zeros, disjoint, cancelling])
+        wants = [math.fsum(row) for row in rows.tolist()]
+        got = memory_module._exact_sums(rows.T)
+        for value, want in zip(got.tolist(), wants):
+            assert value.hex() == want.hex()
+            assert math.copysign(1.0, value) == math.copysign(1.0, want)
+
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(memory_module.math, "fsum", lambda values: calls.append(1) or fsum(values))
+        zero_rows = np.vstack([signed_zeros, disjoint])
+        assert not memory_module._exact_sums(zero_rows.T).any()
+        assert calls == []
+
     def test_certificate_refuses_a_plain_rounding(self):
         # the TwoSum tree gives hi = 1.5 and errors summing to half an ulp of
         # 1.5 plus 2**-113; fl(hi + lo) rounds that to 1.5, but the exact sum

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conceptlinker import (
     Concept,
     Ontology,
+    Query,
     parse_ontology,
     parse_queries,
     write_ontology,
@@ -172,8 +173,8 @@ class TestParseQueries:
         ])
         queries = parse_queries(path)
         assert [q.id for q in queries] == ["q1", "q2"]
-        assert queries[0].gold == "C1"
-        assert queries[1].context is None and queries[1].gold is None
+        assert queries[0] == Query("q1", "aspirin", "took aspirin")
+        assert queries[1] == Query("q2", "heparin")
 
     def test_empty_file_is_empty_list(self, tmp_path):
         path = tmp_path / "q.jsonl"
@@ -198,11 +199,12 @@ class TestParseQueries:
         write_jsonl(path, [{"id": "q1", "mention": "x", "context": "   "}])
         assert parse_queries(path)[0].context is None
 
-    def test_empty_gold_rejected(self, tmp_path):
+    def test_gold_field_ignored(self, tmp_path):
+        # gold ids come from the gold file; a query line's gold is never read
         path = tmp_path / "q.jsonl"
-        write_jsonl(path, [{"id": "q1", "mention": "x", "gold": " "}])
-        with pytest.raises(MalformedRecord):
-            parse_queries(path)
+        write_jsonl(path, [{"id": "q1", "mention": "x", "gold": " "},
+                           {"id": "q2", "mention": "y", "gold": 7}])
+        assert parse_queries(path) == [Query("q1", "x"), Query("q2", "y")]
 
 
 class TestRoundTrip:

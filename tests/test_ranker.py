@@ -340,14 +340,6 @@ class TestRank:
         assert result.attempts == 2
         assert result.resolved is None
 
-    def test_reask_limit_zero(self):
-        result = rank(
-            fixture_query(), fixture_candidates(), fixture_ontology(),
-            PromptConfig(), ScriptedEndpoint(["mumble"]), reask_limit=0,
-        )
-        assert result.selection.kind is FAIL
-        assert result.attempts == 1
-
     def test_transport_failure_is_distinct_kind(self):
         class Down:
             token_budget = None
