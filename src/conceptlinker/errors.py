@@ -30,11 +30,10 @@ class MalformedRecord(ValidationError):
         self.detail = detail
 
 
-class MissingField(ValidationError):
+class MissingField(MalformedRecord):
     def __init__(self, field: str, line: int):
-        super().__init__(f"line {line}: missing or empty required field {field!r}")
+        super().__init__(line, f"missing or empty required field {field!r}")
         self.field = field
-        self.line = line
 
 
 class DuplicateId(ValidationError):

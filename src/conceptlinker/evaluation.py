@@ -23,7 +23,7 @@ from .errors import (
     MissingPrediction,
     MissingRetrieval,
 )
-from .fileio import atomic_text, read_records
+from .fileio import atomic_text, read_records, record_field
 from .memory import Candidate, Memory
 from .ontology import Ontology, Query
 from .pipeline import link_queries, retrieve_for_queries
@@ -130,25 +130,6 @@ def accuracy(results: Sequence[Linked], gold: dict[str, str]) -> float:
     return correct / len(gold)
 
 
-def prf1(
-    results: Sequence[Linked], gold: list[GoldPair]
-) -> tuple[float, float, float]:
-    """Precision over resolved predictions, recall over gold, and their F1."""
-    return _prf1_counts(results, gold)[2:]
-
-
-def _prf1_counts(
-    results: Sequence[Linked], gold: list[GoldPair]
-) -> tuple[int, int, float, float, float]:
-    """Resolved predictions, true positives, precision, recall and F1."""
-    wanted = {(p.source_id, p.target_id) for p in gold}
-    resolved = sum(r.resolved is not None for r in results)
-    tp = sum((r.query_id, r.resolved) in wanted for r in results if r.resolved is not None)
-    precision = tp / resolved if resolved else 0.0
-    recall = tp / len(gold) if gold else 0.0
-    return resolved, tp, precision, recall, f1_from(precision, recall)
-
-
 def check_ks(ks: list[int]) -> None:
     """Raise ValueError unless the hits@k cutoffs are non-empty, positive and ascending."""
     if not ks or ks != sorted(ks) or ks[0] < 1:
@@ -176,15 +157,20 @@ def hits_at_k(
 
 
 def score_predictions(results: Sequence[Linked], gold: list[GoldPair]) -> MetricsReport:
-    n_predicted, n_correct, precision, recall, f1 = _prf1_counts(results, gold)
+    """Accuracy, precision over resolved predictions, recall over gold, and F1."""
+    wanted = {(p.source_id, p.target_id) for p in gold}
+    resolved = sum(r.resolved is not None for r in results)
+    tp = sum((r.query_id, r.resolved) in wanted for r in results if r.resolved is not None)
+    precision = tp / resolved if resolved else 0.0
+    recall = tp / len(gold) if gold else 0.0
     return MetricsReport(
         accuracy=accuracy(results, gold_map(gold)),
         precision=precision,
         recall=recall,
-        f1=f1,
+        f1=f1_from(precision, recall),
         n_queries=len(results),
-        n_predicted=n_predicted,
-        n_correct=n_correct,
+        n_predicted=resolved,
+        n_correct=tp,
         n_gold=len(gold),
     )
 
@@ -220,12 +206,8 @@ def parse_gold(path: str | Path) -> list[GoldPair]:
     seen: dict[str, str] = {}
     skipped = 0
     for lineno, record in read_records(path):
-        for key in ("source", "target"):
-            if key not in record:
-                raise MalformedRecord(lineno, f"missing field {key!r}")
-            if not isinstance(record[key], str):
-                raise MalformedRecord(lineno, f"field {key!r} is not a string")
-        source, target = record["source"].strip(), record["target"].strip()
+        source = record_field(record, "source", lineno).strip()
+        target = record_field(record, "target", lineno).strip()
         if not source or not target:
             raise MalformedRecord(lineno, "empty source or target")
         if COMPOSITE_SEP in target:
@@ -240,13 +222,6 @@ def parse_gold(path: str | Path) -> list[GoldPair]:
     if skipped:
         logger.warning("skipped %d composite or conflicting gold records", skipped)
     return pairs
-
-
-def write_gold(path: str | Path, pairs: list[GoldPair]) -> None:
-    atomic_text(path, "".join(
-        json.dumps({"source": pair.source_id, "target": pair.target_id}) + "\n"
-        for pair in pairs
-    ))
 
 
 # --- prediction and retrieval files -----------------------------------------
@@ -336,11 +311,9 @@ def parse_retrievals(path: str | Path) -> dict[str, list[str]]:
     """Read a retrieval file back to ranked id lists keyed by query id."""
     out: dict[str, list[str]] = {}
     for lineno, record in read_records(path):
-        try:
-            query_id = record["query_id"]
-            ranked = [c["cid"] for c in record["candidates"]]
-        except (KeyError, TypeError) as exc:
-            raise MalformedRecord(lineno, str(exc)) from None
+        query_id = record_field(record, "query_id", lineno)
+        ranked = [record_field(c, "cid", lineno)
+                  for c in record_field(record, "candidates", lineno, list)]
         if query_id in out:
             raise MalformedRecord(lineno, f"duplicate query id {query_id!r}")
         out[query_id] = ranked
@@ -360,16 +333,20 @@ class AblationArm:
 def parse_grid(path: str | Path) -> list[AblationArm]:
     """Read a JSON Lines ablation grid.
 
-    Each row holds an optional ``label`` plus prompt-configuration fields
+    Each row holds an optional string ``label`` (``arm-N``, counting rows
+    from 0, when absent) plus prompt-configuration fields
     by their own names, e.g. ``{"label": "no context",
     "include_source_context": false, "include_candidate_context": false}``.
     A ``one_shot`` field takes an object with query, options, and answer.
     """
     arms: list[AblationArm] = []
     for lineno, record in read_records(path):
-        label = str(record.pop("label", f"arm-{len(arms)}"))
+        label = record_field(record, "label", lineno) if "label" in record else f"arm-{len(arms)}"
+        record.pop("label", None)
         one_shot = record.pop("one_shot", None)
         if one_shot is not None:
+            for key in ("query", "options", "answer"):
+                record_field(one_shot, key, lineno)
             try:
                 one_shot = OneShotExample(**one_shot)
             except TypeError as exc:

@@ -1,9 +1,10 @@
-"""The file edge: a strict record reader, a keyed append log, an atomic writer.
+"""The file edge: a record reader, one field check, a keyed append log, an atomic writer.
 
-Every JSON Lines input goes through :func:`read_records`, both append-only
-logs (link journal, completion transcript) are a :class:`KeyedLog`, and the
-memory file, cache entries, predictions, retrievals, gold, ontology and
-query files and reports are written through :func:`atomic_writer`.
+Every JSON Lines input goes through :func:`read_records`, readers check
+field types by the one rule of :func:`record_field`, both append-only logs
+(link journal, completion transcript) are a :class:`KeyedLog`, and the
+memory file, cache entries, predictions, retrievals and reports are written
+through :func:`atomic_writer`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Callable, Hashable, Iterator
 
-from .errors import MalformedRecord
+from .errors import MalformedRecord, MissingField
 
 logger = logging.getLogger(__name__)
 
@@ -57,41 +58,68 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list"}
+
+
+def record_field(record: object, key: str, lineno: int, kind: type = str, *,
+                 required: bool = True):
+    """The value of ``key`` in a JSON record, checked to be of type ``kind``.
+
+    A record that is not an object raises :class:`MalformedRecord`, an
+    absent required key :class:`MissingField`, and a value of another JSON
+    type :class:`MalformedRecord`; null is another type for a required
+    field, and a bool is not an integer. An optional field that is absent
+    or null gives None. Both errors name ``lineno``.
+    """
+    if not isinstance(record, dict):
+        raise MalformedRecord(lineno, "record is not a JSON object")
+    value = record.get(key)
+    if type(value) is kind:
+        return value
+    if value is None and not required:
+        return None
+    if key not in record:
+        raise MissingField(key, lineno)
+    raise MalformedRecord(lineno, f"field {key!r} is not {_KIND_NAMES[kind]}")
+
+
 class KeyedLog:
     """Append-only JSON Lines log of rows, held in memory by key.
 
-    ``entry`` maps a row to its (key, value); a later row replaces an
-    earlier one with the same key. Loading logs and skips lines that are not
-    JSON or that ``entry`` rejects, such as the truncated last line of a
-    killed process; the first append then starts a new line after it. A row
-    whose value equals the stored one is not written again.
+    ``entry(row, lineno)`` maps a row to its (key, value); a later row
+    replaces an earlier one with the same key. Loading logs and skips lines
+    that are not UTF-8 JSON or that ``entry`` rejects, such as the truncated
+    last line of a killed process; the first append then starts a new line
+    after it. An appended row is checked with ``lineno`` 0, and one whose
+    value equals the stored one is not written again.
     """
 
     def __init__(self, path: str | Path, what: str,
-                 entry: Callable[[dict], tuple[Hashable, object]]) -> None:
+                 entry: Callable[[dict, int], tuple[Hashable, object]]) -> None:
         self.path = Path(path)
         self._entry = entry
         self._lock = threading.Lock()
         self._rows: dict = {}
         self._unterminated = False
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    self._unterminated = not line.endswith("\n")
+            with open(self.path, "rb") as handle:
+                for lineno, line in enumerate(handle, start=1):
+                    self._unterminated = not line.endswith(b"\n")
                     line = line.strip()
                     if not line:
                         continue
                     try:
-                        key, value = entry(json.loads(line))
+                        key, value = entry(json.loads(line.decode("utf-8")), lineno)
                         self._rows[key] = value
-                    except (ValueError, KeyError, TypeError):
-                        logger.warning("skipping malformed %s line in %s", what, self.path)
+                    except (ValueError, MalformedRecord):
+                        logger.warning("skipping malformed %s line %d in %s",
+                                       what, lineno, self.path)
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def append(self, row: dict) -> None:
-        key, value = self._entry(row)
+        key, value = self._entry(row, 0)
         with self._lock:
             if key in self._rows and self._rows[key] == value:
                 return

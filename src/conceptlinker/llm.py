@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 
 from .errors import TransportError, TranscriptMiss
-from .fileio import KeyedLog
+from .fileio import KeyedLog, record_field
 from .ranker import (
     ABSTRACT_CLOSE,
     ABSTRACT_OPEN,
@@ -108,10 +108,8 @@ class TranscriptStore(KeyedLog):
         return response
 
 
-def _transcript_entry(row: dict) -> tuple[str, str]:
-    if not all(isinstance(row[key], str) for key in ("digest", "response")):
-        raise TypeError("transcript digest and response must be strings")
-    return row["digest"], row["response"]
+def _transcript_entry(row: dict, lineno: int) -> tuple[str, str]:
+    return record_field(row, "digest", lineno), record_field(row, "response", lineno)
 
 
 class ScriptedEndpoint:

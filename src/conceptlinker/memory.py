@@ -55,11 +55,12 @@ from .errors import (
     FingerprintMismatch,
     InvalidVector,
     LinkerError,
+    MalformedRecord,
     MemoryBuildError,
     MemoryLayoutError,
     VersionMismatch,
 )
-from .fileio import atomic_writer
+from .fileio import atomic_writer, record_field
 from .ontology import Ontology, Query
 
 logger = logging.getLogger(__name__)
@@ -632,16 +633,16 @@ def load_memory(
         if version != FORMAT_VERSION:
             raise VersionMismatch(FORMAT_VERSION, version)
         try:
-            dim = int(header["dim"])
-            fingerprint = (str(header["provider_id"]), str(header["model_id"]))
-            tag = str(header["ontology_tag"])
-            count = int(header["entry_count"])
-            ids = header["concept_ids"]
-            if (dim < 1 or count < 0 or not isinstance(ids, list)
-                    or not all(isinstance(cid, str) for cid in ids)):
-                raise ValueError("bad dim, entry_count or concept_ids")
-        except (KeyError, TypeError, ValueError) as exc:
+            dim = record_field(header, "dim", 1, int)
+            fingerprint = (record_field(header, "provider_id", 1),
+                           record_field(header, "model_id", 1))
+            tag = record_field(header, "ontology_tag", 1)
+            count = record_field(header, "entry_count", 1, int)
+            ids = record_field(header, "concept_ids", 1, list)
+        except MalformedRecord as exc:
             raise BadMagic(f"memory header incomplete: {exc}") from None
+        if dim < 1 or count < 0 or not all(isinstance(cid, str) for cid in ids):
+            raise BadMagic("memory header incomplete: bad dim, entry_count or concept_ids")
 
         body = os.fstat(fh.fileno()).st_size - fh.tell()
         expected = count * (4 + 1 + 4 * dim)

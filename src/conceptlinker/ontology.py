@@ -10,23 +10,14 @@ both. Validation stops at the first bad line and the diagnostic names it.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import (
-    DuplicateId,
-    EmptyFile,
-    EmptyMention,
-    MalformedRecord,
-    MissingField,
-    UnknownId,
-    ValidationError,
-)
-from .fileio import atomic_text, read_records
+from .errors import DuplicateId, EmptyFile, EmptyMention, MissingField, UnknownId
+from .fileio import read_records, record_field
 from .textutil import normalize_whitespace, truncate_at_word
 
 MAX_DESCRIPTION_CHARS = 2000
@@ -98,28 +89,14 @@ class Ontology:
         return Concept(self.ids[i], self.names[i], self.descriptions[i], self.tag)
 
 
-def _field_error(key: str, value: object, lineno: int) -> ValidationError:
-    """The error for a required field that is absent, blank or not a string."""
-    if value is None or isinstance(value, str):
-        return MissingField(key, lineno)
-    return MalformedRecord(lineno, f"field {key!r} is not a string")
+def _refused(obj: dict, key: str, lineno: int) -> MissingField:
+    """The error for a required string field the inlined check refused.
 
-
-def _required_id(obj: dict, key: str, lineno: int) -> str:
-    # ids are opaque: trim only, never collapse internal whitespace
-    value = obj.get(key)
-    if not isinstance(value, str) or not (value := value.strip()):
-        raise _field_error(key, value, lineno)
-    return value
-
-
-def _optional_str(obj: dict, key: str, lineno: int) -> str | None:
-    value = obj.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise MalformedRecord(lineno, f"field {key!r} is not a string")
-    return value
+    :func:`record_field` raises for an absent key or a value of another
+    type; what it accepts was refused for being blank.
+    """
+    record_field(obj, key, lineno)
+    return MissingField(key, lineno)
 
 
 def parse_ontology(path: str | Path, tag: str) -> Ontology:
@@ -134,23 +111,23 @@ def parse_ontology(path: str | Path, tag: str) -> Ontology:
     names: list[str] = []
     descriptions: list[str | None] = []
     seen: set[str] = set()
-    # the checks of _required_id and _optional_str, inlined: this loop runs
-    # once per concept on every command that reads an ontology
+    # record_field's checks, inlined: this loop runs once per concept on
+    # every command that reads an ontology, and only its errors take the call
     for lineno, obj in read_records(path):
         cid = obj.get("id")
         if not isinstance(cid, str) or not (cid := cid.strip()):
-            raise _field_error("id", cid, lineno)
+            raise _refused(obj, "id", lineno)
         if cid in seen:
             raise DuplicateId(cid, lineno)
         seen.add(cid)
         name = obj.get("name")
         if not isinstance(name, str) or not (name := " ".join(name.split())):
-            raise _field_error("name", name, lineno)
+            raise _refused(obj, "name", lineno)
 
         description = obj.get("description")
         if description is not None:
             if not isinstance(description, str):
-                raise MalformedRecord(lineno, "field 'description' is not a string")
+                record_field(obj, "description", lineno, required=False)  # raises
             description = " ".join(description.split())
             if len(description) > MAX_DESCRIPTION_CHARS:
                 description = truncate_at_word(description, MAX_DESCRIPTION_CHARS)
@@ -164,20 +141,6 @@ def parse_ontology(path: str | Path, tag: str) -> Ontology:
     return Ontology(tag, ids, names, descriptions)
 
 
-def write_ontology(path: str | Path, ontology: Ontology) -> None:
-    """Serialize back to the JSON Lines format accepted by :func:`parse_ontology`."""
-    atomic_text(path, "".join(
-        _json_line(id=cid, name=name, description=description)
-        for cid, name, description in zip(ontology.ids, ontology.names, ontology.descriptions)
-    ))
-
-
-def _json_line(**fields) -> str:
-    """One JSON Lines record holding the fields that are not None, in order."""
-    record = {key: value for key, value in fields.items() if value is not None}
-    return json.dumps(record, ensure_ascii=False) + "\n"
-
-
 def parse_queries(path: str | Path) -> list[Query]:
     """Load linking queries from a JSON Lines file, in file order.
 
@@ -186,24 +149,15 @@ def parse_queries(path: str | Path) -> list[Query]:
     """
     queries: list[Query] = []
     for lineno, obj in read_records(path):
-        qid = _required_id(obj, "id", lineno)
-        mention = _optional_str(obj, "mention", lineno)
-        if mention is None:
-            raise MissingField("mention", lineno)
-        mention = normalize_whitespace(mention)
+        # ids are opaque: trim only, never collapse internal whitespace
+        qid = record_field(obj, "id", lineno).strip()
+        if not qid:
+            raise MissingField("id", lineno)
+        mention = normalize_whitespace(record_field(obj, "mention", lineno))
         if not mention:
             raise EmptyMention(lineno)
-
-        context = _optional_str(obj, "context", lineno)
+        context = record_field(obj, "context", lineno, required=False)
         if context is not None:
             context = normalize_whitespace(context) or None
         queries.append(Query(id=qid, mention=mention, context=context))
     return queries
-
-
-def write_queries(path: str | Path, queries: list[Query]) -> None:
-    """Serialize queries back to the JSON Lines query format."""
-    atomic_text(path, "".join(
-        _json_line(id=q.id, mention=q.mention, context=q.context)
-        for q in queries
-    ))

@@ -15,7 +15,7 @@ import threading
 from pathlib import Path
 
 from .embedding import text_slices
-from .fileio import KeyedLog
+from .fileio import KeyedLog, record_field
 from .memory import Candidate, Memory, query_text, retrieve_batch
 from .ontology import Ontology, Query
 from .ranker import (
@@ -59,7 +59,8 @@ class LinkJournal(KeyedLog):
     """
 
     def __init__(self, path: str | Path) -> None:
-        super().__init__(path, "journal", lambda row: ((row["query_id"], row["digest"]), row))
+        super().__init__(path, "journal", lambda row, lineno: (
+            (record_field(row, "query_id", lineno), record_field(row, "digest", lineno)), row))
 
     def get(self, query_id: str, digest: str, slate: list[Candidate]) -> LinkResult | None:
         """The journaled result, or None when there is none or its row cannot be replayed."""

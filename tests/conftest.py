@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import string
 
@@ -99,6 +100,29 @@ def queries_for(
         queries.append(Query(id=query_id, mention=mention, context=context))
         gold[query_id] = concept.id
     return queries, gold
+
+
+def write_jsonl(path, records) -> None:
+    """Write each record as one JSON line; a None field is written as null."""
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+def write_ontology(path, ontology: Ontology) -> None:
+    """An ontology file that parse_ontology reads back as ``ontology``."""
+    write_jsonl(path, ({"id": cid, "name": name, "description": description}
+                       for cid, name, description
+                       in zip(ontology.ids, ontology.names, ontology.descriptions)))
+
+
+def write_queries(path, queries) -> None:
+    """A query file that parse_queries reads back as ``queries``."""
+    write_jsonl(path, ({"id": q.id, "mention": q.mention, "context": q.context}
+                       for q in queries))
+
+
+def write_gold(path, pairs) -> None:
+    """A gold file of (source, target) GoldPairs."""
+    write_jsonl(path, ({"source": p.source_id, "target": p.target_id} for p in pairs))
 
 
 def local_provider(dim: int = 64, seed: int = 0) -> LocalTrigramProvider:

@@ -30,9 +30,6 @@ from conceptlinker import (
     retrieve_for_queries,
     run_ablation,
     score_predictions,
-    write_gold,
-    write_ontology,
-    write_queries,
 )
 from conceptlinker.cli import main
 import conceptlinker.cli as cli_module
@@ -45,6 +42,9 @@ from .conftest import (
     ontology_from,
     queries_for,
     synthetic_ontology,
+    write_gold,
+    write_ontology,
+    write_queries,
 )
 from .oracles import hits_ref, retrieve_ref
 from .test_ranker import PARSE_FIXTURES

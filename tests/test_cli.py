@@ -20,14 +20,11 @@ from conceptlinker import (
     load_memory,
     parse_predictions,
     parse_retrievals,
-    write_gold,
-    write_ontology,
-    write_queries,
 )
 from conceptlinker import cli as cli_module
 from conceptlinker.cli import SETTINGS, main
 
-from .conftest import ontology_from
+from .conftest import ontology_from, write_gold, write_ontology, write_queries
 
 CONCEPTS = [
     Concept(id="D:1", name="Iron deficiency anemia",
@@ -308,6 +305,45 @@ class TestLink:
         assert run() == 0
         assert pred.read_bytes() == recorded
 
+    @staticmethod
+    def replay(workspace, fixtures) -> int:
+        """``link`` with no endpoint: each query is answered by the journal or the transcript."""
+        return main(["link", "--ontology", str(workspace["ontology"]),
+                     "--queries", str(workspace["queries"]),
+                     "--memory", str(workspace["memory"]),
+                     "--output", str(workspace["out"] / "pred.tsv"),
+                     "--dim", "64", "--fixtures", str(fixtures)])
+
+    def test_undecodable_journal_line_is_skipped_on_resume(self, workspace, caplog):
+        build(workspace)
+        pred = workspace["out"] / "pred.tsv"
+        assert link(workspace) == 0
+        recorded = pred.read_bytes()
+        with open(workspace["out"] / "pred.tsv.details.jsonl", "ab") as handle:
+            handle.write(b"\xff\n")
+        empty = workspace["out"] / "empty.jsonl"
+        empty.touch()
+        # an empty transcript and no endpoint: every query resumes from the journal
+        with caplog.at_level("WARNING"):
+            assert self.replay(workspace, empty) == 0
+        assert "skipping malformed journal line 5" in caplog.text
+        assert pred.read_bytes() == recorded
+
+    def test_undecodable_transcript_line_is_skipped_on_replay(self, workspace, caplog):
+        build(workspace)
+        fixtures = workspace["out"] / "transcript.jsonl"
+        pred = workspace["out"] / "pred.tsv"
+        assert link(workspace, "--fixtures", str(fixtures)) == 0
+        recorded = pred.read_bytes()
+        fixtures.write_bytes(b'{"digest": "\xff", "response": "option 0"}\n'
+                             + fixtures.read_bytes())
+        # a fresh journal, so every query goes to the transcript
+        (workspace["out"] / "pred.tsv.details.jsonl").unlink()
+        with caplog.at_level("WARNING"):
+            assert self.replay(workspace, fixtures) == 0
+        assert "skipping malformed transcript line 1" in caplog.text
+        assert pred.read_bytes() == recorded
+
     def test_replay_miss_exits_2(self, workspace, capsys):
         build(workspace)
         empty = workspace["out"] / "empty.jsonl"
@@ -389,6 +425,16 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "hits@1" in out and "hits@2" in out
         assert "0.7500" in out and "1.0000" in out
+
+    @pytest.mark.parametrize("query_id", [["q1"], {"id": "q1"}])
+    def test_retrieval_query_id_that_is_not_a_string_exits_2(self, workspace, capsys,
+                                                              query_id):
+        path = workspace["out"] / "ret.jsonl"
+        path.write_text(json.dumps({"query_id": query_id, "candidates": []}) + "\n")
+        code = main(["evaluate", "--gold", str(workspace["gold"]), "--retrievals", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 1: malformed record: field 'query_id' is not a string" in err
 
     def test_requires_exactly_one_input(self, workspace, capsys):
         path = self.stage_predictions(workspace)

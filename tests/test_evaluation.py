@@ -30,13 +30,11 @@ from conceptlinker import (
     parse_grid,
     parse_predictions,
     parse_retrievals,
-    prf1,
     render_report,
     retrieval_digest,
     run_ablation,
     score_predictions,
     score_retrievals,
-    write_gold,
     write_predictions,
     write_report,
     write_retrievals,
@@ -44,11 +42,12 @@ from conceptlinker import (
 from conceptlinker.errors import (
     EmptyFile,
     MalformedRecord,
+    MissingField,
     MissingPrediction,
     MissingRetrieval,
 )
 
-from .conftest import local_provider, queries_for, synthetic_ontology
+from .conftest import local_provider, queries_for, synthetic_ontology, write_gold
 from .oracles import f1_ref, hits_ref
 
 
@@ -115,8 +114,13 @@ class TestPrf1:
         ]
         return results, gold
 
+    @staticmethod
+    def prf1(results, gold):
+        report = score_predictions(results, gold)
+        return report.precision, report.recall, report.f1
+
     def test_frozen_fixture(self):
-        precision, recall, f1 = prf1(*self.frozen())
+        precision, recall, f1 = self.prf1(*self.frozen())
         assert precision == pytest.approx(0.75)
         assert recall == pytest.approx(0.6)
         assert f1 == pytest.approx(2 * 0.75 * 0.6 / 1.35)
@@ -131,13 +135,13 @@ class TestPrf1:
 
     def test_all_abstain(self):
         gold = [GoldPair("q0", "C0")]
-        precision, recall, f1 = prf1([predict("q0", None)], gold)
+        precision, recall, f1 = self.prf1([predict("q0", None)], gold)
         assert (precision, recall, f1) == (0.0, 0.0, 0.0)
 
     def test_perfect(self):
         gold = [GoldPair(f"q{i}", f"C{i}") for i in range(4)]
         results = [predict(p.source_id, p.target_id) for p in gold]
-        assert prf1(results, gold) == (1.0, 1.0, 1.0)
+        assert self.prf1(results, gold) == (1.0, 1.0, 1.0)
 
 
 class TestF1:
@@ -291,6 +295,15 @@ class TestGoldFiles:
         with pytest.raises(MalformedRecord):
             parse_gold(path)
 
+    @pytest.mark.parametrize("line, field", [('{"target": "C0"}', "source"),
+                                             ('{"source": "q0"}', "target")])
+    def test_missing_id_is_a_missing_field(self, tmp_path, line, field):
+        path = tmp_path / "gold.jsonl"
+        path.write_text('{"source": "q9", "target": "C9"}\n' + line + "\n")
+        with pytest.raises(MissingField) as exc:
+            parse_gold(path)
+        assert (exc.value.field, exc.value.line) == (field, 2)
+
     @pytest.mark.parametrize("line, field", [
         ('{"source": null, "target": "C0"}', "source"),
         ('{"source": 7, "target": "C0"}', "source"),
@@ -384,6 +397,24 @@ class TestRetrievalFiles:
         with pytest.raises(MalformedRecord):
             parse_retrievals(path)
 
+    @pytest.mark.parametrize("record, problem", [
+        ({"query_id": ["q1"], "candidates": []}, "field 'query_id' is not a string"),
+        ({"query_id": {"id": "q1"}, "candidates": []}, "field 'query_id' is not a string"),
+        ({"query_id": 1, "candidates": []}, "field 'query_id' is not a string"),
+        ({"query_id": "q1", "candidates": [{"cid": 7, "score": 0.5}]},
+         "field 'cid' is not a string"),
+        ({"query_id": "q1", "candidates": {"cid": "C0"}}, "field 'candidates' is not a list"),
+        ({"query_id": "q1", "candidates": ["C0"]}, "record is not a JSON object"),
+    ])
+    def test_field_of_another_type_names_its_line(self, tmp_path, record, problem):
+        path = tmp_path / "ret.jsonl"
+        good = {"query_id": "q0", "candidates": [{"cid": "C0", "score": 0.5}]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(MalformedRecord) as exc:
+            parse_retrievals(path)
+        assert exc.value.line == 2
+        assert problem in str(exc.value)
+
 
 class TestGridFiles:
     def test_labels_and_fields(self, tmp_path):
@@ -399,6 +430,28 @@ class TestGridFiles:
         assert arms[0].config.include_source_context is True
         assert arms[1].config.include_candidate_context is False
         assert arms[2].config.max_option_context_chars == 120
+
+    @pytest.mark.parametrize("one_shot, problem", [
+        ({"query": 5, "options": "0: A", "answer": "option 0"}, "field 'query' is not a string"),
+        ({"query": "q", "options": ["0: A"], "answer": "option 0"},
+         "field 'options' is not a string"),
+        ({"query": "q", "options": "0: A", "answer": None}, "field 'answer' is not a string"),
+        ("q", "record is not a JSON object"),
+    ])
+    def test_one_shot_fields_must_be_strings(self, tmp_path, one_shot, problem):
+        path = tmp_path / "grid.jsonl"
+        path.write_text(json.dumps({"label": "primed", "one_shot": one_shot}) + "\n")
+        with pytest.raises(MalformedRecord, match=problem) as exc:
+            parse_grid(path)
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("label", [None, ["a"], 3, True])
+    def test_label_must_be_a_string(self, tmp_path, label):
+        path = tmp_path / "grid.jsonl"
+        path.write_text('{"label": "both"}\n' + json.dumps({"label": label}) + "\n")
+        with pytest.raises(MalformedRecord, match="field 'label' is not a string") as exc:
+            parse_grid(path)
+        assert exc.value.line == 2
 
     def test_one_shot_object(self, tmp_path):
         path = tmp_path / "grid.jsonl"

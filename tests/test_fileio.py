@@ -15,19 +15,16 @@ from conceptlinker import (
     Candidate,
     Concept,
     LinkJournal,
-    Query,
     TranscriptStore,
     VectorCache,
     Variant,
     build_memory,
     load_memory,
     save_memory,
-    write_ontology,
     write_predictions,
-    write_queries,
 )
-from conceptlinker.errors import MalformedRecord
-from conceptlinker.fileio import read_records
+from conceptlinker.errors import MalformedRecord, MissingField
+from conceptlinker.fileio import read_records, record_field
 
 from .conftest import local_provider, ontology_from
 from .oracles import read_records_ref
@@ -74,17 +71,8 @@ def cache_put_version(path, version):
     VectorCache(path.parent).put(path.name, np.full(4, version + 1, dtype=np.float32))
 
 
-def write_ontology_version(path, version):
-    write_ontology(path, ontology_from("t", [Concept(id="C1", name=f"Aspirin {version}")]))
-
-
-def write_queries_version(path, version):
-    write_queries(path, [Query(id="q1", mention=f"aspirin {version}")])
-
-
 @pytest.mark.parametrize(
-    "write", [write_predictions_version, save_memory_version, cache_put_version,
-              write_ontology_version, write_queries_version]
+    "write", [write_predictions_version, save_memory_version, cache_put_version]
 )
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, write):
     target = tmp_path / "artifact"
@@ -252,3 +240,35 @@ def test_reader_diagnostics(tmp_path, text, records, error):
         error = (error[0], f"line {error[0]}: malformed record: {error[1]}")
     assert same_outcome(read_outcome(path), (records, error))
     assert same_outcome(read_records_ref(path), (records, error))
+
+
+# --- the field check ----------------------------------------------------------
+
+@pytest.mark.parametrize("record, kind, required, want", [
+    ({"k": "v"}, str, True, "v"),
+    ({"k": 3}, int, True, 3),
+    ({"k": [1]}, list, True, [1]),
+    ({}, str, False, None),
+    ({"k": None}, str, False, None),
+    ({"k": None}, int, False, None),
+])
+def test_record_field_returns_a_value_of_its_kind(record, kind, required, want):
+    assert record_field(record, "k", 4, kind, required=required) == want
+
+
+@pytest.mark.parametrize("record, kind, required, detail", [
+    ([], str, True, "record is not a JSON object"),
+    ("k", str, False, "record is not a JSON object"),
+    ({}, str, True, "missing or empty required field 'k'"),
+    ({"k": None}, str, True, "field 'k' is not a string"),
+    ({"k": 5}, str, False, "field 'k' is not a string"),
+    ({"k": True}, int, True, "field 'k' is not an integer"),
+    ({"k": 2.0}, int, True, "field 'k' is not an integer"),
+    ({"k": "3"}, int, True, "field 'k' is not an integer"),
+    ({"k": {"a": 1}}, list, False, "field 'k' is not a list"),
+])
+def test_record_field_errors_name_their_line(record, kind, required, detail):
+    with pytest.raises(MalformedRecord) as exc:
+        record_field(record, "k", 4, kind, required=required)
+    assert str(exc.value) == f"line 4: malformed record: {detail}"
+    assert isinstance(exc.value, MissingField) == detail.startswith("missing")

@@ -944,6 +944,26 @@ class TestStoreFile:
         with pytest.raises(VersionMismatch):
             load_memory(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("dim", "32"), ("dim", 32.9), ("dim", True), ("dim", 0), ("dim", ...),
+        ("provider_id", 5), ("model_id", None), ("ontology_tag", None),
+        ("entry_count", "3"), ("entry_count", -1), ("entry_count", ...),
+        ("concept_ids", "C0000"), ("concept_ids", [1]),
+    ])
+    def test_header_field_of_another_type_rejected(self, tmp_path, rng, key, value):
+        # ... stands for a key left out
+        memory = build_memory(synthetic_ontology(rng, 3), local_provider(dim=32))
+        path = tmp_path / "m.lm"
+        save_memory(memory, path)
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header[key] = value
+        if value is ...:
+            del header[key]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(BadMagic, match="memory header incomplete"):
+            load_memory(path)
+
     def test_v1_text_file_is_a_version_mismatch(self, tmp_path):
         path = tmp_path / "m.lm"
         header = {"format_version": 1, "dim": 4, "provider_id": "local-trigram",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +12,6 @@ from conceptlinker import (
     Query,
     parse_ontology,
     parse_queries,
-    write_ontology,
-    write_queries,
 )
 from conceptlinker.errors import (
     DuplicateId,
@@ -27,11 +23,14 @@ from conceptlinker.errors import (
 )
 from conceptlinker.ontology import MAX_DESCRIPTION_CHARS
 
-from .conftest import ontology_from, queries_for, synthetic_ontology
-
-
-def write_jsonl(path, records):
-    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+from .conftest import (
+    ontology_from,
+    queries_for,
+    synthetic_ontology,
+    write_jsonl,
+    write_ontology,
+    write_queries,
+)
 
 
 class TestParseOntology:
@@ -81,6 +80,28 @@ class TestParseOntology:
         write_jsonl(path, [{"id": "C1", "name": "   "}])
         with pytest.raises(MissingField):
             parse_ontology(path, "t")
+
+    @pytest.mark.parametrize("record, key", [
+        ({"id": None, "name": "a"}, "id"),
+        ({"id": 7, "name": "a"}, "id"),
+        ({"id": "C2", "name": None}, "name"),
+        ({"id": "C2", "name": ["a"]}, "name"),
+        ({"id": "C2", "name": "a", "description": 5}, "description"),
+    ])
+    def test_field_of_another_type_names_its_line(self, tmp_path, record, key):
+        path = tmp_path / "onto.jsonl"
+        write_jsonl(path, [{"id": "C1", "name": "a"}, record])
+        with pytest.raises(MalformedRecord) as exc:
+            parse_ontology(path, "t")
+        assert not isinstance(exc.value, MissingField)
+        assert str(exc.value) == f"line 2: malformed record: field {key!r} is not a string"
+
+    def test_missing_field_is_a_malformed_record(self, tmp_path):
+        path = tmp_path / "onto.jsonl"
+        write_jsonl(path, [{"name": "a"}])
+        with pytest.raises(MalformedRecord) as exc:
+            parse_ontology(path, "t")
+        assert str(exc.value) == "line 1: malformed record: missing or empty required field 'id'"
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "onto.jsonl"
@@ -193,6 +214,26 @@ class TestParseQueries:
         write_jsonl(path, [{"id": "q1"}])
         with pytest.raises(MissingField):
             parse_queries(path)
+
+    @pytest.mark.parametrize("record, key", [
+        ({"id": None, "mention": "x"}, "id"),
+        ({"id": 1, "mention": "x"}, "id"),
+        ({"id": "q1", "mention": None}, "mention"),
+        ({"id": "q1", "mention": "x", "context": ["c"]}, "context"),
+    ])
+    def test_field_of_another_type_names_its_line(self, tmp_path, record, key):
+        path = tmp_path / "q.jsonl"
+        write_jsonl(path, [record])
+        with pytest.raises(MalformedRecord,
+                           match=f"line 1: malformed record: field '{key}' is not a string"):
+            parse_queries(path)
+
+    def test_blank_id_is_missing(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        write_jsonl(path, [{"id": " ", "mention": "x"}])
+        with pytest.raises(MissingField) as exc:
+            parse_queries(path)
+        assert (exc.value.field, exc.value.line) == ("id", 1)
 
     def test_blank_context_dropped(self, tmp_path):
         path = tmp_path / "q.jsonl"
