@@ -51,7 +51,7 @@ from .llm import (
     KeywordMockEndpoint,
     TranscriptStore,
 )
-from .memory import build_memory, load_memory, save_memory
+from .memory import build_memory, check_provider, load_memory, save_memory
 from .ontology import parse_ontology, parse_queries
 from .pipeline import DEFAULT_CONCURRENCY, LinkJournal, link_queries, retrieve_for_queries
 from .ranker import PromptConfig, SelectionKind
@@ -92,7 +92,7 @@ SETTINGS = {
     "ks": ("run", "ks", ",".join(map(str, DEFAULT_HITS_KS)),
            "comma-separated hits@k cutoffs (default 1,5,10)"),
     "concurrency": ("run", "concurrency", DEFAULT_CONCURRENCY, "parallel ranking calls"),
-    "strict": ("run", "strict", False, "fail instead of warn on provider fingerprint mismatch"),
+    "strict": ("run", "strict", False, "fail instead of warn on a remote fingerprint mismatch"),
     "tag": ("run", "tag", None, "ontology tag (defaults to the ontology file stem)"),
     "source_context": ("prompt", "source_context", True,
                        "include the query's context block in prompts"),
@@ -241,7 +241,7 @@ def _read_ontology(s: Settings, path: Path):
 
 def _open_inputs(s: Settings, *, with_ontology: bool = False):
     """Check the input paths, ``strict`` and the provider, then read the
-    ontology (if asked for), the memory and, if its dim fits, the queries.
+    ontology (if asked for), the memory and, if its dim and provider fit, the queries.
 
     Callers resolve their own settings first, so that every usage error is
     raised before the first file is parsed.
@@ -252,9 +252,10 @@ def _open_inputs(s: Settings, *, with_ontology: bool = False):
     strict = s.boolean("strict")
     provider = _provider(s)
     ontology = None if ontology_path is None else _read_ontology(s, ontology_path)
-    memory = load_memory(memory_path, expected_provider=provider.spec.fingerprint, strict=strict)
+    memory = load_memory(memory_path)
     if memory.dim != provider.spec.dim:
         raise DimMismatch(memory.dim, provider.spec.dim)
+    check_provider(memory, provider.spec.fingerprint, strict=strict)
     return ontology, provider, memory, parse_queries(queries_path)
 
 

@@ -127,7 +127,7 @@ class InvalidVector(ValidationError):
 
 
 class MemoryLayoutError(ValidationError):
-    """Memory columns disagree: a concept's entries are split, or a code is out of range."""
+    """Memory columns disagree: the vectors do not fit the context flags, or an id repeats."""
 
 
 class BadMagic(ValidationError):

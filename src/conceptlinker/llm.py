@@ -88,9 +88,6 @@ class TranscriptStore(KeyedLog):
         super().__init__(path, "transcript", _transcript_entry)
         self._inner = inner
 
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._rows
-
     def lookup(self, digest: str) -> str | None:
         return self._rows.get(digest)
 

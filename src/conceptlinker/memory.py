@@ -2,8 +2,9 @@
 
 Every concept contributes a name-only embedding, plus a name+description
 embedding when it has a description. The store is columnar: one float32
-matrix with a row per entry, an entry-to-concept index and a variant byte
-per entry, and each concept's rows in one contiguous range.
+matrix with a row per entry and one context flag per concept. A concept's
+name row comes first, then its context row when its flag is set, so the
+flags alone place every row.
 
 Retrieval is exhaustive and exact, after the flat inner-product index of
 FAISS (Johnson et al. 2017): a chunk of queries is scored against every
@@ -47,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import Provider, ProviderSpec, text_slices
+from .embedding import LOCAL_PROVIDER_ID, REMOTE_PROVIDER_ID, Provider, ProviderSpec, text_slices
 from .errors import (
     BadMagic,
     DimMismatch,
@@ -65,7 +66,7 @@ from .ontology import Ontology, Query
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # float32 scores held at once while retrieving; queries are scored in chunks
 # of this many bytes' worth of query-by-entry block
@@ -95,9 +96,8 @@ class Variant(str, Enum):
     NAME_WITH_CONTEXT = "nc"
 
 
-# the variant byte stored per entry indexes this tuple
+# an entry's offset from its concept's name row indexes this tuple
 _VARIANTS = (Variant.NAME_ONLY, Variant.NAME_WITH_CONTEXT)
-_VARIANT_CODE = {variant: code for code, variant in enumerate(_VARIANTS)}
 
 
 @dataclass(frozen=True)
@@ -151,41 +151,30 @@ def _score_margin(dim: int) -> float:
 class Memory:
     """Immutable columnar store of embedding entries sharing one dim and provider.
 
-    ``vectors`` is the float32 (entries, dim) matrix; ``concept_ids`` lists
-    each concept once in entry order; ``concept_index`` and ``variant_codes``
-    give each row's concept position and variant byte. A concept's rows are
-    contiguous, and each row's length lies within 2**-64 to 2**64.
+    ``concept_ids`` lists each concept once and ``has_context`` flags those
+    with a context row; the float32 (entries, dim) matrix ``vectors`` holds
+    each concept's name row, then its context row if flagged. Each row's
+    length lies within 2**-64 to 2**64.
     """
 
-    def __init__(self, concept_ids: Sequence[str], concept_index: np.ndarray,
-                 variant_codes: np.ndarray, vectors: np.ndarray, dim: int,
-                 provider_fingerprint: tuple[str, str], ontology_tag: str):
+    def __init__(self, concept_ids: Sequence[str], has_context: Sequence[bool], vectors: np.ndarray,
+                 dim: int, provider_fingerprint: tuple[str, str], ontology_tag: str):
         """Take ownership of the given columns and make them read-only.
 
-        Raises :class:`MemoryLayoutError` if they disagree and
-        :class:`InvalidVector` for a NaN, infinite, zero or out-of-range row.
+        Raises :class:`MemoryLayoutError` if they disagree or an id repeats,
+        and :class:`InvalidVector` for a NaN, infinite, zero or out-of-range row.
         """
         vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] != dim:
             raise DimMismatch(dim, vectors.shape[-1] if vectors.ndim else 0)
         count = len(vectors)
         ids = tuple(concept_ids)
-        index = np.asarray(concept_index, dtype=np.int64)
-        codes = np.asarray(variant_codes, dtype=np.uint8)
-        if index.shape != (count,) or codes.shape != (count,):
-            raise MemoryLayoutError(
-                f"{count} vectors but {index.size} concept indices and {codes.size} variant codes"
-            )
+        flags = np.array(has_context, dtype=bool)
+        if flags.shape != (len(ids),) or count != len(ids) + flags.sum():
+            raise MemoryLayoutError(f"{count} vectors do not fit the flags of {len(ids)} concepts")
         if len(set(ids)) != len(ids):
-            split = min(cid for cid, n in Counter(ids).items() if n > 1)
-            raise MemoryLayoutError(f"entries of concept {split!r} are not contiguous")
-        # each concept's rows are contiguous exactly when the runs of equal
-        # index values take the values 0, 1, ... once each, in order
-        starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])[:count]
-        if not np.array_equal(index[starts], np.arange(len(ids))):
-            raise MemoryLayoutError("concept index does not list each concept's entries contiguously")
-        if (codes >= len(_VARIANTS)).any():
-            raise MemoryLayoutError(f"variant code above {len(_VARIANTS) - 1}")
+            repeated = min(cid for cid, n in Counter(ids).items() if n > 1)
+            raise MemoryLayoutError(f"concept {repeated!r} is listed more than once")
 
         # float64 sums of the exact float32 squares, without a float64 copy
         norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
@@ -195,22 +184,26 @@ class Memory:
             if 0.0 < norms[row] < math.inf:
                 raise InvalidVector("memory entry", row, "has a length outside 2**-64 to 2**64")
             raise InvalidVector("memory entry", row)
-        for array in (vectors, index, codes):
-            array.flags.writeable = False
+        vectors.flags.writeable = flags.flags.writeable = False
         self.vectors = vectors
         self.concept_ids = ids
-        self.concept_index = index
-        self.variant_codes = codes
+        self.has_context = flags
         self.dim = dim
         self.provider_fingerprint = tuple(provider_fingerprint)
         self.ontology_tag = ontology_tag
         self._inv_norms = (1.0 / norms).astype(np.float32)
-        # the most entries any one concept has
-        self._max_run = int(np.diff(np.r_[starts, count]).max()) if count else 1
+        self._concepts = np.repeat(np.arange(len(ids)), 1 + flags)  # each entry's concept
+        self._name_rows = _name_rows(flags)
+        self._max_run = 2 if flags.any() else 1  # the most entries of any one concept
         self._margin = _score_margin(dim)
 
     def __len__(self) -> int:
         return len(self.vectors)
+
+
+def _name_rows(has_context: np.ndarray) -> np.ndarray:
+    """Each concept's name row: it follows every row of the concepts before it."""
+    return np.arange(len(has_context)) + np.cumsum(has_context) - has_context
 
 
 def concept_text(name: str, description: str | None) -> str:
@@ -240,9 +233,8 @@ def build_memory(ontology: Ontology, provider: Provider) -> Memory:
     described = [i for i, description in enumerate(descriptions) if description]
     has_context = np.zeros(len(ids), dtype=bool)
     has_context[described] = True
-    # a concept's name row follows every row of the concepts before it, and
-    # its context row, when it has one, follows its name row
-    name_rows = np.arange(len(ids)) + np.cumsum(has_context) - has_context
+    # a concept's context row, when it has one, follows its name row
+    name_rows = _name_rows(has_context)
     context_rows = name_rows[has_context] + 1
     spec: ProviderSpec = provider.spec
     vectors = np.empty((len(ids) + len(described), spec.dim), dtype=np.float32)
@@ -262,10 +254,7 @@ def build_memory(ontology: Ontology, provider: Provider) -> Memory:
             vectors[rows[part]] = batch
             del batch  # so the next slice is not embedded while this one is held
 
-    codes = np.zeros(len(vectors), dtype=np.uint8)
-    codes[context_rows] = _VARIANT_CODE[Variant.NAME_WITH_CONTEXT]
-    return Memory(list(ids), np.repeat(np.arange(len(ids)), 1 + has_context), codes, vectors,
-                  spec.dim, spec.fingerprint, ontology.tag)
+    return Memory(ids, has_context, vectors, spec.dim, spec.fingerprint, ontology.tag)
 
 
 def _offending(ids: Sequence[str], exc: LinkerError) -> str:
@@ -364,7 +353,7 @@ def _select(memory: Memory, units: np.ndarray, keep: int) -> list[list[tuple[int
 def _pick(memory: Memory, rows: list[int], selection: list[float],
           keep: int) -> list[tuple[int, int]]:
     """The (entry, concept) pairs of ``rows`` that may win or tie, by their float32 ``selection``."""
-    concepts = memory.concept_index[rows].tolist()
+    concepts = memory._concepts[rows].tolist()
     best: dict[int, float] = {}
     for c, score in zip(concepts, selection):
         if score > best.get(c, -math.inf):
@@ -396,11 +385,10 @@ def _exact_top(memory: Memory, picks: list[list[tuple[int, int]]], queries: np.n
         for (row, c), score in zip(pairs, scores):
             if c not in ranked or score > ranked[c][0]:
                 ranked[c] = (score, row)
-        order = sorted((-score, memory.concept_ids[c], row) for c, (score, row) in ranked.items())
+        order = sorted((-s, memory.concept_ids[c], c, row) for c, (s, row) in ranked.items())
         slates.append([
-            Candidate(concept_id=cid, score=-negated,
-                      variant=_VARIANTS[memory.variant_codes[row]])
-            for negated, cid, row in order[:keep]
+            Candidate(concept_id=cid, score=-negated, variant=_VARIANTS[row - memory._name_rows[c]])
+            for negated, cid, c, row in order[:keep]
         ])
     return slates
 
@@ -579,15 +567,15 @@ def _round(hi: np.ndarray, lo: np.ndarray, bound: np.ndarray) -> tuple[np.ndarra
 
 
 def save_memory(memory: Memory, path: str | Path) -> None:
-    """Write the store in format v2; atomic (temp file + rename) and byte-deterministic.
+    """Write the store in format v3; atomic (temp file + rename) and byte-deterministic.
 
     Missing parent directories are created.
 
     Layout: one UTF-8 JSON header line (``format_version``, ``dim``,
     ``provider_id``, ``model_id``, ``ontology_tag``, ``entry_count`` and the
-    ``concept_ids`` table), then per entry a uint32 little-endian concept
-    index, then per entry one variant byte, then the float32 little-endian
-    (entry_count, dim) matrix.
+    ``concept_ids`` table), then one context flag byte per concept (1 if it
+    has a context row, else 0), then the float32 little-endian
+    (entry_count, dim) matrix, each concept's name row before its context row.
     """
     header = json.dumps(
         {
@@ -603,8 +591,7 @@ def save_memory(memory: Memory, path: str | Path) -> None:
     )
     with atomic_writer(path) as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        fh.write(memory.concept_index.astype("<u4").tobytes())
-        fh.write(memory.variant_codes.tobytes())
+        fh.write(memory.has_context.astype(np.uint8).tobytes())
         fh.write(memory.vectors.astype("<f4", copy=False).data)
 
 
@@ -616,11 +603,11 @@ def load_memory(
 ) -> Memory:
     """Read a store written by :func:`save_memory`; never yields a partial Memory.
 
-    A file of the wrong size or layout raises :class:`BadMagic`, one from
-    another format version :class:`VersionMismatch`, and a NaN, infinite or
-    zero vector :class:`InvalidVector`. When ``expected_provider`` differs
-    from the stored fingerprint this warns, or raises
-    :class:`FingerprintMismatch` under ``strict``.
+    A file of the wrong size or layout, or of an unknown provider kind,
+    raises :class:`BadMagic`, one from another format version
+    :class:`VersionMismatch`, and a NaN, infinite or zero vector
+    :class:`InvalidVector`. An ``expected_provider`` goes to
+    :func:`check_provider`.
     """
     with open(path, "rb") as fh:
         try:
@@ -641,30 +628,40 @@ def load_memory(
             ids = record_field(header, "concept_ids", 1, list)
         except MalformedRecord as exc:
             raise BadMagic(f"memory header incomplete: {exc}") from None
-        if dim < 1 or count < 0 or not all(isinstance(cid, str) for cid in ids):
-            raise BadMagic("memory header incomplete: bad dim, entry_count or concept_ids")
+        if (dim < 1 or count < 0 or fingerprint[0] not in (LOCAL_PROVIDER_ID, REMOTE_PROVIDER_ID)
+                or not all(isinstance(cid, str) for cid in ids)):
+            raise BadMagic("memory header incomplete: bad dim, provider_id, entry_count "
+                           "or concept_ids")
 
         body = os.fstat(fh.fileno()).st_size - fh.tell()
-        expected = count * (4 + 1 + 4 * dim)
+        expected = len(ids) + count * 4 * dim
         if body != expected:
-            raise BadMagic(
-                f"memory file truncated or padded: header promises {count} entries "
-                f"of dim {dim} ({expected} bytes), body has {body} bytes"
-            )
-        index = np.fromfile(fh, dtype="<u4", count=count)
-        codes = np.fromfile(fh, dtype=np.uint8, count=count)
+            raise BadMagic(f"memory file truncated or padded: header promises {expected} bytes for "
+                           f"{len(ids)} concepts and {count} entries of dim {dim}, body has {body}")
+        flags = np.fromfile(fh, dtype=np.uint8, count=len(ids))
+        if (flags > 1).any():
+            raise BadMagic("corrupt memory file: a context flag is neither 0 nor 1")
         vectors = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
 
     try:
-        memory = Memory(ids, index, codes, vectors, dim, fingerprint, tag)
+        memory = Memory(ids, flags, vectors, dim, fingerprint, tag)
     except MemoryLayoutError as exc:
         raise BadMagic(f"corrupt memory file: {exc}") from None
-
-    if expected_provider is not None and tuple(expected_provider) != fingerprint:
-        if strict:
-            raise FingerprintMismatch(fingerprint, tuple(expected_provider))
-        logger.warning(
-            "memory %s was built with provider %s but the run uses %s",
-            path, fingerprint, expected_provider,
-        )
+    if expected_provider is not None:
+        check_provider(memory, expected_provider, strict=strict)
     return memory
+
+
+def check_provider(memory: Memory, expected: tuple[str, str], *, strict: bool = False) -> None:
+    """Refuse a memory of another vector space than the ``expected`` fingerprint.
+
+    A local model id names its dim and seed, so a mismatch with a local side
+    raises :class:`FingerprintMismatch`; two remote ids may alias one model,
+    so they only warn, or raise under ``strict``.
+    """
+    stored, expected = memory.provider_fingerprint, tuple(expected)
+    if stored == expected:
+        return
+    if strict or LOCAL_PROVIDER_ID in (stored[0], expected[0]):
+        raise FingerprintMismatch(stored, expected)
+    logger.warning("memory was built with provider %s but the run uses %s", stored, expected)

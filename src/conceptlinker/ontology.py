@@ -16,7 +16,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import DuplicateId, EmptyFile, EmptyMention, MissingField, UnknownId
+from .errors import DuplicateId, EmptyFile, EmptyMention, MalformedRecord, MissingField, UnknownId
 from .fileio import read_records, record_field
 from .textutil import normalize_whitespace, truncate_at_word
 
@@ -144,20 +144,23 @@ def parse_ontology(path: str | Path, tag: str) -> Ontology:
 def parse_queries(path: str | Path) -> list[Query]:
     """Load linking queries from a JSON Lines file, in file order.
 
-    An empty file yields an empty list. Fields other than ``id``,
+    An empty file yields an empty list, and a repeated id raises
+    :class:`MalformedRecord` naming its line. Fields other than ``id``,
     ``mention`` and ``context`` are ignored.
     """
-    queries: list[Query] = []
+    queries: dict[str, Query] = {}
     for lineno, obj in read_records(path):
         # ids are opaque: trim only, never collapse internal whitespace
         qid = record_field(obj, "id", lineno).strip()
         if not qid:
             raise MissingField("id", lineno)
+        if qid in queries:
+            raise MalformedRecord(lineno, f"duplicate query id {qid!r}")
         mention = normalize_whitespace(record_field(obj, "mention", lineno))
         if not mention:
             raise EmptyMention(lineno)
         context = record_field(obj, "context", lineno, required=False)
         if context is not None:
             context = normalize_whitespace(context) or None
-        queries.append(Query(id=qid, mention=mention, context=context))
-    return queries
+        queries[qid] = Query(id=qid, mention=mention, context=context)
+    return list(queries.values())

@@ -19,7 +19,6 @@ from conceptlinker import (
     Query,
     Variant,
 )
-from conceptlinker.memory import _VARIANTS
 
 MASTER_SEED = 20260823
 
@@ -133,26 +132,29 @@ def local_provider(dim: int = 64, seed: int = 0) -> LocalTrigramProvider:
 def memory_from_rows(rows, dim: int) -> Memory:
     """A Memory from (concept id, Variant, vector) rows in entry order.
 
-    A concept id starts a new concept whenever it differs from the row
-    before, so a concept whose rows are not adjacent is a layout error.
+    Each NAME_ONLY row starts a concept, and a NAME_WITH_CONTEXT row must
+    follow its own concept's NAME_ONLY row.
     """
     ids: list[str] = []
-    index = []
-    for concept_id, _, _ in rows:
-        if not ids or ids[-1] != concept_id:
+    has_context: list[bool] = []
+    for concept_id, variant, _ in rows:
+        if variant is Variant.NAME_ONLY:
             ids.append(concept_id)
-        index.append(len(ids) - 1)
-    codes = [_VARIANTS.index(variant) for _, variant, _ in rows]
+            has_context.append(False)
+        else:
+            assert ids[-1:] == [concept_id] and not has_context[-1], "a stray context row"
+            has_context[-1] = True
     vectors = np.stack([vector for _, _, vector in rows])
-    return Memory(ids, index, codes, vectors, dim, ("local-trigram", "m"), "t")
+    return Memory(ids, has_context, vectors, dim, ("local-trigram", "m"), "t")
 
 
 def memory_rows(memory: Memory) -> list[tuple[str, Variant, np.ndarray]]:
     """(concept id, Variant, vector) for each row of a memory's columns."""
+    rows = iter(memory.vectors)
     return [
-        (memory.concept_ids[c], _VARIANTS[v], vector)
-        for c, v, vector in zip(memory.concept_index.tolist(),
-                                memory.variant_codes.tolist(), memory.vectors)
+        (concept_id, variant, next(rows))
+        for concept_id, flag in zip(memory.concept_ids, memory.has_context.tolist())
+        for variant in (Variant.NAME_ONLY, Variant.NAME_WITH_CONTEXT)[: 1 + flag]
     ]
 
 

@@ -9,17 +9,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conceptlinker
 from conceptlinker import (
     Concept,
     GoldPair,
+    Memory,
     Query,
     ValidationError,
     load_memory,
     parse_predictions,
     parse_retrievals,
+    save_memory,
 )
 from conceptlinker import cli as cli_module
 from conceptlinker.cli import SETTINGS, main
@@ -74,6 +77,12 @@ def build(workspace, *extra) -> int:
         "--dim", "64",
         *extra,
     ])
+
+
+def save_remote_memory(workspace, model: str) -> None:
+    """A one-concept memory whose vectors came from the remote embedder ``model``."""
+    memory = Memory(["D:1"], [False], np.ones((1, 64)), 64, ("remote", model), "anemia")
+    save_memory(memory, workspace["memory"])
 
 
 def link(workspace, *extra) -> int:
@@ -137,22 +146,33 @@ class TestRetrieve:
         # exact-name queries retrieve their concept first
         assert ranked["q1"][0] == "D:1"
 
-    def test_strict_fingerprint_mismatch_exits_2(self, workspace, capsys):
-        build(workspace)
-        code = main([
+    def test_strict_fingerprint_mismatch_exits_2(self, workspace, capsys, monkeypatch):
+        # a local mismatch is fatal anyway; --strict decides only between two remote ids
+        monkeypatch.setattr("conceptlinker.transport.time.sleep", lambda s: None)
+        save_remote_memory(workspace, "embed-a")
+        config = workspace["out"] / "remote.ini"
+        config.write_text("[provider]\nendpoint = http://127.0.0.1:9/v1/embed\n")
+        args = [
             "retrieve",
+            "--config", str(config),
             "--queries", str(workspace["queries"]),
             "--memory", str(workspace["memory"]),
             "--output", str(workspace["out"] / "ret.jsonl"),
-            "--dim", "32",
-            "--strict",
-        ])
+            "--provider", "remote",
+            "--model", "embed-b",
+            "--dim", "64",
+        ]
+        code = main(args + ["--strict"])
         assert code == 2
         assert "provider" in capsys.readouterr().err
+        # without --strict it warns and goes on to embed the queries, which fails
+        assert main(args) == 3
 
     @pytest.mark.parametrize("mismatch, message", [
         (["--seed", "1", "--strict"], "provider"),
         (["--dim", "32"], "dimension mismatch: expected 64, got 32"),
+        # two local ids that differ never share a space, strict or not
+        (["--seed", "1"], "run requests ('local-trigram', 'trigram-d64-s1')"),
     ])
     def test_other_embedding_space_stops_before_queries_are_read(
             self, workspace, capsys, monkeypatch, mismatch, message):
@@ -174,8 +194,24 @@ class TestRetrieve:
         assert message in capsys.readouterr().err
         assert not (workspace["out"] / "ret.jsonl").exists()
 
-    def test_unreachable_embedding_service_exits_3(self, workspace, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["retrieve", "link"])
+    def test_repeated_query_line_exits_2_before_any_output(self, workspace, capsys, command):
+        # a repeated query would count twice towards recall, and evaluate
+        # would refuse the output
         build(workspace)
+        with workspace["queries"].open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "q1", "mention": "Iron deficiency anemia"}) + "\n")
+        out = workspace["out"] / "artifact"
+        code = main([command, "--ontology", str(workspace["ontology"]),
+                     "--queries", str(workspace["queries"]),
+                     "--memory", str(workspace["memory"]), "--output", str(out),
+                     "--dim", "64", "--endpoint", "mock:exact"])
+        assert code == 2
+        assert "line 5: malformed record: duplicate query id 'q1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreachable_embedding_service_exits_3(self, workspace, capsys, monkeypatch):
+        save_remote_memory(workspace, "embed-x")  # a local memory would stop the run first
         monkeypatch.setattr("conceptlinker.transport.time.sleep", lambda s: None)
         config = workspace["out"] / "remote.ini"
         config.write_text("[provider]\nendpoint = http://127.0.0.1:9/v1/embed\n")
@@ -595,7 +631,8 @@ class TestConfigKeys:
         assert spec.timeout == 7.5
         assert str(seen["cache"].root) == str(cache)
 
-    def test_local_seed_and_strict_from_file_bool_overridden_by_flag(self, workspace, capsys):
+    def test_local_seed_and_strict_from_file_bool_overridden_by_flag(self, workspace, capsys,
+                                                                     monkeypatch):
         build(workspace)  # seed 0
         config = write_config(workspace, "[provider]\nseed = 1\n[run]\nstrict = yes\n")
         args = ["retrieve", "--config", str(config),
@@ -605,7 +642,21 @@ class TestConfigKeys:
                 "--dim", "64"]
         assert main(args) == 2
         assert "trigram-d64-s1" in capsys.readouterr().err
-        assert main(args + ["--no-strict"]) == 0
+        # two local ids that differ never share a space, strict or not
+        assert main(args + ["--no-strict"]) == 2
+
+        seen = []
+        real = cli_module.link_queries
+
+        def recording(queries, candidates, ontology, config, endpoint, **kwargs):
+            seen.append(config.include_source_context)
+            return real(queries, candidates, ontology, config, endpoint, **kwargs)
+
+        monkeypatch.setattr("conceptlinker.cli.link_queries", recording)
+        config = write_config(workspace, "[prompt]\nsource_context = no\n")
+        assert link(workspace, "--config", str(config)) == 0
+        assert link(workspace, "--config", str(config), "--source-context") == 0
+        assert seen == [False, True]
 
     def test_int_from_file_overridden_by_flag(self, workspace, capsys):
         build(workspace)

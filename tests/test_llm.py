@@ -162,7 +162,7 @@ class TestTranscriptStore:
         again = TranscriptStore(tmp_path / "t.jsonl")
         assert len(again) == 2
         assert again.lookup("d1") == "option 0"
-        assert "d2" in again
+        assert again.lookup("d2") == "None"
 
     def test_identical_save_not_duplicated(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -235,6 +235,15 @@ class TestParseQueries:
             parse_queries(path)
         assert (exc.value.field, exc.value.line) == ("id", 1)
 
+    def test_repeated_id_names_its_line(self, tmp_path):
+        # ids are trimmed before they are compared
+        path = tmp_path / "q.jsonl"
+        write_jsonl(path, [{"id": "q1", "mention": "x"}, {"id": "q2", "mention": "y"},
+                           {"id": " q1", "mention": "z"}])
+        with pytest.raises(MalformedRecord, match="line 3: .*duplicate query id 'q1'") as exc:
+            parse_queries(path)
+        assert exc.value.line == 3
+
     def test_blank_context_dropped(self, tmp_path):
         path = tmp_path / "q.jsonl"
         write_jsonl(path, [{"id": "q1", "mention": "x", "context": "   "}])
