@@ -114,29 +114,57 @@ def _trigram_matrix(texts: list[str], dim: int, seed: int) -> np.ndarray:
     """:func:`local_embed` of every normalized, non-empty text, one row each.
 
     Texts are hashed in blocks of about ``_BLOCK_CHARS`` characters, so the
-    per-gram working arrays stay small however large the batch is.
+    per-gram working arrays stay small however large the batch is, and each
+    block's rows are written straight into the returned matrix.
     """
     _check_local_dim(dim)
-    padded = [f" {text.lower()} " for text in texts]
-    ends = np.cumsum([len(p) for p in padded])
-    out = np.empty((len(padded), dim), dtype=np.float32)
-    lo = 0
-    while lo < len(padded):
-        start = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _BLOCK_CHARS, side="right")))
-        out[lo:hi] = _hash_block(padded[lo:hi], dim, seed)
-        lo = hi
+    out = np.empty((len(texts), dim), dtype=np.float32)
+    for part in _char_blocks(texts):
+        _hash_block(texts[part], seed, out[part])
     return out
 
 
-def _hash_block(padded: list[str], dim: int, seed: int) -> np.ndarray:
-    """Trigram-hash vectors of padded texts, hashed together in numpy.
+def _char_blocks(texts: list[str]) -> list[slice]:
+    """Consecutive slices of ``texts``, each as many as fit in ``_BLOCK_CHARS`` padded characters.
 
-    A trigram is three characters, so it spans 3 to 12 contiguous UTF-8
-    bytes. Step ``j`` folds byte ``j`` into every gram that is longer than
-    ``j``; the first three steps apply to every gram, and a later step runs
-    only when some gram in the block has that many bytes.
+    A slice holds at least one text. Lowercasing seldom changes a length,
+    and a block's size need not be exact.
     """
+    ends = np.cumsum([len(text) + 2 for text in texts])
+    parts = []
+    lo = 0
+    while lo < len(texts):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _BLOCK_CHARS, side="right")))
+        parts.append(slice(lo, hi))
+        lo = hi
+    return parts
+
+
+def _hash_block(texts: list[str], seed: int, out: np.ndarray) -> None:
+    """Write the trigram vectors of ``texts`` into the rows of the float32 ``out``.
+
+    The counts stay whole numbers, so the sum of squares is exact and so is
+    the norm; each quotient is taken in float64 and rounded once to float32.
+    """
+    dim = out.shape[1]
+    counts = np.bincount(_gram_cells(texts, dim, seed), minlength=len(texts) * dim)
+    counts = counts.reshape(len(texts), dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+    np.divide(counts, norms[:, None], out=out, casting="unsafe")
+
+
+def _gram_cells(texts: list[str], dim: int, seed: int) -> np.ndarray:
+    """Each trigram's cell, ``text * dim + bucket``, hashed for every text at once.
+
+    A trigram is three characters of the lowercased text padded with a
+    space on each side, so it spans 3 to 12 contiguous UTF-8 bytes. Step
+    ``j`` folds byte ``j`` into every gram that is longer than ``j``; the
+    first three steps apply to every gram, and a later step runs only when
+    some gram in the block has that many bytes. Only the cells outlive the
+    call, so the per-gram working arrays are gone before the counts exist.
+    """
+    padded = [f" {text.lower()} " for text in texts]
     # zero bytes after the text, so that a masked step may read past its gram
     data = np.frombuffer("".join(padded).encode("utf-8") + bytes(_MAX_GRAM_BYTES),
                          dtype=np.uint8)
@@ -154,13 +182,9 @@ def _hash_block(padded: list[str], dim: int, seed: int) -> np.ndarray:
     for j in range(int(gram_bytes.max())):
         step = (h ^ data[gram_start + j]) * _FNV_PRIME  # wraps modulo 2**64
         h = step if j < 3 else np.where(gram_bytes > j, step, h)
-    row = np.repeat(np.arange(len(padded)), grams)
-    bucket = (h % np.uint64(dim)).astype(np.int64)
-    counts = np.bincount(row * dim + bucket, minlength=len(padded) * dim)
-    counts = counts.reshape(len(padded), dim).astype(np.float64)
-    # whole-number counts: the sum of squares is exact, so the norm is too
-    counts /= np.sqrt((counts * counts).sum(axis=1))[:, None]
-    return counts.astype(np.float32)
+    cells = np.repeat(np.arange(len(padded)) * dim, grams)
+    cells += (h % np.uint64(dim)).astype(np.int64)
+    return cells
 
 
 class VectorCache:

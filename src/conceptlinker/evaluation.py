@@ -37,13 +37,13 @@ DEFAULT_HITS_KS = (1, 5, 10)
 COMPOSITE_SEP = "|"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldPair:
     source_id: str
     target_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """A prediction reloaded from a file; enough of a LinkResult to score."""
 

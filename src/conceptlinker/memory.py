@@ -8,18 +8,20 @@ flags alone place every row.
 
 Retrieval is exhaustive and exact, after the flat inner-product index of
 FAISS (Johnson et al. 2017): a chunk of queries is scored against every
-entry with one float32 matrix product, scaled by each entry's inverse norm.
-Selection works on entries, not concepts: a concept has at most
-``max_run`` entries, so the best ``k * max_run`` entries span at least k
-concepts, and the concept maxima among them give the k-th best concept
-score. The product's last bits depend on the summation order the BLAS
-kernel picks, so it only selects: every entry within a proven error margin
-of that score, and of its own concept's best, is rescored to the value
-:func:`cosine` gives, which depends on the two vectors alone. Concepts then
-rank by that exact score, descending, and tie-break by ascending id; within
-a concept the earlier, name-only entry wins an exact tie. Equal vectors
-therefore tie exactly wherever they sit in the store, and runs are
-reproducible on any machine.
+entry by float32 matrix products over fixed blocks of entries, each scaled
+by its entries' inverse norms, and a block keeps only the scores that may
+reach a query's top, so no score block spans the memory. Selection works
+on entries, not concepts: a concept has at most ``max_run`` entries, so
+the best ``k * max_run`` entries span at least k concepts, and the concept
+maxima among them give the k-th best concept score. A product's last bits
+depend on the summation order that the BLAS kernel, the block shape and
+the thread count give, so it only selects: every entry within a proven
+error margin of that score, and of its own concept's best, is rescored to
+the value :func:`cosine` gives, which depends on the two vectors alone.
+Concepts then rank by that exact score, descending, and tie-break by
+ascending id; within a concept the earlier, name-only entry wins an exact
+tie. Equal vectors therefore tie exactly wherever they sit in the store,
+and runs are reproducible on any machine.
 
 The rescore does one numpy pass per chunk instead of a ``math.fsum`` per
 sum. Error-free transformations make a correctly rounded sum cheap to
@@ -68,8 +70,8 @@ logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = 3
 
-# float32 scores held at once while retrieving; queries are scored in chunks
-# of this many bytes' worth of query-by-entry block
+# queries are selected in chunks of this many bytes' worth of float32
+# query-by-entry scores, of which only the head's share is held
 _BLOCK_BYTES = 4 << 20
 
 # entry lengths the float32 scores are exact enough for: the inverse norm
@@ -79,6 +81,10 @@ _NORM_RANGE = (2.0 ** -64, 2.0 ** 64)
 
 # entries whose scores bound each query's selection threshold from below
 _HEAD_ENTRIES = 4096
+
+# entries scored by one matrix product; OpenBLAS packs the whole entry
+# operand, so a product over every entry would hold a copy of the memory
+_ENTRY_BLOCK = 1024
 
 # the fewest float64 products the exact rescore sums at once, 128 KB; it
 # holds about three times its block
@@ -100,7 +106,7 @@ class Variant(str, Enum):
 _VARIANTS = (Variant.NAME_ONLY, Variant.NAME_WITH_CONTEXT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One retrieval hit: a concept, its best score, and the winning variant."""
 
@@ -295,6 +301,11 @@ def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
     variant is that entry's (the earlier entry on an exact tie). Concepts
     come in descending score, ties by ascending id. Returns all concepts
     when fewer than k exist. Query vectors must be finite and nonzero.
+
+    Beside the store and the queries, a call holds the float32 scores of at
+    most ``_HEAD_ENTRIES`` entries per query, the entries that may reach
+    each query's top, and a rescore scratch sized from those head scores,
+    so its working memory does not grow with the store.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -331,23 +342,68 @@ def _select(memory: Memory, units: np.ndarray, keep: int) -> list[list[tuple[int
     margin can neither win nor tie, so it is dropped. The ``top``-th best of
     the first ``_HEAD_ENTRIES`` entries is a lower bound on the ``top``-th best
     of all, so only the entries that clear it are partitioned.
+
+    Entries are scored ``_ENTRY_BLOCK`` at a time, entry-major, into one
+    reused block. The head's scores stay until they give each query that
+    bound; then each block, the head's first, yields the (entry, query,
+    score) triples that clear their query's bound less the margin, and the
+    block is overwritten by the next.
     """
     count = len(memory)
     # the best `top` entries span at least `keep` concepts
     top = min(keep * memory._max_run, count)
     margin = memory._margin
-    scores = units @ memory.vectors.T
-    scores *= memory._inv_norms
-    head = scores[:, :max(top, _HEAD_ENTRIES)]
-    floors = np.partition(head, head.shape[1] - top, axis=1)[:, head.shape[1] - top].tolist()
+    head = min(count, max(top, _HEAD_ENTRIES))
+    # holds the head's scores, then each later block's in turn
+    scores = np.empty((max(head, min(count, _ENTRY_BLOCK)), len(units)), dtype=np.float32)
+    for lo in range(0, head, _ENTRY_BLOCK):
+        _score_block(memory, units, lo, min(lo + _ENTRY_BLOCK, head), scores[lo:])
+    # rounded to float32 as the cut on ``nth`` below is, so this one keeps all that one does
+    cuts = (_column_floors(scores[:head], top).astype(np.float64) - margin).astype(np.float32)
+    found = [_clearing(scores[lo : min(lo + _ENTRY_BLOCK, head)], cuts, lo)
+             for lo in range(0, head, _ENTRY_BLOCK)]
+    for lo in range(head, count, _ENTRY_BLOCK):
+        hi = min(lo + _ENTRY_BLOCK, count)
+        found.append(_clearing(_score_block(memory, units, lo, hi, scores), cuts, lo))
+    entries, owners, selections = (np.concatenate(column) for column in zip(*found))
+    # stable, so each query's entries stay in ascending order
+    order = np.argsort(owners, kind="stable")
+    bounds = np.searchsorted(owners[order], np.arange(len(units) + 1)).tolist()
+    entries, selections = entries[order], selections[order]
     picks = []
-    for row, floor in zip(scores, floors):
-        rows = np.flatnonzero(row >= floor - margin)
-        selection = row[rows]
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows, selection = entries[lo:hi], selections[lo:hi]
         nth = np.partition(selection, len(rows) - top)[len(rows) - top].item()
         inside = selection >= nth - margin
         picks.append(_pick(memory, rows[inside].tolist(), selection[inside].tolist(), keep))
     return picks
+
+
+def _score_block(memory: Memory, units: np.ndarray, lo: int, hi: int,
+                 out: np.ndarray) -> np.ndarray:
+    """The selection scores of entries ``lo`` to ``hi``, written to the first rows of ``out``."""
+    block = np.matmul(memory.vectors[lo:hi], units.T, out=out[: hi - lo])
+    block *= memory._inv_norms[lo:hi, None]
+    return block
+
+
+def _column_floors(scores: np.ndarray, top: int) -> np.ndarray:
+    """Each column's ``top``-th largest value, copying about ``_ENTRY_BLOCK`` rows at a time."""
+    step = max(_ENTRY_BLOCK, top)
+    best = scores[:0]
+    for lo in range(0, len(scores), step):
+        best = np.concatenate((best, scores[lo : lo + step]))
+        best.partition(len(best) - top, axis=0)
+        best = best[len(best) - top :].copy()
+    return best.min(axis=0)
+
+
+def _clearing(scores: np.ndarray, cuts: np.ndarray,
+              lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (entry, query, score) triples of the block of entries from ``lo`` that reach ``cuts``."""
+    hits = np.flatnonzero(scores >= cuts)  # a 2-d nonzero is ten times slower
+    entries, owners = np.divmod(hits, scores.shape[1])
+    return entries + lo, owners, scores.ravel()[hits]
 
 
 def _pick(memory: Memory, rows: list[int], selection: list[float],
@@ -371,9 +427,10 @@ def _exact_top(memory: Memory, picks: list[list[tuple[int, int]]], queries: np.n
     """Each query's ``keep`` best concepts by exact score, then id, among its ``picks``."""
     rows = np.array([row for pairs in picks for row, _ in pairs], dtype=np.int64)
     owners = np.repeat(np.arange(len(picks)), [len(pairs) for pairs in picks])
-    # products summed at once: a sixteenth of the chunk's selection scores,
-    # so the rescore never holds more than they did, but at least _SUM_BLOCK
-    block = max(_SUM_BLOCK, len(queries) * len(memory) // 16)
+    # products summed at once: a quarter of the chunk's head scores, but at
+    # least _SUM_BLOCK, so the rescore holds about 1.5 times what the head's
+    # scores did, however large the memory
+    block = max(_SUM_BLOCK, len(queries) * min(len(memory), _HEAD_ENTRIES) // 4)
     dots, squares = _pair_sums(memory, rows, owners, queries, block)
     # the IEEE operations of cosine's quotient, one pass for the chunk
     scores = dots / (np.sqrt(squares) * np.sqrt(query_squares)[owners])

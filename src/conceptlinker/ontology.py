@@ -33,7 +33,7 @@ class Concept:
     ontology_tag: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     """One linking request: a mention and optional source context."""
 

@@ -50,7 +50,7 @@ class SelectionKind(Enum):
     TRANSPORT_ERROR = "transport_error"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Selection:
     """What the model picked, plus the raw text it said."""
 
@@ -63,7 +63,7 @@ class Selection:
             raise ValueError("index is present exactly when kind is OPTION")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkResult:
     query_id: str
     selection: Selection

@@ -95,6 +95,26 @@ class TestLocalEmbed:
         assert np.count_nonzero(two) == 2
         assert np.array_equal(two[two > 0], np.full(2, 2 ** -0.5, dtype=np.float32))
 
+    def test_batch_is_written_in_place(self):
+        # one hash block of 2,048 short names: beside the rows it returns,
+        # the batch holds its int64 counts and no float64 or float32 copy
+        import tracemalloc
+
+        names = [f"n{i:04x}" for i in range(2048)]
+        assert sum(len(name) + 2 for name in names) <= embedding_module._BLOCK_CHARS
+        provider = LocalTrigramProvider(ProviderSpec(LOCAL_PROVIDER_ID, "trigram-d256-s0", 256))
+        provider.embed_batch(names[:4])
+        tracemalloc.start()
+        try:
+            rows = provider.embed_batch(names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counts = 8 * len(names) * 256
+        assert peak < rows.nbytes + counts + (256 << 10)
+        for name, row in zip(names, rows):
+            assert np.array_equal(row, np.asarray(embed_ref(name, 256), dtype=np.float32))
+
     def test_dim_floor(self):
         with pytest.raises(ValueError):
             local_embed("aspirin", 15)

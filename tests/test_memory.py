@@ -841,10 +841,14 @@ class TestRescoreBlocks:
         queries = np.concatenate([queries, memory.vectors[-40:].astype(np.float64),
                                   gen.normal(size=(5, 20))])
         want = _ref_slates(memory, queries, 10)
-        with mock.patch.object(memory_module, "_HEAD_ENTRIES", head), \
-                mock.patch.object(memory_module, "_SUM_BLOCK", block):
-            for k in (1, 10):
-                assert _slates(memory, queries, k) == [slate[:k] for slate in want]
+        # 400 entries: scored one at a time, in blocks of 7, in blocks inside a
+        # head of 100, and in blocks of 150 with a partial last one
+        for entries in (1, 7, 64, 150):
+            with mock.patch.object(memory_module, "_HEAD_ENTRIES", head), \
+                    mock.patch.object(memory_module, "_SUM_BLOCK", block), \
+                    mock.patch.object(memory_module, "_ENTRY_BLOCK", entries):
+                for k in (1, 10):
+                    assert _slates(memory, queries, k) == [slate[:k] for slate in want]
 
     @pytest.mark.parametrize("count", [1, 2, 5])
     def test_float64_queries_are_left_as_they_are(self, count):
@@ -875,6 +879,29 @@ class TestRescoreBlocks:
         # the float32 score block and its partitioned copy, plus the queries
         scores = 4 * len(queries) * len(memory)
         assert peak < 2 * scores + 12 * queries.size + (128 << 10)
+
+    def test_selection_does_not_grow_with_the_memory(self):
+        # 32 queries over 2,000 and over 32,000 entries of dim 256: retrieval
+        # holds the head's scores, one block and a rescore scratch sized from
+        # the head, never a score per entry
+        import tracemalloc
+
+        gen = np.random.default_rng(9)
+        peaks = []
+        for count in (2000, 32000):
+            vectors = gen.standard_normal(size=(count, 256), dtype=np.float32)
+            memory = Memory([f"C{i:05d}" for i in range(count // 2)], np.ones(count // 2, bool),
+                            vectors, 256, ("local-trigram", "m"), "t")
+            noise = gen.standard_normal(size=(32, 256), dtype=np.float32)
+            queries = vectors[:: count // 32][:32] + 0.1 * noise
+            retrieve_batch(memory, queries, 10)
+            tracemalloc.start()
+            try:
+                retrieve_batch(memory, queries, 10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1 << 20
 
 
 class TestStoreFile:
