@@ -9,19 +9,21 @@ flags alone place every row.
 Retrieval is exhaustive and exact, after the flat inner-product index of
 FAISS (Johnson et al. 2017): a chunk of queries is scored against every
 entry by float32 matrix products over fixed blocks of entries, each scaled
-by its entries' inverse norms, and a block keeps only the scores that may
-reach a query's top, so no score block spans the memory. Selection works
-on entries, not concepts: a concept has at most ``max_run`` entries, so
-the best ``k * max_run`` entries span at least k concepts, and the concept
-maxima among them give the k-th best concept score. A product's last bits
-depend on the summation order that the BLAS kernel, the block shape and
-the thread count give, so it only selects: every entry within a proven
-error margin of that score, and of its own concept's best, is rescored to
-the value :func:`cosine` gives, which depends on the two vectors alone.
-Concepts then rank by that exact score, descending, and tie-break by
-ascending id; within a concept the earlier, name-only entry wins an exact
-tie. Equal vectors therefore tie exactly wherever they sit in the store,
-and runs are reproducible on any machine.
+by its entries' inverse norms, into one buffer of a head's length, and
+each head-long group of entries keeps, as (entry, query) int arrays, only
+the pairs that may reach a query's top; those arrays go on to the rescore
+and the ranking as they are. Selection works on entries, not concepts: a
+concept has at most ``max_run`` entries, so the best ``k * max_run``
+entries span at least k concepts, and the concept maxima among them give
+the k-th best concept score. A product's last bits depend on the summation
+order that the BLAS kernel, the block shape and the thread count give, so
+it only selects: every entry within a proven error margin of that score,
+and of its own concept's best, is rescored to the value :func:`cosine`
+gives, which depends on the two vectors alone. Concepts then rank by that
+exact score, descending, and tie-break by ascending id; one rule gives a
+concept's best entry by either score, the earlier, name-only entry winning
+an exact tie. Equal vectors therefore tie exactly wherever they sit in the
+store, and runs are reproducible on any machine.
 
 The rescore does one numpy pass per chunk instead of a ``math.fsum`` per
 sum. Error-free transformations make a correctly rounded sum cheap to
@@ -37,7 +39,6 @@ therefore fsum's, bit for bit. :func:`_exact_sums` gives the proof.
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import math
@@ -70,8 +71,8 @@ logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = 3
 
-# queries are selected in chunks of this many bytes' worth of float32
-# query-by-entry scores, of which only the head's share is held
+# queries are selected in chunks whose float32 head scores, one per query
+# and head entry, take at most this many bytes
 _BLOCK_BYTES = 4 << 20
 
 # entry lengths the float32 scores are exact enough for: the inverse norm
@@ -79,7 +80,8 @@ _BLOCK_BYTES = 4 << 20
 # lose more than a negligible amount to subnormal products
 _NORM_RANGE = (2.0 ** -64, 2.0 ** 64)
 
-# entries whose scores bound each query's selection threshold from below
+# entries whose scores bound each query's selection threshold from below;
+# the entries after them are scored and cleared in groups as long
 _HEAD_ENTRIES = 4096
 
 # entries scored by one matrix product; OpenBLAS packs the whole entry
@@ -302,10 +304,11 @@ def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
     come in descending score, ties by ascending id. Returns all concepts
     when fewer than k exist. Query vectors must be finite and nonzero.
 
-    Beside the store and the queries, a call holds the float32 scores of at
-    most ``_HEAD_ENTRIES`` entries per query, the entries that may reach
-    each query's top, and a rescore scratch sized from those head scores,
-    so its working memory does not grow with the store.
+    Queries go in chunks whose float32 scores against the head, the first
+    ``_HEAD_ENTRIES`` entries, take at most ``_BLOCK_BYTES``. Beside the
+    store and the queries, a call holds those scores, the entries that
+    clear them and a rescore scratch of about 1.5 times their size, so its
+    working memory does not grow with the store.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -323,68 +326,64 @@ def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
 
     units = (queries / np.sqrt(squares)[:, None]).astype(np.float32)
     keep = min(k, len(memory.concept_ids))
-    chunk = max(1, _BLOCK_BYTES // (4 * len(memory)))
+    # the best `top` entries span at least `keep` concepts
+    top = min(keep * memory._max_run, len(memory))
+    head = min(len(memory), max(top, _HEAD_ENTRIES))
+    chunk = max(1, _BLOCK_BYTES // (4 * head))
     slates = []
     for lo in range(0, len(queries), chunk):
         part = slice(lo, lo + chunk)
-        picks = _select(memory, units[part], keep)
-        slates += _exact_top(memory, picks, queries[part], squares[part], keep)
+        rows, owners = _select(memory, units[part], keep, top, head)
+        slates += _exact_top(memory, rows, owners, queries[part], squares[part], keep)
     return slates
 
 
-def _select(memory: Memory, units: np.ndarray, keep: int) -> list[list[tuple[int, int]]]:
-    """Per query, the (entry, concept) pairs that may decide its top ``keep``.
+def _select(memory: Memory, units: np.ndarray, keep: int, top: int,
+            head: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries that may decide each query's top ``keep``, and the query of each.
 
     Every concept that can reach the top ``keep`` has its best entry no
-    further than the margin below the ``top``-th best entry, as do the best
-    entries of at least ``keep`` concepts; of those entries, each that trails
-    the ``keep``-th best concept or its own concept's best by more than the
-    margin can neither win nor tie, so it is dropped. The ``top``-th best of
-    the first ``_HEAD_ENTRIES`` entries is a lower bound on the ``top``-th best
-    of all, so only the entries that clear it are partitioned.
+    further than the margin below the query's ``top``-th best entry, as do
+    the best entries of at least ``keep`` concepts; of those entries, each
+    that trails the ``keep``-th best concept or its own concept's best by
+    more than the margin can neither win nor tie, so it is dropped.
 
     Entries are scored ``_ENTRY_BLOCK`` at a time, entry-major, into one
-    reused block. The head's scores stay until they give each query that
-    bound; then each block, the head's first, yields the (entry, query,
-    score) triples that clear their query's bound less the margin, and the
-    block is overwritten by the next.
+    buffer of ``head`` entries. The ``top``-th best of the head bounds each
+    query's ``top``-th best from below, so the head and each later group of
+    ``head`` entries in turn keep only the entries that clear that bound.
     """
-    count = len(memory)
-    # the best `top` entries span at least `keep` concepts
-    top = min(keep * memory._max_run, count)
-    margin = memory._margin
-    head = min(count, max(top, _HEAD_ENTRIES))
-    # holds the head's scores, then each later block's in turn
-    scores = np.empty((max(head, min(count, _ENTRY_BLOCK)), len(units)), dtype=np.float32)
-    for lo in range(0, head, _ENTRY_BLOCK):
-        _score_block(memory, units, lo, min(lo + _ENTRY_BLOCK, head), scores[lo:])
-    # rounded to float32 as the cut on ``nth`` below is, so this one keeps all that one does
-    cuts = (_column_floors(scores[:head], top).astype(np.float64) - margin).astype(np.float32)
-    found = [_clearing(scores[lo : min(lo + _ENTRY_BLOCK, head)], cuts, lo)
-             for lo in range(0, head, _ENTRY_BLOCK)]
-    for lo in range(head, count, _ENTRY_BLOCK):
-        hi = min(lo + _ENTRY_BLOCK, count)
-        found.append(_clearing(_score_block(memory, units, lo, hi, scores), cuts, lo))
-    entries, owners, selections = (np.concatenate(column) for column in zip(*found))
-    # stable, so each query's entries stay in ascending order
-    order = np.argsort(owners, kind="stable")
-    bounds = np.searchsorted(owners[order], np.arange(len(units) + 1)).tolist()
-    entries, selections = entries[order], selections[order]
-    picks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        rows, selection = entries[lo:hi], selections[lo:hi]
-        nth = np.partition(selection, len(rows) - top)[len(rows) - top].item()
-        inside = selection >= nth - margin
-        picks.append(_pick(memory, rows[inside].tolist(), selection[inside].tolist(), keep))
-    return picks
+    count, margin = len(memory), memory._margin
+    scores = np.empty((head, len(units)), dtype=np.float32)
+    found = []
+    for lo in range(0, count, head):
+        group = scores[: min(head, count - lo)]
+        for at in range(0, len(group), _ENTRY_BLOCK):
+            block = group[at : at + _ENTRY_BLOCK]
+            span = slice(lo + at, lo + at + len(block))
+            np.matmul(memory.vectors[span], units.T, out=block)
+            block *= memory._inv_norms[span, None]
+        if lo == 0:
+            cuts = _lowered(_column_floors(scores, top), margin)
+        hits = np.flatnonzero(group >= cuts)  # a 2-d nonzero is ten times slower
+        entries, owners = np.divmod(hits, len(units))
+        found.append((entries + lo, owners, group.ravel()[hits]))
+    rows, owners, selection = (np.concatenate(column) for column in zip(*found))
+    selection = selection.astype(np.float64)
+    # each query's `top`-th best less the margin keeps every pick and shrinks the sort below
+    inside = selection >= _lowered(_kth_largest(selection, owners, len(units), top), margin)[owners]
+    rows, owners, selection = rows[inside], owners[inside], selection[inside]
+    order, best = _concept_best(memory, rows, owners, selection)
+    rows, owners, selection = rows[order], owners[order], selection[order]
+    bests = selection[best]
+    kth = _kth_largest(bests, owners[best], len(units), keep)[owners]
+    inside = (selection >= kth - margin) & (selection >= bests[np.cumsum(best) - 1] - margin)
+    return rows[inside], owners[inside]
 
 
-def _score_block(memory: Memory, units: np.ndarray, lo: int, hi: int,
-                 out: np.ndarray) -> np.ndarray:
-    """The selection scores of entries ``lo`` to ``hi``, written to the first rows of ``out``."""
-    block = np.matmul(memory.vectors[lo:hi], units.T, out=out[: hi - lo])
-    block *= memory._inv_norms[lo:hi, None]
-    return block
+def _lowered(floors: np.ndarray, margin: float) -> np.ndarray:
+    """``floors - margin`` rounded to float32: no float32 score at or above it falls below."""
+    return (floors.astype(np.float64) - margin).astype(np.float32)
 
 
 def _column_floors(scores: np.ndarray, top: int) -> np.ndarray:
@@ -398,35 +397,37 @@ def _column_floors(scores: np.ndarray, top: int) -> np.ndarray:
     return best.min(axis=0)
 
 
-def _clearing(scores: np.ndarray, cuts: np.ndarray,
-              lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (entry, query, score) triples of the block of entries from ``lo`` that reach ``cuts``."""
-    hits = np.flatnonzero(scores >= cuts)  # a 2-d nonzero is ten times slower
-    entries, owners = np.divmod(hits, scores.shape[1])
-    return entries + lo, owners, scores.ravel()[hits]
+def _kth_largest(values: np.ndarray, owners: np.ndarray, count: int, k: int) -> np.ndarray:
+    """Each of ``count`` queries' ``k``-th largest value, or its least when it has fewer.
+
+    ``owners[i]`` is the query of ``values[i]``; every query has a value.
+    """
+    order = np.lexsort((-values, owners))
+    sizes = np.bincount(owners, minlength=count)
+    return values[order[np.cumsum(sizes) - sizes + np.minimum(k, sizes) - 1]]
 
 
-def _pick(memory: Memory, rows: list[int], selection: list[float],
-          keep: int) -> list[tuple[int, int]]:
-    """The (entry, concept) pairs of ``rows`` that may win or tie, by their float32 ``selection``."""
-    concepts = memory._concepts[rows].tolist()
-    best: dict[int, float] = {}
-    for c, score in zip(concepts, selection):
-        if score > best.get(c, -math.inf):
-            best[c] = score
-    kth = heapq.nlargest(keep, best.values())[-1]
-    margin = memory._margin
-    return [
-        (row, c) for row, c, score in zip(rows, concepts, selection)
-        if score >= kth - margin and score >= best[c] - margin
-    ]
+def _concept_best(memory: Memory, rows: np.ndarray, owners: np.ndarray,
+                  scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order of entries by query, concept, descending score and row, and its concept bests.
+
+    The second array marks, in that order, each concept's first entry for
+    its query: its best, the earlier row on an exact tie.
+    """
+    concepts = memory._concepts[rows]
+    order = np.lexsort((rows, -scores, concepts, owners))
+    owners, concepts = owners[order], concepts[order]
+    best = np.ones(len(order), dtype=bool)
+    best[1:] = (owners[1:] != owners[:-1]) | (concepts[1:] != concepts[:-1])
+    return order, best
 
 
-def _exact_top(memory: Memory, picks: list[list[tuple[int, int]]], queries: np.ndarray,
+def _exact_top(memory: Memory, rows: np.ndarray, owners: np.ndarray, queries: np.ndarray,
                query_squares: np.ndarray, keep: int) -> list[list[Candidate]]:
-    """Each query's ``keep`` best concepts by exact score, then id, among its ``picks``."""
-    rows = np.array([row for pairs in picks for row, _ in pairs], dtype=np.int64)
-    owners = np.repeat(np.arange(len(picks)), [len(pairs) for pairs in picks])
+    """Each query's ``keep`` best concepts by exact score, then id, among its entries.
+
+    ``rows[i]`` is an entry picked for query ``owners[i]``.
+    """
     # products summed at once: a quarter of the chunk's head scores, but at
     # least _SUM_BLOCK, so the rescore holds about 1.5 times what the head's
     # scores did, however large the memory
@@ -435,19 +436,16 @@ def _exact_top(memory: Memory, picks: list[list[tuple[int, int]]], queries: np.n
     # the IEEE operations of cosine's quotient, one pass for the chunk
     scores = dots / (np.sqrt(squares) * np.sqrt(query_squares)[owners])
     np.clip(scores, -1.0, 1.0, out=scores)
-    scores = iter(scores.tolist())
-    slates = []
-    for pairs in picks:
-        ranked: dict[int, tuple[float, int]] = {}
-        for (row, c), score in zip(pairs, scores):
-            if c not in ranked or score > ranked[c][0]:
-                ranked[c] = (score, row)
-        order = sorted((-s, memory.concept_ids[c], c, row) for c, (s, row) in ranked.items())
-        slates.append([
-            Candidate(concept_id=cid, score=-negated, variant=_VARIANTS[row - memory._name_rows[c]])
-            for negated, cid, c, row in order[:keep]
-        ])
-    return slates
+    order, best = _concept_best(memory, rows, owners, scores)
+    winners = order[best]  # grouped by query
+    concepts = memory._concepts[rows[winners]]
+    ids = [memory.concept_ids[c] for c in concepts.tolist()]
+    offsets = (rows[winners] - memory._name_rows[concepts]).tolist()
+    ranked = list(zip((-scores[winners]).tolist(), ids, offsets))
+    bounds = np.searchsorted(owners[winners], np.arange(len(queries) + 1)).tolist()
+    return [[Candidate(cid, -negated, _VARIANTS[offset])
+             for negated, cid, offset in sorted(ranked[lo:hi])[:keep]]
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _pair_sums(memory: Memory, rows: np.ndarray, owners: np.ndarray, queries: np.ndarray,

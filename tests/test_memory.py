@@ -484,6 +484,30 @@ def _slates(memory: Memory, queries, k: int) -> list[list[tuple[str, float, Vari
             for slate in retrieve_batch(memory, queries, k)]
 
 
+def _ref_picks(memory: Memory, queries: np.ndarray, k: int) -> set[tuple[int, int]]:
+    """The (query, entry) pairs the pick rule keeps, one query at a time.
+
+    An entry is kept when its float32 selection score is within the margin
+    of its own concept's best and of the k-th best concept's. The queries
+    must be unit vectors whose products with every entry are exact in float32.
+    """
+    margin = memory_module._score_margin(memory.dim)
+    concept_of = [c for c, flag in enumerate(memory.has_context.tolist()) for _ in range(1 + flag)]
+    picks = set()
+    for q, query in enumerate(queries):
+        scores = []
+        for vector in memory.vectors.astype(np.float64):
+            inverse_norm = np.float32(1.0 / math.sqrt(np.dot(vector, vector)))
+            scores.append(float(np.float32(np.dot(vector, query)) * inverse_norm))
+        best: dict[int, float] = {}
+        for c, score in zip(concept_of, scores):
+            best[c] = max(best.get(c, -math.inf), score)
+        kth = sorted(best.values(), reverse=True)[min(k, len(best)) - 1]
+        picks |= {(q, e) for e, (c, score) in enumerate(zip(concept_of, scores))
+                  if score >= kth - margin and score >= best[c] - margin}
+    return picks
+
+
 class TestEntrySelection:
     """The float32 entry-level selection against the plain-Python oracle."""
 
@@ -601,6 +625,40 @@ class TestEntrySelection:
                 assert [score for _, score in slate] == sorted(best.values(), reverse=True)[:k]
                 assert len({cid for cid, _ in slate}) == k
                 assert all(best[cid] == score for cid, score in slate)
+
+    @pytest.mark.parametrize("head", [1, 5, 40])
+    @pytest.mark.parametrize("entries", [1, 3, 16])
+    def test_picks_are_the_pick_rule(self, head, entries):
+        # the rescored entries, not only the slates: an over-inclusive filter
+        # leaves every slate right and only rescores more. Entries of small
+        # integers and queries of four halves make every float32 product
+        # exact in any order, so the selection scores do not depend on the
+        # blocking; shared name rows and twin context rows give exact ties
+        gen = np.random.default_rng(31 * head + entries)
+        dim = 8
+        names = gen.choice([-2.0, -1.0, 1.0, 2.0], size=(12, dim)).astype(np.float32)
+        rows = []
+        for c in range(60):
+            name = names[gen.integers(len(names))]
+            rows.append((f"C{c:02d}", Variant.NAME_ONLY, name))
+            if gen.random() < 0.6:
+                context = name if gen.random() < 0.3 else gen.choice([-2.0, 1.0, 2.0], size=dim)
+                rows.append((f"C{c:02d}", Variant.NAME_WITH_CONTEXT, np.float32(context)))
+        memory = memory_from_rows(rows, dim)
+        queries = np.zeros((20, dim))
+        for query in queries:
+            query[gen.choice(dim, size=4, replace=False)] = gen.choice([-0.5, 0.5], size=4)
+        with mock.patch.object(memory_module, "_HEAD_ENTRIES", head), \
+                mock.patch.object(memory_module, "_ENTRY_BLOCK", entries), \
+                mock.patch.object(memory_module, "_pair_sums",
+                                  wraps=memory_module._pair_sums) as pair_sums:
+            for k in (1, 3, 10):
+                pair_sums.reset_mock()
+                retrieve_batch(memory, queries, k)
+                assert pair_sums.call_count == 1
+                _, rows, owners, *_ = pair_sums.call_args.args
+                assert len(rows) == len(set(zip(owners.tolist(), rows.tolist())))
+                assert set(zip(owners.tolist(), rows.tolist())) == _ref_picks(memory, queries, k)
 
     @pytest.mark.parametrize("length", [2.0 ** -70, 2.0 ** 70])
     def test_entry_length_outside_float32_range_rejected(self, length):
@@ -879,6 +937,20 @@ class TestRescoreBlocks:
         # the float32 score block and its partitioned copy, plus the queries
         scores = 4 * len(queries) * len(memory)
         assert peak < 2 * scores + 12 * queries.size + (128 << 10)
+
+    def test_chunk_is_sized_from_the_head(self):
+        # 32 queries over 40,000 entries: only the head's scores are held, so
+        # they, not a score per entry, size the chunk, and one selection
+        # serves every query
+        gen = np.random.default_rng(10)
+        vectors = gen.standard_normal(size=(40000, 16), dtype=np.float32)
+        memory = Memory([f"C{i:05d}" for i in range(20000)], np.ones(20000, bool),
+                        vectors, 16, ("local-trigram", "m"), "t")
+        queries = vectors[::1250] + 0.1 * gen.standard_normal(size=(32, 16), dtype=np.float32)
+        with mock.patch.object(memory_module, "_select", wraps=memory_module._select) as select:
+            batch = retrieve_batch(memory, queries, 10)
+        assert select.call_count == 1
+        assert batch == [retrieve_batch(memory, [query], 10)[0] for query in queries]
 
     def test_selection_does_not_grow_with_the_memory(self):
         # 32 queries over 2,000 and over 32,000 entries of dim 256: retrieval
