@@ -6,6 +6,8 @@ A query file is JSON Lines with ``id``, ``mention`` (required) and
 ``context`` (optional); other fields, ``gold`` included, are ignored, as
 gold ids come from a gold file. Lines starting with ``#`` are skipped in
 both. Validation stops at the first bad line and the diagnostic names it.
+Ids are trimmed; names, descriptions, mentions and contexts follow the
+whitespace rule of README's "File formats" section.
 """
 
 from __future__ import annotations
@@ -121,14 +123,14 @@ def parse_ontology(path: str | Path, tag: str) -> Ontology:
             raise DuplicateId(cid, lineno)
         seen.add(cid)
         name = obj.get("name")
-        if not isinstance(name, str) or not (name := " ".join(name.split())):
+        if not isinstance(name, str) or not (name := normalize_whitespace(name)):
             raise _refused(obj, "name", lineno)
 
         description = obj.get("description")
         if description is not None:
             if not isinstance(description, str):
                 record_field(obj, "description", lineno, required=False)  # raises
-            description = " ".join(description.split())
+            description = normalize_whitespace(description)
             if len(description) > MAX_DESCRIPTION_CHARS:
                 description = truncate_at_word(description, MAX_DESCRIPTION_CHARS)
             description = description or None

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 
 def normalize_whitespace(text: str) -> str:
-    """Trim and collapse all internal whitespace runs to single spaces."""
+    """Trim and collapse all internal whitespace runs to single spaces.
+
+    This is the whitespace rule of README's "File formats" section.
+    Already-normal text is returned as it is: the ASCII space is the only
+    printable ``str.isspace()`` character, so printable text with no
+    doubled or edge space has nothing to change.
+    """
+    if (text.isprintable() and "  " not in text
+            and not text.startswith(" ") and not text.endswith(" ")):
+        return text
     return " ".join(text.split())
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conceptlinker import (
@@ -22,6 +24,7 @@ from conceptlinker.errors import (
     UnknownId,
 )
 from conceptlinker.ontology import MAX_DESCRIPTION_CHARS
+from conceptlinker.textutil import normalize_whitespace
 
 from .conftest import (
     ontology_from,
@@ -31,6 +34,11 @@ from .conftest import (
     write_ontology,
     write_queries,
 )
+
+# every character str.split() splits on, taken from the running Unicode version
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+# non-printable but not whitespace: the rule keeps them as they are
+NON_PRINTABLE = ["\x00", "\x7f", "\u00ad", "\u200b", "\u2060", "\ufeff"]
 
 
 class TestParseOntology:
@@ -255,6 +263,68 @@ class TestParseQueries:
         write_jsonl(path, [{"id": "q1", "mention": "x", "gold": " "},
                            {"id": "q2", "mention": "y", "gold": 7}])
         assert parse_queries(path) == [Query("q1", "x"), Query("q2", "y")]
+
+
+class TestWhitespaceRule:
+    def test_space_is_the_only_printable_whitespace(self):
+        # why normalize_whitespace may return printable text with no doubled
+        # or edge space untouched
+        assert [c for c in WHITESPACE if c.isprintable()] == [" "]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text(st.sampled_from(WHITESPACE + NON_PRINTABLE + list("abZé"))),
+        st.text(st.sampled_from(WHITESPACE)),
+        # printable text, where only doubled and edge spaces decide the result
+        st.text(st.sampled_from(" abé")),
+    ))
+    @example(text="")
+    def test_is_split_then_join(self, text):
+        assert normalize_whitespace(text) == " ".join(text.split())
+
+    @pytest.mark.parametrize("text", [
+        "low platelet count",
+        "café au lait spots, P2Y12 (ADP receptor) defect",
+        " ".join(["inherited platelet aggregation failure"] * 30),
+    ], ids=["words", "non-ascii", "long"])
+    def test_normal_text_is_returned_as_is(self, text):
+        assert normalize_whitespace(text) is text
+
+    def test_files_parse_as_their_single_spaced_twins(self, tmp_path):
+        def twin(record):
+            # ids are only trimmed; every other text field takes the whitespace rule
+            return {key: f" \t{value}\u3000" if key == "id"
+                    else "\u3000\t " + value.replace(" ", " \t\n\u00a0  \r") + "\n  "
+                    for key, value in record.items()}
+
+        concepts = [
+            {"id": "C  1", "name": "low platelet count",
+             "description": "easy bruising and prolonged bleeding"},
+            {"id": "C2", "name": "Heparin", "description": ""},
+            {"id": "C3", "name": "Factor VIII deficiency"},
+        ]
+        queries = [
+            {"id": "q  1", "mention": "platelet count",
+             "context": "a child with low platelet count"},
+            {"id": "q2", "mention": "heparin", "context": ""},
+            {"id": "q3", "mention": "factor VIII"},
+        ]
+        for stem, records in (("onto", concepts), ("q", queries)):
+            write_jsonl(tmp_path / f"{stem}.jsonl", records)
+            write_jsonl(tmp_path / f"{stem}-spaced.jsonl", map(twin, records))
+
+        onto = parse_ontology(tmp_path / "onto.jsonl", "t")
+        spaced = parse_ontology(tmp_path / "onto-spaced.jsonl", "t")
+        assert (spaced.ids, spaced.names, spaced.descriptions) == (
+            onto.ids, onto.names, onto.descriptions)
+        assert onto.ids == ("C  1", "C2", "C3")
+        assert onto.descriptions == ("easy bruising and prolonged bleeding", None, None)
+        parsed = parse_queries(tmp_path / "q.jsonl")
+        assert parse_queries(tmp_path / "q-spaced.jsonl") == parsed == [
+            Query("q  1", "platelet count", "a child with low platelet count"),
+            Query("q2", "heparin"),
+            Query("q3", "factor VIII"),
+        ]
 
 
 class TestRoundTrip:
