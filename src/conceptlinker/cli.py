@@ -72,7 +72,7 @@ SETTINGS = {
     "memory": ("paths", "memory", None, "embedding memory file"),
     "gold": ("paths", "gold", None, "gold pairs file (JSON Lines)"),
     "grid": ("paths", "grid", None, "JSON Lines grid of prompt configurations"),
-    "predictions": ("paths", "predictions", None, "predictions TSV to score"),
+    "predictions": ("paths", "predictions", None, "predictions file to score"),
     "retrievals": ("paths", "retrievals", None, "retrieval file to score with hits@k"),
     "output": ("paths", "output", None, "output path for this command's artifact"),
     "cache_dir": ("paths", "cache_dir", None, "embedding cache directory"),

@@ -226,67 +226,44 @@ def parse_gold(path: str | Path) -> list[GoldPair]:
 
 # --- prediction and retrieval files -----------------------------------------
 
-PREDICTION_NONE = "NONE"
-
-
 def write_predictions(
     path: str | Path,
     results: Sequence[LinkResult],
     candidates: Sequence[list[Candidate]],
 ) -> None:
-    """Write the tab-separated predictions table, one row per query.
+    """Write one JSON Lines row per query: ``{"query_id", "resolved", "score", "kind"}``.
 
-    Columns: query id, predicted concept id (or ``NONE``), retrieval score
-    of the chosen candidate (top candidate when nothing was chosen), and
-    the selection kind.
+    ``resolved`` is null when nothing was chosen, ``score`` is the retrieval
+    score of the chosen candidate (the top one when nothing was chosen, 0
+    for an empty slate), and ``kind`` is the selection kind. ``results`` and
+    ``candidates`` must be of one length.
     """
     lines = []
-    for result, slate in zip(results, candidates):
-        if result.selection.index is not None:
-            score = slate[result.selection.index].score
-        elif slate:
-            score = slate[0].score
-        else:
-            score = 0.0
-        lines.append(
-            "\t".join(
-                [
-                    result.query_id,
-                    result.resolved or PREDICTION_NONE,
-                    format(score, ".6f"),
-                    result.selection.kind.value,
-                ]
-            )
-        )
+    for result, slate in zip(results, candidates, strict=True):
+        score = slate[result.selection.index or 0].score if slate else 0.0
+        lines.append(json.dumps({"query_id": result.query_id, "resolved": result.resolved,
+                                 "score": round(score, 6), "kind": result.selection.kind.value}))
     atomic_text(path, "".join(line + "\n" for line in lines))
 
 
 def parse_predictions(path: str | Path) -> list[Prediction]:
-    """Read a predictions table back for scoring, one row per query id."""
-    out: list[Prediction] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise MalformedRecord(lineno, f"expected 4 columns, got {len(parts)}")
-            query_id, predicted, score, kind = parts
-            try:
-                float(score)
-                resolved_kind = SelectionKind(kind)
-            except ValueError as exc:
-                raise MalformedRecord(lineno, str(exc)) from None
-            resolved = None if predicted == PREDICTION_NONE else predicted
-            if (resolved_kind is SelectionKind.OPTION) != (resolved is not None):
-                raise MalformedRecord(lineno, f"kind {kind} contradicts {predicted!r}")
-            if query_id in seen:
-                raise MalformedRecord(lineno, f"duplicate query id {query_id!r}")
-            seen.add(query_id)
-            out.append(Prediction(query_id, resolved))
-    return out
+    """Read a predictions file back for scoring, one row per query id."""
+    out: dict[str, Prediction] = {}
+    for lineno, record in read_records(path):
+        query_id = record_field(record, "query_id", lineno)
+        resolved = record_field(record, "resolved", lineno, required=False)
+        record_field(record, "score", lineno, float)
+        kind = record_field(record, "kind", lineno)
+        try:
+            option = SelectionKind(kind) is SelectionKind.OPTION
+        except ValueError as exc:
+            raise MalformedRecord(lineno, str(exc)) from None
+        if option != (resolved is not None):
+            raise MalformedRecord(lineno, f"kind {kind} contradicts resolved {resolved!r}")
+        if query_id in out:
+            raise MalformedRecord(lineno, f"duplicate query id {query_id!r}")
+        out[query_id] = Prediction(query_id, resolved)
+    return list(out.values())
 
 
 def write_retrievals(

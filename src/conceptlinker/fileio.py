@@ -58,7 +58,7 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
-_KIND_NAMES = {str: "a string", int: "an integer", list: "a list"}
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list"}
 
 
 def record_field(record: object, key: str, lineno: int, kind: type = str, *,
@@ -68,13 +68,14 @@ def record_field(record: object, key: str, lineno: int, kind: type = str, *,
     A record that is not an object raises :class:`MalformedRecord`, an
     absent required key :class:`MissingField`, and a value of another JSON
     type :class:`MalformedRecord`; null is another type for a required
-    field, and a bool is not an integer. An optional field that is absent
-    or null gives None. Both errors name ``lineno``.
+    field, a bool is not an integer, and an integer is a number (``kind``
+    float). An optional field that is absent or null gives None. Both
+    errors name ``lineno``.
     """
     if not isinstance(record, dict):
         raise MalformedRecord(lineno, "record is not a JSON object")
     value = record.get(key)
-    if type(value) is kind:
+    if type(value) is kind or (kind is float and type(value) is int):
         return value
     if value is None and not required:
         return None

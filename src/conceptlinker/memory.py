@@ -62,6 +62,7 @@ from .errors import (
     MalformedRecord,
     MemoryBuildError,
     MemoryLayoutError,
+    ServiceError,
     VersionMismatch,
 )
 from .fileio import atomic_writer, record_field
@@ -257,12 +258,20 @@ def build_memory(ontology: Ontology, provider: Provider) -> Memory:
             except LinkerError as exc:
                 # the provider's index counts from the start of the slice
                 raise MemoryBuildError(_offending(owners[part], exc), str(exc)) from exc
-            if np.shape(batch) != (len(rows[part]), spec.dim):
-                raise DimMismatch(spec.dim, np.shape(batch)[-1])
-            vectors[rows[part]] = batch
+            vectors[rows[part]] = checked_batch(batch, len(rows[part]), spec.dim)
             del batch  # so the next slice is not embedded while this one is held
 
     return Memory(ids, has_context, vectors, spec.dim, spec.fingerprint, ontology.tag)
+
+
+def checked_batch(batch: np.ndarray, texts: int, dim: int) -> np.ndarray:
+    """A provider's ``batch`` for ``texts`` texts, refused unless it is one row of ``dim`` per text."""
+    shape = np.shape(batch)
+    if len(shape) != 2 or shape[1] != dim:
+        raise DimMismatch(dim, shape[-1] if shape else 0)
+    if shape[0] != texts:
+        raise ServiceError(f"the provider returned {shape[0]} rows for {texts} texts")
+    return batch
 
 
 def _offending(ids: Sequence[str], exc: LinkerError) -> str:

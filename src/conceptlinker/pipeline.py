@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .embedding import text_slices
 from .fileio import KeyedLog, record_field
-from .memory import Candidate, Memory, query_text, retrieve_batch
+from .memory import Candidate, Memory, checked_batch, query_text, retrieve_batch
 from .ontology import Ontology, Query
 from .ranker import (
     LinkResult,
@@ -43,7 +43,9 @@ def retrieve_for_queries(
     texts = [query_text(q) for q in queries]
     slates: list[list[Candidate]] = []
     for part in text_slices(len(texts)):
-        slates += retrieve_batch(memory, provider.embed_batch(texts[part]), k)
+        chunk = texts[part]
+        batch = checked_batch(provider.embed_batch(chunk), len(chunk), memory.dim)
+        slates += retrieve_batch(memory, batch, k)
     return slates
 
 

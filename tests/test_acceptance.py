@@ -219,7 +219,7 @@ def staged(tmp_path, rng):
         "queries": tmp_path / "queries.jsonl",
         "gold": tmp_path / "gold.jsonl",
         "memory": tmp_path / "memory.bin",
-        "predictions": tmp_path / "pred.tsv",
+        "predictions": tmp_path / "pred.jsonl",
         "report": tmp_path / "report.json",
         "fixtures": tmp_path / "transcript.jsonl",
     }

@@ -17,6 +17,7 @@ from conceptlinker import (
     Concept,
     GoldPair,
     Memory,
+    Prediction,
     Query,
     ValidationError,
     load_memory,
@@ -27,7 +28,7 @@ from conceptlinker import (
 from conceptlinker import cli as cli_module
 from conceptlinker.cli import SETTINGS, main
 
-from .conftest import ontology_from, write_gold, write_ontology, write_queries
+from .conftest import ontology_from, write_gold, write_jsonl, write_ontology, write_queries
 
 CONCEPTS = [
     Concept(id="D:1", name="Iron deficiency anemia",
@@ -69,6 +70,14 @@ def workspace(tmp_path):
     return paths
 
 
+def write_predictions_file(path, rows) -> None:
+    """A predictions file of (query id, resolved id or None, score) rows."""
+    path.write_text("".join(json.dumps({
+        "query_id": query_id, "resolved": resolved, "score": score,
+        "kind": "none" if resolved is None else "option",
+    }) + "\n" for query_id, resolved, score in rows))
+
+
 def build(workspace, *extra) -> int:
     return main([
         "build-memory",
@@ -91,7 +100,7 @@ def link(workspace, *extra) -> int:
         "--ontology", str(workspace["ontology"]),
         "--queries", str(workspace["queries"]),
         "--memory", str(workspace["memory"]),
-        "--output", str(workspace["out"] / "pred.tsv"),
+        "--output", str(workspace["out"] / "pred.jsonl"),
         "--dim", "64",
         "--endpoint", "mock:exact",
         *extra,
@@ -248,7 +257,7 @@ class TestLink:
         out = capsys.readouterr().out
         assert "queries: 4" in out
         assert "option=4" in out
-        predictions = parse_predictions(workspace["out"] / "pred.tsv")
+        predictions = parse_predictions(workspace["out"] / "pred.jsonl")
         assert {p.query_id: p.resolved for p in predictions} == {
             "q1": "D:1", "q2": "D:4", "q3": "D:3", "q4": "D:5"
         }
@@ -256,16 +265,16 @@ class TestLink:
     def test_k_bounds_candidate_slates(self, workspace):
         build(workspace)
         assert link(workspace, "--k", "2") == 0
-        details = workspace["out"] / "pred.tsv.details.jsonl"
+        details = workspace["out"] / "pred.jsonl.details.jsonl"
         rows = [json.loads(line) for line in details.read_text().splitlines()]
         assert rows and all(len(row["candidates"]) == 2 for row in rows)
 
     def test_rerun_predictions_byte_identical(self, workspace):
         build(workspace)
         assert link(workspace) == 0
-        first = (workspace["out"] / "pred.tsv").read_bytes()
+        first = (workspace["out"] / "pred.jsonl").read_bytes()
         assert link(workspace) == 0
-        assert (workspace["out"] / "pred.tsv").read_bytes() == first
+        assert (workspace["out"] / "pred.jsonl").read_bytes() == first
 
     def test_no_endpoint_exits_2(self, workspace, capsys):
         build(workspace)
@@ -274,7 +283,7 @@ class TestLink:
             "--ontology", str(workspace["ontology"]),
             "--queries", str(workspace["queries"]),
             "--memory", str(workspace["memory"]),
-            "--output", str(workspace["out"] / "pred.tsv"),
+            "--output", str(workspace["out"] / "pred.jsonl"),
             "--dim", "64",
         ])
         assert code == 2
@@ -290,34 +299,34 @@ class TestLink:
         monkeypatch.setattr("conceptlinker.transport.time.sleep", lambda s: None)
         code = link(workspace, "--endpoint", "http://127.0.0.1:9/v1/chat")
         assert code == 0  # per-query transport failures do not abort the batch
-        predictions = parse_predictions(workspace["out"] / "pred.tsv")
+        predictions = parse_predictions(workspace["out"] / "pred.jsonl")
         assert all(p.resolved is None for p in predictions)
 
     def test_record_then_replay(self, workspace):
         build(workspace)
         fixtures = workspace["out"] / "transcript.jsonl"
         assert link(workspace, "--fixtures", str(fixtures)) == 0
-        recorded = (workspace["out"] / "pred.tsv").read_bytes()
+        recorded = (workspace["out"] / "pred.jsonl").read_bytes()
         assert fixtures.exists()
 
-        (workspace["out"] / "pred.tsv").unlink()
-        (workspace["out"] / "pred.tsv.details.jsonl").unlink()
+        (workspace["out"] / "pred.jsonl").unlink()
+        (workspace["out"] / "pred.jsonl.details.jsonl").unlink()
         code = main([
             "link",
             "--ontology", str(workspace["ontology"]),
             "--queries", str(workspace["queries"]),
             "--memory", str(workspace["memory"]),
-            "--output", str(workspace["out"] / "pred.tsv"),
+            "--output", str(workspace["out"] / "pred.jsonl"),
             "--dim", "64",
             "--fixtures", str(fixtures),
         ])
         assert code == 0
-        assert (workspace["out"] / "pred.tsv").read_bytes() == recorded
+        assert (workspace["out"] / "pred.jsonl").read_bytes() == recorded
 
     def test_transcript_row_with_a_non_string_response_is_not_replayed(self, workspace, caplog):
         build(workspace)
         fixtures = workspace["out"] / "transcript.jsonl"
-        pred = workspace["out"] / "pred.tsv"
+        pred = workspace["out"] / "pred.jsonl"
         assert link(workspace, "--fixtures", str(fixtures)) == 0
         recorded = pred.read_bytes()
         rows = [json.loads(line) for line in fixtures.read_text().splitlines()]
@@ -326,7 +335,7 @@ class TestLink:
 
         def run(*endpoint) -> int:
             # a fresh journal each time, so every query goes to the transcript
-            (workspace["out"] / "pred.tsv.details.jsonl").unlink(missing_ok=True)
+            (workspace["out"] / "pred.jsonl.details.jsonl").unlink(missing_ok=True)
             return main(["link", "--ontology", str(workspace["ontology"]),
                          "--queries", str(workspace["queries"]),
                          "--memory", str(workspace["memory"]), "--output", str(pred),
@@ -347,15 +356,15 @@ class TestLink:
         return main(["link", "--ontology", str(workspace["ontology"]),
                      "--queries", str(workspace["queries"]),
                      "--memory", str(workspace["memory"]),
-                     "--output", str(workspace["out"] / "pred.tsv"),
+                     "--output", str(workspace["out"] / "pred.jsonl"),
                      "--dim", "64", "--fixtures", str(fixtures)])
 
     def test_undecodable_journal_line_is_skipped_on_resume(self, workspace, caplog):
         build(workspace)
-        pred = workspace["out"] / "pred.tsv"
+        pred = workspace["out"] / "pred.jsonl"
         assert link(workspace) == 0
         recorded = pred.read_bytes()
-        with open(workspace["out"] / "pred.tsv.details.jsonl", "ab") as handle:
+        with open(workspace["out"] / "pred.jsonl.details.jsonl", "ab") as handle:
             handle.write(b"\xff\n")
         empty = workspace["out"] / "empty.jsonl"
         empty.touch()
@@ -368,13 +377,13 @@ class TestLink:
     def test_undecodable_transcript_line_is_skipped_on_replay(self, workspace, caplog):
         build(workspace)
         fixtures = workspace["out"] / "transcript.jsonl"
-        pred = workspace["out"] / "pred.tsv"
+        pred = workspace["out"] / "pred.jsonl"
         assert link(workspace, "--fixtures", str(fixtures)) == 0
         recorded = pred.read_bytes()
         fixtures.write_bytes(b'{"digest": "\xff", "response": "option 0"}\n'
                              + fixtures.read_bytes())
         # a fresh journal, so every query goes to the transcript
-        (workspace["out"] / "pred.tsv.details.jsonl").unlink()
+        (workspace["out"] / "pred.jsonl.details.jsonl").unlink()
         with caplog.at_level("WARNING"):
             assert self.replay(workspace, fixtures) == 0
         assert "skipping malformed transcript line 1" in caplog.text
@@ -389,7 +398,7 @@ class TestLink:
             "--ontology", str(workspace["ontology"]),
             "--queries", str(workspace["queries"]),
             "--memory", str(workspace["memory"]),
-            "--output", str(workspace["out"] / "pred.tsv"),
+            "--output", str(workspace["out"] / "pred.jsonl"),
             "--dim", "64",
             "--fixtures", str(empty),
         ])
@@ -401,14 +410,9 @@ class TestEvaluate:
         # 4 resolved, 3 correct, 1 abstention over 5 gold queries
         gold = GOLD + [GoldPair("q5", "D:2")]
         write_gold(workspace["gold"], gold)
-        path = workspace["out"] / "pred.tsv"
-        path.write_text(
-            "q1\tD:1\t0.900000\toption\n"
-            "q2\tD:4\t0.800000\toption\n"
-            "q3\tD:3\t0.700000\toption\n"
-            "q4\tD:9\t0.600000\toption\n"
-            "q5\tNONE\t0.500000\tnone\n"
-        )
+        path = workspace["out"] / "pred.jsonl"
+        write_predictions_file(path, [("q1", "D:1", 0.9), ("q2", "D:4", 0.8), ("q3", "D:3", 0.7),
+                                      ("q4", "D:9", 0.6), ("q5", None, 0.5)])
         return path
 
     def test_predictions_mode_table(self, workspace, capsys):
@@ -691,7 +695,7 @@ class TestConfigKeys:
             "--ontology", str(workspace["ontology"]),
             "--queries", str(workspace["queries"]),
             "--memory", str(workspace["memory"]),
-            "--output", str(workspace["out"] / "pred.tsv"),
+            "--output", str(workspace["out"] / "pred.jsonl"),
             "--dim", "64",
         ]) == 2
         assert seen == {"url": "http://127.0.0.1:9/v1/chat", "model": "ranker-x",
@@ -707,7 +711,7 @@ class TestConfigKeys:
             "--ontology", str(workspace["ontology"]),
             "--queries", str(workspace["queries"]),
             "--memory", str(workspace["memory"]),
-            "--output", str(workspace["out"] / "pred.tsv"),
+            "--output", str(workspace["out"] / "pred.jsonl"),
             "--dim", "64",
         ]) == 2
         assert "budget of 1" in capsys.readouterr().err
@@ -755,7 +759,7 @@ class TestConfigKeys:
                 "--ontology", str(workspace["ontology"]),
                 "--queries", str(workspace["queries"]),
                 "--memory", str(workspace["memory"]),
-                "--output", str(workspace["out"] / "pred.tsv"),
+                "--output", str(workspace["out"] / "pred.jsonl"),
                 "--dim", "64"]
         assert main(args) == 0
         assert fixtures.exists() and fixtures.read_text().count("\n") == 4
@@ -779,10 +783,9 @@ class TestConfigKeys:
         assert main(["evaluate", "--config", str(config)]) == 0
         assert json.loads(report.read_text())["ks"] == [1, 3]
 
-        predictions = workspace["out"] / "pred.tsv"
-        predictions.write_text("q1\tD:1\t0.900000\toption\n" + "".join(
-            f"q{i}\tNONE\t0.500000\tnone\n" for i in (2, 3, 4)
-        ))
+        predictions = workspace["out"] / "pred.jsonl"
+        write_predictions_file(predictions, [("q1", "D:1", 0.9)]
+                               + [(f"q{i}", None, 0.5) for i in (2, 3, 4)])
         config = write_config(workspace, (
             "[paths]\n"
             f"gold = {workspace['gold']}\n"
@@ -820,7 +823,7 @@ class TestConfigKeys:
             "--ontology", str(workspace["ontology"]),
             "--queries", str(workspace["queries"]),
             "--memory", str(workspace["memory"]),
-            "--output", str(workspace["out"] / "pred.tsv"),
+            "--output", str(workspace["out"] / "pred.jsonl"),
             "--dim", "64",
         ])
         assert code == 2
@@ -851,7 +854,7 @@ READERS = ("parse_ontology", "load_memory", "parse_queries", "parse_gold", "pars
     (["ablate", "--endpoint", "mock:keyword"], "[provider]\nseed = x\n"),
     (["ablate", "--endpoint", "mock:keyword", "--grid", ""], ""),
     (["evaluate", "--retrievals", "{queries}", "--ks", "one"], ""),
-    (["evaluate", "--predictions", "{out}/absent.tsv"], ""),
+    (["evaluate", "--predictions", "{out}/absent.jsonl"], ""),
     *[(["retrieve"], REMOTE + f"timeout = {bad}\n") for bad in BAD_TIMEOUTS],
     *[(["link", "--endpoint", HTTP_ENDPOINT], f"[endpoint]\ntimeout = {bad}\n")
       for bad in BAD_TIMEOUTS],
@@ -951,9 +954,9 @@ fixtures = ["--fixtures", out + "/transcript.jsonl"]
 runs = [
     ["build-memory"],
     ["retrieve", "--output", out + "/retrievals.jsonl"],
-    ["link", "--endpoint", "mock:keyword", *fixtures, "--output", out + "/recorded.tsv"],
-    ["link", *fixtures, "--output", out + "/replayed.tsv"],
-    ["evaluate", "--predictions", out + "/replayed.tsv"],
+    ["link", "--endpoint", "mock:keyword", *fixtures, "--output", out + "/recorded.jsonl"],
+    ["link", *fixtures, "--output", out + "/replayed.jsonl"],
+    ["evaluate", "--predictions", out + "/replayed.jsonl"],
     ["ablate", "--endpoint", "mock:keyword", "--output", out + "/ablation.json"],
 ]
 codes = [cli.main([*argv, "--config", config]) for argv in runs]
@@ -979,7 +982,7 @@ def test_offline_commands_never_load_the_http_stack(tmp_path):
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
     assert result == {"codes": [0] * 6, "loaded": []}, run.stderr
-    assert (tmp_path / "recorded.tsv").read_bytes() == (tmp_path / "replayed.tsv").read_bytes()
+    assert (tmp_path / "recorded.jsonl").read_bytes() == (tmp_path / "replayed.jsonl").read_bytes()
 
 
 DEMO_DATA = Path(__file__).parents[1] / "demos" / "data"
@@ -1000,7 +1003,7 @@ def test_budget_applies_to_mock_recording_and_replay(tmp_path, capsys):
     plain = demo_config(tmp_path, "plain.ini", None)
     shed = demo_config(tmp_path, "shed.ini", "300")
     assert main(["build-memory", "--config", plain]) == 0
-    recorded, replayed = tmp_path / "recorded.tsv", tmp_path / "replayed.tsv"
+    recorded, replayed = tmp_path / "recorded.jsonl", tmp_path / "replayed.jsonl"
     transcript, full = tmp_path / "shed.jsonl", tmp_path / "full.jsonl"
     assert main(["link", "--config", shed, "--endpoint", "mock:keyword",
                  "--fixtures", str(transcript), "--output", str(recorded)]) == 0
@@ -1009,7 +1012,7 @@ def test_budget_applies_to_mock_recording_and_replay(tmp_path, capsys):
     assert recorded.read_bytes() == replayed.read_bytes()
     # every demo prompt is over 300 estimated tokens, so none was sent whole
     assert main(["link", "--config", plain, "--endpoint", "mock:keyword",
-                 "--fixtures", str(full), "--output", str(tmp_path / "full.tsv")]) == 0
+                 "--fixtures", str(full), "--output", str(tmp_path / "full-pred.jsonl")]) == 0
     digests = [{json.loads(line)["digest"] for line in path.read_text().splitlines()}
                for path in (transcript, full)]
     assert len(digests[0]) == 6 and not digests[0] & digests[1]
@@ -1017,8 +1020,39 @@ def test_budget_applies_to_mock_recording_and_replay(tmp_path, capsys):
     capsys.readouterr()
     tight = demo_config(tmp_path, "tight.ini", "100")
     assert main(["link", "--config", tight, "--endpoint", "mock:keyword",
-                 "--output", str(tmp_path / "tight.tsv")]) == 2
+                 "--output", str(tmp_path / "tight.jsonl")]) == 2
     assert "budget of 100" in capsys.readouterr().err
+
+
+def test_any_id_survives_link_and_evaluate(tmp_path):
+    # a tab or a line break in a query id, and a correct pick of a concept
+    # whose id is NONE, are written and read back like any other id
+    renamed = {"q1": "q\t1", "q2": "q\n2", "RD:0012": "NONE"}
+    runs = []
+    for name, ids in (("plain", {}), ("renamed", renamed)):
+        data = tmp_path / name
+        data.mkdir()
+        for key, fields in (("ontology", ["id"]), ("queries", ["id"]),
+                            ("gold", ["source", "target"])):
+            text = (DEMO_DATA / f"{key}.jsonl").read_text(encoding="utf-8")
+            rows = [json.loads(line) for line in text.splitlines()]
+            for row, field in ((row, field) for row in rows for field in fields):
+                row[field] = ids.get(row[field], row[field])
+            write_jsonl(data / f"{key}.jsonl", rows)
+        memory, predictions, report = (data / f for f in ("memory.bin", "pred.jsonl", "report.json"))
+        assert main(["build-memory", "--ontology", str(data / "ontology.jsonl"),
+                     "--output", str(memory)]) == 0
+        assert main(["link", "--ontology", str(data / "ontology.jsonl"),
+                     "--queries", str(data / "queries.jsonl"), "--memory", str(memory),
+                     "--endpoint", "mock:keyword", "--output", str(predictions)]) == 0
+        assert main(["evaluate", "--gold", str(data / "gold.jsonl"),
+                     "--predictions", str(predictions), "--output", str(report)]) == 0
+        runs.append((parse_predictions(predictions), json.loads(report.read_text())["rows"]))
+    (plain, plain_rows), (odd, odd_rows) = runs
+    assert odd_rows == plain_rows
+    assert odd == [Prediction(renamed.get(p.query_id, p.query_id),
+                              renamed.get(p.resolved, p.resolved)) for p in plain]
+    assert {"q\t1", "q\n2"} <= {p.query_id for p in odd} and "NONE" in {p.resolved for p in odd}
 
 
 @pytest.mark.parametrize("command", ["link", "ablate"])

@@ -326,42 +326,96 @@ class TestPredictionFiles:
         ]
 
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "pred.tsv"
+        path = tmp_path / "pred.jsonl"
         results = [linked("q0", "C0"), linked("q1", None)]
         write_predictions(path, results, self.slates())
         reloaded = parse_predictions(path)
         assert reloaded == [Prediction("q0", "C0"), Prediction("q1", None)]
 
+    @pytest.mark.parametrize("query_id, concept_id", [
+        ("q\t0", "C0"), ("q\n0", "C0"), ("q0", "NONE"), ("", "C\t0"),
+    ])
+    def test_any_string_is_an_id(self, tmp_path, query_id, concept_id):
+        # tabs, line breaks and NONE included
+        path = tmp_path / "pred.jsonl"
+        results = [linked(query_id, concept_id), linked("q1", None)]
+        write_predictions(path, results, self.slates())
+        assert len(path.read_text().splitlines()) == 2
+        reloaded = parse_predictions(path)
+        assert reloaded == [Prediction(query_id, concept_id), Prediction("q1", None)]
+
     def test_columns(self, tmp_path):
-        path = tmp_path / "pred.tsv"
+        path = tmp_path / "pred.jsonl"
         write_predictions(path, [linked("q0", "C0"), linked("q1", None)], self.slates())
-        rows = [line.split("\t") for line in path.read_text().splitlines()]
-        assert rows[0] == ["q0", "C0", "0.900000", "option"]
-        assert rows[1] == ["q1", "NONE", "0.700000", "none"]
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rows[0] == {"query_id": "q0", "resolved": "C0", "score": 0.9, "kind": "option"}
+        assert rows[1] == {"query_id": "q1", "resolved": None, "score": 0.7, "kind": "none"}
+
+    def test_score_is_rounded_to_six_places(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        slate = [Candidate("C0", 0.123456789, Variant.NAME_ONLY)]
+        write_predictions(path, [linked("q0", "C0")], [slate])
+        assert json.loads(path.read_text())["score"] == 0.123457
 
     def test_empty_slate_scores_zero(self, tmp_path):
-        path = tmp_path / "pred.tsv"
+        path = tmp_path / "pred.jsonl"
         write_predictions(path, [linked("q0", None)], [[]])
-        assert path.read_text().split("\t")[2] == "0.000000"
+        assert json.loads(path.read_text())["score"] == 0.0
+
+    @pytest.mark.parametrize("slates", [[[]], [[], [], []]])
+    def test_results_and_slates_of_different_lengths_rejected(self, tmp_path, slates):
+        # zip would write the shorter list and drop the rest silently
+        path = tmp_path / "pred.jsonl"
+        with pytest.raises(ValueError):
+            write_predictions(path, [linked("q0", None), linked("q1", None)], slates)
+        assert not path.exists()
 
     @pytest.mark.parametrize("line", [
+        '{"query_id": "q0", "resolved": "C0", "kind": "option"}',
+        '{"query_id": "q0", "resolved": "C0", "score": "not-a-float", "kind": "option"}',
+        '{"query_id": "q0", "resolved": "C0", "score": true, "kind": "option"}',
+        '{"query_id": "q0", "resolved": "C0", "score": 0.5, "kind": "mystery"}',
+        '{"query_id": "q0", "resolved": "C0", "score": 0.5, "kind": "none"}',
+        '{"query_id": "q0", "resolved": null, "score": 0.5, "kind": "option"}',
+        '{"query_id": "q0", "score": 0.5, "kind": "option"}',
+        '{"query_id": "q0", "resolved": 7, "score": 0.5, "kind": "option"}',
+        '{"query_id": 0, "resolved": "C0", "score": 0.5, "kind": "option"}',
+        '{"resolved": "C0", "score": 0.5, "kind": "option"}',
+        '{"query_id": "q0", "resolved": "C0", "score": 0.5}',
+        '["q0", "C0", 0.5, "option"]',
+        # rows of the old tab-separated format, well formed or not, are refused
+        "q0\tC0\t0.500000\toption",
         "q0\tC0\t0.5",
         "q0\tC0\tnot-a-float\toption",
         "q0\tC0\t0.5\tmystery",
         "q0\tC0\t0.5\tnone",
-        "q0\tNONE\t0.5\toption",
     ])
     def test_malformed(self, tmp_path, line):
-        path = tmp_path / "pred.tsv"
-        path.write_text(line + "\n")
-        with pytest.raises(MalformedRecord):
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"query_id": "q9", "resolved": null, "score": 0.1, "kind": "none"}\n'
+                        + line + "\n")
+        with pytest.raises(MalformedRecord) as exc:
             parse_predictions(path)
+        assert exc.value.line == 2
 
+    @pytest.mark.parametrize("line, want", [
+        # NONE is a concept id like any other
+        ('{"query_id": "q0", "resolved": "NONE", "score": 0.5, "kind": "option"}',
+         Prediction("q0", "NONE")),
+        ('{"query_id": "q0", "resolved": "C0", "score": 1, "kind": "option"}',
+         Prediction("q0", "C0")),
+        ('{"query_id": "q0", "score": 0.5, "kind": "parse_failure"}', Prediction("q0", None)),
+    ])
+    def test_valid_rows(self, tmp_path, line, want):
+        path = tmp_path / "pred.jsonl"
+        path.write_text(line + "\n")
+        assert parse_predictions(path) == [want]
 
     def test_repeated_query_id_names_its_line(self, tmp_path):
         # two rows for one query would count twice towards recall and F1
-        path = tmp_path / "pred.tsv"
-        path.write_text("q1\tRD:0001\t0.5\toption\n" * 2)
+        path = tmp_path / "pred.jsonl"
+        row = {"query_id": "q1", "resolved": "RD:0001", "score": 0.5, "kind": "option"}
+        path.write_text((json.dumps(row) + "\n") * 2)
         with pytest.raises(MalformedRecord, match="duplicate query id 'q1'") as exc:
             parse_predictions(path)
         assert exc.value.line == 2

@@ -41,6 +41,7 @@ from conceptlinker.errors import (
     InvalidVector,
     MemoryBuildError,
     MemoryLayoutError,
+    ServiceError,
     VersionMismatch,
 )
 
@@ -207,6 +208,47 @@ class TestSlicedEmbedding:
             with pytest.raises(MemoryBuildError) as exc:
                 build_memory(ontology, FailsOnOneText())
         assert exc.value.concept_id == concept_id
+
+
+class TestProviderBatchShape:
+    """Every provider batch must hold one row of the memory's dim per text."""
+
+    @staticmethod
+    def reshaped(rows: int, cols: int):
+        inner = local_provider(dim=32)
+
+        class Reshaped:
+            spec = inner.spec
+
+            def embed_batch(self, texts):
+                # `rows` more rows and `cols` more columns than asked for, either may be negative
+                return np.resize(inner.embed_batch(texts), (len(texts) + rows, 32 + cols))
+
+        return inner, Reshaped()
+
+    @pytest.mark.parametrize("rows", [-1, -3, 1])
+    def test_build_refuses_a_batch_of_another_length(self, rows):
+        _, provider = self.reshaped(rows, 0)
+        with pytest.raises(ServiceError, match=f"returned {3 + rows} rows for 3 texts"):
+            build_memory(small_ontology(), provider)
+
+    @pytest.mark.parametrize("rows", [-1, -6, 2])
+    def test_retrieval_refuses_a_batch_of_another_length(self, rows):
+        inner, provider = self.reshaped(rows, 0)
+        memory = build_memory(small_ontology(), inner)
+        queries = [Query(id=f"q{i}", mention=f"aspirin {i}") for i in range(6)]
+        with pytest.raises(ServiceError, match=f"returned {6 + rows} rows for 6 texts"):
+            retrieve_for_queries(memory, queries, provider, 2)
+
+    @pytest.mark.parametrize("rows", [-1, 0])
+    @pytest.mark.parametrize("cols", [-1, 1])
+    def test_a_row_of_another_dim_stays_a_dim_mismatch(self, rows, cols):
+        inner, provider = self.reshaped(rows, cols)
+        with pytest.raises(DimMismatch, match=f"expected 32, got {32 + cols}"):
+            build_memory(small_ontology(), provider)
+        memory = build_memory(small_ontology(), inner)
+        with pytest.raises(DimMismatch, match=f"expected 32, got {32 + cols}"):
+            retrieve_for_queries(memory, [Query(id="q0", mention="aspirin")], provider, 2)
 
 
 unit_vectors = st.integers(min_value=0, max_value=2**32 - 1).map(
@@ -883,6 +925,83 @@ class TestExactSums:
         # the largest magnitudes the tree takes without deferring to fsum
         limit = memory_module._SUM_LIMIT
         _assert_exact_sums([[limit / 8, limit / 8, -limit / 16, 1.0], [limit / 5, 3.0, 0.5, -1.5]])
+
+
+def _pushed_slates(memory: Memory, queries, k: int) -> list[list[tuple[str, float, Variant]]]:
+    """Slates, one query per call, with every selection score pushed by up to delta.
+
+    delta = (1.02 dim + 5) 2**-24 bounds how far a float32 selection score
+    may lie from its exact cosine (:func:`memory._score_margin`). For each
+    query the entries' inverse norms are scaled so that an entry at or above
+    the query's exact k-th best concept score loses delta and one below it
+    gains delta: the worst the float32 product may do to the selection.
+    """
+    delta = (1.02 * memory.dim + 5) * 2.0 ** -24
+    slates = []
+    for query, want in zip(queries, _ref_slates(memory, queries, k)):
+        exact = np.array([cosine(vector, query) for vector in memory.vectors])
+        unit = (query / np.linalg.norm(query)).astype(np.float32)
+        selection = (memory.vectors @ unit).astype(np.float64) * memory._inv_norms
+        push = np.where(exact >= want[-1][1], -delta, delta)
+        # a score too near 0 to be pushed by scaling is left where it is
+        scale = 1 + np.divide(push, selection, out=np.zeros_like(selection),
+                              where=np.abs(selection) > 2 * delta)
+        with mock.patch.object(memory, "_inv_norms", (memory._inv_norms * scale).astype(np.float32)):
+            slates += _slates(memory, query[None, :], k)
+    return slates
+
+
+class TestSelectionMargin:
+    """The selection margin is what keeps slates exact, not scores that err less than proven."""
+
+    @staticmethod
+    def near_tie_memory() -> tuple[Memory, list[np.ndarray]]:
+        """Pairs of vectors whose exact cosines with a query are 8 to 26 times 2**-24 apart.
+
+        A pair is two concepts, the better one with the later id, or one
+        concept whose context row beats its name row. Random concepts fill
+        the rest of the memory.
+        """
+        gen = np.random.default_rng(17)
+        dim, u = 32, 2.0 ** -24
+        rows, queries = [], []
+        for i, gap in enumerate((8 * u, 14 * u, 20 * u, 26 * u)):
+            base = gen.normal(size=dim)
+            query = base + 0.3 * gen.normal(size=dim)
+            a, q = base / np.linalg.norm(base), query / np.linalg.norm(query)
+            cos = a @ q
+            away = (cos * a - q) / np.linalg.norm(cos * a - q)  # in their plane, away from q
+            angle = gap / math.sqrt(1 - cos * cos)
+            high = base.astype(np.float32)
+            low = (np.linalg.norm(base) * (math.cos(angle) * a + math.sin(angle) * away)
+                   ).astype(np.float32)
+            assert 0.5 * gap < cosine(high, query) - cosine(low, query) < 1.5 * gap
+            if i % 2:
+                rows += [(f"P{i}", Variant.NAME_ONLY, low), (f"P{i}", Variant.NAME_WITH_CONTEXT, high)]
+            else:
+                rows += [(f"Z{i}", Variant.NAME_ONLY, high), (f"A{i}", Variant.NAME_ONLY, low)]
+            queries.append(query)
+        rows += [(f"F{i:02d}", Variant.NAME_ONLY, vector)
+                 for i, vector in enumerate(gen.normal(size=(40, dim)).astype(np.float32))]
+        return memory_from_rows(rows, dim), queries
+
+    def test_scores_pushed_by_the_proven_error_change_no_slate(self):
+        provider, homonyms, _ = _homonym_store()
+        names = sorted({c.name for c in _homonym_ontology()})
+        texts = names + [f"{a} {b}" for a, b in zip(names, names[1:] + names[:1])]
+        cases = [(*self.near_tie_memory(), (1,)),
+                 (homonyms, list(provider.embed_batch(texts).astype(np.float64)), (1, 3, 10))]
+        changed = 0
+        for memory, queries, ks in cases:
+            for k in ks:
+                want = _ref_slates(memory, queries, k)
+                assert _pushed_slates(memory, queries, k) == want
+                # half the proven margin is not enough: the same push changes a slate
+                delta = (1.02 * memory.dim + 5) * 2.0 ** -24
+                with mock.patch.object(memory, "_margin", delta):
+                    changed += sum(got != slate for got, slate in
+                                   zip(_pushed_slates(memory, queries, k), want))
+        assert changed >= 1
 
 
 class TestRescoreBlocks:
