@@ -29,7 +29,7 @@ from .embedding import (
     RemoteProvider,
     VectorCache,
 )
-from .errors import DimMismatch, LinkerError, ServiceError, ValidationError
+from .errors import ConceptSetMismatch, DimMismatch, LinkerError, ServiceError, ValidationError
 from .evaluation import (
     DEFAULT_HITS_KS,
     check_ks,
@@ -241,7 +241,8 @@ def _read_ontology(s: Settings, path: Path):
 
 def _open_inputs(s: Settings, *, with_ontology: bool = False):
     """Check the input paths, ``strict`` and the provider, then read the
-    ontology (if asked for), the memory and, if its dim and provider fit, the queries.
+    ontology (if asked for), the memory and, if its dim, provider and
+    concepts fit, the queries.
 
     Callers resolve their own settings first, so that every usage error is
     raised before the first file is parsed.
@@ -256,6 +257,12 @@ def _open_inputs(s: Settings, *, with_ontology: bool = False):
     if memory.dim != provider.spec.dim:
         raise DimMismatch(memory.dim, provider.spec.dim)
     check_provider(memory, provider.spec.fingerprint, strict=strict)
+    if ontology is not None:
+        # any order of the same concepts will do; a changed set never will
+        stored, listed = set(memory.concept_ids), set(ontology.ids)
+        if stored != listed:
+            raise ConceptSetMismatch([cid for cid in memory.concept_ids if cid not in listed],
+                                     [cid for cid in ontology.ids if cid not in stored])
     return ontology, provider, memory, parse_queries(queries_path)
 
 

@@ -127,7 +127,7 @@ class InvalidVector(ValidationError):
 
 
 class MemoryLayoutError(ValidationError):
-    """Memory columns disagree: the vectors do not fit the context flags, or an id repeats."""
+    """Memory columns disagree: vectors not 2-d or not fitting the flags, or a repeated id."""
 
 
 class BadMagic(ValidationError):
@@ -148,6 +148,18 @@ class FingerprintMismatch(ValidationError):
         )
         self.stored = stored
         self.requested = requested
+
+
+class ConceptSetMismatch(ValidationError):
+    """The memory was built from another set of concepts than the ontology lists."""
+
+    def __init__(self, missing: list[str], added: list[str]):
+        counts = [f"{len(ids)} {what}" + (f" (first {ids[0]!r})" if ids else "")
+                  for what, ids in (("missing from the ontology", missing), ("new in it", added))]
+        super().__init__(f"memory and ontology list different concepts: {', '.join(counts)}; "
+                         "rebuild the memory")
+        self.missing = missing
+        self.added = added
 
 
 # --- ranker -----------------------------------------------------------------

@@ -31,10 +31,10 @@ vectorise (Ogita, Rump and Oishi, Accurate Sum and Dot Product, 2005): a
 pairwise TwoSum tree sums each row to hi and keeps every rounding error
 exactly, the errors sum to lo with a proven bound, and fl(hi + lo) is kept
 only where the exact remainder plus that bound stays below half the gap to
-the next float toward zero, so no exact sum could round elsewhere. A second
-TwoSum tree over the errors certifies most of the rest, exact midpoints
-included, and what neither settles goes to ``math.fsum``; every sum is
-therefore fsum's, bit for bit. :func:`_exact_sums` gives the proof.
+the next float toward zero, so no exact sum could round elsewhere. What
+that certificate does not settle, exact midpoints most of all, goes to
+``math.fsum``; every sum is therefore fsum's, bit for bit. :func:`_exact_sums`
+gives the proof.
 """
 
 from __future__ import annotations
@@ -170,12 +170,15 @@ class Memory:
                  dim: int, provider_fingerprint: tuple[str, str], ontology_tag: str):
         """Take ownership of the given columns and make them read-only.
 
-        Raises :class:`MemoryLayoutError` if they disagree or an id repeats,
+        Raises :class:`MemoryLayoutError` if they disagree, ``vectors`` is not
+        2-d or an id repeats, :class:`DimMismatch` for rows of another dim,
         and :class:`InvalidVector` for a NaN, infinite, zero or out-of-range row.
         """
         vectors = np.ascontiguousarray(vectors, dtype=np.float32)
-        if vectors.ndim != 2 or vectors.shape[1] != dim:
-            raise DimMismatch(dim, vectors.shape[-1] if vectors.ndim else 0)
+        if vectors.ndim != 2:
+            raise MemoryLayoutError(f"vectors must be a 2-d array, got shape {vectors.shape}")
+        if vectors.shape[1] != dim:
+            raise DimMismatch(dim, vectors.shape[1])
         count = len(vectors)
         ids = tuple(concept_ids)
         flags = np.array(has_context, dtype=bool)
@@ -294,6 +297,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError(f"cosine takes two 1-d vectors, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise DimMismatch(a.shape[0], b.shape[0])
     squares = _row_squares(np.stack([a, b]), _SUM_BLOCK).tolist()
@@ -324,8 +329,10 @@ def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
     if len(queries) == 0:
         return []
     queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != memory.dim:
-        raise DimMismatch(memory.dim, queries.shape[-1])
+    if queries.ndim != 2:
+        raise ValueError(f"queries must be a 2-d array, got shape {queries.shape}")
+    if queries.shape[1] != memory.dim:
+        raise DimMismatch(memory.dim, queries.shape[1])
     squares = _row_squares(queries, _SUM_BLOCK)
     bad = ~((squares > 0.0) & (squares < math.inf))
     if bad.any():
@@ -508,17 +515,18 @@ def _exact_sums(columns: np.ndarray, work: np.ndarray | None = None) -> np.ndarr
 
     Sums each column of the float64 (n, m) ``columns``; raises, returns
     infinity or NaN exactly as :func:`math.fsum` does. ``work`` is scratch
-    space of at least 2 n m values; ``columns`` is left as it is.
+    space of at least 2 n m values; ``columns`` is left as it is. One
+    TwoSum tree and one certificate settle most columns, and fsum the rest.
 
     Why it is exact. Let S be a column's exact sum.
 
     - TwoSum (Knuth; Ogita, Rump and Oishi 2005, algorithm 3.1) of floats a
       and b gives s = fl(a + b) and e with s + e = a + b exactly, in any
       binary floating-point arithmetic with round-to-nearest and gradual
-      underflow, unless something overflows. Every entry is below
-      ``_SUM_LIMIT`` / n in magnitude, so no partial sum of the tree, nor
-      of fsum, comes near the overflow threshold; a column outside that
-      goes to fsum itself.
+      underflow, unless something overflows. A column is kept only if
+      each entry is below ``_SUM_LIMIT`` / n in magnitude, so no partial
+      sum of its tree, nor of fsum, comes near the overflow threshold; a
+      column with a larger entry, a NaN or an infinity goes to fsum itself.
     - The pairwise tree makes n - 1 TwoSums, so S = hi + sum(errs) exactly,
       with hi the tree's sum and errs its n - 1 errors.
     - lo, the plain float sum of errs in any order, is within gamma_n A of
@@ -535,47 +543,36 @@ def _exact_sums(columns: np.ndarray, work: np.ndarray | None = None) -> np.ndarr
       at a power of two the gap away from zero is twice as wide, elsewhere
       they are equal. The rounded sum |t| + bound can only fall below a
       power of two if the exact one does, so the test in floats is sound.
-    - A column that fails (an exact midpoint fails by construction) gets a
-      second distillation: the same tree over its errs gives hi2 and errs2,
-      S = hi + hi2 + sum(errs2) exactly, and r = fl(hi + hi2) is tested the
-      same way with bound = (1 + 4 n u) times the float sum of |errs2|.
-      When errs2 are all zero the bound is 0, hi + hi2 is S itself, and
-      IEEE addition rounds it exactly as fsum does, midpoints included.
-    - A bound of 0 certifies r = 0 as well: S is then exactly 0, and
-      CPython's fsum returns +0.0 for every exactly zero sum (it keeps no
-      zero partial), so r + 0.0 is fsum's sum. A column whose second test
-      fails goes to fsum.
+    - A bound of 0 makes lo exactly sum(errs), so hi + lo is S itself and
+      IEEE addition rounds it as fsum does, midpoints included. That keeps
+      r = 0 too, where the gap is 0: S is then exactly 0, and CPython's
+      fsum returns +0.0 for every exactly zero sum (it keeps no zero
+      partial), so r + 0.0 is fsum's sum.
+    - Every other column, an exact midpoint among them by construction,
+      goes to fsum.
     """
     n, m = columns.shape
     if n == 0 or m == 0:
         return np.zeros(m)
     if work is None:
         work = np.empty(2 * n * m)
-    peak = max(columns.max(), -columns.min())
-    if not peak < _SUM_LIMIT / n:  # NaN compares false as well
-        sums = np.empty(m)
-        fine = np.maximum(columns.max(axis=0), -columns.min(axis=0)) < _SUM_LIMIT / n
-        # in column order, so the first column fsum raises for raises first
-        for j in np.flatnonzero(~fine).tolist():
-            sums[j] = math.fsum(columns[:, j].tolist())
-        sums[fine] = _exact_sums(columns[:, fine])
-        return sums
-
-    hi, errs = _distill(columns, work[: 2 * n * m].reshape(2 * n, m))
-    lo = errs.sum(axis=0)
-    spread = np.abs(errs, out=work[(n - 1) * m : 2 * (n - 1) * m].reshape(n - 1, m))
-    sums, certified = _round(hi, lo, spread.sum(axis=0) * (n * 2.0 ** -51))
-    retry = np.flatnonzero(~certified)
-    if len(retry) and n > 1:
-        # the gathered errors are all the second tree needs beside ``work``
-        errs = errs[:, retry]
-        hi2, errs2 = _distill(errs, work[: 2 * (n - 1) * len(retry)].reshape(2 * (n - 1), -1))
-        spread = np.abs(errs2, out=work[(n - 2) * len(retry) : 2 * (n - 2) * len(retry)]
-                        .reshape(n - 2, len(retry)))
-        bound = spread.sum(axis=0) * (1.0 + n * 2.0 ** -51)
-        sums[retry], certified = _round(hi[retry], hi2, bound)
-        retry = retry[~certified]
-    for j in retry.tolist():
+    # a column the tree cannot take overflows or meets inf - inf; it is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, errs = _distill(columns, work[: 2 * n * m].reshape(2 * n, m))
+        lo = errs.sum(axis=0)
+        spread = np.abs(errs, out=work[(n - 1) * m : 2 * (n - 1) * m].reshape(n - 1, m))
+        bound = spread.sum(axis=0) * (n * 2.0 ** -51)
+        sums = hi + lo
+        back = sums - hi
+        remainder = (hi - (sums - back)) + (lo - back)
+        size = np.abs(sums)
+        half_gap = (size - np.nextafter(size, 0.0)) * 0.5
+        settled = (np.abs(remainder) + bound < half_gap) | (bound == 0.0)
+        peaks = np.abs(columns, out=work[: n * m].reshape(n, m)).max(axis=0)
+    settled &= peaks < _SUM_LIMIT / n  # NaN compares false as well
+    sums += 0.0  # an exact zero is fsum's +0.0
+    # in column order, so the first column fsum raises for raises first
+    for j in np.flatnonzero(~settled).tolist():
         sums[j] = math.fsum(columns[:, j].tolist())
     return sums
 
@@ -616,18 +613,6 @@ def _two_sum(a: np.ndarray, b: np.ndarray, s: np.ndarray, err: np.ndarray,
     np.subtract(s, scratch, out=scratch)
     np.subtract(a, scratch, out=scratch)
     np.add(err, scratch, out=err)
-
-
-def _round(hi: np.ndarray, lo: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """fl(hi + lo), and where it is certainly the correctly rounded hi + lo + d, |d| <= bound."""
-    r = hi + lo
-    back = r - hi
-    remainder = (hi - (r - back)) + (lo - back)
-    size = np.abs(r)
-    half_gap = (size - np.nextafter(size, 0.0)) * 0.5
-    certified = np.abs(remainder) + bound < half_gap
-    certified |= bound == 0.0
-    return r + 0.0, certified  # an exact zero is fsum's +0.0
 
 
 def save_memory(memory: Memory, path: str | Path) -> None:

@@ -276,6 +276,43 @@ class TestLink:
         assert link(workspace) == 0
         assert (workspace["out"] / "pred.jsonl").read_bytes() == first
 
+    @pytest.mark.parametrize("command", ["link", "ablate"])
+    @pytest.mark.parametrize("concepts, message", [
+        (CONCEPTS[1:], "1 missing from the ontology (first 'D:1'), 0 new in it;"),
+        (CONCEPTS + [Concept(id="D:6", name="Anemia of chronic disease")],
+         "0 missing from the ontology, 1 new in it (first 'D:6');"),
+    ], ids=["removed", "added"])
+    def test_other_concept_set_stops_before_queries_are_read(
+            self, workspace, capsys, monkeypatch, command, concepts, message):
+        # a concept set that changed after the build is fatal, strict or not
+        build(workspace)
+        write_ontology(workspace["ontology"], ontology_from("anemia", concepts))
+        grid = workspace["out"] / "grid.jsonl"
+        grid.write_text('{"label": "both"}\n')
+
+        def unexpected(path):
+            raise AssertionError("queries read for a memory of another concept set")
+
+        monkeypatch.setattr("conceptlinker.cli.parse_queries", unexpected)
+        out = workspace["out"] / "artifact"
+        code = main([command, "--ontology", str(workspace["ontology"]),
+                     "--queries", str(workspace["queries"]),
+                     "--memory", str(workspace["memory"]), "--output", str(out),
+                     "--dim", "64", "--endpoint", "mock:keyword",
+                     *(["--gold", str(workspace["gold"]), "--grid", str(grid)]
+                       if command == "ablate" else [])])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reordered_ontology_links_the_same(self, workspace):
+        build(workspace)
+        assert link(workspace) == 0
+        first = (workspace["out"] / "pred.jsonl").read_bytes()
+        write_ontology(workspace["ontology"], ontology_from("anemia", CONCEPTS[::-1]))
+        assert link(workspace) == 0
+        assert (workspace["out"] / "pred.jsonl").read_bytes() == first
+
     def test_no_endpoint_exits_2(self, workspace, capsys):
         build(workspace)
         code = main([

@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import random
+import re
 import string
 from unittest import mock
 
@@ -285,6 +286,10 @@ class TestCosine:
         with pytest.raises(DimMismatch):
             cosine(np.ones(3), np.ones(4))
 
+    def test_wrong_rank_names_its_shape(self):
+        with pytest.raises(ValueError, match=r"shapes \(2, 16\) and \(2, 16\)"):
+            cosine(np.ones((2, 16)), np.ones((2, 16)))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("position", [0, 1])
     # at 1e154 each square is finite but their sum is not; at 2e154 the squares overflow
@@ -348,6 +353,13 @@ class TestRetrieveTopK:
         _, _, memory = self.build(rng, 4)
         with pytest.raises(DimMismatch):
             retrieve_batch(memory, [np.ones(16)], 3)
+
+    def test_query_rank_checked(self, rng):
+        # a lone vector of the memory's dim is not a batch of queries
+        _, _, memory = self.build(rng, 4)
+        for shape in [(memory.dim,), (1, 2, memory.dim)]:
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                retrieve_batch(memory, np.ones(shape), 1)
 
     def test_variant_tie_prefers_name_only(self):
         # both variants of C1 hold the identical vector: exact tie
@@ -900,6 +912,8 @@ class TestExactSums:
         ([1e308, -1e308, 1e308, 1e308], OverflowError),
         ([math.inf, -math.inf], ValueError),
         ([math.inf, 1e308, 1e308], OverflowError),
+        # the tree's pairs cancel to 0, but fsum's running sum overflows
+        ([1e308, 1e308, -1e308, -1e308], OverflowError),
     ])
     def test_overflow_raises_as_fsum_does(self, row, error):
         with pytest.raises(error):
@@ -1323,6 +1337,11 @@ def test_memory_rejects_wrong_entry_dim():
     entry = ("C1", Variant.NAME_ONLY, np.ones(8, dtype=np.float32))
     with pytest.raises(DimMismatch):
         memory_from_rows([entry], 16)
+
+
+def test_memory_rejects_vectors_that_are_not_a_matrix():
+    with pytest.raises(MemoryLayoutError, match=r"got shape \(16,\)"):
+        Memory(["C1"], [False], np.ones(16, dtype=np.float32), 16, ("p", "m"), "t")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
