@@ -25,16 +25,17 @@ concept's best entry by either score, the earlier, name-only entry winning
 an exact tie. Equal vectors therefore tie exactly wherever they sit in the
 store, and runs are reproducible on any machine.
 
-The rescore does one numpy pass per chunk instead of a ``math.fsum`` per
-sum. Error-free transformations make a correctly rounded sum cheap to
-vectorise (Ogita, Rump and Oishi, Accurate Sum and Dot Product, 2005): a
-pairwise TwoSum tree sums each row to hi and keeps every rounding error
-exactly, the errors sum to lo with a proven bound, and fl(hi + lo) is kept
-only where the exact remainder plus that bound stays below half the gap to
-the next float toward zero, so no exact sum could round elsewhere. What
-that certificate does not settle, exact midpoints most of all, goes to
-``math.fsum``; every sum is therefore fsum's, bit for bit. :func:`_exact_sums`
-gives the proof.
+A query's squares, like each sum :func:`cosine` makes, are one plain
+``math.fsum``. The rescore, a dot and an entry square for every pick, takes
+a fast path to the same values, one numpy pass per chunk: error-free
+transformations make a correctly rounded sum cheap to vectorise (Ogita,
+Rump and Oishi, Accurate Sum and Dot Product, 2005). A pairwise TwoSum tree
+sums each row to hi and keeps every rounding error exactly, the errors sum
+to lo with a proven bound, and fl(hi + lo) is kept only where the exact
+remainder plus that bound stays below half the gap to the next float
+toward zero, so no exact sum could round elsewhere. What that certificate
+does not settle, exact midpoints most of all, goes to ``math.fsum``; every
+sum is therefore fsum's, bit for bit. :func:`_exact_sums` gives the proof.
 """
 
 from __future__ import annotations
@@ -287,13 +288,12 @@ def _offending(ids: Sequence[str], exc: LinkerError) -> str:
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity in [-1, 1], computed in float64 independent of summation order.
 
-    ``fsum(a*b) / (sqrt(fsum(a*a)) * sqrt(fsum(b*b)))``, clipped: each sum
-    is exactly rounded, and products of float32 values are exact in float64,
-    so the result depends only on the two vectors, never on a kernel. It
-    divides by both norms rather than trusting unit inputs: float32 storage
-    leaves norms a hair off 1, and self-similarity must stay at 1.0.
-    An argument that is zero, holds a NaN or an infinity, or whose squares
-    sum past the largest float raises :class:`InvalidVector`.
+    ``fsum(a*b) / (sqrt(fsum(a*a)) * sqrt(fsum(b*b)))``, clipped, as written:
+    each sum is exactly rounded and float32 products are exact in float64, so
+    the result depends on the two vectors alone, never on a kernel. Both norms
+    divide, as float32 storage leaves them a hair off 1 and self-similarity
+    must stay 1.0. An argument that is zero, holds a NaN or an infinity, or
+    whose squares sum past the largest float raises :class:`InvalidVector`.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -301,12 +301,27 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"cosine takes two 1-d vectors, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise DimMismatch(a.shape[0], b.shape[0])
-    squares = _row_squares(np.stack([a, b]), _SUM_BLOCK).tolist()
-    for position, square in enumerate(squares):
-        if not 0.0 < square < math.inf:
-            raise InvalidVector("cosine argument", position)
-    dot = _exact_sums((a * b)[:, None]).item()
-    return min(1.0, max(-1.0, dot / (math.sqrt(squares[0]) * math.sqrt(squares[1]))))
+    square_a, square_b = _exact_squares((a, b), "cosine argument")
+    dot = math.fsum((a * b).tolist())
+    return min(1.0, max(-1.0, dot / (math.sqrt(square_a) * math.sqrt(square_b))))
+
+
+def _exact_squares(vectors: Sequence[np.ndarray], what: str) -> list[float]:
+    """Each vector's ``fsum`` of squares, refused as :func:`cosine` says, without a warning.
+
+    The first vector refused raises :class:`InvalidVector` as ``what``.
+    """
+    squares = []
+    with np.errstate(over="ignore"):
+        for row, vector in enumerate(vectors):
+            try:
+                square = math.fsum((vector * vector).tolist())
+            except OverflowError:  # a sum fsum cannot hold
+                square = math.inf
+            if not 0.0 < square < math.inf:
+                raise InvalidVector(what, row)
+            squares.append(square)
+    return squares
 
 
 def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
@@ -324,19 +339,16 @@ def retrieve_batch(memory: Memory, queries: Sequence[np.ndarray] | np.ndarray,
     clear them and a rescore scratch of about 1.5 times their size, so its
     working memory does not grow with the store.
     """
+    queries = np.asarray(queries, dtype=np.float64)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if len(queries) == 0:
+    if queries.shape[:1] == (0,):
         return []
-    queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ValueError(f"queries must be a 2-d array, got shape {queries.shape}")
     if queries.shape[1] != memory.dim:
         raise DimMismatch(memory.dim, queries.shape[1])
-    squares = _row_squares(queries, _SUM_BLOCK)
-    bad = ~((squares > 0.0) & (squares < math.inf))
-    if bad.any():
-        raise InvalidVector("query", int(np.flatnonzero(bad)[0]))
+    squares = np.array(_exact_squares(queries, "query"))
     if len(memory) == 0:
         return [[] for _ in queries]
 
@@ -489,25 +501,6 @@ def _pair_sums(memory: Memory, rows: np.ndarray, owners: np.ndarray, queries: np
         cols[:, width:] = np.multiply(entries, entries, out=entries).T
         sums[:, lo : lo + width] = _exact_sums(cols, work).reshape(2, width)
     return sums[0], sums[1]
-
-
-def _row_squares(queries: np.ndarray, block: int) -> np.ndarray:
-    """``fsum`` of each query's squares, in column blocks of about ``block`` values.
-
-    A sum past the largest float, for which fsum raises, is infinity here,
-    and so is a square past it, without a warning.
-    """
-    step = max(1, block // max(1, queries.shape[1]))
-    sums = []
-    for lo in range(0, len(queries), step):
-        cols = queries[lo : lo + step].T.copy()  # never the caller's array
-        with np.errstate(over="ignore"):
-            np.multiply(cols, cols, out=cols)
-        try:
-            sums.append(_exact_sums(cols))
-        except OverflowError:  # one row at a time, to find the sums that overflow
-            sums.append(_row_squares(queries[lo : lo + step], 1) if step > 1 else [math.inf])
-    return np.concatenate(sums)
 
 
 def _exact_sums(columns: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:

@@ -270,6 +270,7 @@ class TestCosine:
         got = cosine(a, b)
         assert -1.0 <= got <= 1.0
         assert abs(got - cosine_ref(a, b)) < 1e-9
+        assert got.hex() == cosine_ref(a, b).hex()
 
     @settings(max_examples=50, deadline=None)
     @given(a=unit_vectors, b=unit_vectors)
@@ -357,9 +358,14 @@ class TestRetrieveTopK:
     def test_query_rank_checked(self, rng):
         # a lone vector of the memory's dim is not a batch of queries
         _, _, memory = self.build(rng, 4)
-        for shape in [(memory.dim,), (1, 2, memory.dim)]:
+        for shape in [(memory.dim,), (1, 2, memory.dim), ()]:
             with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
                 retrieve_batch(memory, np.ones(shape), 1)
+
+    def test_empty_batch_returns_no_slates(self, rng):
+        _, _, memory = self.build(rng, 4)
+        for queries in [[], np.ones((0,)), np.ones((0, memory.dim))]:
+            assert retrieve_batch(memory, queries, 1) == []
 
     def test_variant_tie_prefers_name_only(self):
         # both variants of C1 hold the identical vector: exact tie
