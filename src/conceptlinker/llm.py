@@ -11,6 +11,7 @@ and replays them, so a replayed run needs no network at all.
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 
 from .errors import TransportError, TranscriptMiss
@@ -188,16 +189,34 @@ class ExactMatchMockEndpoint:
 class KeywordMockEndpoint:
     """Scores options by description-word overlap with the query context.
 
-    Words of four or more letters from each option's description are
-    matched case-insensitively against the query context and term; the
-    highest overlap wins, ties going to the earlier option. Without any
-    overlap it answers by exact name match only when exactly one option
-    carries the queried name, and answers the prompt's none label
-    otherwise: names alone cannot separate homonyms. Meant to show
-    context-sensitive ranking without a live model.
+    A word is a run of four or more ASCII letters a-z in the text after
+    lowercasing. So the Kelvin sign ``K`` lowercases to ``k`` and joins a
+    word; ``İ`` lowercases to ``i`` and a combining dot, so it ends the
+    word it joins; ``é``, ``ß``, digits and hyphens split a word. An
+    option scores the number of distinct words its description shares
+    with the query term and context; the highest score wins, ties going
+    to the earlier option. Without any overlap it answers by exact name
+    match only when exactly one option carries the queried name, and
+    answers the prompt's none label otherwise: names alone cannot
+    separate homonyms. Each instance remembers the words of every
+    distinct description text it has seen for as long as it exists, so a
+    description is tokenised once however many prompts repeat it. Meant
+    to show context-sensitive ranking without a live model.
     """
 
     _word = re.compile(r"[a-z]{4,}")
+
+    def __init__(self) -> None:
+        # description text -> its distinct words, interned; threads that
+        # race on a new text only compute the same tuple twice
+        self._words: dict[str, tuple[str, ...]] = {}
+
+    def _option_words(self, description: str) -> tuple[str, ...]:
+        words = self._words.get(description)
+        if words is None:
+            words = tuple(map(sys.intern, set(self._word.findall(description.lower()))))
+            self._words[description] = words
+        return words
 
     def complete(self, prompt: str) -> str:
         mention, context, options = parse_prompt(prompt)
@@ -206,7 +225,7 @@ class KeywordMockEndpoint:
         for i, (_, description) in enumerate(options):
             if not description:
                 continue
-            score = len(set(self._word.findall(description.lower())) & haystack)
+            score = len(haystack.intersection(self._option_words(description)))
             if score > best_score:
                 best_index, best_score = i, score
         if best_index is not None:

@@ -131,3 +131,60 @@ def parse_response_ref(text: str, n_options: int, none_label: str = "None"):
     if re.search(rf"(?<!\w){re.escape(none_label.strip())}(?!\w)", text, re.IGNORECASE):
         return "none", None
     return "parse_failure", None
+
+
+def _words_ref(text: str) -> set[str]:
+    """Runs of four or more letters a-z in the lowercased text, one character at a time."""
+    words, run = set(), ""
+    for char in text.lower() + " ":
+        if "a" <= char <= "z":
+            run += char
+            continue
+        if len(run) >= 4:
+            words.add(run)
+        run = ""
+    return words
+
+
+def keyword_mock_ref(prompt: str) -> str:
+    """The keyword mock's reply to a rendered prompt, by its rule, remembering nothing.
+
+    The last ``Query term: `` line gives the term, and an ``<abstract>``
+    block right under it the context. The lines ``0: ...``, ``1: ...`` after
+    the last ``Options:`` line are the options, each ``name | description``
+    or a bare name. The option whose description shares the most distinct
+    words with the term and context wins, the earlier on a tie. With no
+    word shared, the one option named as the term (trimmed, case-insensitive)
+    wins; with none or several, the reply is the label of the last
+    none-of-the-above line.
+    """
+    lines = prompt.splitlines()
+    query_at = max(i for i, line in enumerate(lines) if line.startswith("Query term: "))
+    options_at = max(i for i, line in enumerate(lines) if line == "Options:")
+    mention = lines[query_at][len("Query term: "):]
+    context = ""
+    if lines[query_at + 1] == "<abstract>":
+        close = lines.index("</abstract>", query_at + 2)
+        context = "\n".join(lines[query_at + 2 : close])
+    options = []
+    for line in lines[options_at + 1 :]:
+        if not line.startswith(f"{len(options)}: "):
+            break
+        name, _, description = line[len(f"{len(options)}: "):].partition(" | ")
+        options.append((name, description))
+
+    haystack = _words_ref(f"{mention} {context}")
+    best, best_score = None, 0
+    for i, (_, description) in enumerate(options):
+        score = len(_words_ref(description) & haystack)
+        if score > best_score:
+            best, best_score = i, score
+    if best is None:
+        named = [i for i, (name, _) in enumerate(options)
+                 if name.strip().lower() == mention.strip().lower()]
+        if len(named) == 1:
+            best = named[0]
+    if best is not None:
+        return f"option {best}"
+    suffix = ": none of the above options match"
+    return next(line for line in reversed(lines) if line.endswith(suffix))[: -len(suffix)]

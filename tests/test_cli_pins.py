@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import logging
 from pathlib import Path
 
@@ -71,6 +72,27 @@ def test_memory_pin(demo):
     assert sha256(demo / "memory.bin") == PINS["memory"]
     printed = (demo / "build.out").read_text(encoding="utf-8").splitlines()
     assert f"sha256: {PINS['memory']}" in printed
+
+
+def test_memory_pin_from_a_whitespace_mangled_ontology(demo, tmp_path):
+    # the CLI smoke step's copy: every space in a name or description is a
+    # mixed whitespace run, the same run sits at both ends, ids are untouched
+    run = " \t\u00a0\r\n\u3000  \u2029\x0b"
+    spaced = tmp_path / "spaced.jsonl"
+    with open(DATA / "ontology.jsonl", encoding="utf-8") as src, \
+            open(spaced, "w", encoding="utf-8") as out:
+        for line in src:
+            obj = json.loads(line)
+            for key in ("name", "description"):
+                if key in obj:
+                    obj[key] = run + obj[key].replace(" ", run) + run
+            out.write(json.dumps(obj) + "\n")
+    assert spaced.read_bytes() != (DATA / "ontology.jsonl").read_bytes()
+    code, out, err = run_cli(demo, "build-memory", "--ontology", str(spaced), "--tag", "ontology",
+                             "--output", str(tmp_path / "spaced.bin"))
+    assert (code, err) == (0, "")
+    assert sha256(tmp_path / "spaced.bin") == PINS["memory"]
+    assert f"sha256: {PINS['memory']}" in out.splitlines()
 
 
 def test_retrieve_pin(demo):

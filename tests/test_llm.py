@@ -3,27 +3,39 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptlinker import (
     Candidate,
+    Concept,
     ExactMatchMockEndpoint,
     HttpCompletionEndpoint,
     KeywordMockEndpoint,
     OneShotExample,
     PromptConfig,
+    Query,
     ScriptedEndpoint,
     TranscriptStore,
     Variant,
     build_prompt,
+    fit_prompt,
     parse_prompt,
     prompt_digest,
 )
 from conceptlinker import transport
 from conceptlinker.errors import Timeout, TranscriptMiss, TransportError
+from conceptlinker.ranker import estimate_tokens
 
+from .conftest import ontology_from
+from .oracles import keyword_mock_ref
 from .test_embedding import FakeResponse, FakeSession
 from .test_ranker import (
     fixture_candidates,
@@ -282,8 +294,6 @@ def render_fixture(config: PromptConfig | None = None) -> str:
 
 class TestExactMatchMock:
     def test_matches_name(self):
-        from conceptlinker import Query
-
         prompt = build_prompt(
             Query(id="q", mention="Thrombocytopenia"),
             fixture_candidates(), fixture_ontology(), PromptConfig(),
@@ -291,8 +301,6 @@ class TestExactMatchMock:
         assert ExactMatchMockEndpoint().complete(prompt) == "option 1"
 
     def test_case_insensitive(self):
-        from conceptlinker import Query
-
         prompt = build_prompt(
             Query(id="q", mention="HEMOPHILIA"),
             fixture_candidates(), fixture_ontology(), PromptConfig(),
@@ -321,8 +329,6 @@ class TestKeywordMock:
         assert KeywordMockEndpoint().complete(render_fixture()) == "option 0"
 
     def test_without_descriptions_falls_back_to_unique_name(self):
-        from conceptlinker import Query
-
         prompt = build_prompt(
             Query(id="q", mention="Hemophilia"),
             fixture_candidates(), fixture_ontology(),
@@ -331,10 +337,6 @@ class TestKeywordMock:
         assert KeywordMockEndpoint().complete(prompt) == "option 2"
 
     def test_ambiguous_name_abstains(self):
-        from conceptlinker import Concept, Query
-
-        from .conftest import ontology_from
-
         twins = ontology_from("twins", [
             Concept(id="A:1", name="Cold", description="Viral infection of the nose"),
             Concept(id="A:2", name="Cold", description="Sensation of low temperature"),
@@ -356,3 +358,102 @@ class TestKeywordMock:
             )
             == "None"
         )
+
+
+# shared words, and characters on both sides of the a-z rule: the Kelvin
+# sign lowercases to k and U+0130 to i and a combining dot; é and ß stay
+_WORDS = (
+    "platelet", "Platelets", "aggregation", "KINASE", "\u212aINASE", "kinase",
+    "\u0130NHIBITOR", "inhib\u0130tor", "DISORDER", "café", "caféine", "straße",
+    "covid-19", "type2", "anti-thrombin", "marrow", "blood", "cells", "of", "x7",
+)
+_NAMES = ("Cold", "cold ", "\u212ainase deficiency", "\u0130nhibitor", "Marrow failure")
+_SENTENCES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=40).map(" ".join)
+# long enough that fit_prompt's cuts at 300, 150 and 75 characters all bite
+_DESCRIPTIONS = st.lists(st.sampled_from(_WORDS), min_size=20, max_size=120).map(" ".join)
+
+# the benchmark's grid: the four arms of demos/data/grid.jsonl, then one-shot
+_ARMS = (
+    PromptConfig(),
+    PromptConfig(include_candidate_context=False),
+    PromptConfig(include_source_context=False),
+    PromptConfig(include_source_context=False, include_candidate_context=False),
+    PromptConfig(one_shot=OneShotExample(
+        query="marrow failure",
+        options="0: aplastic anemia | failure of the bone marrow to make blood cells\n"
+                "1: marrow edema | fluid within the bone marrow",
+        answer="option 0",
+    )),
+)
+# the description lengths fit_prompt tries in turn; None drops them
+_SHED_TO = (600, 300, 150, 75, None)
+
+
+@st.composite
+def mock_prompts(draw) -> list[str]:
+    """Prompts over one generated ontology, under every arm and several budgets."""
+    descriptions = draw(st.lists(_DESCRIPTIONS, min_size=1, max_size=4))
+    concepts = [
+        Concept(id=f"C{i}", name=draw(st.sampled_from(_NAMES)),
+                description=draw(st.none() | st.sampled_from(descriptions)))
+        for i in range(draw(st.integers(1, 6)))
+    ]
+    ontology = ontology_from("mock", concepts)
+    prompts = []
+    for i in range(draw(st.integers(1, 3))):
+        query = Query(id=f"q{i}", mention=draw(st.sampled_from(_NAMES) | _SENTENCES),
+                      context=draw(st.none() | _SENTENCES))
+        ids = draw(st.permutations([c.id for c in concepts]))
+        candidates = [Candidate(id, 0.5, Variant.NAME_ONLY)
+                      for id in ids[: draw(st.integers(1, len(ids)))]]
+        for config in _ARMS:
+            prompts.append(fit_prompt(query, candidates, ontology, config))
+            for chars in _SHED_TO:  # the budget that this length just fits
+                shed = (replace(config, max_option_context_chars=chars) if chars
+                        else replace(config, include_candidate_context=False))
+                budget = estimate_tokens(build_prompt(query, candidates, ontology, shed))
+                prompts.append(fit_prompt(query, candidates, ontology, config, budget))
+    return prompts
+
+
+class TestKeywordMockOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mock_prompts())
+    def test_one_endpoint_matches_the_oracle_on_every_call(self, prompts):
+        endpoint = KeywordMockEndpoint()
+        assert [endpoint.complete(p) for p in prompts] == [keyword_mock_ref(p) for p in prompts]
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(mock_prompts())
+    def test_one_endpoint_shared_by_threads_answers_as_in_sequence(self, prompts):
+        expected = [KeywordMockEndpoint().complete(p) for p in prompts]
+        shared = KeywordMockEndpoint()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        start = threading.Barrier(4)
+
+        def answer_all() -> list[str]:
+            start.wait(timeout=60)  # so the four meet each new text at about the same time
+            return [shared.complete(p) for p in prompts]
+
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(answer_all) for _ in range(4)]
+                answers = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [expected] * 4
+
+    def test_store_grows_with_distinct_option_texts_not_calls(self):
+        prompts = [
+            render_fixture(PromptConfig(max_option_context_chars=chars))
+            for chars in (600, 100, 50)
+        ]
+        texts = {d for p in prompts for _, d in parse_prompt(p)[2] if d}
+        assert len(texts) == 5  # both descriptions whole, and cut at 100 and at 50
+        endpoint = KeywordMockEndpoint()
+        first = [endpoint.complete(p) for p in prompts]
+        assert set(endpoint._words) == texts
+        assert [endpoint.complete(p) for p in prompts] == first
+        assert set(endpoint._words) == texts
+        assert KeywordMockEndpoint()._words == {}
