@@ -64,8 +64,7 @@ _MOCK_ENDPOINTS = {
 # Every setting: name -> (config-file section, key, default, flag help). The
 # name is the dest of the flag ``--<name with dashes>``, which a bool default
 # makes ``--x/--no-x`` and an int default an integer flag; the five settings
-# without help have no flag and are config-file only. ``tag`` defaults to the
-# ontology file's stem.
+# without help have no flag and are config-file only.
 SETTINGS = {
     "ontology": ("paths", "ontology", None, "ontology concepts file (JSON Lines)"),
     "queries": ("paths", "queries", None, "queries file (JSON Lines)"),
@@ -93,7 +92,6 @@ SETTINGS = {
            "comma-separated hits@k cutoffs (default 1,5,10)"),
     "concurrency": ("run", "concurrency", DEFAULT_CONCURRENCY, "parallel ranking calls"),
     "strict": ("run", "strict", False, "fail instead of warn on a remote fingerprint mismatch"),
-    "tag": ("run", "tag", None, "ontology tag (defaults to the ontology file stem)"),
     "source_context": ("prompt", "source_context", True,
                        "include the query's context block in prompts"),
     "candidate_context": ("prompt", "candidate_context", True,
@@ -234,11 +232,6 @@ def _prompt_config(s: Settings) -> PromptConfig:
     )
 
 
-def _read_ontology(s: Settings, path: Path):
-    tag = s.get("tag")
-    return parse_ontology(path, path.stem if tag is None else tag)
-
-
 def _open_inputs(s: Settings, *, with_ontology: bool = False):
     """Check the input paths, ``strict`` and the provider, then read the
     ontology (if asked for), the memory and, if its dim, provider and
@@ -252,7 +245,7 @@ def _open_inputs(s: Settings, *, with_ontology: bool = False):
     memory_path = s.input_path("memory")
     strict = s.boolean("strict")
     provider = _provider(s)
-    ontology = None if ontology_path is None else _read_ontology(s, ontology_path)
+    ontology = None if ontology_path is None else parse_ontology(ontology_path, ontology_path.stem)
     memory = load_memory(memory_path)
     if memory.dim != provider.spec.dim:
         raise DimMismatch(memory.dim, provider.spec.dim)
@@ -273,7 +266,7 @@ def cmd_build_memory(s: Settings) -> int:
     out = s.output_path("memory", fallback="memory")
     provider = _provider(s)
 
-    ontology = _read_ontology(s, ontology_path)
+    ontology = parse_ontology(ontology_path, ontology_path.stem)
     memory = build_memory(ontology, provider)
     save_memory(memory, out)
 

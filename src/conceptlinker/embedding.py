@@ -309,7 +309,7 @@ class RemoteProvider:
         reply = post_json(self.session, self.spec.endpoint, body, self.spec.timeout)
         try:
             fetched = [row["embedding"] for row in reply.json()["data"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise TransportError(reply.status_code, f"malformed reply: {exc}") from None
         if len(fetched) != len(inputs):
             raise TransportError(

@@ -34,8 +34,8 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
 
     Line numbers count universal-newline lines (``\\n``, ``\\r\\n`` or a lone
     ``\\r``). Blank lines and lines starting with ``#`` are skipped; a line
-    that is not valid JSON, or not a JSON object, raises
-    :class:`MalformedRecord`.
+    that is not valid JSON, is nested too deep to decode, or is not a JSON
+    object raises :class:`MalformedRecord`.
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -46,6 +46,8 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 obj, end = _decode(stripped)
             except json.JSONDecodeError:
                 end = -1
+            except RecursionError:
+                raise MalformedRecord(lineno, "invalid JSON (nested too deep)") from None
             if end != len(stripped):
                 # the line ends in non-whitespace, so json.loads rejects it
                 # too, and its message (extra data, a BOM, ...) is reported
@@ -89,10 +91,11 @@ class KeyedLog:
 
     ``entry(row, lineno)`` maps a row to its (key, value); a later row
     replaces an earlier one with the same key. Loading logs and skips lines
-    that are not UTF-8 JSON or that ``entry`` rejects, such as the truncated
-    last line of a killed process; the first append then starts a new line
-    after it. An appended row is checked with ``lineno`` 0, and one whose
-    value equals the stored one is not written again.
+    that are not UTF-8 JSON, that nest too deep to decode, or that ``entry``
+    rejects, such as the truncated last line of a killed process; the first
+    append then starts a new line after it. An appended row is checked with
+    ``lineno`` 0, and one whose value equals the stored one is not written
+    again.
     """
 
     def __init__(self, path: str | Path, what: str,
@@ -112,7 +115,7 @@ class KeyedLog:
                     try:
                         key, value = entry(json.loads(line.decode("utf-8")), lineno)
                         self._rows[key] = value
-                    except (ValueError, MalformedRecord):
+                    except (ValueError, RecursionError, MalformedRecord):
                         logger.warning("skipping malformed %s line %d in %s",
                                        what, lineno, self.path)
 

@@ -67,7 +67,7 @@ def _extract_content(reply: requests.Response) -> str:
     try:
         body = reply.json()
         content = body["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
         raise TransportError(reply.status_code, f"malformed completion body: {exc}")
     if not isinstance(content, str):
         raise TransportError(reply.status_code, "completion content is not a string")

@@ -168,7 +168,7 @@ class Memory:
     """
 
     def __init__(self, concept_ids: Sequence[str], has_context: Sequence[bool], vectors: np.ndarray,
-                 dim: int, provider_fingerprint: tuple[str, str], ontology_tag: str):
+                 dim: int, provider_fingerprint: tuple[str, str]):
         """Take ownership of the given columns and make them read-only.
 
         Raises :class:`MemoryLayoutError` if they disagree, ``vectors`` is not
@@ -203,7 +203,6 @@ class Memory:
         self.has_context = flags
         self.dim = dim
         self.provider_fingerprint = tuple(provider_fingerprint)
-        self.ontology_tag = ontology_tag
         self._inv_norms = (1.0 / norms).astype(np.float32)
         self._concepts = np.repeat(np.arange(len(ids)), 1 + flags)  # each entry's concept
         self._name_rows = _name_rows(flags)
@@ -265,7 +264,7 @@ def build_memory(ontology: Ontology, provider: Provider) -> Memory:
             vectors[rows[part]] = checked_batch(batch, len(rows[part]), spec.dim)
             del batch  # so the next slice is not embedded while this one is held
 
-    return Memory(ids, has_context, vectors, spec.dim, spec.fingerprint, ontology.tag)
+    return Memory(ids, has_context, vectors, spec.dim, spec.fingerprint)
 
 
 def checked_batch(batch: np.ndarray, texts: int, dim: int) -> np.ndarray:
@@ -614,10 +613,10 @@ def save_memory(memory: Memory, path: str | Path) -> None:
     Missing parent directories are created.
 
     Layout: one UTF-8 JSON header line (``format_version``, ``dim``,
-    ``provider_id``, ``model_id``, ``ontology_tag``, ``entry_count`` and the
-    ``concept_ids`` table), then one context flag byte per concept (1 if it
-    has a context row, else 0), then the float32 little-endian
-    (entry_count, dim) matrix, each concept's name row before its context row.
+    ``provider_id``, ``model_id``, ``entry_count`` and the ``concept_ids``
+    table), then one context flag byte per concept (1 if it has a context
+    row, else 0), then the float32 little-endian (entry_count, dim) matrix,
+    each concept's name row before its context row.
     """
     header = json.dumps(
         {
@@ -625,7 +624,6 @@ def save_memory(memory: Memory, path: str | Path) -> None:
             "dim": memory.dim,
             "provider_id": memory.provider_fingerprint[0],
             "model_id": memory.provider_fingerprint[1],
-            "ontology_tag": memory.ontology_tag,
             "entry_count": len(memory),
             "concept_ids": list(memory.concept_ids),
         },
@@ -649,14 +647,15 @@ def load_memory(
     raises :class:`BadMagic`, one from another format version
     :class:`VersionMismatch`, and a NaN, infinite or zero vector
     :class:`InvalidVector`. An ``expected_provider`` goes to
-    :func:`check_provider`.
+    :func:`check_provider`. Header keys it does not read, such as the
+    ``ontology_tag`` of older v3 files, are ignored.
     """
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
             if not isinstance(header, dict):
                 raise ValueError("header is not an object")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise BadMagic(f"not a memory file: {exc}") from None
         version = header.get("format_version")
         if version != FORMAT_VERSION:
@@ -665,7 +664,6 @@ def load_memory(
             dim = record_field(header, "dim", 1, int)
             fingerprint = (record_field(header, "provider_id", 1),
                            record_field(header, "model_id", 1))
-            tag = record_field(header, "ontology_tag", 1)
             count = record_field(header, "entry_count", 1, int)
             ids = record_field(header, "concept_ids", 1, list)
         except MalformedRecord as exc:
@@ -686,7 +684,7 @@ def load_memory(
         vectors = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
 
     try:
-        memory = Memory(ids, flags, vectors, dim, fingerprint, tag)
+        memory = Memory(ids, flags, vectors, dim, fingerprint)
     except MemoryLayoutError as exc:
         raise BadMagic(f"corrupt memory file: {exc}") from None
     if expected_provider is not None:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import logging
 import random
 import string
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from conceptlinker import (
     Query,
     Variant,
 )
+from conceptlinker.cli import main
 
 MASTER_SEED = 20260823
 
@@ -145,7 +151,7 @@ def memory_from_rows(rows, dim: int) -> Memory:
             assert ids[-1:] == [concept_id] and not has_context[-1], "a stray context row"
             has_context[-1] = True
     vectors = np.stack([vector for _, _, vector in rows])
-    return Memory(ids, has_context, vectors, dim, ("local-trigram", "m"), "t")
+    return Memory(ids, has_context, vectors, dim, ("local-trigram", "m"))
 
 
 def memory_rows(memory: Memory) -> list[tuple[str, Variant, np.ndarray]]:
@@ -156,6 +162,38 @@ def memory_rows(memory: Memory) -> list[tuple[str, Variant, np.ndarray]]:
         for concept_id, flag in zip(memory.concept_ids, memory.has_context.tolist())
         for variant in (Variant.NAME_ONLY, Variant.NAME_WITH_CONTEXT)[: 1 + flag]
     ]
+
+
+# --- the in-process CLI runner ----------------------------------------------
+
+class CliRun(NamedTuple):
+    code: int
+    out: str
+    err: str  # stderr, logging included
+    created: set[Path]  # the files the run left under its root that were not there before
+
+
+def run_cli(root: Path, *argv: str) -> CliRun:
+    """``cli.main`` on ``argv`` with ``root``'s ``run.ini``, in process.
+
+    An argparse exit is returned as the exit code it carries.
+    """
+    def files() -> set[Path]:
+        return {path for path in root.rglob("*") if path.is_file()}
+
+    before = files()
+    out, err = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(err)
+    logger = logging.getLogger()
+    logger.addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(root / "run.ini")])
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        logger.removeHandler(handler)
+    return CliRun(code, out.getvalue(), err.getvalue(), files() - before)
 
 
 # --- acceptance criteria reporting ------------------------------------------

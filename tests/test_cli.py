@@ -28,7 +28,14 @@ from conceptlinker import (
 from conceptlinker import cli as cli_module
 from conceptlinker.cli import SETTINGS, main
 
-from .conftest import ontology_from, write_gold, write_jsonl, write_ontology, write_queries
+from .conftest import (
+    ontology_from,
+    run_cli,
+    write_gold,
+    write_jsonl,
+    write_ontology,
+    write_queries,
+)
 
 CONCEPTS = [
     Concept(id="D:1", name="Iron deficiency anemia",
@@ -90,7 +97,7 @@ def build(workspace, *extra) -> int:
 
 def save_remote_memory(workspace, model: str) -> None:
     """A one-concept memory whose vectors came from the remote embedder ``model``."""
-    memory = Memory(["D:1"], [False], np.ones((1, 64)), 64, ("remote", model), "anemia")
+    memory = Memory(["D:1"], [False], np.ones((1, 64)), 64, ("remote", model))
     save_memory(memory, workspace["memory"])
 
 
@@ -283,7 +290,7 @@ class TestLink:
          "0 missing from the ontology, 1 new in it (first 'D:6');"),
     ], ids=["removed", "added"])
     def test_other_concept_set_stops_before_queries_are_read(
-            self, workspace, capsys, monkeypatch, command, concepts, message):
+            self, workspace, monkeypatch, command, concepts, message):
         # a concept set that changed after the build is fatal, strict or not
         build(workspace)
         write_ontology(workspace["ontology"], ontology_from("anemia", concepts))
@@ -294,16 +301,17 @@ class TestLink:
             raise AssertionError("queries read for a memory of another concept set")
 
         monkeypatch.setattr("conceptlinker.cli.parse_queries", unexpected)
-        out = workspace["out"] / "artifact"
-        code = main([command, "--ontology", str(workspace["ontology"]),
-                     "--queries", str(workspace["queries"]),
-                     "--memory", str(workspace["memory"]), "--output", str(out),
-                     "--dim", "64", "--endpoint", "mock:keyword",
-                     *(["--gold", str(workspace["gold"]), "--grid", str(grid)]
-                       if command == "ablate" else [])])
-        assert code == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+        write_config(workspace, "")
+        run = run_cli(workspace["out"], command, "--ontology", str(workspace["ontology"]),
+                      "--queries", str(workspace["queries"]),
+                      "--memory", str(workspace["memory"]),
+                      "--output", str(workspace["out"] / "artifact"),
+                      "--dim", "64", "--endpoint", "mock:keyword",
+                      *(["--gold", str(workspace["gold"]), "--grid", str(grid)]
+                        if command == "ablate" else []))
+        # no output, and for link no journal beside it
+        assert (run.code, run.created) == (2, set())
+        assert message in run.err
 
     def test_reordered_ontology_links_the_same(self, workspace):
         build(workspace)
@@ -513,6 +521,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "line 1: malformed record: field 'query_id' is not a string" in err
 
+    @pytest.mark.parametrize("table, line", [
+        ("q1\tD:1\t0.690430\toption\n", 1),  # the tab-separated table of old
+        (None, 2),  # a repeated row would count twice towards recall
+    ], ids=["tab-separated", "repeated"])
+    def test_malformed_predictions_row_exits_2(self, workspace, table, line):
+        path = workspace["out"] / "pred.jsonl"
+        if table is None:
+            write_predictions_file(path, [("q1", "D:1", 0.9)] * 2)
+        else:
+            path.write_text(table)
+        write_config(workspace, f"[paths]\ngold = {workspace['gold']}\n")
+        run = run_cli(workspace["out"], "evaluate", "--predictions", str(path),
+                      "--output", str(workspace["out"] / "report.json"))
+        assert (run.code, run.created) == (2, set())
+        assert f"line {line}: malformed record" in run.err
+        assert "Traceback" not in run.err
+
     def test_requires_exactly_one_input(self, workspace, capsys):
         path = self.stage_predictions(workspace)
         assert main(["evaluate", "--gold", str(workspace["gold"])]) == 2
@@ -626,7 +651,7 @@ class Stop(ValidationError):
 class TestConfigKeys:
     """Each key the CLI reads from a config file reaches what it configures."""
 
-    def test_build_memory_paths_tag_and_local_provider(self, workspace, capsys):
+    def test_build_memory_paths_and_local_provider(self, workspace, capsys):
         config = write_config(workspace, (
             "[paths]\n"
             f"ontology = {workspace['ontology']}\n"
@@ -634,14 +659,10 @@ class TestConfigKeys:
             "[provider]\n"
             "kind = local\n"
             "dim = 32\n"
-            "[run]\n"
-            "tag = from-config\n"
         ))
         assert main(["build-memory", "--config", str(config)]) == 0
         assert "provider: local-trigram/trigram-d32-s0" in capsys.readouterr().out
-        memory = load_memory(workspace["memory"])
-        assert memory.ontology_tag == "from-config"
-        assert memory.dim == 32
+        assert load_memory(workspace["memory"]).dim == 32
 
     def test_remote_provider_settings(self, workspace, monkeypatch):
         seen = {}
@@ -901,6 +922,8 @@ READERS = ("parse_ontology", "load_memory", "parse_queries", "parse_gold", "pars
     # a local model id is always trigram-d<dim>-s<seed>
     (["build-memory", "--model", "m"], ""),
     (["retrieve"], "[provider]\nmodel = trigram-d256-s1\n"),
+    # the memory does not depend on the ontology's file name, so nothing tags it
+    (["build-memory", "--tag", "t"], ""),
 ])
 def test_usage_errors_come_before_any_input_is_read(workspace, monkeypatch, argv, config):
     def unexpected(*args, **kwargs):
@@ -911,14 +934,66 @@ def test_usage_errors_come_before_any_input_is_read(workspace, monkeypatch, argv
     workspace["memory"].write_bytes(b"")
     grid = workspace["out"] / "grid.jsonl"
     grid.write_text("{}\n")
-    ini = write_config(workspace, config)
+    write_config(workspace, config)
     argv = [arg.format(queries=workspace["queries"], out=workspace["out"]) for arg in argv]
     inputs = ["--ontology", str(workspace["ontology"]), "--queries", str(workspace["queries"]),
               "--memory", str(workspace["memory"]), "--gold", str(workspace["gold"]),
-              "--output", str(workspace["out"] / "artifact"), "--config", str(ini)]
+              "--output", str(workspace["out"] / "artifact")]
     if argv[0] == "ablate" and "--grid" not in argv:
         inputs += ["--grid", str(grid)]
-    assert main(argv + inputs) == 2
+    run = run_cli(workspace["out"], *argv, *inputs)
+    assert (run.code, run.created) == (2, set()), run.err
+
+
+DEEP = "[" * 1000 + "]" * 1000  # 2 KB, nested past the recursion limit
+
+
+class DeepReply:
+    """A 200 reply whose body is ``DEEP``."""
+
+    status_code = 200
+
+    def json(self):
+        return json.loads(DEEP)
+
+
+@pytest.mark.parametrize("site, code, message", [
+    ("records", 2, "line 5: malformed record: invalid JSON (nested too deep)"),
+    ("memory-header", 2, "not a memory file"),
+    ("journal", 0, "skipping malformed journal line 5"),
+    ("completion-reply", 0, ""),
+    ("embedding-reply", 3, "malformed reply"),
+], ids=["records", "memory-header", "journal", "completion-reply", "embedding-reply"])
+def test_a_value_nested_1000_deep_is_refused_not_a_crash(workspace, monkeypatch,
+                                                          site, code, message):
+    monkeypatch.setattr("conceptlinker.llm.post_json", lambda *args: DeepReply())
+    monkeypatch.setattr("conceptlinker.embedding.post_json", lambda *args: DeepReply())
+    write_config(workspace, REMOTE if site == "embedding-reply" else "")
+    pred = workspace["out"] / "pred.jsonl"
+    argv = ["link", "--ontology", str(workspace["ontology"]),
+            "--queries", str(workspace["queries"]), "--memory", str(workspace["memory"]),
+            "--output", str(pred), "--dim", "64", "--endpoint", "mock:exact"]
+    build(workspace)
+    if site == "records":
+        with workspace["queries"].open("a") as fh:
+            fh.write(f'{{"id": "q5", "mention": {DEEP}}}\n')
+    elif site == "memory-header":
+        workspace["memory"].write_text(DEEP + "\n")
+    elif site == "journal":
+        assert main(argv) == 0
+        with open(str(pred) + ".details.jsonl", "a") as fh:
+            fh.write(DEEP + "\n")
+    elif site == "completion-reply":
+        argv[-1] = HTTP_ENDPOINT
+    else:
+        save_remote_memory(workspace, "m")
+        argv = ["retrieve", *argv[3:-2]]
+    run = run_cli(workspace["out"], *argv)
+    assert run.code == code, run.err
+    assert message in run.err and "Traceback" not in run.err
+    if site == "completion-reply":
+        kinds = {json.loads(line)["kind"] for line in pred.read_text().splitlines()}
+        assert kinds == {"transport_error"}
 
 
 @pytest.mark.parametrize("bad", BAD_TIMEOUTS)

@@ -1,48 +1,34 @@
-"""The CLI's output pins on ``demos/data``, run in process.
+"""The CLI's output pins on ``demos/data``.
 
 Each pin is the sha256 of a file a command writes from the demo inputs.
-The workflow's ``CLI smoke`` step checks the same pins with the same
-commands; the one-BLAS-thread ``retrieve`` check stays there, because
-``OPENBLAS_NUM_THREADS`` must be set before numpy loads.
+Every CLI check runs in tier-1 and nowhere else: these run ``cli.main`` in
+process, and one runs ``python -m conceptlinker.cli`` under
+``OPENBLAS_NUM_THREADS=1``, which must be set before numpy loads.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
-import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conceptlinker.cli import main
+import conceptlinker
 
-ROOT = Path(__file__).resolve().parents[1]
-DATA = ROOT / "demos" / "data"
-WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+from .conftest import run_cli
+
+DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 PINS = {
-    "memory": "30fdc245ccad51b8f995aa560a3a81d2f0ee869cb15873f0450eb67848412108",
+    "memory": "506b8b89b28d1e2be6bb61270eef1e2d606eca7766ed37b79e408fa6be1b4ae3",
     "retrieve": "4085e05dbcf613a78c675dc1164d98965a823a55814e901670d32a3f2ba74e5e",
     "link": "d5600f3da78ce0b520a4c677696fbcb3317497dff965a156c3985a59d3993941",
     "ablate": "9132cae55faa362996611f5b5bbc3f78736e49835a0744b992172feed480ecd7",
 }
-
-
-def run_cli(tmp: Path, *argv: str) -> tuple[int, str, str]:
-    """``main(argv)`` with ``tmp``'s ``run.ini``: its exit code, stdout, and stderr with logging."""
-    out, err = io.StringIO(), io.StringIO()
-    handler = logging.StreamHandler(err)
-    root = logging.getLogger()
-    root.addHandler(handler)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--config", str(tmp / "run.ini")])
-    finally:
-        root.removeHandler(handler)
-    return code, out.getvalue(), err.getvalue()
 
 
 def sha256(path: Path) -> str:
@@ -51,7 +37,7 @@ def sha256(path: Path) -> str:
 
 @pytest.fixture(scope="module")
 def demo(tmp_path_factory) -> Path:
-    """A directory holding the ``run.ini`` of the ``CLI smoke`` step and its built memory."""
+    """A directory holding a ``run.ini`` of the demo inputs and its built memory."""
     tmp = tmp_path_factory.mktemp("pins")
     (tmp / "run.ini").write_text(
         "[paths]\n"
@@ -62,9 +48,9 @@ def demo(tmp_path_factory) -> Path:
         f"memory = {tmp / 'memory.bin'}\n",
         encoding="utf-8",
     )
-    code, out, err = run_cli(tmp, "build-memory")
-    assert (code, err) == (0, "")
-    (tmp / "build.out").write_text(out, encoding="utf-8")
+    run = run_cli(tmp, "build-memory")
+    assert (run.code, run.err) == (0, "")
+    (tmp / "build.out").write_text(run.out, encoding="utf-8")
     return tmp
 
 
@@ -75,8 +61,9 @@ def test_memory_pin(demo):
 
 
 def test_memory_pin_from_a_whitespace_mangled_ontology(demo, tmp_path):
-    # the CLI smoke step's copy: every space in a name or description is a
-    # mixed whitespace run, the same run sits at both ends, ids are untouched
+    # every space in a name or description is a mixed whitespace run, the
+    # same run sits at both ends, ids are untouched, and the file has
+    # another name: the memory does not depend on it
     run = " \t\u00a0\r\n\u3000  \u2029\x0b"
     spaced = tmp_path / "spaced.jsonl"
     with open(DATA / "ontology.jsonl", encoding="utf-8") as src, \
@@ -88,36 +75,51 @@ def test_memory_pin_from_a_whitespace_mangled_ontology(demo, tmp_path):
                     obj[key] = run + obj[key].replace(" ", run) + run
             out.write(json.dumps(obj) + "\n")
     assert spaced.read_bytes() != (DATA / "ontology.jsonl").read_bytes()
-    code, out, err = run_cli(demo, "build-memory", "--ontology", str(spaced), "--tag", "ontology",
-                             "--output", str(tmp_path / "spaced.bin"))
-    assert (code, err) == (0, "")
+    built = run_cli(demo, "build-memory", "--ontology", str(spaced),
+                    "--output", str(tmp_path / "spaced.bin"))
+    assert (built.code, built.err) == (0, "")
     assert sha256(tmp_path / "spaced.bin") == PINS["memory"]
-    assert f"sha256: {PINS['memory']}" in out.splitlines()
+    assert f"sha256: {PINS['memory']}" in built.out.splitlines()
 
 
 def test_retrieve_pin(demo):
-    code, _, err = run_cli(demo, "retrieve", "--output", str(demo / "retrievals.jsonl"))
-    assert (code, err) == (0, "")
+    run = run_cli(demo, "retrieve", "--output", str(demo / "retrievals.jsonl"))
+    assert (run.code, run.err) == (0, "")
     assert sha256(demo / "retrievals.jsonl") == PINS["retrieve"]
+
+
+def test_module_entry_point_on_one_blas_thread(demo):
+    # one BLAS thread sums the float32 scores in another order, and the
+    # variable must be set before numpy loads, so this needs a process
+    output = demo / "retrievals-1.jsonl"
+    src = str(Path(conceptlinker.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "conceptlinker.cli", "retrieve",
+         "--config", str(demo / "run.ini"), "--output", str(output)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert sha256(output) == PINS["retrieve"]
 
 
 def test_link_pin_at_any_concurrency(demo):
     for concurrency in ("1", "4"):
         output = demo / f"predictions-{concurrency}.jsonl"
-        code, _, err = run_cli(demo, "link", "--endpoint", "mock:keyword",
-                               "--concurrency", concurrency, "--output", str(output))
-        assert (code, err) == (0, "")
+        run = run_cli(demo, "link", "--endpoint", "mock:keyword",
+                      "--concurrency", concurrency, "--output", str(output))
+        assert (run.code, run.err) == (0, "")
         assert sha256(output) == PINS["link"]
 
 
 def test_ablate_pin(demo):
-    code, _, err = run_cli(demo, "ablate", "--endpoint", "mock:keyword",
-                           "--output", str(demo / "ablation.json"))
-    assert (code, err) == (0, "")
-    assert sha256(demo / "ablation.json") == PINS["ablate"]
-
-
-def test_workflow_carries_every_pin():
-    workflow = WORKFLOW.read_text(encoding="utf-8")
-    for command, pin in PINS.items():
-        assert pin in workflow, command
+    # a plain run, a recording and its replay with no endpoint write one report
+    transcript = str(demo / "ablate-transcript.jsonl")
+    for name, endpoint in (("ablation", ["--endpoint", "mock:keyword"]),
+                           ("recorded", ["--endpoint", "mock:keyword", "--fixtures", transcript]),
+                           ("replayed", ["--fixtures", transcript])):
+        output = demo / f"{name}.json"
+        run = run_cli(demo, "ablate", *endpoint, "--output", str(output))
+        assert (run.code, run.err) == (0, "")
+        assert sha256(output) == PINS["ablate"], name

@@ -103,7 +103,6 @@ class TestBuildMemory:
         memory = build_memory(small_ontology(), provider)
         assert memory.dim == 32
         assert memory.provider_fingerprint == provider.spec.fingerprint
-        assert memory.ontology_tag == "demo"
 
     def test_empty_ontology_rejected(self):
         with pytest.raises(EmptyOntology):
@@ -462,7 +461,7 @@ class TestRetrieveTopK:
         codes = np.concatenate([[0, 1][: 1 + d] for d in described]).astype(np.uint8)
         vectors = pool[gen.integers(0, len(pool), len(index))]
         ids = [f"C{i:04d}" for i in gen.permutation(concepts)]
-        memory = Memory(ids, described, vectors, dim, ("p", "m"), "t")
+        memory = Memory(ids, described, vectors, dim, ("p", "m"))
         queries = np.concatenate([pool[:4], pool[4:8] + 0.05 * gen.normal(size=(4, dim)),
                                   gen.normal(size=(4, dim))])
         for query, slate in zip(queries, retrieve_batch(memory, queries, 25)):
@@ -1084,7 +1083,7 @@ class TestRescoreBlocks:
         gen = np.random.default_rng(10)
         vectors = gen.standard_normal(size=(40000, 16), dtype=np.float32)
         memory = Memory([f"C{i:05d}" for i in range(20000)], np.ones(20000, bool),
-                        vectors, 16, ("local-trigram", "m"), "t")
+                        vectors, 16, ("local-trigram", "m"))
         queries = vectors[::1250] + 0.1 * gen.standard_normal(size=(32, 16), dtype=np.float32)
         with mock.patch.object(memory_module, "_select", wraps=memory_module._select) as select:
             batch = retrieve_batch(memory, queries, 10)
@@ -1102,7 +1101,7 @@ class TestRescoreBlocks:
         for count in (2000, 32000):
             vectors = gen.standard_normal(size=(count, 256), dtype=np.float32)
             memory = Memory([f"C{i:05d}" for i in range(count // 2)], np.ones(count // 2, bool),
-                            vectors, 256, ("local-trigram", "m"), "t")
+                            vectors, 256, ("local-trigram", "m"))
             noise = gen.standard_normal(size=(32, 256), dtype=np.float32)
             queries = vectors[:: count // 32][:32] + 0.1 * noise
             retrieve_batch(memory, queries, 10)
@@ -1124,7 +1123,6 @@ class TestStoreFile:
         loaded = load_memory(path)
         assert loaded.dim == memory.dim
         assert loaded.provider_fingerprint == memory.provider_fingerprint
-        assert loaded.ontology_tag == memory.ontology_tag
         assert len(loaded) == len(memory)
         for a, b in zip(memory_rows(loaded), memory_rows(memory)):
             assert a[:2] == b[:2]
@@ -1176,7 +1174,7 @@ class TestStoreFile:
 
     @pytest.mark.parametrize("key, value", [
         ("dim", "32"), ("dim", 32.9), ("dim", True), ("dim", 0), ("dim", ...),
-        ("provider_id", 5), ("model_id", None), ("ontology_tag", None),
+        ("provider_id", 5), ("model_id", None), ("model_id", 5),
         ("entry_count", "3"), ("entry_count", -1), ("entry_count", ...),
         ("concept_ids", "C0000"), ("concept_ids", [1]),
         # a provider kind the program does not know
@@ -1195,6 +1193,20 @@ class TestStoreFile:
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
         with pytest.raises(BadMagic, match="memory header incomplete"):
             load_memory(path)
+
+    def test_stored_ontology_tag_is_ignored(self, tmp_path, rng):
+        # older v3 files carry the ontology's tag; it never named anything checked
+        memory = build_memory(synthetic_ontology(rng, 3), local_provider(dim=32))
+        path = tmp_path / "m.lm"
+        save_memory(memory, path)
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        assert "ontology_tag" not in header
+        header["ontology_tag"] = "ontology"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        loaded = load_memory(path)
+        assert loaded.concept_ids == memory.concept_ids
+        assert np.array_equal(loaded.vectors, memory.vectors)
 
     def test_v1_text_file_is_a_version_mismatch(self, tmp_path):
         path = tmp_path / "m.lm"
@@ -1254,7 +1266,7 @@ class TestStoreFile:
 
     def test_fingerprint_warns_by_default(self, tmp_path, caplog):
         # two remote ids may name one model; only a local side makes it fatal
-        memory = Memory(["C1"], [False], np.ones((1, 4)), 4, ("remote", "embed-a"), "t")
+        memory = Memory(["C1"], [False], np.ones((1, 4)), 4, ("remote", "embed-a"))
         path = tmp_path / "m.lm"
         save_memory(memory, path)
         with caplog.at_level("WARNING"):
@@ -1278,7 +1290,7 @@ class TestStoreFile:
     def test_fingerprint_with_a_local_side_raises(self, tmp_path, stored, requested, strict):
         # a local id names dim and seed, so two that differ never share a space
         path = tmp_path / "m.lm"
-        save_memory(Memory(["C1"], [False], np.ones((1, 4)), 4, stored, "t"), path)
+        save_memory(Memory(["C1"], [False], np.ones((1, 4)), 4, stored), path)
         with pytest.raises(FingerprintMismatch) as exc:
             load_memory(path, expected_provider=requested, strict=strict)
         assert (exc.value.stored, exc.value.requested) == (stored, requested)
@@ -1335,7 +1347,7 @@ class TestFormatV3:
 
 
 def test_memory_coerces_vectors_to_float32():
-    memory = Memory(["C1"], [False], np.ones((1, 4), dtype=np.float64), 4, ("p", "m"), "t")
+    memory = Memory(["C1"], [False], np.ones((1, 4), dtype=np.float64), 4, ("p", "m"))
     assert memory.vectors.dtype == np.float32
 
 
@@ -1347,7 +1359,7 @@ def test_memory_rejects_wrong_entry_dim():
 
 def test_memory_rejects_vectors_that_are_not_a_matrix():
     with pytest.raises(MemoryLayoutError, match=r"got shape \(16,\)"):
-        Memory(["C1"], [False], np.ones(16, dtype=np.float32), 16, ("p", "m"), "t")
+        Memory(["C1"], [False], np.ones(16, dtype=np.float32), 16, ("p", "m"))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
