@@ -289,7 +289,7 @@ class RemoteProvider:
             sent = misses[part]
             fetched = self._fetch([cleaned[i] for i in sent], sent)
             for j, vec in zip(sent, fetched):
-                out[j] = _unit(np.asarray(vec, dtype=np.float64), j)
+                out[j] = _unit(vec, j)
             if self.cache is not None:
                 for j in sent:
                     key = VectorCache.key(
@@ -299,8 +299,8 @@ class RemoteProvider:
         out[repeats] = out[[first[cleaned[i]] for i in repeats]]
         return out
 
-    def _fetch(self, inputs: list[str], indices: list[int]) -> list[list[float]]:
-        """One embedding per input, the whole reply checked before any use.
+    def _fetch(self, inputs: list[str], indices: list[int]) -> list[np.ndarray]:
+        """One float64 embedding per input, the whole reply checked before any use.
 
         ``indices`` are the inputs' positions in the caller's batch, which
         a :class:`DimMismatch` names.
@@ -315,6 +315,7 @@ class RemoteProvider:
             raise TransportError(
                 None, f"endpoint returned {len(fetched)} embeddings for {len(inputs)} inputs"
             )
+        rows = []
         for j, vec in zip(indices, fetched):
             if not isinstance(vec, list) or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec
@@ -324,7 +325,14 @@ class RemoteProvider:
                 )
             if len(vec) != self.spec.dim:
                 raise DimMismatch(self.spec.dim, len(vec), index=j)
-        return fetched
+            try:
+                rows.append(np.array(vec, dtype=np.float64))
+            except OverflowError:
+                raise TransportError(
+                    reply.status_code,
+                    f"malformed reply: embedding {j} holds an integer too large for a float",
+                ) from None
+        return rows
 
 
 def _clean_texts(texts: list[str]) -> list[str]:

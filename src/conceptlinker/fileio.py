@@ -34,8 +34,9 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
 
     Line numbers count universal-newline lines (``\\n``, ``\\r\\n`` or a lone
     ``\\r``). Blank lines and lines starting with ``#`` are skipped; a line
-    that is not valid JSON, is nested too deep to decode, or is not a JSON
-    object raises :class:`MalformedRecord`.
+    that is not valid JSON, is nested too deep to decode, is not a JSON
+    object, or holds a lone surrogate escape such as ``"\\ud800"``, which
+    no UTF-8 text can hold, raises :class:`MalformedRecord`.
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -57,6 +58,18 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                     raise MalformedRecord(lineno, f"invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict):
                 raise MalformedRecord(lineno, "record is not a JSON object")
+            # only a \ud800-\udfff escape can decode to a surrogate; the
+            # one-character test first is a memchr, so set-up time holds
+            if "\\" in stripped and ("\\ud" in stripped or "\\uD" in stripped):
+                for key, value in obj.items():
+                    try:
+                        json.dumps([key, value], ensure_ascii=False).encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise MalformedRecord(
+                            lineno, f"field {key!r} in {path} holds a lone surrogate") from None
+                    except RecursionError:
+                        # decoded at the very edge of the recursion limit
+                        raise MalformedRecord(lineno, "invalid JSON (nested too deep)") from None
             yield lineno, obj
 
 

@@ -11,6 +11,7 @@ retryable.
 from __future__ import annotations
 
 import logging
+import os
 import threading
 from pathlib import Path
 
@@ -31,6 +32,60 @@ from .ranker import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_CONCURRENCY = 4
+
+# helper threads parked between link_queries calls, each lent to one call
+# at a time; the list grows when a call needs more helpers than are idle
+_idle: list[_Helper] = []
+_idle_lock = threading.Lock()
+
+
+class _Helper:
+    """A daemon thread that runs the tasks it is lent and parks on a semaphore between them.
+
+    After each task it goes back to the idle list and then releases the
+    lender's ``done`` semaphore; a task that raises ends the thread, so a
+    helper in an unknown state is never lent again.
+    """
+
+    def __init__(self) -> None:
+        self.wake = threading.Semaphore(0)
+        self.task = None
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self.wake.acquire()
+            (task, done), self.task = self.task, None
+            try:
+                task()
+                task = None  # a parked helper keeps nothing of the call it served
+                with _idle_lock:
+                    _idle.append(self)
+            finally:
+                done.release()
+
+
+def _lend(task, count: int) -> threading.Semaphore:
+    """Run ``task`` on ``count`` helpers; the semaphore returned is released as each one ends."""
+    with _idle_lock:
+        helpers = [_idle.pop() for _ in range(min(count, len(_idle)))]
+    helpers += [_Helper() for _ in range(count - len(helpers))]
+    done = threading.Semaphore(0)
+    for helper in helpers:
+        helper.task = (task, done)
+        helper.wake.release()
+    return done
+
+
+def _forget_helpers() -> None:
+    # a forked child holds none of its parent's threads, and the lock may
+    # have been held by one of them
+    global _idle, _idle_lock
+    _idle, _idle_lock = [], threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def retrieve_for_queries(
@@ -123,9 +178,11 @@ def link_queries(
 
     The calling thread and up to ``concurrency - 1`` helper threads take
     pending queries one at a time, so at most ``concurrency`` completions
-    are in flight; ``concurrency=1`` ranks inline. Every prompt sent fits
-    ``token_budget`` estimated tokens, when one is given. The journal, when
-    given, is consulted before and appended after each query. Once a query
+    are in flight; ``concurrency=1`` ranks inline. Helpers are lent from a
+    per-process idle list and parked there between calls, so a process
+    starts each helper once. Every prompt sent fits ``token_budget``
+    estimated tokens, when one is given. The journal, when given, is
+    consulted before and appended after each query. Once a query
     raises, or the caller is interrupted, no further query is started; the
     calls in flight finish and are journaled, then the exception of the
     earliest failing query in input order propagates.
@@ -173,18 +230,16 @@ def link_queries(
                 failures[i] = exc
                 stop.set()
 
-    helpers = [threading.Thread(target=drain)
-               for _ in range(min(concurrency, len(pending)) - 1)]
-    for helper in helpers:
-        helper.start()
+    helpers = min(concurrency, len(pending)) - 1
+    done = _lend(drain, helpers)
     try:
         drain()
     finally:
         # an interrupt in the caller also stops dispatch; helpers only
         # finish the call they hold
         stop.set()
-        for helper in helpers:
-            helper.join()
+        for _ in range(helpers):
+            done.acquire()
     if failures:
         raise failures[min(failures)]
 

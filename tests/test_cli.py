@@ -996,6 +996,32 @@ def test_a_value_nested_1000_deep_is_refused_not_a_crash(workspace, monkeypatch,
         assert kinds == {"transport_error"}
 
 
+@pytest.mark.parametrize("field", ["id", "name", "description", "context"])
+def test_a_lone_surrogate_is_a_malformed_record_named_by_file_and_line(workspace, field):
+    write_config(workspace, "")
+    pred = workspace["out"] / "pred.jsonl"
+    argv = ["link", "--ontology", str(workspace["ontology"]),
+            "--queries", str(workspace["queries"]), "--memory", str(workspace["memory"]),
+            "--output", str(pred), "--dim", "64", "--endpoint", "mock:exact"]
+    if field == "context":
+        build(workspace)
+        path = workspace["queries"]
+        records = [{"id": q.id, "mention": q.mention, "context": q.context} for q in QUERIES]
+    else:
+        path = workspace["ontology"]
+        records = [{"id": c.id, "name": c.name, "description": c.description}
+                   for c in CONCEPTS]
+        argv = ["build-memory", *argv[1:3], "--output", str(workspace["memory"]), "--dim", "64"]
+    # json.dumps writes the lone surrogate as the escape "\ud800"
+    records[2][field] = "marrow \ud800 failure"
+    write_jsonl(path, records)
+    run = run_cli(workspace["out"], *argv)
+    assert (run.code, run.created) == (2, set()), run.err
+    assert (f"line 3: malformed record: field {field!r} in {path} holds a lone surrogate"
+            in run.err)
+    assert "Traceback" not in run.err
+
+
 @pytest.mark.parametrize("bad", BAD_TIMEOUTS)
 @pytest.mark.parametrize("section", ["provider", "endpoint"])
 def test_bad_timeout_names_its_setting(workspace, capsys, section, bad):

@@ -484,6 +484,19 @@ class TestRemoteSlices:
         assert [call["json"]["input"] for call in again.calls] == [["ccc", "dddd"], ["eeeee"]]
 
 
+def test_integer_too_large_for_a_float_is_a_malformed_reply(tmp_path):
+    huge = 10 ** 400
+    reply = FakeResponse(200, embedding_payload([[1, 0, 0, 0], [huge, 1, 0, 0]]))
+    session = EchoSession({1: reply})
+    provider = RemoteProvider(remote_spec(), cache=VectorCache(tmp_path), session=session)
+    with pytest.raises(TransportError) as exc:
+        provider.embed_batch(["a", "bb"])
+    assert exc.value.status == 200
+    assert "malformed reply: embedding 1" in str(exc.value)
+    # the reply's good first row is not cached either
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_always_failing_post_pauses_once_per_retry(monkeypatch):
     slept = []
     monkeypatch.setattr("conceptlinker.transport.time.sleep", slept.append)

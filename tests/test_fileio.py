@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +241,42 @@ def test_reader_diagnostics(tmp_path, text, records, error):
         error = (error[0], f"line {error[0]}: malformed record: {error[1]}")
     assert same_outcome(read_outcome(path), (records, error))
     assert same_outcome(read_records_ref(path), (records, error))
+
+
+@pytest.mark.parametrize("escape, loaded", [
+    ("\\ud83d\\ude00", "\U0001f600"),
+    ("\\uD83D\\uDE00", "\U0001f600"),
+    ("\\\\ud800", "\\ud800"),  # an escaped backslash, then plain text
+])
+def test_reader_loads_surrogate_pairs(tmp_path, escape, loaded):
+    path = tmp_path / "records.jsonl"
+    write_raw(path, f'{{"id": "a{escape}"}}\n')
+    assert read_outcome(path) == ([(1, {"id": "a" + loaded})], None)
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": "\\ud800"}',
+    '{"id": "\\uDFFF x"}',
+    '{"id": "\\ude00\\ud83d"}',  # a pair in the wrong order
+    '{"\\ud800": "a"}',
+    '{"id": "a", "xs": [{"k": "\\udbff"}]}',
+], ids=["high", "low", "reversed", "key", "nested"])
+def test_reader_refuses_a_lone_surrogate(tmp_path, line):
+    path = tmp_path / "records.jsonl"
+    write_raw(path, '{"id": "b"}\n' + line + "\n")
+    records, (lineno, message) = read_outcome(path)
+    assert (records, lineno) == ([(1, {"id": "b"})], 2)
+    assert message.startswith("line 2: malformed record: field ")
+    assert message.endswith(f" in {path} holds a lone surrogate")
+
+
+def test_reader_refuses_a_surrogate_nested_near_the_recursion_limit(tmp_path):
+    # a line that decodes just inside the limit can be too deep to check
+    path = tmp_path / "records.jsonl"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 200, limit):
+        write_raw(path, '{"id": ' + "[" * depth + '"\\ud800"' + "]" * depth + "}\n")
+        assert read_outcome(path)[1][1].startswith("line 1: malformed record: ")
 
 
 # --- the field check ----------------------------------------------------------

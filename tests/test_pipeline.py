@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
+import os
 import re
+import signal
 import sys
 import threading
+import time
 from unittest import mock
 
 import pytest
@@ -134,7 +139,7 @@ class InterruptedEndpoint(ExactMatchMockEndpoint):
     """Interrupts the calling thread once a helper's call is in flight.
 
     The helper's call returns only after ``released`` is set, which the test
-    does when the caller starts joining its helpers.
+    does when the caller starts waiting for its helpers.
     """
 
     def __init__(self):
@@ -152,6 +157,37 @@ class InterruptedEndpoint(ExactMatchMockEndpoint):
             raise KeyboardInterrupt
         assert self.released.wait(30)
         return super().complete(prompt)
+
+
+class Halt(BaseException):
+    """Not an Exception, so a query that raises it is not a query failure."""
+
+
+class HaltingEndpoint(ExactMatchMockEndpoint):
+    """Raises Halt in a helper's first call; the caller's calls wait for it.
+
+    Meant for one helper, at concurrency 2.
+    """
+
+    def __init__(self):
+        self.caller = threading.get_ident()
+        self.halted = threading.Event()
+
+    def complete(self, prompt):
+        if threading.get_ident() == self.caller:
+            assert self.halted.wait(30)
+        elif not self.halted.is_set():
+            self.halted.set()
+            raise Halt
+        return super().complete(prompt)
+
+
+def finishes(target, timeout=30):
+    """Whether ``target()`` returns or raises within ``timeout`` seconds."""
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    return not worker.is_alive()
 
 
 def stable_fields(results):
@@ -323,13 +359,15 @@ class TestLinkQueries:
     def test_interrupt_stops_dispatch(self, setting, tmp_path, monkeypatch):
         ontology, queries, _, _, _, candidates = setting
         endpoint = InterruptedEndpoint()
-        join = threading.Thread.join
+        acquire = threading.Semaphore.acquire
 
-        def releasing_join(thread, timeout=None):
-            endpoint.released.set()
-            return join(thread, timeout)
+        def releasing_acquire(semaphore, *args, **kwargs):
+            # the caller waits for its helpers on a semaphore; helpers park on their own
+            if threading.get_ident() == endpoint.caller:
+                endpoint.released.set()
+            return acquire(semaphore, *args, **kwargs)
 
-        monkeypatch.setattr(threading.Thread, "join", releasing_join)
+        monkeypatch.setattr(threading.Semaphore, "acquire", releasing_acquire)
         journal = LinkJournal(tmp_path / "run.jsonl")
         with pytest.raises(KeyboardInterrupt):
             link_queries(queries, candidates, ontology, PromptConfig(), endpoint,
@@ -338,6 +376,89 @@ class TestLinkQueries:
         assert endpoint.calls == 2
         rows = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]
         assert [row["query_id"] for row in rows] in ([queries[0].id], [queries[1].id])
+
+
+class TestLentHelpers:
+    def test_warm_calls_start_no_thread(self, setting):
+        ontology, queries, _, _, _, candidates = setting
+        endpoint = ExactMatchMockEndpoint()
+        link_queries(queries, candidates, ontology, PromptConfig(), endpoint, concurrency=3)
+        with mock.patch.object(threading.Thread, "start",
+                               side_effect=AssertionError("a thread was started")):
+            for _ in range(50):
+                results = link_queries(queries, candidates, ontology, PromptConfig(),
+                                       endpoint, concurrency=3)
+        assert [r.query_id for r in results] == [q.id for q in queries]
+
+    def test_concurrent_calls_each_hold_all_their_helpers(self, setting):
+        ontology, queries, _, _, _, candidates = setting
+        # six threads must be in flight at once for the first six calls to
+        # pass the barrier: each call's caller and both of its helpers
+        endpoint = InFlightEndpoint(6)
+        results = {}
+
+        def call(name):
+            results[name] = link_queries(queries, candidates, ontology, PromptConfig(),
+                                         endpoint, concurrency=3)
+
+        callers = [threading.Thread(target=call, args=(name,)) for name in "ab"]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+            assert not caller.is_alive()
+        assert endpoint.most == 6
+        assert len(endpoint.threads) == 6
+        for name in "ab":
+            assert [r.query_id for r in results[name]] == [q.id for q in queries]
+
+    def test_helper_ended_by_a_base_exception_is_not_lent_again(self, setting, monkeypatch):
+        ontology, queries, _, _, _, candidates = setting
+        ended = []
+        reported = threading.Event()
+
+        def excepthook(args):
+            ended.append(args.exc_type)
+            reported.set()
+
+        monkeypatch.setattr(threading, "excepthook", excepthook)
+        results = []
+
+        def halted_then_linked():
+            with contextlib.suppress(Exception):
+                link_queries(queries, candidates, ontology, PromptConfig(),
+                             HaltingEndpoint(), concurrency=2)
+            results.extend(link_queries(queries, candidates, ontology, PromptConfig(),
+                                        ExactMatchMockEndpoint(), concurrency=2))
+
+        assert finishes(halted_then_linked)
+        # the helper's thread ended with its Halt
+        assert reported.wait(30)
+        assert ended == [Halt]
+        assert [r.query_id for r in results] == [q.id for q in queries]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_starts_its_own_helpers(self, setting):
+        ontology, queries, _, _, _, candidates = setting
+        link = functools.partial(link_queries, queries, candidates, ontology, PromptConfig(),
+                                 ExactMatchMockEndpoint(), concurrency=2)
+        link()  # the parent now has an idle helper, which the child does not
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if len(link()) == len(queries) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (reaped := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if reaped[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its link call")
+        assert os.waitstatus_to_exitcode(reaped[1]) == 0
 
 
 class TestTokenBudget:
