@@ -18,7 +18,6 @@ from conceptlinker import (
     PromptConfig,
     ProviderSpec,
     build_memory,
-    hits_at_k,
     link_queries,
     parse_gold,
     parse_ontology,
@@ -26,6 +25,7 @@ from conceptlinker import (
     render_report,
     retrieve_for_queries,
     score_predictions,
+    score_retrievals,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -55,6 +55,6 @@ print()
 # Retrieval quality on its own: the gold concept's rank decides hits@k.
 retrievals = {q.id: [c.concept_id for c in slate]
               for q, slate in zip(queries, candidates)}
-hits = hits_at_k(retrievals, {p.source_id: p.target_id for p in gold}, [1, 3, 5])
-for k, value in hits.items():
+retrieval = score_retrievals(retrievals, {p.source_id: p.target_id for p in gold}, [1, 3, 5])
+for k, value in retrieval.hits_at.items():
     print(f"hits@{k}: {value:.4f}")

@@ -23,10 +23,22 @@ class ServiceError(LinkerError):
 
 # --- ontology / query files -------------------------------------------------
 
-class MalformedRecord(ValidationError):
-    def __init__(self, line: int, detail: str):
-        super().__init__(f"line {line}: malformed record: {detail}")
+class RecordError(ValidationError):
+    """A bad input record. It names its line, and its file once ``path`` is set."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(message)
         self.line = line
+        self.path: str | None = None
+
+    def __str__(self) -> str:
+        where = f"line {self.line}" if self.path is None else f"{self.path}: line {self.line}"
+        return f"{where}: {self.args[0]}"
+
+
+class MalformedRecord(RecordError):
+    def __init__(self, line: int, detail: str):
+        super().__init__(line, f"malformed record: {detail}")
         self.detail = detail
 
 
@@ -36,11 +48,10 @@ class MissingField(MalformedRecord):
         self.field = field
 
 
-class DuplicateId(ValidationError):
+class DuplicateId(RecordError):
     def __init__(self, concept_id: str, line: int):
-        super().__init__(f"line {line}: duplicate concept id {concept_id!r}")
+        super().__init__(line, f"duplicate concept id {concept_id!r}")
         self.concept_id = concept_id
-        self.line = line
 
 
 class EmptyFile(ValidationError):
@@ -49,10 +60,9 @@ class EmptyFile(ValidationError):
         self.path = path
 
 
-class EmptyMention(ValidationError):
+class EmptyMention(RecordError):
     def __init__(self, line: int):
-        super().__init__(f"line {line}: query mention is empty")
-        self.line = line
+        super().__init__(line, "query mention is empty")
 
 
 class UnknownId(ValidationError):

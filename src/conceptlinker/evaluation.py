@@ -1,10 +1,10 @@
 """Scoring and reporting: accuracy, precision/recall/F1, hits@k, ablation.
 
-Accuracy treats none-of-the-above, parse failures, and transport errors as
-incorrect. Precision counts only queries where a concept id was actually
-predicted; recall divides by the gold count; both raw counts ride along in
-every report so alternative denominators can be recomputed. All metric
-values are emitted at four decimal places.
+Each scorer is one pass over the distinct gold queries. A none-of-the-above,
+parse failure or transport error is incorrect, so accuracy equals recall;
+precision counts only queries where a concept id was predicted. Raw counts
+ride along in every report so alternative denominators can be recomputed.
+All metric values are emitted at four decimal places.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     MissingPrediction,
     MissingRetrieval,
 )
-from .fileio import atomic_text, read_records, record_field
+from .fileio import atomic_text, file_reader, read_records, record_field
 from .memory import Candidate, Memory
 from .ontology import Ontology, Query
 from .pipeline import link_queries, retrieve_for_queries
@@ -103,98 +103,67 @@ def f1_from(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def gold_map(pairs: list[GoldPair]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for pair in pairs:
-        if pair.source_id in out and out[pair.source_id] != pair.target_id:
-            raise ValueError(f"gold maps query {pair.source_id!r} to two targets")
-        out[pair.source_id] = pair.target_id
-    return out
-
-
-def accuracy(results: Sequence[Linked], gold: dict[str, str]) -> float:
-    """Fraction of gold queries whose resolved id matches the gold id.
-
-    Every gold query must have a result; a result that resolved nothing
-    (none-of-the-above, parse failure, transport error) counts as wrong.
-    """
-    if not gold:
-        raise ValueError("gold is empty")
-    by_id = {r.query_id: r for r in results}
-    correct = 0
-    for query_id, target in gold.items():
-        result = by_id.get(query_id)
-        if result is None:
-            raise MissingPrediction(query_id)
-        correct += result.resolved == target
-    return correct / len(gold)
-
-
 def check_ks(ks: list[int]) -> None:
     """Raise ValueError unless the hits@k cutoffs are non-empty, positive and ascending."""
     if not ks or ks != sorted(ks) or ks[0] < 1:
         raise ValueError(f"ks must be positive and ascending, got {ks}")
 
 
-def hits_at_k(
-    retrievals: dict[str, list[str]],
-    gold: dict[str, str],
-    ks: list[int],
-) -> dict[int, float]:
-    """Fraction of gold queries whose gold id is in the top k, for each k."""
+def score_predictions(results: Sequence[Linked], gold: list[GoldPair]) -> MetricsReport:
+    """Accuracy, precision over resolved predictions, recall over gold, and F1.
+
+    One pass over the distinct gold queries counts the correct ones, for
+    accuracy and recall alike; every gold query needs a result. An agreeing
+    duplicate gold pair counts once; a query with two gold targets or two
+    results raises ValueError.
+    """
+    targets: dict[str, str] = {}
+    for pair in gold:
+        if targets.setdefault(pair.source_id, pair.target_id) != pair.target_id:
+            raise ValueError(f"gold maps query {pair.source_id!r} to two targets")
+    if not targets:
+        raise ValueError("gold is empty")
+    picks: dict[str, str | None] = {}
+    resolved = 0
+    for result in results:
+        if result.query_id in picks:
+            raise ValueError(f"results hold query {result.query_id!r} twice")
+        picks[result.query_id] = result.resolved
+        resolved += result.resolved is not None
+    correct = 0
+    for query_id, target in targets.items():
+        if query_id not in picks:
+            raise MissingPrediction(query_id)
+        correct += picks[query_id] == target
+    precision = correct / resolved if resolved else 0.0
+    recall = correct / len(targets)
+    return MetricsReport(accuracy=recall, precision=precision, recall=recall,
+                         f1=f1_from(precision, recall), n_queries=len(picks),
+                         n_predicted=resolved, n_correct=correct, n_gold=len(targets))
+
+
+def score_retrievals(retrievals: dict[str, list[str]], gold: dict[str, str],
+                     ks: list[int] | None = None) -> MetricsReport:
+    """Hits@k for each k: the share of gold queries whose gold id is in their top k."""
+    ks = list(DEFAULT_HITS_KS) if ks is None else ks
+    check_ks(ks)
     if not gold:
         raise ValueError("gold is empty")
-    check_ks(ks)
-    ranks: list[int | None] = []
+    hits = dict.fromkeys(ks, 0)
     for query_id, target in gold.items():
         ranked = retrievals.get(query_id)
         if ranked is None:
             raise MissingRetrieval(query_id)
-        ranks.append(ranked.index(target) if target in ranked else None)
-    return {
-        k: sum(r is not None and r < k for r in ranks) / len(ranks) for k in ks
-    }
-
-
-def score_predictions(results: Sequence[Linked], gold: list[GoldPair]) -> MetricsReport:
-    """Accuracy, precision over resolved predictions, recall over gold, and F1."""
-    wanted = {(p.source_id, p.target_id) for p in gold}
-    resolved = sum(r.resolved is not None for r in results)
-    tp = sum((r.query_id, r.resolved) in wanted for r in results if r.resolved is not None)
-    precision = tp / resolved if resolved else 0.0
-    recall = tp / len(gold) if gold else 0.0
-    return MetricsReport(
-        accuracy=accuracy(results, gold_map(gold)),
-        precision=precision,
-        recall=recall,
-        f1=f1_from(precision, recall),
-        n_queries=len(results),
-        n_predicted=resolved,
-        n_correct=tp,
-        n_gold=len(gold),
-    )
-
-
-def score_retrievals(
-    retrievals: dict[str, list[str]],
-    gold: dict[str, str],
-    ks: list[int] | None = None,
-) -> MetricsReport:
-    ks = list(DEFAULT_HITS_KS) if ks is None else ks
-    hits = hits_at_k(retrievals, gold, ks)
-    top = max(ks)
-    n_correct = round(hits[top] * len(gold))
-    return MetricsReport(
-        hits_at=hits,
-        n_queries=len(gold),
-        n_predicted=len(retrievals),
-        n_correct=n_correct,
-        n_gold=len(gold),
-    )
+        for k in ks:
+            hits[k] += target in ranked[:k]
+    return MetricsReport(hits_at={k: n / len(gold) for k, n in hits.items()},
+                         n_queries=len(gold), n_predicted=len(retrievals),
+                         n_correct=hits[ks[-1]], n_gold=len(gold))
 
 
 # --- gold files -------------------------------------------------------------
 
+@file_reader
 def parse_gold(path: str | Path) -> list[GoldPair]:
     """Read JSON Lines ``{"source", "target"}`` pairs; both ids must be strings.
 
@@ -246,6 +215,7 @@ def write_predictions(
     atomic_text(path, "".join(line + "\n" for line in lines))
 
 
+@file_reader
 def parse_predictions(path: str | Path) -> list[Prediction]:
     """Read a predictions file back for scoring, one row per query id."""
     out: dict[str, Prediction] = {}
@@ -284,6 +254,7 @@ def write_retrievals(
     atomic_text(path, "".join(line + "\n" for line in lines))
 
 
+@file_reader
 def parse_retrievals(path: str | Path) -> dict[str, list[str]]:
     """Read a retrieval file back to ranked id lists keyed by query id."""
     out: dict[str, list[str]] = {}
@@ -307,6 +278,7 @@ class AblationArm:
     config: PromptConfig
 
 
+@file_reader
 def parse_grid(path: str | Path) -> list[AblationArm]:
     """Read a JSON Lines ablation grid.
 

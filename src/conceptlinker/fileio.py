@@ -1,7 +1,8 @@
 """The file edge: a record reader, one field check, a keyed append log, an atomic writer.
 
 Every JSON Lines input goes through :func:`read_records`, readers check
-field types by the one rule of :func:`record_field`, both append-only logs
+field types by the one rule of :func:`record_field`, a bad record names its
+file through :func:`file_reader`, both append-only logs
 (link journal, completion transcript) are a :class:`KeyedLog`, and the
 memory file, cache entries, predictions, retrievals and reports are written
 through :func:`atomic_writer`.
@@ -9,6 +10,7 @@ through :func:`atomic_writer`.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -16,9 +18,9 @@ import tempfile
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Callable, Hashable, Iterator
+from typing import BinaryIO, Callable, Hashable, Iterator, TypeVar
 
-from .errors import MalformedRecord, MissingField
+from .errors import MalformedRecord, MissingField, RecordError
 
 logger = logging.getLogger(__name__)
 
@@ -27,6 +29,23 @@ _APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 # one decoder for every line: raw_decode skips the two whitespace matches
 # and the extra frames json.loads spends per call
 _decode = json.JSONDecoder().raw_decode
+
+_Reader = TypeVar("_Reader", bound=Callable)
+
+
+def file_reader(read: _Reader) -> _Reader:
+    """Wrap a reader ``read(path, ...)`` so that a bad record names its file as well as its line.
+
+    The wrapper costs one ``try`` per file, nothing per line.
+    """
+    @functools.wraps(read)
+    def reader(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except RecordError as exc:
+            exc.path = str(path)
+            raise
+    return reader  # type: ignore[return-value]
 
 
 def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -66,7 +85,7 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                         json.dumps([key, value], ensure_ascii=False).encode("utf-8")
                     except UnicodeEncodeError:
                         raise MalformedRecord(
-                            lineno, f"field {key!r} in {path} holds a lone surrogate") from None
+                            lineno, f"field {key!r} holds a lone surrogate") from None
                     except RecursionError:
                         # decoded at the very edge of the recursion limit
                         raise MalformedRecord(lineno, "invalid JSON (nested too deep)") from None

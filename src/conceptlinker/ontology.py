@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import DuplicateId, EmptyFile, EmptyMention, MalformedRecord, MissingField, UnknownId
-from .fileio import read_records, record_field
+from .fileio import file_reader, read_records, record_field
 from .textutil import normalize_whitespace, truncate_at_word
 
 MAX_DESCRIPTION_CHARS = 2000
@@ -101,6 +101,7 @@ def _refused(obj: dict, key: str, lineno: int) -> MissingField:
     return MissingField(key, lineno)
 
 
+@file_reader
 def parse_ontology(path: str | Path, tag: str) -> Ontology:
     """Load and validate a concept inventory from a JSON Lines file.
 
@@ -143,6 +144,7 @@ def parse_ontology(path: str | Path, tag: str) -> Ontology:
     return Ontology(tag, ids, names, descriptions)
 
 
+@file_reader
 def parse_queries(path: str | Path) -> list[Query]:
     """Load linking queries from a JSON Lines file, in file order.
 

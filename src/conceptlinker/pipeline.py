@@ -216,7 +216,7 @@ def link_queries(
     todo = iter(pending)
     lock = threading.Lock()
     stop = threading.Event()
-    failures: dict[int, Exception] = {}
+    failures: dict[int, BaseException] = {}
 
     def drain() -> None:
         while True:
@@ -226,9 +226,11 @@ def link_queries(
                 return
             try:
                 results[i] = run_one(i)
-            except Exception as exc:
+            except BaseException as exc:
                 failures[i] = exc
                 stop.set()
+                if not isinstance(exc, Exception):
+                    raise  # ends a helper's thread, so it is never lent again
 
     helpers = min(concurrency, len(pending)) - 1
     done = _lend(drain, helpers)
@@ -242,6 +244,4 @@ def link_queries(
             done.acquire()
     if failures:
         raise failures[min(failures)]
-
-    assert all(r is not None for r in results)
     return results  # type: ignore[return-value]

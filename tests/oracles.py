@@ -84,6 +84,35 @@ def f1_ref(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def scores_ref(results, gold) -> dict:
+    """Every ``MetricsReport`` field of a predictions run, from the definitions.
+
+    ``results`` hold ``query_id`` and ``resolved`` (None when nothing was
+    picked), ``gold`` holds ``source_id`` and ``target_id``; ids are
+    distinct on each side. Each gold query is looked up among the results
+    one at a time. A query is correct when its pick is its gold target;
+    accuracy and recall divide the correct count by the gold count,
+    precision by the number of results that picked something.
+    """
+    picked = 0
+    for result in results:
+        if result.resolved is not None:
+            picked += 1
+    correct = 0
+    for pair in gold:
+        (pick,) = [r.resolved for r in results if r.query_id == pair.source_id]
+        if pick == pair.target_id:
+            correct += 1
+    precision = correct / picked if picked else 0.0
+    recall = correct / len(gold)
+    return {
+        "accuracy": recall, "precision": precision, "recall": recall,
+        "f1": f1_ref(precision, recall), "hits_at": {},
+        "n_queries": len(results), "n_predicted": picked, "n_correct": correct,
+        "n_gold": len(gold),
+    }
+
+
 def read_records_ref(path) -> tuple[list[tuple[int, dict]], tuple[int, str] | None]:
     """Records of a JSON Lines file by one ``json.loads`` per line.
 

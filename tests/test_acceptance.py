@@ -22,7 +22,6 @@ from conceptlinker import (
     Query,
     build_memory,
     f1_from,
-    hits_at_k,
     link_queries,
     parse_predictions,
     parse_response,
@@ -30,6 +29,7 @@ from conceptlinker import (
     retrieve_for_queries,
     run_ablation,
     score_predictions,
+    score_retrievals,
 )
 from conceptlinker.cli import main
 import conceptlinker.cli as cli_module
@@ -189,7 +189,7 @@ def test_criterion_6_hits_monotone_and_oracle_equal(corpus):
             q.id: [c.concept_id for c in retrieve_batch(memory, [v], max(KS))[0]]
             for q, v in zip(queries, vectors)
         }
-        hits = hits_at_k(retrievals, gold, list(KS))
+        hits = score_retrievals(retrievals, gold, list(KS)).hits_at
         assert hits[1] <= hits[5] <= hits[10]
         for k in KS:
             assert hits[k] == hits_ref(retrievals, gold, k)

@@ -1017,8 +1017,51 @@ def test_a_lone_surrogate_is_a_malformed_record_named_by_file_and_line(workspace
     write_jsonl(path, records)
     run = run_cli(workspace["out"], *argv)
     assert (run.code, run.created) == (2, set()), run.err
-    assert (f"line 3: malformed record: field {field!r} in {path} holds a lone surrogate"
+    assert (f"{path}: line 3: malformed record: field {field!r} holds a lone surrogate"
             in run.err)
+    assert "Traceback" not in run.err
+
+
+# reader: the command that reaches it, the input made bad, its text, the error after the path
+BAD_RECORDS = {
+    "parse_ontology": (["build-memory", "--output", "{memory}"], "ontology",
+                       '{"id": "D:1", "name": "a"}\n{"id": "D:1", "name": "b"}\n',
+                       "line 2: duplicate concept id 'D:1'"),
+    "parse_queries": (["retrieve", "--output", "{out}/ret.jsonl"], "queries",
+                      '{"id": "q1", "mention": "a"}\n\n{"id": "q2", "mention": " "}\n',
+                      "line 3: query mention is empty"),
+    "parse_gold": (["evaluate", "--predictions", "{predictions}"], "gold",
+                   '{"source": "q1"}\n',
+                   "line 1: malformed record: missing or empty required field 'target'"),
+    "parse_predictions": (["evaluate", "--predictions", "{predictions}"], "predictions",
+                          '{"query_id": "q1", "resolved": null, "score": 0.5, "kind": "none"}\n'
+                          '{"query_id": "q2", "resolved": "D:4", "score": 0.5, "kind": "odd"}\n',
+                          "line 2: malformed record: 'odd' is not a valid SelectionKind"),
+    "parse_retrievals": (["evaluate", "--retrievals", "{retrievals}"], "retrievals",
+                         '{"query_id": "q1", "candidates": [\n',
+                         "line 1: malformed record: invalid JSON ("),
+    "parse_grid": (["ablate", "--grid", "{grid}", "--output", "{out}/report.json",
+                    "--endpoint", "mock:keyword"], "grid",
+                   '{"label": "both"}\n{"label": 3}\n',
+                   "line 2: malformed record: field 'label' is not a string"),
+}
+
+
+@pytest.mark.parametrize("reader", list(BAD_RECORDS))
+def test_a_bad_record_is_named_by_file_and_line(workspace, reader):
+    argv, bad, text, message = BAD_RECORDS[reader]
+    paths = {**workspace, "predictions": workspace["out"] / "pred.jsonl",
+             "retrievals": workspace["out"] / "ret.jsonl", "grid": workspace["out"] / "grid.jsonl"}
+    write_config(workspace, "")
+    build(workspace)
+    write_predictions_file(paths["predictions"], [(g.source_id, g.target_id, 0.5) for g in GOLD])
+    paths[bad].write_text(text)
+    inputs = ["--ontology", str(workspace["ontology"]), "--queries", str(workspace["queries"]),
+              "--memory", str(workspace["memory"]), "--gold", str(workspace["gold"]),
+              "--dim", "64"]
+    run = run_cli(workspace["out"], *[arg.format(**paths) for arg in argv], *inputs)
+    assert (run.code, run.created) == (2, set()), run.err
+    assert f"error: {paths[bad]}: {message}" in run.err
     assert "Traceback" not in run.err
 
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conceptlinker import (
     AblationArm,
@@ -21,11 +22,8 @@ from conceptlinker import (
     SelectionKind,
     TranscriptStore,
     Variant,
-    accuracy,
     build_memory,
     f1_from,
-    gold_map,
-    hits_at_k,
     parse_gold,
     parse_grid,
     parse_predictions,
@@ -48,7 +46,7 @@ from conceptlinker.errors import (
 )
 
 from .conftest import local_provider, queries_for, synthetic_ontology, write_gold
-from .oracles import f1_ref, hits_ref
+from .oracles import f1_ref, hits_ref, scores_ref
 
 
 def predict(query_id: str, resolved: str | None) -> Prediction:
@@ -68,6 +66,11 @@ def linked(query_id: str, resolved: str | None) -> LinkResult:
         attempts=1,
         latency=0.0,
     )
+
+
+def accuracy(results, gold: dict[str, str]) -> float:
+    """The accuracy ``score_predictions`` reports against gold given as query id -> target."""
+    return score_predictions(results, [GoldPair(q, t) for q, t in gold.items()]).accuracy
 
 
 class TestAccuracy:
@@ -169,22 +172,20 @@ class TestF1:
 
 
 class TestGoldMap:
-    def test_plain(self):
-        assert gold_map([GoldPair("q0", "C0")]) == {"q0": "C0"}
-
     def test_conflict(self):
         with pytest.raises(ValueError):
-            gold_map([GoldPair("q0", "C0"), GoldPair("q0", "C1")])
+            score_predictions([predict("q0", "C0")], [GoldPair("q0", "C0"), GoldPair("q0", "C1")])
 
     def test_agreeing_duplicate_ok(self):
         pairs = [GoldPair("q0", "C0"), GoldPair("q0", "C0")]
-        assert gold_map(pairs) == {"q0": "C0"}
+        report = score_predictions([predict("q0", "C0")], pairs)
+        assert (report.n_gold, report.accuracy, report.recall) == (1, 1.0, 1.0)
 
 
 class TestHitsAtK:
     def test_rank_three(self):
         retrievals = {"q0": ["C5", "C9", "C0", "C2"]}
-        hits = hits_at_k(retrievals, {"q0": "C0"}, [1, 3, 5])
+        hits = score_retrievals(retrievals, {"q0": "C0"}, [1, 3, 5]).hits_at
         assert hits == {1: 0.0, 3: 1.0, 5: 1.0}
 
     def test_monotone_and_matches_oracle(self, rng):
@@ -198,24 +199,26 @@ class TestHitsAtK:
             gold[query_id] = rng.choice(ids)
             retrievals[query_id] = ranked
         ks = [1, 3, 5, 10, 15]
-        hits = hits_at_k(retrievals, gold, ks)
+        report = score_retrievals(retrievals, gold, ks)
+        hits = report.hits_at
         values = [hits[k] for k in ks]
         assert values == sorted(values)
         for k in ks:
             assert hits[k] == pytest.approx(hits_ref(retrievals, gold, k))
+        assert report.n_correct == sum(gold[q] in retrievals[q][:15] for q in gold)
 
     def test_missing_retrieval(self):
         with pytest.raises(MissingRetrieval):
-            hits_at_k({}, {"q0": "C0"}, [1])
+            score_retrievals({}, {"q0": "C0"}, [1])
 
     @pytest.mark.parametrize("ks", [[], [0, 1], [5, 1], [-1]])
     def test_ks_validation(self, ks):
         with pytest.raises(ValueError):
-            hits_at_k({"q0": ["C0"]}, {"q0": "C0"}, ks)
+            score_retrievals({"q0": ["C0"]}, {"q0": "C0"}, ks)
 
     def test_empty_gold(self):
         with pytest.raises(ValueError):
-            hits_at_k({"q0": ["C0"]}, {}, [1])
+            score_retrievals({"q0": ["C0"]}, {}, [1])
 
     def test_score_retrievals_report(self):
         retrievals = {"q0": ["C0", "C1"], "q1": ["C2", "C1"]}
@@ -224,6 +227,35 @@ class TestHitsAtK:
         assert report.n_gold == 2
         assert report.n_correct == 2
         assert report.accuracy is None
+
+
+@st.composite
+def scored_runs(draw):
+    """Results and gold with distinct ids on each side: picks that are right,
+    wrong or abstentions, and results for queries outside gold, in any order."""
+    concepts = [f"C{i}" for i in range(8)]
+    gold = [GoldPair(f"q{i}", draw(st.sampled_from(concepts)))
+            for i in range(draw(st.integers(1, 10)))]
+    picks = [(pair.source_id, draw(st.one_of(st.none(), st.just(pair.target_id),
+                                             st.sampled_from(concepts))))
+             for pair in gold]
+    picks += [(f"x{i}", draw(st.one_of(st.none(), st.sampled_from(concepts))))
+              for i in range(draw(st.integers(0, 4)))]
+    results = [draw(st.sampled_from([predict, linked]))(query_id, resolved)
+               for query_id, resolved in picks]
+    return draw(st.permutations(results)), draw(st.permutations(gold))
+
+
+class TestOnePassScoring:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scored_runs())
+    def test_predictions_match_oracle(self, run):
+        results, gold = run
+        assert dataclasses.asdict(score_predictions(results, gold)) == scores_ref(results, gold)
+
+    def test_repeated_result_id_raises(self):
+        with pytest.raises(ValueError, match="'q0'"):
+            score_predictions([predict("q0", "C0")] * 2, [GoldPair("q0", "C0")])
 
 
 class TestMetricsReport:

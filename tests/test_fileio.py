@@ -267,7 +267,7 @@ def test_reader_refuses_a_lone_surrogate(tmp_path, line):
     records, (lineno, message) = read_outcome(path)
     assert (records, lineno) == ([(1, {"id": "b"})], 2)
     assert message.startswith("line 2: malformed record: field ")
-    assert message.endswith(f" in {path} holds a lone surrogate")
+    assert message.endswith(" holds a lone surrogate")
 
 
 def test_reader_refuses_a_surrogate_nested_near_the_recursion_limit(tmp_path):

@@ -102,14 +102,15 @@ class TestParseOntology:
         with pytest.raises(MalformedRecord) as exc:
             parse_ontology(path, "t")
         assert not isinstance(exc.value, MissingField)
-        assert str(exc.value) == f"line 2: malformed record: field {key!r} is not a string"
+        assert str(exc.value) == f"{path}: line 2: malformed record: field {key!r} is not a string"
 
     def test_missing_field_is_a_malformed_record(self, tmp_path):
         path = tmp_path / "onto.jsonl"
         write_jsonl(path, [{"name": "a"}])
         with pytest.raises(MalformedRecord) as exc:
             parse_ontology(path, "t")
-        assert str(exc.value) == "line 1: malformed record: missing or empty required field 'id'"
+        assert str(exc.value) == (f"{path}: line 1: malformed record: "
+                                  "missing or empty required field 'id'")
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "onto.jsonl"

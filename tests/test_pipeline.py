@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -377,6 +376,14 @@ class TestLinkQueries:
         rows = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]
         assert [row["query_id"] for row in rows] in ([queries[0].id], [queries[1].id])
 
+    def test_base_exception_on_a_helper_propagates(self, setting, monkeypatch):
+        ontology, queries, _, _, _, candidates = setting
+        # the helper's thread ends with the Halt too; keep it off stderr
+        monkeypatch.setattr(threading, "excepthook", lambda args: None)
+        with pytest.raises(Halt):
+            link_queries(queries, candidates, ontology, PromptConfig(), HaltingEndpoint(),
+                         concurrency=2)
+
 
 class TestLentHelpers:
     def test_warm_calls_start_no_thread(self, setting):
@@ -425,7 +432,7 @@ class TestLentHelpers:
         results = []
 
         def halted_then_linked():
-            with contextlib.suppress(Exception):
+            with pytest.raises(Halt):
                 link_queries(queries, candidates, ontology, PromptConfig(),
                              HaltingEndpoint(), concurrency=2)
             results.extend(link_queries(queries, candidates, ontology, PromptConfig(),
