@@ -330,14 +330,18 @@ class AblationRow:
 
 
 def retrieval_digest(candidates: list[list[Candidate]]) -> str:
-    """Stable fingerprint of a full retrieval pass, for sharing checks."""
-    blob = json.dumps(
-        [
-            [{"cid": c.concept_id, "score": format(c.score, ".6f")} for c in slate]
-            for slate in candidates
-        ],
-        sort_keys=True,
-    )
+    """Stable fingerprint of a full retrieval pass, for sharing checks.
+
+    The sha256 of the ``json.dumps`` text, keys sorted, of each slate as a
+    list of ``{"cid": id, "score": "%.6f"}`` objects, joined here directly:
+    a formatted float needs no JSON escape.
+    """
+    dumps = json.dumps
+    blob = "[" + ", ".join(
+        "[" + ", ".join(f'{{"cid": {dumps(c.concept_id)}, "score": "{c.score:.6f}"}}'
+                        for c in slate) + "]"
+        for slate in candidates
+    ) + "]"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

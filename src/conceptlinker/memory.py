@@ -26,8 +26,10 @@ an exact tie. Equal vectors therefore tie exactly wherever they sit in the
 store, and runs are reproducible on any machine.
 
 A query's squares, like each sum :func:`cosine` makes, are one plain
-``math.fsum``. The rescore, a dot and an entry square for every pick, takes
-a fast path to the same values, one numpy pass per chunk: error-free
+``math.fsum``. An entry's square depends on its row alone, so the store
+keeps it: it is summed once, when the memory is made, and saved beside the
+matrix. The rescore, a dot for every pick, and the entry squares take a
+fast path to fsum's values, one numpy pass per block: error-free
 transformations make a correctly rounded sum cheap to vectorise (Ogita,
 Rump and Oishi, Accurate Sum and Dot Product, 2005). A pairwise TwoSum tree
 sums each row to hi and keeps every rounding error exactly, the errors sum
@@ -71,7 +73,7 @@ from .ontology import Ontology, Query
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # queries are selected in chunks whose float32 head scores, one per query
 # and head entry, take at most this many bytes
@@ -93,6 +95,10 @@ _ENTRY_BLOCK = 1024
 # the fewest float64 products the exact rescore sums at once, 128 KB; it
 # holds about three times its block
 _SUM_BLOCK = 1 << 14
+
+# bytes of head scores the floor partitions at once, a few query columns of
+# the head copied to rows
+_FLOOR_BYTES = 128 << 10
 
 # a column of n values each below this over n sums without overflow, in
 # the TwoSum tree and in fsum alike
@@ -169,12 +175,40 @@ class Memory:
 
     def __init__(self, concept_ids: Sequence[str], has_context: Sequence[bool], vectors: np.ndarray,
                  dim: int, provider_fingerprint: tuple[str, str]):
-        """Take ownership of the given columns and make them read-only.
+        """Take ownership of the given columns, make them read-only and sum each entry's square.
 
         Raises :class:`MemoryLayoutError` if they disagree, ``vectors`` is not
         2-d or an id repeats, :class:`DimMismatch` for rows of another dim,
         and :class:`InvalidVector` for a NaN, infinite, zero or out-of-range row.
         """
+        self._adopt(concept_ids, has_context, vectors, dim, provider_fingerprint)
+        self._squares = _entry_squares(self.vectors)
+        self._squares.flags.writeable = False
+
+    @classmethod
+    def _with_squares(cls, concept_ids: Sequence[str], has_context: Sequence[bool],
+                      vectors: np.ndarray, dim: int, provider_fingerprint: tuple[str, str],
+                      squares: np.ndarray) -> Memory:
+        """A memory whose entry squares were stored: each must be its row's, within the bound.
+
+        Raises as the constructor does, then :class:`BadMagic` for a square
+        that :func:`_square_slack` shows cannot be its row's ``fsum``.
+        """
+        memory = cls.__new__(cls)
+        sums = memory._adopt(concept_ids, has_context, vectors, dim, provider_fingerprint)
+        # NaN compares false as well
+        wrong = ~(np.abs(squares - sums) <= sums * _square_slack(dim))
+        if wrong.any():
+            row = int(np.flatnonzero(wrong)[0])
+            raise BadMagic(f"corrupt memory file: the stored square of entry {row}, "
+                           f"{float(squares[row])!r}, is not its vector's")
+        squares.flags.writeable = False
+        memory._squares = squares
+        return memory
+
+    def _adopt(self, concept_ids: Sequence[str], has_context: Sequence[bool], vectors: np.ndarray,
+               dim: int, provider_fingerprint: tuple[str, str]) -> np.ndarray:
+        """Check and keep every column but the squares; returns each row's einsum square."""
         vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise MemoryLayoutError(f"vectors must be a 2-d array, got shape {vectors.shape}")
@@ -190,7 +224,8 @@ class Memory:
             raise MemoryLayoutError(f"concept {repeated!r} is listed more than once")
 
         # float64 sums of the exact float32 squares, without a float64 copy
-        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
+        sums = np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
+        norms = np.sqrt(sums)
         bad = ~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1]))
         if bad.any():
             row = int(np.flatnonzero(bad)[0])
@@ -208,9 +243,40 @@ class Memory:
         self._name_rows = _name_rows(flags)
         self._max_run = 2 if flags.any() else 1  # the most entries of any one concept
         self._margin = _score_margin(dim)
+        return sums
 
     def __len__(self) -> int:
         return len(self.vectors)
+
+
+def _square_slack(dim: int) -> float:
+    """The widest relative gap between an entry's exact square and its einsum sum.
+
+    With u = 2**-53 and n = dim, let S be the exact sum of an entry's n
+    squares. Each float32 square is exact in float64 and none is negative,
+    so the einsum sum E, in any order, is within gamma_(n-1) S of S (Higham
+    4.2), and the stored square fl(S) within u S. Entry lengths lie in
+    ``_NORM_RANGE``, so nothing overflows or underflows to zero. Together
+    |fl(S) - E| <= (u + gamma_(n-1)) S <= 1.03 n u E while n u < 0.01, so the
+    two are within a factor of two of each other and their float difference
+    is exact; the slack, 2 n u, also covers the rounding of its product with E.
+    """
+    return dim * 2.0 ** -52
+
+
+def _entry_squares(vectors: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row's squares, bit for bit, about ``_SUM_BLOCK`` products at a time."""
+    count, dim = vectors.shape
+    step = max(1, _SUM_BLOCK // dim)
+    flat = np.empty(3 * dim * min(step, count))
+    squares = np.empty(count)
+    for lo in range(0, count, step):
+        rows = vectors[lo : lo + step]
+        width = len(rows)
+        cols = np.multiply(rows.T, rows.T, dtype=np.float64,
+                           out=flat[: dim * width].reshape(dim, width))
+        squares[lo : lo + width] = _exact_sums(cols, flat[dim * width :])
+    return squares
 
 
 def _name_rows(has_context: np.ndarray) -> np.ndarray:
@@ -414,14 +480,21 @@ def _lowered(floors: np.ndarray, margin: float) -> np.ndarray:
 
 
 def _column_floors(scores: np.ndarray, top: int) -> np.ndarray:
-    """Each column's ``top``-th largest value, copying about ``_ENTRY_BLOCK`` rows at a time."""
-    step = max(_ENTRY_BLOCK, top)
-    best = scores[:0]
-    for lo in range(0, len(scores), step):
-        best = np.concatenate((best, scores[lo : lo + step]))
-        best.partition(len(best) - top, axis=0)
-        best = best[len(best) - top :].copy()
-    return best.min(axis=0)
+    """Each column's ``top``-th largest value, partitioning about ``_FLOOR_BYTES`` at a time.
+
+    Each group of columns is copied to the rows of one buffer and
+    partitioned there; ``scores`` itself must keep its order.
+    """
+    head, count = scores.shape
+    group = max(1, _FLOOR_BYTES // (scores.itemsize * head))
+    rows = np.empty((min(group, count), head), dtype=scores.dtype)
+    floors = np.empty(count, dtype=scores.dtype)
+    for lo in range(0, count, group):
+        part = rows[: min(group, count - lo)]
+        part[...] = scores[:, lo : lo + group].T
+        part.partition(head - top, axis=1)
+        floors[lo : lo + len(part)] = part[:, head - top]
+    return floors
 
 
 def _kth_largest(values: np.ndarray, owners: np.ndarray, count: int, k: int) -> np.ndarray:
@@ -459,9 +532,9 @@ def _exact_top(memory: Memory, rows: np.ndarray, owners: np.ndarray, queries: np
     # least _SUM_BLOCK, so the rescore holds about 1.5 times what the head's
     # scores did, however large the memory
     block = max(_SUM_BLOCK, len(queries) * min(len(memory), _HEAD_ENTRIES) // 4)
-    dots, squares = _pair_sums(memory, rows, owners, queries, block)
+    dots = _pair_sums(memory, rows, owners, queries, block)
     # the IEEE operations of cosine's quotient, one pass for the chunk
-    scores = dots / (np.sqrt(squares) * np.sqrt(query_squares)[owners])
+    scores = dots / (np.sqrt(memory._squares[rows]) * np.sqrt(query_squares)[owners])
     np.clip(scores, -1.0, 1.0, out=scores)
     order, best = _concept_best(memory, rows, owners, scores)
     winners = order[best]  # grouped by query
@@ -476,30 +549,29 @@ def _exact_top(memory: Memory, rows: np.ndarray, owners: np.ndarray, queries: np
 
 
 def _pair_sums(memory: Memory, rows: np.ndarray, owners: np.ndarray, queries: np.ndarray,
-               block: int) -> tuple[np.ndarray, np.ndarray]:
-    """``fsum`` of each entry ``rows[i]`` times ``queries[owners[i]]``, and of its square.
+               block: int) -> np.ndarray:
+    """``fsum`` of each entry ``rows[i]`` times ``queries[owners[i]]``.
 
     The products go into column blocks of about ``block`` values, and the
     scratch space of three such blocks serves every block in turn.
     """
     dim = memory.dim
-    step = max(1, block // (2 * dim))
-    flat = np.empty(3 * dim * 2 * min(step, len(rows)))
-    sums = np.empty((2, len(rows)))
+    step = max(1, block // dim)
+    flat = np.empty(3 * dim * min(step, len(rows)))
+    dots = np.empty(len(rows))
     for lo in range(0, len(rows), step):
         picked = rows[lo : lo + step]
         width = len(picked)
-        cols = flat[: dim * 2 * width].reshape(dim, 2 * width)
+        cols = flat[: dim * width].reshape(dim, width)
         # the factors are laid out in the scratch space the sums use next
-        work = flat[dim * 2 * width :]
+        work = flat[dim * width :]
         entries = work[: dim * width].reshape(width, dim)
         entries[...] = memory.vectors[picked]
         products = np.take(queries, owners[lo : lo + step], axis=0, mode="clip",
-                           out=work[dim * width : dim * 2 * width].reshape(width, dim))
-        cols[:, :width] = np.multiply(entries, products, out=products).T
-        cols[:, width:] = np.multiply(entries, entries, out=entries).T
-        sums[:, lo : lo + width] = _exact_sums(cols, work).reshape(2, width)
-    return sums[0], sums[1]
+                           out=work[dim * width : 2 * dim * width].reshape(width, dim))
+        cols[...] = np.multiply(entries, products, out=products).T
+        dots[lo : lo + width] = _exact_sums(cols, work)
+    return dots
 
 
 def _exact_sums(columns: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
@@ -608,15 +680,17 @@ def _two_sum(a: np.ndarray, b: np.ndarray, s: np.ndarray, err: np.ndarray,
 
 
 def save_memory(memory: Memory, path: str | Path) -> None:
-    """Write the store in format v3; atomic (temp file + rename) and byte-deterministic.
+    """Write the store in format v4; atomic (temp file + rename) and byte-deterministic.
 
     Missing parent directories are created.
 
     Layout: one UTF-8 JSON header line (``format_version``, ``dim``,
     ``provider_id``, ``model_id``, ``entry_count`` and the ``concept_ids``
     table), then one context flag byte per concept (1 if it has a context
-    row, else 0), then the float32 little-endian (entry_count, dim) matrix,
-    each concept's name row before its context row.
+    row, else 0), then one float64 little-endian square per entry, the
+    ``math.fsum`` of its squared components, in entry order, then the
+    float32 little-endian (entry_count, dim) matrix, each concept's name
+    row before its context row.
     """
     header = json.dumps(
         {
@@ -632,6 +706,7 @@ def save_memory(memory: Memory, path: str | Path) -> None:
     with atomic_writer(path) as fh:
         fh.write(header.encode("utf-8") + b"\n")
         fh.write(memory.has_context.astype(np.uint8).tobytes())
+        fh.write(memory._squares.astype("<f8", copy=False).data)
         fh.write(memory.vectors.astype("<f4", copy=False).data)
 
 
@@ -646,9 +721,10 @@ def load_memory(
     A file of the wrong size or layout, or of an unknown provider kind,
     raises :class:`BadMagic`, one from another format version
     :class:`VersionMismatch`, and a NaN, infinite or zero vector
-    :class:`InvalidVector`. An ``expected_provider`` goes to
-    :func:`check_provider`. Header keys it does not read, such as the
-    ``ontology_tag`` of older v3 files, are ignored.
+    :class:`InvalidVector`; then a stored square further from its vector's
+    float64 sum than :func:`_square_slack` allows raises :class:`BadMagic`.
+    An ``expected_provider`` goes to :func:`check_provider`. Header keys it
+    does not read are ignored.
     """
     with open(path, "rb") as fh:
         try:
@@ -674,17 +750,19 @@ def load_memory(
                            "or concept_ids")
 
         body = os.fstat(fh.fileno()).st_size - fh.tell()
-        expected = len(ids) + count * 4 * dim
+        expected = len(ids) + count * (8 + 4 * dim)
         if body != expected:
             raise BadMagic(f"memory file truncated or padded: header promises {expected} bytes for "
-                           f"{len(ids)} concepts and {count} entries of dim {dim}, body has {body}")
+                           f"{len(ids)} concept flags, {count} squares and {count} entries of dim "
+                           f"{dim}, body has {body}")
         flags = np.fromfile(fh, dtype=np.uint8, count=len(ids))
         if (flags > 1).any():
             raise BadMagic("corrupt memory file: a context flag is neither 0 nor 1")
+        squares = np.fromfile(fh, dtype="<f8", count=count)
         vectors = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
 
     try:
-        memory = Memory(ids, flags, vectors, dim, fingerprint)
+        memory = Memory._with_squares(ids, flags, vectors, dim, fingerprint, squares)
     except MemoryLayoutError as exc:
         raise BadMagic(f"corrupt memory file: {exc}") from None
     if expected_provider is not None:

@@ -24,9 +24,9 @@ from .ranker import (
     PromptConfig,
     Selection,
     SelectionKind,
+    _rank_prompt,
     fit_prompt,
     prompt_digest,
-    rank,
 )
 
 logger = logging.getLogger(__name__)
@@ -198,17 +198,21 @@ def link_queries(
 
     results: list[LinkResult | None] = [None] * len(queries)
     prompts: list[str] = []
+    digests: list[str] = []
     pending: list[int] = []
+    # every prompt is hashed here, once: hashlib releases the GIL on long
+    # inputs, so hashing on a helper thread hands it over on every query
     for i, (query, slate) in enumerate(zip(queries, candidates)):
         prompts.append(fit_prompt(query, slate, ontology, config, token_budget) if slate else "")
+        digests.append(prompt_digest(prompts[i]))
         if journal is not None:
-            results[i] = journal.get(query.id, prompt_digest(prompts[i]), slate)
+            results[i] = journal.get(query.id, digests[i], slate)
         if results[i] is None:
             pending.append(i)
 
     def run_one(i: int) -> LinkResult:
-        result = rank(queries[i], candidates[i], ontology, config, endpoint,
-                      prompt=prompts[i], token_budget=token_budget)
+        result = _rank_prompt(queries[i], candidates[i], config, endpoint, prompts[i], digests[i],
+                              token_budget)
         if journal is not None and result.selection.kind is not SelectionKind.TRANSPORT_ERROR:
             journal.append(journal_row(result, candidates[i]))
         return result

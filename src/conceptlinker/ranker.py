@@ -240,7 +240,6 @@ def rank(
     config: PromptConfig,
     endpoint,
     *,
-    prompt: str | None = None,
     token_budget: int | None = None,
 ) -> LinkResult:
     """Run one query through prompt, completion, and parsing.
@@ -249,23 +248,25 @@ def rank(
     touching the endpoint. A ParseFailure earns one re-ask with an
     appended answer-format reminder, unless the re-ask would not fit
     ``token_budget``. Transport failures become a distinct
-    failure kind in the result, never a silent none. ``prompt`` is what
-    :func:`fit_prompt` returns for these arguments and ``token_budget``,
-    for a caller that has already built it.
+    failure kind in the result, never a silent none.
     """
+    prompt = fit_prompt(query, candidates, ontology, config, token_budget) if candidates else ""
+    return _rank_prompt(query, candidates, config, endpoint, prompt, prompt_digest(prompt),
+                        token_budget)
+
+
+def _rank_prompt(query: Query, candidates: list[Candidate], config: PromptConfig, endpoint,
+                 prompt: str, digest: str, token_budget: int | None) -> LinkResult:
+    """:func:`rank` for a ``prompt`` already fitted, ``""`` for no candidates, and its ``digest``."""
     if not candidates:
         return LinkResult(
             query_id=query.id,
             selection=Selection(SelectionKind.NONE_OF_THE_ABOVE, ""),
             resolved=None,
-            prompt_digest=prompt_digest(""),
+            prompt_digest=digest,
             attempts=0,
             latency=0.0,
         )
-
-    if prompt is None:
-        prompt = fit_prompt(query, candidates, ontology, config, token_budget)
-    digest = prompt_digest(prompt)
 
     started = time.monotonic()
     ask = prompt

@@ -7,6 +7,7 @@ oracle. Deliberately slow and simple.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -217,3 +218,15 @@ def keyword_mock_ref(prompt: str) -> str:
         return f"option {best}"
     suffix = ": none of the above options match"
     return next(line for line in reversed(lines) if line.endswith(suffix))[: -len(suffix)]
+
+
+def retrieval_digest_ref(candidates) -> str:
+    """sha256 of the ``json.dumps`` text, keys sorted, of per-candidate objects."""
+    blob = json.dumps(
+        [
+            [{"cid": c.concept_id, "score": format(c.score, ".6f")} for c in slate]
+            for slate in candidates
+        ],
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

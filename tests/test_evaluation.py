@@ -46,7 +46,7 @@ from conceptlinker.errors import (
 )
 
 from .conftest import local_provider, queries_for, synthetic_ontology, write_gold
-from .oracles import f1_ref, hits_ref, scores_ref
+from .oracles import f1_ref, hits_ref, retrieval_digest_ref, scores_ref
 
 
 def predict(query_id: str, resolved: str | None) -> Prediction:
@@ -576,6 +576,18 @@ class TestRetrievalDigest:
         other = [[Candidate("C0", 0.6, Variant.NAME_ONLY)]]
         assert retrieval_digest(slate) == retrieval_digest(slate)
         assert retrieval_digest(slate) != retrieval_digest(other)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.tuples(
+        st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u00e9\U0001f600'),
+                          st.characters())),
+        st.one_of(st.just(-0.0), st.just(-1e-9), st.floats(-1.0, 1.0),
+                  st.floats(allow_nan=True, allow_infinity=True)),
+    ), max_size=4), max_size=4))
+    def test_matches_the_json_dumps_text(self, slates):
+        candidates = [[Candidate(cid, score, Variant.NAME_ONLY) for cid, score in slate]
+                      for slate in slates]
+        assert retrieval_digest(candidates) == retrieval_digest_ref(candidates)
 
 
 class TestRunAblation:

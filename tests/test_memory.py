@@ -1195,7 +1195,8 @@ class TestStoreFile:
             load_memory(path)
 
     def test_stored_ontology_tag_is_ignored(self, tmp_path, rng):
-        # older v3 files carry the ontology's tag; it never named anything checked
+        # older files carried the ontology's tag; a header key the
+        # loader does not read is ignored
         memory = build_memory(synthetic_ontology(rng, 3), local_provider(dim=32))
         path = tmp_path / "m.lm"
         save_memory(memory, path)
@@ -1297,7 +1298,7 @@ class TestStoreFile:
 
 
 class TestFormatV3:
-    """One context flag byte per concept, then the matrix, each name row before its context row."""
+    """The context flag column, one byte per concept, that v3 brought and v4 keeps."""
 
     @staticmethod
     def saved(tmp_path, rng):
@@ -1308,14 +1309,6 @@ class TestFormatV3:
         header_line, body = path.read_bytes().split(b"\n", 1)
         return ontology, memory, path, json.loads(header_line), bytearray(body)
 
-    def test_layout(self, tmp_path, rng):
-        ontology, memory, _, header, body = self.saved(tmp_path, rng)
-        flags = [int(description is not None) for description in ontology.descriptions]
-        assert header["format_version"] == 3
-        assert header["entry_count"] == len(memory) == 12 + sum(flags)
-        assert list(body[:12]) == flags
-        assert body[12:] == memory.vectors.astype("<f4").tobytes()
-
     def test_v2_file_is_a_version_mismatch(self, tmp_path, rng):
         _, memory, path, header, body = self.saved(tmp_path, rng)
         header["format_version"] = 2
@@ -1323,7 +1316,7 @@ class TestFormatV3:
         index = np.repeat(np.arange(12), runs).astype("<u4")
         variants = np.concatenate([np.arange(run) for run in runs]).astype(np.uint8)
         path.write_bytes(json.dumps(header).encode() + b"\n" + index.tobytes()
-                         + variants.tobytes() + body[12:])
+                         + variants.tobytes() + body[12 + 8 * len(memory):])
         with pytest.raises(VersionMismatch) as exc:
             load_memory(path)
         assert exc.value.got == 2
@@ -1343,6 +1336,129 @@ class TestFormatV3:
             body.append(0)
         path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(body))
         with pytest.raises(BadMagic):
+            load_memory(path)
+
+
+def _fsum_squares(vectors: np.ndarray) -> list[float]:
+    return [math.fsum(row) for row in (vectors.astype(np.float64) ** 2).tolist()]
+
+
+class TestFormatV4:
+    """Flags, then one float64 square per entry, its fsum of squares, then the matrix."""
+
+    def test_layout(self, tmp_path, rng):
+        ontology, memory, _, header, body = TestFormatV3.saved(tmp_path, rng)
+        flags = [int(description is not None) for description in ontology.descriptions]
+        count = len(memory)
+        assert header["format_version"] == 4
+        assert header["entry_count"] == count == 12 + sum(flags)
+        assert list(body[:12]) == flags
+        squares = np.array(_fsum_squares(memory.vectors), dtype="<f8")
+        assert body[12 : 12 + 8 * count] == squares.tobytes()
+        assert body[12 + 8 * count :] == memory.vectors.astype("<f4").tobytes()
+
+    def test_v3_file_is_a_version_mismatch(self, tmp_path, rng):
+        _, memory, path, header, body = TestFormatV3.saved(tmp_path, rng)
+        header["format_version"] = 3
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body[:12]
+                         + body[12 + 8 * len(memory):])
+        with pytest.raises(VersionMismatch) as exc:
+            load_memory(path)
+        assert exc.value.got == 3
+
+    @staticmethod
+    def fallback_rows(dim: int) -> np.ndarray:
+        """Rows whose squares sum to an exact midpoint between two floats, for fsum alone."""
+        rows = []
+        for exponent in (-40, -3, 0, 7, 40):
+            row = np.zeros(dim, dtype=np.float32)
+            # 1 + 2**-53 times a power of four: the two small squares carry the
+            # half step between 1 and the next float
+            row[:3] = np.float32(2.0 ** exponent) * np.float32([1.0, 2.0 ** -27, 2.0 ** -27])
+            rows.append(np.random.default_rng(exponent + 50).permutation(row))
+        return np.array(rows)
+
+    def test_squares_are_fsum_bit_for_bit(self, tmp_path, monkeypatch):
+        dim = 16
+        gen = np.random.default_rng(12)
+        extremes = [np.float32(2.0 ** -61) * np.ones(dim), np.float32(2.0 ** 61) * np.ones(dim),
+                    np.float32([2.0 ** -64] + [2.0 ** -149] * (dim - 1)),
+                    np.float32([2.0 ** 63.9] + [1e-45] * (dim - 1))]
+        spread = gen.normal(size=(40, dim)) * 2.0 ** gen.integers(-60, 60, size=(40, 1))
+        vectors = np.vstack([self.fallback_rows(dim), extremes, spread]).astype(np.float32)
+        want = np.array(_fsum_squares(vectors))
+
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(memory_module.math, "fsum",
+                            lambda values: calls.append(1) or fsum(values))
+        ids = [f"C{i:03d}" for i in range(len(vectors))]
+        memory = Memory(ids, np.zeros(len(ids), bool), vectors, dim, ("local-trigram", "m"))
+        monkeypatch.undo()
+        assert len(calls) >= len(self.fallback_rows(dim))  # the certificate refused them
+        assert memory._squares.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+        save_memory(memory, tmp_path / "m.lm")
+        body = (tmp_path / "m.lm").read_bytes().split(b"\n", 1)[1]
+        stored = np.frombuffer(body[len(ids) : len(ids) + 8 * len(ids)], dtype="<f8")
+        assert stored.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        loaded = load_memory(tmp_path / "m.lm")
+        assert loaded._squares.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert not loaded._squares.flags.writeable and not memory._squares.flags.writeable
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_rebuild_is_byte_identical(self, tmp_path, rng, block):
+        ontology = synthetic_ontology(rng, 40)
+        save_memory(build_memory(ontology, local_provider(dim=32)), tmp_path / "a.lm")
+        # however many entries one pass of the tree sums
+        with mock.patch.object(memory_module, "_SUM_BLOCK", block):
+            save_memory(build_memory(ontology, local_provider(dim=32)), tmp_path / "b.lm")
+        assert (tmp_path / "a.lm").read_bytes() == (tmp_path / "b.lm").read_bytes()
+
+    @pytest.mark.parametrize("edit", ["beyond the slack", "negated", "zero", "nan", "inf",
+                                      "another entry's"])
+    def test_wrong_square_rejected(self, tmp_path, rng, edit):
+        _, memory, path, header, body = TestFormatV3.saved(tmp_path, rng)
+        squares = np.frombuffer(bytes(body[12 : 12 + 8 * len(memory)]), dtype="<f8").copy()
+        row = 5
+        slack = memory_module._square_slack(memory.dim)
+        squares[row] = {"beyond the slack": squares[row] * (1 + 3 * slack),
+                        "negated": -squares[row], "zero": 0.0, "nan": math.nan,
+                        "inf": math.inf,
+                        "another entry's": squares[row] * 1.5}[edit]
+        body[12 : 12 + 8 * len(memory)] = squares.astype("<f8").tobytes()
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(body))
+        with pytest.raises(BadMagic, match=f"stored square of entry {row}"):
+            load_memory(path)
+
+    def test_square_within_the_slack_loads(self, tmp_path, rng):
+        # the check is the proven bound between fsum and einsum, so a float64
+        # sum in any order always passes
+        _, memory, path, header, body = TestFormatV3.saved(tmp_path, rng)
+        squares = np.frombuffer(bytes(body[12 : 12 + 8 * len(memory)]), dtype="<f8").copy()
+        squares[5] = math.nextafter(squares[5], math.inf)
+        body[12 : 12 + 8 * len(memory)] = squares.astype("<f8").tobytes()
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(body))
+        assert load_memory(path)._squares[5] == squares[5]
+
+    def test_sums_in_any_order_are_within_the_slack(self):
+        gen = np.random.default_rng(13)
+        for dim in (1, 2, 3, 16, 256, 1000):
+            vectors = (gen.normal(size=(200, dim))
+                       * 2.0 ** gen.integers(-60, 60, size=(200, 1))).astype(np.float32)
+            vectors[:20, 1:] *= np.float32(2.0 ** -40)  # one term carries the row
+            exact = np.array(_fsum_squares(vectors))
+            products = vectors.astype(np.float64) ** 2
+            for other in (products.sum(axis=1), np.cumsum(products, axis=1)[:, -1],
+                          np.cumsum(products[:, ::-1], axis=1)[:, -1],
+                          np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)):
+                assert (np.abs(exact - other) <= other * memory_module._square_slack(dim)).all()
+
+    def test_short_square_column_rejected(self, tmp_path, rng):
+        _, memory, path, header, body = TestFormatV3.saved(tmp_path, rng)
+        del body[12 : 12 + 8]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(body))
+        with pytest.raises(BadMagic, match=f"{len(memory)} squares"):
             load_memory(path)
 
 

@@ -297,6 +297,25 @@ class TestLinkQueries:
             assert (result.prompt_digest, result.selection) == (alone.prompt_digest,
                                                                 alone.selection)
 
+    def test_each_prompt_hashed_once_in_the_calling_thread(self, setting, tmp_path):
+        ontology, queries, _, _, _, candidates = setting
+        candidates = [[] if i % 3 == 0 else slate for i, slate in enumerate(candidates)]
+        prompts = [ranker_module.fit_prompt(query, slate, ontology, PromptConfig()) if slate else ""
+                   for query, slate in zip(queries, candidates)]
+        hashed = []
+
+        def sha256(data):
+            hashed.append((data.decode("utf-8"), threading.get_ident()))
+            return hashlib.sha256(data)
+
+        with mock.patch.object(ranker_module, "hashlib", mock.Mock(sha256=sha256)):
+            results = link_queries(queries, candidates, ontology, PromptConfig(),
+                                   ExactMatchMockEndpoint(), concurrency=3,
+                                   journal=LinkJournal(tmp_path / "run.jsonl"))
+        assert sorted(hashed) == sorted((prompt, threading.get_ident()) for prompt in prompts)
+        assert [r.prompt_digest for r in results] == [ranker_module.prompt_digest(p)
+                                                      for p in prompts]
+
 
     def test_concurrency_bounds_calls_in_flight(self, setting):
         ontology, queries, _, _, _, candidates = setting
