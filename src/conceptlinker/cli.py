@@ -63,7 +63,7 @@ _MOCK_ENDPOINTS = {
 
 # Every setting: name -> (config-file section, key, default, flag help). The
 # name is the dest of the flag ``--<name with dashes>``, which a bool default
-# makes ``--x/--no-x`` and an int default an integer flag; the five settings
+# makes ``--x/--no-x`` and an int default an integer flag; the four settings
 # without help have no flag and are config-file only.
 SETTINGS = {
     "ontology": ("paths", "ontology", None, "ontology concepts file (JSON Lines)"),
@@ -96,9 +96,10 @@ SETTINGS = {
                        "include the query's context block in prompts"),
     "candidate_context": ("prompt", "candidate_context", True,
                           "include candidate descriptions in prompts"),
-    "none_label": ("prompt", "none_label", "None", "label of the none-of-the-above option"),
-    "max_option_context_chars": ("prompt", "max_option_context_chars", 600, None),
 }
+# each section's keys that some setting reads; any other key there is refused
+_CONFIG_KEYS = {section: {key for other, key, _, _ in SETTINGS.values() if other == section}
+                for section, _, _, _ in SETTINGS.values()}
 
 # the flags of one command only; every other flag is every command's
 _COMMAND_FLAGS = {"predictions": "evaluate", "retrievals": "evaluate", "ks": "evaluate",
@@ -120,6 +121,10 @@ class Settings:
                 raise UsageError(f"config path does not exist: {args.config}")
             self._config = configparser.ConfigParser(interpolation=None)
             self._config.read(args.config, encoding="utf-8")
+            unread = _unread_keys(self._config)
+            if unread:
+                raise UsageError(f"config {args.config} has keys no setting reads: "
+                                 + ", ".join(unread))
 
     def get(self, name: str):
         section, key, default, _ = SETTINGS[name]
@@ -180,6 +185,22 @@ class Settings:
         return Path(value)
 
 
+def _unread_keys(config: configparser.ConfigParser) -> list[str]:
+    """``[section] key`` of each key no setting reads, in the sections settings read.
+
+    Every ``[DEFAULT]`` key counts: configparser copies it into every
+    section, where it would set each setting of its name at once.
+    """
+    defaults = config.defaults()
+    unread = [f"[DEFAULT] {key}" for key in defaults]
+    for section in config.sections():
+        known = _CONFIG_KEYS.get(section)
+        if known is not None:
+            unread += [f"[{section}] {key}" for key in config[section]
+                       if key not in known and key not in defaults]
+    return unread
+
+
 def _provider(s: Settings):
     kind = s.get("provider")
     dim = s.positive("dim")
@@ -227,8 +248,6 @@ def _prompt_config(s: Settings) -> PromptConfig:
     return PromptConfig(
         include_source_context=s.boolean("source_context"),
         include_candidate_context=s.boolean("candidate_context"),
-        none_label=s.get("none_label"),
-        max_option_context_chars=s.integer("max_option_context_chars"),
     )
 
 

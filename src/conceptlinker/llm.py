@@ -16,18 +16,8 @@ from pathlib import Path
 
 from .errors import TransportError, TranscriptMiss
 from .fileio import KeyedLog, record_field
-from .ranker import (
-    ABSTRACT_CLOSE,
-    ABSTRACT_OPEN,
-    NONE_OPTION,
-    OPTION_SEP,
-    OPTIONS_MARKER,
-    QUERY_MARKER,
-    prompt_digest,
-)
+from .ranker import NONE_LABEL, parse_prompt, prompt_digest
 from .transport import new_session, post_json
-
-_OPTION_LINE = re.compile(r"^(\d+): (.*)$")
 
 
 class HttpCompletionEndpoint:
@@ -124,54 +114,8 @@ class ScriptedEndpoint:
         return self._responses.pop(0)
 
 
-def parse_prompt(prompt: str) -> tuple[str, str | None, list[tuple[str, str | None]]]:
-    """Recover (mention, context, options) from a rendered prompt.
-
-    Reads the last query/options blocks so a one-shot example block is
-    ignored. Each option is (name, description-or-None). Used by the mock
-    endpoints, which answer from the prompt text alone.
-    """
-    lines = prompt.splitlines()
-    query_at = max(
-        (i for i, line in enumerate(lines) if line.startswith(QUERY_MARKER)),
-        default=None,
-    )
-    options_at = max(
-        (i for i, line in enumerate(lines) if line == OPTIONS_MARKER), default=None
-    )
-    if query_at is None or options_at is None or options_at < query_at:
-        raise ValueError("prompt does not follow the expected template")
-    mention = lines[query_at][len(QUERY_MARKER):]
-
-    context = None
-    if query_at + 1 < len(lines) and lines[query_at + 1] == ABSTRACT_OPEN:
-        try:
-            close = lines.index(ABSTRACT_CLOSE, query_at + 2)
-        except ValueError:
-            raise ValueError("unterminated context block")
-        context = "\n".join(lines[query_at + 2 : close])
-
-    options: list[tuple[str, str | None]] = []
-    for line in lines[options_at + 1 :]:
-        match = _OPTION_LINE.match(line)
-        if not match or int(match.group(1)) != len(options):
-            break
-        body = match.group(2)
-        name, sep, description = body.partition(OPTION_SEP)
-        options.append((name, description if sep else None))
-    if not options:
-        raise ValueError("prompt lists no options")
-    return mention, context, options
-
-
-def _none_label(prompt: str) -> str:
-    """The none label of a rendered prompt, read from its last none-option line."""
-    end = prompt.rindex(NONE_OPTION)
-    return prompt[prompt.rfind("\n", 0, end) + 1 : end]
-
-
 class ExactMatchMockEndpoint:
-    """Picks the option whose name equals the query term, else the none label.
+    """Picks the option whose name equals the query term, else answers ``None``.
 
     Comparison is case-insensitive on whitespace-trimmed names. Purely
     lexical, so it is deterministic and needs no network.
@@ -183,7 +127,7 @@ class ExactMatchMockEndpoint:
         for i, (name, _) in enumerate(options):
             if name.strip().lower() == wanted:
                 return f"option {i}"
-        return _none_label(prompt)
+        return NONE_LABEL
 
 
 class KeywordMockEndpoint:
@@ -197,7 +141,7 @@ class KeywordMockEndpoint:
     with the query term and context; the highest score wins, ties going
     to the earlier option. Without any overlap it answers by exact name
     match only when exactly one option carries the queried name, and
-    answers the prompt's none label otherwise: names alone cannot
+    answers ``None`` otherwise: names alone cannot
     separate homonyms. Each instance remembers the words of every
     distinct description text it has seen for as long as it exists, so a
     description is tokenised once however many prompts repeat it. Meant
@@ -237,4 +181,4 @@ class KeywordMockEndpoint:
         ]
         if len(matches) == 1:
             return f"option {matches[0]}"
-        return _none_label(prompt)
+        return NONE_LABEL

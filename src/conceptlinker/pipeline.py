@@ -211,7 +211,7 @@ def link_queries(
             pending.append(i)
 
     def run_one(i: int) -> LinkResult:
-        result = _rank_prompt(queries[i], candidates[i], config, endpoint, prompts[i], digests[i],
+        result = _rank_prompt(queries[i], candidates[i], endpoint, prompts[i], digests[i],
                               token_budget)
         if journal is not None and result.selection.kind is not SelectionKind.TRANSPORT_ERROR:
             journal.append(journal_row(result, candidates[i]))

@@ -2,10 +2,11 @@
 
 The prompt lists retrieved candidates as numbered options (retrieval order,
 never shuffled), optionally with their descriptions and the query's source
-context, and always offers a final none-of-the-above option. The response
-grammar accepts "option N", a standalone "N:"/"N" line, or the none label,
-in that priority; anything else is a ParseFailure and triggers one terse
-re-ask before giving up.
+context, and always offers a final none-of-the-above option labelled
+``None``. The response grammar accepts "option N", a standalone "N:"/"N"
+line, or the none label, in that priority; anything else is a ParseFailure
+and triggers one terse re-ask before giving up. :func:`parse_prompt` reads
+a rendered prompt back, so this module owns the template both ways.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import re
 import time
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -28,19 +29,24 @@ from .memory import Candidate
 from .ontology import Ontology, Query
 from .textutil import truncate_at_word
 
-# line markers shared with the template-aware mock endpoints
+NONE_LABEL = "None"  # the none-of-the-above option's label, and the answer that picks it
+MAX_OPTION_CONTEXT_CHARS = 600  # an option's description is cut to this many characters
+
+# line markers of the template, which build_prompt writes and parse_prompt reads
 QUERY_MARKER = "Query term: "
 OPTIONS_MARKER = "Options:"
 ABSTRACT_OPEN = "<abstract>"
 ABSTRACT_CLOSE = "</abstract>"
 OPTION_SEP = " | "
-NONE_OPTION = ": none of the above options match"  # follows the none label
+_OPTION_LINE = re.compile(r"^(\d+): (.*)$")
 
 # "option N" anywhere, then a line that is "N" or starts "N:", in priority order
 _OPTION_RULES = (
     re.compile(r"\boption\s+(\d+)", re.IGNORECASE),
     re.compile(r"^[ \t]*(\d+)[ \t]*(?::|$)", re.MULTILINE),
 )
+# then the none label with no word character right before or after it
+_NONE_RULE = re.compile(rf"(?<!\w){re.escape(NONE_LABEL)}(?!\w)", re.IGNORECASE)
 
 
 class SelectionKind(Enum):
@@ -91,23 +97,12 @@ class PromptConfig:
     include_source_context: bool = True
     include_candidate_context: bool = True
     one_shot: OneShotExample | None = None
-    none_label: str = "None"
-    max_option_context_chars: int = 600
 
     def __post_init__(self) -> None:
-        for name, kind in (("include_source_context", bool), ("include_candidate_context", bool),
-                           ("none_label", str), ("max_option_context_chars", int)):
+        for name in ("include_source_context", "include_candidate_context"):
             value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
-        label = self.none_label.strip()
-        if not label:
-            raise ValueError("none_label must be non-empty")
-        # a reply equal to the label must not read as an option
-        if label.isdigit() or any(rule.search(self.none_label) for rule in _OPTION_RULES):
-            raise ValueError("none_label must be distinct from option index tokens")
-        if self.max_option_context_chars < 50:
-            raise ValueError("max_option_context_chars must be at least 50")
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be a bool, got {value!r}")
 
 
 def build_prompt(
@@ -117,6 +112,13 @@ def build_prompt(
     config: PromptConfig,
 ) -> str:
     """Render the ranking prompt; deterministic for identical inputs."""
+    chars = MAX_OPTION_CONTEXT_CHARS if config.include_candidate_context else None
+    return _render(query, candidates, ontology, config, chars)
+
+
+def _render(query: Query, candidates: list[Candidate], ontology: Ontology,
+            config: PromptConfig, option_chars: int | None) -> str:
+    """:func:`build_prompt` with each description cut to ``option_chars``, or left out at None."""
     if not candidates:
         raise EmptyCandidates()
     positions = []
@@ -126,10 +128,9 @@ def build_prompt(
         except UnknownId:
             raise UnresolvableCandidate(cand.concept_id) from None
 
-    none_label = config.none_label
     lines: list[str] = [
         "Task: identify which numbered option denotes the same concept as "
-        f"the query term. If no option matches, answer {none_label}.",
+        f"the query term. If no option matches, answer {NONE_LABEL}.",
         "",
     ]
     if config.one_shot is not None:
@@ -150,28 +151,68 @@ def build_prompt(
     for i, position in enumerate(positions):
         option = f"{i}: {names[position]}"
         description = descriptions[position]
-        if config.include_candidate_context and description:
-            option += OPTION_SEP + truncate_at_word(description, config.max_option_context_chars)
+        if option_chars is not None and description:
+            option += OPTION_SEP + truncate_at_word(description, option_chars)
         lines.append(option)
     lines += [
-        none_label + NONE_OPTION,
+        f"{NONE_LABEL}: none of the above options match",
         "",
-        f"Answer with exactly one option number or {none_label}, "
+        f"Answer with exactly one option number or {NONE_LABEL}, "
         "then briefly justify your choice.",
     ]
     return "\n".join(lines)
+
+
+def parse_prompt(prompt: str) -> tuple[str, str | None, list[tuple[str, str | None]]]:
+    """Recover (mention, context, options) from a rendered prompt.
+
+    Reads the last query/options blocks so a one-shot example block is
+    ignored. Each option is (name, description-or-None). Used by the mock
+    endpoints, which answer from the prompt text alone.
+    """
+    lines = prompt.splitlines()
+    query_at = max(
+        (i for i, line in enumerate(lines) if line.startswith(QUERY_MARKER)),
+        default=None,
+    )
+    options_at = max(
+        (i for i, line in enumerate(lines) if line == OPTIONS_MARKER), default=None
+    )
+    if query_at is None or options_at is None or options_at < query_at:
+        raise ValueError("prompt does not follow the expected template")
+    mention = lines[query_at][len(QUERY_MARKER):]
+
+    context = None
+    if query_at + 1 < len(lines) and lines[query_at + 1] == ABSTRACT_OPEN:
+        try:
+            close = lines.index(ABSTRACT_CLOSE, query_at + 2)
+        except ValueError:
+            raise ValueError("unterminated context block")
+        context = "\n".join(lines[query_at + 2 : close])
+
+    options: list[tuple[str, str | None]] = []
+    for line in lines[options_at + 1 :]:
+        match = _OPTION_LINE.match(line)
+        if not match or int(match.group(1)) != len(options):
+            break
+        body = match.group(2)
+        name, sep, description = body.partition(OPTION_SEP)
+        options.append((name, description if sep else None))
+    if not options:
+        raise ValueError("prompt lists no options")
+    return mention, context, options
 
 
 def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def parse_response(text: str, n_options: int, none_label: str = "None") -> Selection:
+def parse_response(text: str, n_options: int) -> Selection:
     """Map a raw model response to a Selection; total, never raises.
 
     Priority: (1) "option N" anywhere, case-insensitive; (2) a standalone
-    line "N:" or exactly "N"; (3) the trimmed none label with no word
-    character right before or after it, case-insensitive. Within a rule
+    line "N:" or exactly "N"; (3) the none label with no word character
+    right before or after it, case-insensitive. Within a rule
     the earliest text position wins; indices >= n_options never match,
     however many digits they have. No rule firing means ParseFailure.
     """
@@ -187,8 +228,7 @@ def parse_response(text: str, n_options: int, none_label: str = "None") -> Selec
             if len(digits) <= len(str(n_options)) and int(digits) < n_options:
                 return Selection(SelectionKind.OPTION, text, index=int(digits))
 
-    none_word = re.compile(rf"(?<!\w){re.escape(none_label.strip())}(?!\w)", re.IGNORECASE)
-    if none_word.search(text):
+    if _NONE_RULE.search(text):
         return Selection(SelectionKind.NONE_OF_THE_ABOVE, text)
 
     return Selection(SelectionKind.PARSE_FAILURE, text)
@@ -208,29 +248,18 @@ def fit_prompt(
 ) -> str:
     """Build the prompt, progressively shedding candidate context to fit.
 
-    Halves the per-option description budget down to the 50-char floor,
-    then drops descriptions entirely; raises PromptBudgetExceeded only
-    when even the bare prompt does not fit.
+    Halves the per-option description cut while it stays at least 50
+    characters, 600 to 300, 150 and 75, then drops descriptions entirely;
+    raises PromptBudgetExceeded only when even the bare prompt does not fit.
     """
     prompt = build_prompt(query, candidates, ontology, config)
-    if budget is None or estimate_tokens(prompt) <= budget:
-        return prompt
-
-    chars = config.max_option_context_chars
-    while config.include_candidate_context and chars >= 100:
-        chars //= 2
-        prompt = build_prompt(
-            query, candidates, ontology,
-            replace(config, max_option_context_chars=max(chars, 50)),
-        )
-        if estimate_tokens(prompt) <= budget:
-            return prompt
-    prompt = build_prompt(
-        query, candidates, ontology, replace(config, include_candidate_context=False)
-    )
-    if estimate_tokens(prompt) <= budget:
-        return prompt
-    raise PromptBudgetExceeded(estimate_tokens(prompt), budget)
+    chars = MAX_OPTION_CONTEXT_CHARS if config.include_candidate_context else None
+    while budget is not None and estimate_tokens(prompt) > budget:
+        if chars is None:
+            raise PromptBudgetExceeded(estimate_tokens(prompt), budget)
+        chars = chars // 2 if chars >= 100 else None
+        prompt = _render(query, candidates, ontology, config, chars)
+    return prompt
 
 
 def rank(
@@ -251,11 +280,10 @@ def rank(
     failure kind in the result, never a silent none.
     """
     prompt = fit_prompt(query, candidates, ontology, config, token_budget) if candidates else ""
-    return _rank_prompt(query, candidates, config, endpoint, prompt, prompt_digest(prompt),
-                        token_budget)
+    return _rank_prompt(query, candidates, endpoint, prompt, prompt_digest(prompt), token_budget)
 
 
-def _rank_prompt(query: Query, candidates: list[Candidate], config: PromptConfig, endpoint,
+def _rank_prompt(query: Query, candidates: list[Candidate], endpoint,
                  prompt: str, digest: str, token_budget: int | None) -> LinkResult:
     """:func:`rank` for a ``prompt`` already fitted, ``""`` for no candidates, and its ``digest``."""
     if not candidates:
@@ -276,13 +304,10 @@ def _rank_prompt(query: Query, candidates: list[Candidate], config: PromptConfig
         except ServiceError as exc:
             selection = Selection(SelectionKind.TRANSPORT_ERROR, str(exc))
             break
-        selection = parse_response(raw, len(candidates), config.none_label)
+        selection = parse_response(raw, len(candidates))
         if selection.kind is not SelectionKind.PARSE_FAILURE:
             break
-        ask = (
-            prompt
-            + f"\nAnswer with only the option number or {config.none_label}."
-        )
+        ask = prompt + f"\nAnswer with only the option number or {NONE_LABEL}."
         if token_budget is not None and estimate_tokens(ask) > token_budget:
             break
     latency = time.monotonic() - started

@@ -790,15 +790,11 @@ class TestConfigKeys:
             "[prompt]\n"
             "source_context = false\n"
             "candidate_context = off\n"
-            "none_label = Nothing fits\n"
-            "max_option_context_chars = 80\n"
         ))
         assert link(workspace, "--config", str(config)) == 0
         prompt = seen["config"]
         assert prompt.include_source_context is False
         assert prompt.include_candidate_context is False
-        assert prompt.none_label == "Nothing fits"
-        assert prompt.max_option_context_chars == 80
         assert seen["concurrency"] == 3
 
     def test_bad_max_option_context_chars_exits_2(self, workspace, capsys):
@@ -924,6 +920,13 @@ READERS = ("parse_ontology", "load_memory", "parse_queries", "parse_gold", "pars
     (["retrieve"], "[provider]\nmodel = trigram-d256-s1\n"),
     # the memory does not depend on the ontology's file name, so nothing tags it
     (["build-memory", "--tag", "t"], ""),
+    # a key no setting reads: removed, misspelt, or in [DEFAULT], which
+    # configparser copies into every section
+    (["link", "--endpoint", "mock:keyword"], "[run]\ntemplate = v2\n"),
+    (["link", "--endpoint", "mock:keyword"], "[prompt]\nnone_labl = None\n"),
+    (["retrieve"], "[DEFAULT]\nk = 5\n[run]\n"),
+    # the none label is fixed, so the flag is gone
+    (["link", "--endpoint", "mock:exact", "--none-label", "None"], ""),
 ])
 def test_usage_errors_come_before_any_input_is_read(workspace, monkeypatch, argv, config):
     def unexpected(*args, **kwargs):
@@ -943,6 +946,24 @@ def test_usage_errors_come_before_any_input_is_read(workspace, monkeypatch, argv
         inputs += ["--grid", str(grid)]
     run = run_cli(workspace["out"], *argv, *inputs)
     assert (run.code, run.created) == (2, set()), run.err
+
+
+@pytest.mark.parametrize("config, named", [
+    ("[run]\nk = 5\ntemplate = v2\n[prompt]\nnone_label = None\n",
+     "[run] template, [prompt] none_label"),
+    ("[DEFAULT]\ntimeout = 5\n[provider]\n[endpoint]\n", "[DEFAULT] timeout"),
+])
+def test_unread_config_keys_are_named(workspace, config, named):
+    write_config(workspace, config)
+    run = run_cli(workspace["out"], "retrieve")
+    assert run.code == 2
+    assert run.err.splitlines()[-1].endswith(f"has keys no setting reads: {named}")
+
+
+def test_other_config_sections_are_ignored(workspace):
+    build(workspace)
+    config = write_config(workspace, "[notes]\nauthor = someone\n[run]\nk = 2\n")
+    assert link(workspace, "--config", str(config)) == 0
 
 
 DEEP = "[" * 1000 + "]" * 1000  # 2 KB, nested past the recursion limit

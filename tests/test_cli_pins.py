@@ -27,7 +27,7 @@ PINS = {
     "memory": "db448742a771c4317258512364c6f6a6e553e32c6eecff98487b011b0e8e5eaa",
     "retrieve": "4085e05dbcf613a78c675dc1164d98965a823a55814e901670d32a3f2ba74e5e",
     "link": "d5600f3da78ce0b520a4c677696fbcb3317497dff965a156c3985a59d3993941",
-    "ablate": "9132cae55faa362996611f5b5bbc3f78736e49835a0744b992172feed480ecd7",
+    "ablate": "e97d0a5a54675982a2ff4c5afa61cd9c68cc9ed361e8e229f56c0da70012a63f",
 }
 
 

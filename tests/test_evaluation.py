@@ -509,13 +509,14 @@ class TestGridFiles:
             '{"label": "both"}\n'
             '{"label": "no context", "include_source_context": false, '
             '"include_candidate_context": false}\n'
-            '{"max_option_context_chars": 120}\n'
+            '{"include_candidate_context": false}\n'
         )
         arms = parse_grid(path)
         assert [a.label for a in arms] == ["both", "no context", "arm-2"]
         assert arms[0].config.include_source_context is True
         assert arms[1].config.include_candidate_context is False
-        assert arms[2].config.max_option_context_chars == 120
+        assert arms[2].config.include_source_context is True
+        assert arms[2].config.include_candidate_context is False
 
     @pytest.mark.parametrize("one_shot, problem", [
         ({"query": 5, "options": "0: A", "answer": "option 0"}, "field 'query' is not a string"),

@@ -6,7 +6,6 @@ import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 import requests
@@ -32,7 +31,7 @@ from conceptlinker import (
 )
 from conceptlinker import transport
 from conceptlinker.errors import Timeout, TranscriptMiss, TransportError
-from conceptlinker.ranker import estimate_tokens
+from conceptlinker.ranker import NONE_LABEL, _render, estimate_tokens
 
 from .conftest import ontology_from
 from .oracles import keyword_mock_ref
@@ -311,16 +310,16 @@ class TestExactMatchMock:
         assert ExactMatchMockEndpoint().complete(render_fixture()) == "None"
 
     def test_abstains_with_the_prompts_none_label(self):
-        # the example block offers its own none line; the query's comes last
+        # the example block offers its own none line and answers an option
         example = OneShotExample(
             query="warfarin sensitivity",
             options="0: Warfarin resistance\nNone: none of the above options match",
-            answer="None",
+            answer="option 0",
         )
-        prompt = render_fixture(PromptConfig(none_label="N/A", one_shot=example))
-        assert ExactMatchMockEndpoint().complete(prompt) == "N/A"
-        bare = PromptConfig(none_label="(none)", include_candidate_context=False)
-        assert KeywordMockEndpoint().complete(render_fixture(bare)) == "(none)"
+        prompt = render_fixture(PromptConfig(one_shot=example))
+        assert ExactMatchMockEndpoint().complete(prompt) == NONE_LABEL
+        bare = PromptConfig(include_candidate_context=False, one_shot=example)
+        assert KeywordMockEndpoint().complete(render_fixture(bare)) == NONE_LABEL
 
 
 class TestKeywordMock:
@@ -385,7 +384,7 @@ _ARMS = (
         answer="option 0",
     )),
 )
-# the description lengths fit_prompt tries in turn; None drops them
+# the description cuts fit_prompt tries in turn; None drops them
 _SHED_TO = (600, 300, 150, 75, None)
 
 
@@ -408,10 +407,10 @@ def mock_prompts(draw) -> list[str]:
                       for id in ids[: draw(st.integers(1, len(ids)))]]
         for config in _ARMS:
             prompts.append(fit_prompt(query, candidates, ontology, config))
-            for chars in _SHED_TO:  # the budget that this length just fits
-                shed = (replace(config, max_option_context_chars=chars) if chars
-                        else replace(config, include_candidate_context=False))
-                budget = estimate_tokens(build_prompt(query, candidates, ontology, shed))
+            for chars in _SHED_TO:  # the budget that this cut just fits
+                if not config.include_candidate_context:
+                    chars = None
+                budget = estimate_tokens(_render(query, candidates, ontology, config, chars))
                 prompts.append(fit_prompt(query, candidates, ontology, config, budget))
     return prompts
 
@@ -446,7 +445,8 @@ class TestKeywordMockOracle:
 
     def test_store_grows_with_distinct_option_texts_not_calls(self):
         prompts = [
-            render_fixture(PromptConfig(max_option_context_chars=chars))
+            _render(fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig(),
+                    chars)
             for chars in (600, 100, 50)
         ]
         texts = {d for p in prompts for _, d in parse_prompt(p)[2] if d}

@@ -22,6 +22,7 @@ from conceptlinker import (
     ExactMatchMockEndpoint,
     KeywordMockEndpoint,
     LinkJournal,
+    OneShotExample,
     PromptConfig,
     Query,
     ScriptedEndpoint,
@@ -533,15 +534,14 @@ class TestTokenBudget:
 
 class TestMockNoneLabel:
     @pytest.mark.parametrize("mock_endpoint", [ExactMatchMockEndpoint, KeywordMockEndpoint])
-    @pytest.mark.parametrize("label", ["N/A", "(none)", " Nothing fits "])
-    def test_abstention_answers_the_prompts_label(self, setting, mock_endpoint, label):
+    def test_abstention_answers_none(self, setting, mock_endpoint):
         ontology, _, _, _, _, candidates = setting
         # no option is named after the mention and no word of it is in a description
         query = Query(id="q", mention="zzzz qqqq")
-        [result] = link_queries([query], candidates[:1], ontology,
-                                PromptConfig(none_label=label), mock_endpoint())
+        [result] = link_queries([query], candidates[:1], ontology, PromptConfig(),
+                                mock_endpoint())
         assert result.selection.kind is SelectionKind.NONE_OF_THE_ABOVE
-        assert result.selection.raw_response == label
+        assert result.selection.raw_response == "None"
         assert result.attempts == 1
 
 
@@ -601,11 +601,12 @@ class TestJournal:
                      ExactMatchMockEndpoint(), journal=journal)
 
         endpoint = CountingExactMatch()
+        primed = PromptConfig(one_shot=OneShotExample("q", "0: A", "option 0"))
         link_queries(
-            queries, candidates, ontology, PromptConfig(none_label="Nothing"),
+            queries, candidates, ontology, primed,
             endpoint, journal=LinkJournal(tmp_path / "run.jsonl"),
         )
-        # the label appears in every prompt, so every digest changes and
+        # the example appears in every prompt, so every digest changes and
         # nothing can be reused
         assert endpoint.calls == len(queries)
 
