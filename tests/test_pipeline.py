@@ -534,10 +534,13 @@ class TestTokenBudget:
 
 class TestMockNoneLabel:
     @pytest.mark.parametrize("mock_endpoint", [ExactMatchMockEndpoint, KeywordMockEndpoint])
-    def test_abstention_answers_none(self, setting, mock_endpoint):
+    @pytest.mark.parametrize("label", ["N/A", "(none)", " Nothing fits "])
+    def test_abstention_answers_the_prompts_label(self, setting, mock_endpoint, label):
         ontology, _, _, _, _, candidates = setting
-        # no option is named after the mention and no word of it is in a description
-        query = Query(id="q", mention="zzzz qqqq")
+        # no option is named after the mention and no word of it is in a
+        # description; a source context that reads like a none label does
+        # not change the answer, which is the prompt's own label
+        query = Query(id="q", mention="zzzz qqqq", context=label)
         [result] = link_queries([query], candidates[:1], ontology, PromptConfig(),
                                 mock_endpoint())
         assert result.selection.kind is SelectionKind.NONE_OF_THE_ABOVE
