@@ -11,6 +11,7 @@ unit-normalized rows; similarity downstream is plain cosine on those.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import struct
 import threading
@@ -19,16 +20,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    CacheError,
-    DimMismatch,
-    EmptyText,
-    InvalidVector,
-    TransportError,
-)
+from .errors import DimMismatch, EmptyText, InvalidVector, TransportError
 from .fileio import atomic_writer
 from .textutil import normalize_whitespace
 from .transport import new_session, post_json
+
+logger = logging.getLogger(__name__)
 
 LOCAL_PROVIDER_ID = "local-trigram"
 REMOTE_PROVIDER_ID = "remote"
@@ -203,22 +200,24 @@ class VectorCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key)
 
-    def get(self, key: str) -> np.ndarray | None:
-        path = self._path(key)
+    def get(self, key: str, dim: int) -> np.ndarray | None:
+        """The dim-``dim`` vector stored under ``key``, or None when there is none.
+
+        An entry that is not a whole dim-``dim`` vector (shorter than its
+        header, with another magic or dim, or with a body that is not
+        ``4 × dim`` bytes) is logged and left for :meth:`put` to replace: a
+        cache entry can always be fetched again.
+        """
         try:
-            with open(path, "rb") as fh:
+            with open(self._path(key), "rb") as fh:
                 blob = fh.read()
         except FileNotFoundError:
             return None
-        if len(blob) < _CACHE_HEADER.size:
-            raise CacheError(f"cache entry {key} is truncated")
-        magic, dim = _CACHE_HEADER.unpack_from(blob)
-        if magic != CACHE_MAGIC:
-            raise CacheError(f"cache entry {key} has bad magic {magic!r}")
-        body = blob[_CACHE_HEADER.size :]
-        if len(body) != 4 * dim:
-            raise CacheError(f"cache entry {key} body does not match dim {dim}")
-        return np.frombuffer(body, dtype="<f4").astype(np.float32)
+        if (len(blob) == _CACHE_HEADER.size + 4 * dim
+                and _CACHE_HEADER.unpack_from(blob) == (CACHE_MAGIC, dim)):
+            return np.frombuffer(blob, dtype="<f4", offset=_CACHE_HEADER.size).astype(np.float32)
+        logger.warning("cache entry %s is not a whole dim-%d vector, so it is a miss", key, dim)
+        return None
 
     def put(self, key: str, vector: np.ndarray) -> None:
         blob = _CACHE_HEADER.pack(CACHE_MAGIC, vector.shape[0])
@@ -259,15 +258,16 @@ class RemoteProvider:
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """The float32 (len(texts), dim) matrix of unit rows, in input order.
 
-        Cache hits fill their rows; every distinct miss is sent once, in
-        requests of at most ``_SLICE_TEXTS`` inputs. Each reply is checked
-        whole before any row of it is cached, so a failed request leaves the
-        earlier ones cached. A repeated text copies the row of its first
-        occurrence.
+        Whole cache entries of the spec's dim fill their rows; every other
+        distinct text is sent once, in requests of at most ``_SLICE_TEXTS``
+        inputs. Each reply is checked whole before any row of it is cached,
+        so a failed request leaves the earlier ones cached. A repeated text
+        copies the row of its first occurrence.
         """
         cleaned = _clean_texts(texts)
         out = np.empty((len(cleaned), self.spec.dim), dtype=np.float32)
         first: dict[str, int] = {}
+        keys: dict[int, str] = {}  # each distinct text's cache key
         repeats: list[int] = []
         misses: list[int] = []
         for i, text in enumerate(cleaned):
@@ -276,11 +276,9 @@ class RemoteProvider:
                 continue
             first[text] = i
             if self.cache is not None:
-                key = VectorCache.key(self.spec.provider_id, self.spec.model_id, text)
-                hit = self.cache.get(key)
+                keys[i] = key = VectorCache.key(self.spec.provider_id, self.spec.model_id, text)
+                hit = self.cache.get(key, self.spec.dim)
                 if hit is not None:
-                    if hit.shape != (self.spec.dim,):
-                        raise DimMismatch(self.spec.dim, hit.shape[0], index=i)
                     out[i] = hit
                     continue
             misses.append(i)
@@ -292,10 +290,7 @@ class RemoteProvider:
                 out[j] = _unit(vec, j)
             if self.cache is not None:
                 for j in sent:
-                    key = VectorCache.key(
-                        self.spec.provider_id, self.spec.model_id, cleaned[j]
-                    )
-                    self.cache.put(key, out[j])
+                    self.cache.put(keys[j], out[j])
         out[repeats] = out[[first[cleaned[i]] for i in repeats]]
         return out
 

@@ -103,10 +103,6 @@ class Timeout(ServiceError):
         self.detail = detail
 
 
-class CacheError(ValidationError):
-    """On-disk vector cache entry is unreadable."""
-
-
 # --- memory store -----------------------------------------------------------
 
 class EmptyOntology(ValidationError):

@@ -174,41 +174,18 @@ class Memory:
     """
 
     def __init__(self, concept_ids: Sequence[str], has_context: Sequence[bool], vectors: np.ndarray,
-                 dim: int, provider_fingerprint: tuple[str, str]):
-        """Take ownership of the given columns, make them read-only and sum each entry's square.
+                 dim: int, provider_fingerprint: tuple[str, str],
+                 squares: np.ndarray | None = None):
+        """Take ownership of the given columns and make them read-only.
 
-        Raises :class:`MemoryLayoutError` if they disagree, ``vectors`` is not
-        2-d or an id repeats, :class:`DimMismatch` for rows of another dim,
-        and :class:`InvalidVector` for a NaN, infinite, zero or out-of-range row.
+        ``squares``, each entry's ``fsum`` of squares as a memory file
+        stores it, is kept as given; without it each entry's square is
+        summed here. Raises :class:`MemoryLayoutError` if the columns
+        disagree, ``vectors`` is not 2-d, an id repeats or a given square
+        cannot be its row's by :func:`_square_slack`, :class:`DimMismatch`
+        for rows of another dim, and :class:`InvalidVector` for a NaN,
+        infinite, zero or out-of-range row.
         """
-        self._adopt(concept_ids, has_context, vectors, dim, provider_fingerprint)
-        self._squares = _entry_squares(self.vectors)
-        self._squares.flags.writeable = False
-
-    @classmethod
-    def _with_squares(cls, concept_ids: Sequence[str], has_context: Sequence[bool],
-                      vectors: np.ndarray, dim: int, provider_fingerprint: tuple[str, str],
-                      squares: np.ndarray) -> Memory:
-        """A memory whose entry squares were stored: each must be its row's, within the bound.
-
-        Raises as the constructor does, then :class:`BadMagic` for a square
-        that :func:`_square_slack` shows cannot be its row's ``fsum``.
-        """
-        memory = cls.__new__(cls)
-        sums = memory._adopt(concept_ids, has_context, vectors, dim, provider_fingerprint)
-        # NaN compares false as well
-        wrong = ~(np.abs(squares - sums) <= sums * _square_slack(dim))
-        if wrong.any():
-            row = int(np.flatnonzero(wrong)[0])
-            raise BadMagic(f"corrupt memory file: the stored square of entry {row}, "
-                           f"{float(squares[row])!r}, is not its vector's")
-        squares.flags.writeable = False
-        memory._squares = squares
-        return memory
-
-    def _adopt(self, concept_ids: Sequence[str], has_context: Sequence[bool], vectors: np.ndarray,
-               dim: int, provider_fingerprint: tuple[str, str]) -> np.ndarray:
-        """Check and keep every column but the squares; returns each row's einsum square."""
         vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise MemoryLayoutError(f"vectors must be a 2-d array, got shape {vectors.shape}")
@@ -232,18 +209,31 @@ class Memory:
             if 0.0 < norms[row] < math.inf:
                 raise InvalidVector("memory entry", row, "has a length outside 2**-64 to 2**64")
             raise InvalidVector("memory entry", row)
-        vectors.flags.writeable = flags.flags.writeable = False
+        if squares is None:
+            squares = _entry_squares(vectors)
+        else:
+            squares = np.asarray(squares, dtype=np.float64)
+            if squares.shape != (count,):
+                raise MemoryLayoutError(f"squares of shape {squares.shape} do not fit "
+                                        f"{count} vectors")
+            # NaN compares false as well
+            wrong = ~(np.abs(squares - sums) <= sums * _square_slack(dim))
+            if wrong.any():
+                row = int(np.flatnonzero(wrong)[0])
+                raise MemoryLayoutError(f"the stored square of entry {row}, "
+                                        f"{float(squares[row])!r}, is not its vector's")
+        vectors.flags.writeable = flags.flags.writeable = squares.flags.writeable = False
         self.vectors = vectors
         self.concept_ids = ids
         self.has_context = flags
         self.dim = dim
         self.provider_fingerprint = tuple(provider_fingerprint)
+        self._squares = squares
         self._inv_norms = (1.0 / norms).astype(np.float32)
         self._concepts = np.repeat(np.arange(len(ids)), 1 + flags)  # each entry's concept
         self._name_rows = _name_rows(flags)
         self._max_run = 2 if flags.any() else 1  # the most entries of any one concept
         self._margin = _score_margin(dim)
-        return sums
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -290,8 +280,8 @@ def concept_text(name: str, description: str | None) -> str:
 
 
 def query_text(query: Query) -> str:
-    """The text embedded for a query: mention alone, or mention + context."""
-    return f"{query.mention}: {query.context}" if query.context else query.mention
+    """The text embedded for a query: its mention and context as :func:`concept_text` joins them."""
+    return concept_text(query.mention, query.context)
 
 
 def build_memory(ontology: Ontology, provider: Provider) -> Memory:
@@ -762,7 +752,7 @@ def load_memory(
         vectors = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
 
     try:
-        memory = Memory._with_squares(ids, flags, vectors, dim, fingerprint, squares)
+        memory = Memory(ids, flags, vectors, dim, fingerprint, squares)
     except MemoryLayoutError as exc:
         raise BadMagic(f"corrupt memory file: {exc}") from None
     if expected_provider is not None:

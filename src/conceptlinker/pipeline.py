@@ -116,8 +116,7 @@ class LinkJournal(KeyedLog):
     """
 
     def __init__(self, path: str | Path) -> None:
-        super().__init__(path, "journal", lambda row, lineno: (
-            (record_field(row, "query_id", lineno), record_field(row, "digest", lineno)), row))
+        super().__init__(path, "journal", _journal_entry)
 
     def get(self, query_id: str, digest: str, slate: list[Candidate]) -> LinkResult | None:
         """The journaled result, or None when there is none or its row cannot be replayed."""
@@ -132,6 +131,12 @@ class LinkJournal(KeyedLog):
             pass
         logger.warning("cannot replay the journal row of %r in %s", query_id, self.path)
         return None
+
+
+def _journal_entry(row: dict, lineno: int) -> tuple[tuple[str, str], dict]:
+    """A row keyed by (query id, digest), held without its slate, which replay never reads."""
+    key = (record_field(row, "query_id", lineno), record_field(row, "digest", lineno))
+    return key, {field: value for field, value in row.items() if field != "candidates"}
 
 
 def journal_row(result: LinkResult, candidates: list[Candidate]) -> dict:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from conceptlinker import (
 )
 from conceptlinker import cli as cli_module
 from conceptlinker.cli import SETTINGS, main
+from conceptlinker.ranker import parse_prompt
 
 from .conftest import (
     ontology_from,
@@ -1224,6 +1226,50 @@ def test_budget_applies_to_mock_recording_and_replay(tmp_path, capsys):
     assert main(["link", "--config", tight, "--endpoint", "mock:keyword",
                  "--output", str(tmp_path / "tight.jsonl")]) == 2
     assert "budget of 100" in capsys.readouterr().err
+
+
+class ByMention:
+    """An endpoint that answers each query from its own script, by the mention in the prompt.
+
+    A mention's replies are used in turn; one with no script left picks option 0.
+    """
+
+    def __init__(self, scripts: dict[str, list[str]]) -> None:
+        self.scripts = {mention: list(replies) for mention, replies in scripts.items()}
+        self.calls: list[str] = []
+        self._lock = threading.Lock()
+
+    def complete(self, prompt: str) -> str:
+        mention, _, _ = parse_prompt(prompt)
+        with self._lock:
+            self.calls.append(mention)
+            replies = self.scripts.get(mention)
+            return replies.pop(0) if replies else "option 0"
+
+
+def test_link_records_a_reask_and_a_parse_failure(tmp_path, monkeypatch, capsys):
+    config = demo_config(tmp_path, "run.ini", None)
+    assert main(["build-memory", "--config", config]) == 0
+    endpoint = ByMention({"platelet P2Y12 disorder": ["no idea", "option 0"],
+                          "low platelet count": ["no idea", "still no idea"]})
+    monkeypatch.setattr(cli_module, "_completion_endpoint", lambda settings: endpoint)
+    out = tmp_path / "pred.jsonl"
+    capsys.readouterr()
+    assert main(["link", "--config", config, "--output", str(out)]) == 0
+    assert "kinds: option=5, none=0, parse_failure=1, transport_error=0" in capsys.readouterr().out
+    kinds = {row["query_id"]: row["kind"] for row in map(json.loads, out.read_text().splitlines())}
+    assert kinds == {"q1": "option", "q2": "parse_failure", "q3": "option", "q4": "option",
+                     "q5": "option", "q6": "option"}
+    details = Path(f"{out}.details.jsonl").read_text().splitlines()
+    attempts = {row["query_id"]: row["attempts"] for row in map(json.loads, details)}
+    assert attempts == {"q1": 2, "q2": 2, "q3": 1, "q4": 1, "q5": 1, "q6": 1}
+    assert len(endpoint.calls) == 8
+
+    # every outcome, the parse failure too, is journaled, so a rerun replays them all
+    first = out.read_bytes()
+    assert main(["link", "--config", config, "--output", str(out)]) == 0
+    assert len(endpoint.calls) == 8
+    assert out.read_bytes() == first
 
 
 def test_any_id_survives_link_and_evaluate(tmp_path):

@@ -24,7 +24,7 @@ from conceptlinker import (
 )
 from conceptlinker import embedding as embedding_module
 from conceptlinker import transport
-from conceptlinker.embedding import CACHE_MAGIC
+from conceptlinker.embedding import _CACHE_HEADER, CACHE_MAGIC
 from conceptlinker.errors import DimMismatch, EmptyText, InvalidVector, TransportError
 
 from .conftest import ontology_from
@@ -162,46 +162,17 @@ class TestVectorCache:
         vector = local_embed("aspirin", 64)
         key = VectorCache.key("p", "m", "aspirin")
         cache.put(key, vector)
-        got = cache.get(key)
+        got = cache.get(key, 64)
         assert got.dtype == np.float32
         assert np.array_equal(got, vector)
 
     def test_miss_is_none(self, tmp_path):
-        assert VectorCache(tmp_path).get("0" * 64) is None
+        assert VectorCache(tmp_path).get("0" * 64, 4) is None
 
     def test_key_separates_fields(self):
         # provider/model/text must not be collapsible into each other
         assert VectorCache.key("a", "b", "c") != VectorCache.key("ab", "", "c")
         assert VectorCache.key("a", "b", "c") != VectorCache.key("a", "bc", "")
-
-    def test_bad_magic_raises(self, tmp_path):
-        from conceptlinker.errors import CacheError
-
-        cache = VectorCache(tmp_path)
-        key = "1" * 64
-        (tmp_path / key).write_bytes(b"XXXX" + bytes(12) + bytes(64))
-        with pytest.raises(CacheError):
-            cache.get(key)
-
-    def test_truncated_raises(self, tmp_path):
-        from conceptlinker.errors import CacheError
-
-        cache = VectorCache(tmp_path)
-        key = "2" * 64
-        (tmp_path / key).write_bytes(CACHE_MAGIC)
-        with pytest.raises(CacheError):
-            cache.get(key)
-
-    def test_body_length_mismatch_raises(self, tmp_path):
-        from conceptlinker.errors import CacheError
-        import struct
-
-        cache = VectorCache(tmp_path)
-        key = "3" * 64
-        header = struct.pack("<4sI8x", CACHE_MAGIC, 16)
-        (tmp_path / key).write_bytes(header + bytes(7))
-        with pytest.raises(CacheError):
-            cache.get(key)
 
 
 class FakeResponse:
@@ -323,7 +294,7 @@ class TestRemoteProvider:
             provider.embed_batch(["alpha", "beta"])
         assert exc.value.index == 1
         # the batch is atomic: nothing may have been cached
-        assert cache.get(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "alpha")) is None
+        assert cache.get(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "alpha"), 4) is None
 
     @pytest.mark.parametrize(
         "bad", [["x", 0, 0, 0], [[1], 0, 0, 0], "abcd", 5, None, {"a": 1}],
@@ -474,7 +445,7 @@ class TestRemoteSlices:
         # the first slice is cached whole; nothing of the failed reply is
         assert len(list(tmp_path.iterdir())) == 2
         for text, length in (("a", 1), ("bb", 2)):
-            hit = cache.get(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", text))
+            hit = cache.get(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", text), 4)
             np.testing.assert_allclose(hit, np.array([length, 1, 0, 0]) / np.hypot(length, 1),
                                        rtol=1e-6)
         # a rerun posts only what the first slice did not cover
@@ -507,13 +478,46 @@ def test_always_failing_post_pauses_once_per_retry(monkeypatch):
     assert slept == list(transport.RETRY_BACKOFF_S)
 
 
-def test_cache_hit_of_another_dim_is_refused(tmp_path):
-    cache = VectorCache(tmp_path)
-    cache.put(VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "beta"), np.ones(8, dtype=np.float32))
-    provider = RemoteProvider(remote_spec(), cache=cache, session=FakeSession([]))
-    with pytest.raises(DimMismatch) as exc:
-        provider.embed_batch(["alpha", "beta"])
-    assert exc.value.index == 1
+@pytest.mark.parametrize("spoil", [
+    lambda blob: blob[:10],
+    lambda blob: b"XXXX" + blob[4:],
+    lambda blob: blob[:-1],
+    lambda blob: _CACHE_HEADER.pack(CACHE_MAGIC, 8) + np.ones(8, dtype="<f4").tobytes(),
+], ids=["truncated", "bad-magic", "short-body", "another-dim"])
+def test_cache_entry_that_is_not_whole_is_fetched_again(tmp_path, caplog, spoil):
+    texts = ["alpha", "beta", "gamma"]
+    clean, spoilt = tmp_path / "clean", tmp_path / "spoilt"
+    for root in (clean, spoilt):
+        want = RemoteProvider(remote_spec(), cache=VectorCache(root),
+                              session=EchoSession()).embed_batch(texts)
+    key = VectorCache.key(REMOTE_PROVIDER_ID, "embed-1", "beta")
+    (spoilt / key).write_bytes(spoil((spoilt / key).read_bytes()))
+
+    session = EchoSession()
+    with caplog.at_level("WARNING"):
+        got = RemoteProvider(remote_spec(), cache=VectorCache(spoilt),
+                             session=session).embed_batch(texts)
+    # one request, for that text alone, and its entry rewritten
+    assert [call["json"]["input"] for call in session.calls] == [["beta"]]
+    assert key in caplog.text
+    assert np.array_equal(got, want)
+    assert {path.name: path.read_bytes() for path in spoilt.iterdir()} == {
+        path.name: path.read_bytes() for path in clean.iterdir()}
+
+
+def test_spec_of_another_dim_over_a_warm_cache_fails_after_one_request(tmp_path, caplog):
+    texts = ["alpha", "beta"]
+    RemoteProvider(remote_spec(), cache=VectorCache(tmp_path),
+                   session=EchoSession()).embed_batch(texts)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    session = EchoSession()  # replies at dim 4
+    with caplog.at_level("WARNING"), pytest.raises(DimMismatch):
+        RemoteProvider(remote_spec(8), cache=VectorCache(tmp_path),
+                       session=session).embed_batch(texts)
+    assert [call["json"]["input"] for call in session.calls] == [texts]
+    assert caplog.text.count("is not a whole dim-8 vector") == 2
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_each_provider_class_refuses_another_kinds_spec():

@@ -1462,6 +1462,46 @@ class TestFormatV4:
             load_memory(path)
 
 
+class TestGivenSquares:
+    """``Memory(..., squares)`` keeps squares that are its rows' and refuses any other."""
+
+    @staticmethod
+    def built(rng) -> Memory:
+        return build_memory(synthetic_ontology(rng, 40), local_provider(dim=32))
+
+    @staticmethod
+    def columns(memory: Memory) -> tuple:
+        return (memory.concept_ids, memory.has_context, memory.vectors, memory.dim,
+                memory.provider_fingerprint)
+
+    def test_built_squares_give_the_built_memory(self, rng):
+        built = self.built(rng)
+        squares = np.array(built._squares)
+        given = Memory(*self.columns(built), squares)
+        assert given._squares is squares and not squares.flags.writeable  # kept, not copied
+        for name in ("concept_ids", "has_context", "vectors", "dim", "provider_fingerprint",
+                     "_squares", "_inv_norms", "_concepts", "_name_rows", "_max_run", "_margin"):
+            assert np.array_equal(getattr(given, name), getattr(built, name)), name
+        queries = built.vectors[::7] + np.float32(0.25)
+        assert retrieve_batch(given, queries, 5) == retrieve_batch(built, queries, 5)
+
+    @pytest.mark.parametrize("edit, match", [
+        ("beyond the slack", "the stored square of entry 3, "),
+        ("nan", "the stored square of entry 3, nan, is not its vector's"),
+        ("short", r"squares of shape \(\d+,\) do not fit"),
+        ("2-d", r"squares of shape \(\d+, 1\) do not fit"),
+    ], ids=["beyond-the-slack", "nan", "short", "2-d"])
+    def test_wrong_square_raises_layout_error(self, rng, edit, match):
+        built = self.built(rng)
+        squares = np.array(built._squares)
+        slack = memory_module._square_slack(built.dim)
+        squares[3] = {"beyond the slack": squares[3] * (1 + 3 * slack),
+                      "nan": math.nan}.get(edit, squares[3])
+        squares = {"short": squares[:-1], "2-d": squares[:, None]}.get(edit, squares)
+        with pytest.raises(MemoryLayoutError, match=match):
+            Memory(*self.columns(built), squares)
+
+
 def test_memory_coerces_vectors_to_float32():
     memory = Memory(["C1"], [False], np.ones((1, 4), dtype=np.float64), 4, ("p", "m"))
     assert memory.vectors.dtype == np.float32

@@ -12,6 +12,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -22,10 +23,12 @@ from conceptlinker import (
     ExactMatchMockEndpoint,
     KeywordMockEndpoint,
     LinkJournal,
+    LinkResult,
     OneShotExample,
     PromptConfig,
     Query,
     ScriptedEndpoint,
+    Selection,
     SelectionKind,
     TranscriptStore,
     Variant,
@@ -561,6 +564,25 @@ class TestJournal:
         assert rebuilt.resolved == result.resolved
         assert rebuilt.selection == result.selection
         assert rebuilt.prompt_digest == result.prompt_digest
+
+    def test_appended_rows_are_held_without_their_slate(self, tmp_path):
+        # a slate of ten is most of a row, and nothing reads it back in the run
+        slate = [Candidate(f"RD:{i:05d}", 0.9 - i / 100, Variant.NAME_ONLY) for i in range(10)]
+        journal, rows = LinkJournal(tmp_path / "run.jsonl"), 2000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(rows):
+                selection = Selection(SelectionKind.OPTION, "option 1", index=1)
+                result = LinkResult(f"q{i}", selection, slate[1].concept_id, f"{i:064x}", 1, 0.001)
+                journal.append(journal_row(result, slate))
+            held = (tracemalloc.get_traced_memory()[0] - before) / rows
+        finally:
+            tracemalloc.stop()
+        assert held < 1500
+        # the file keeps every slate
+        with open(tmp_path / "run.jsonl", encoding="utf-8") as handle:
+            assert all(len(json.loads(line)["candidates"]) == 10 for line in handle)
 
     def test_full_resume_issues_no_calls(self, setting, tmp_path):
         ontology, queries, _, _, _, candidates = setting
