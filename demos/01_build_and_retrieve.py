@@ -32,7 +32,7 @@ provider = LocalTrigramProvider(ProviderSpec(LOCAL_PROVIDER_ID, "trigram-d256-s0
 ontology = parse_ontology(DATA / "ontology.jsonl", tag="demo")
 memory = build_memory(ontology, provider)
 
-described = sum(1 for c in ontology if c.description)
+described = sum(1 for description in ontology.descriptions if description)
 print(f"concepts: {len(ontology)}  described: {described}")
 print(f"memory entries: {len(memory)} (= {len(ontology)} names + {described} described)")
 
@@ -52,7 +52,7 @@ vectors = provider.embed_batch([query_text(query) for query in queries])
 for query, slate in zip(queries, retrieve_batch(memory, vectors, 5)):
     print(f"{query.id}: {query.mention!r}")
     for candidate in slate:
-        name = ontology.get(candidate.concept_id).name
+        name = ontology.names[ontology.position(candidate.concept_id)]
         print(f"   {candidate.score:6.3f}  {candidate.concept_id}  "
               f"[{candidate.variant.value}]  {name}")
     print()

@@ -21,9 +21,9 @@ from conceptlinker import (
     TranscriptStore,
     build_memory,
     build_prompt,
+    link_queries,
     parse_ontology,
     parse_queries,
-    rank,
     retrieve_for_queries,
 )
 
@@ -51,17 +51,22 @@ print("=== rendered prompt " + "=" * 40)
 print(build_prompt(query, candidates, ontology, config))
 print("=" * 60 + "\n")
 
+
+def link_one(endpoint):
+    """Link the one query against its slate: link_queries on a batch of one."""
+    [result] = link_queries([query], [candidates], ontology, config, endpoint, concurrency=1)
+    return result
+
+
 # A model reply can bury the choice in justification text; the parser
 # still finds it. Attempts and the prompt digest ride along.
-endpoint = ScriptedEndpoint(["option 0: the ADP receptor defect fits the abstract."])
-result = rank(query, candidates, ontology, config, endpoint)
+result = link_one(ScriptedEndpoint(["option 0: the ADP receptor defect fits the abstract."]))
 print(f"reply parsed as {result.selection.kind.value!r} "
       f"index={result.selection.index} -> {result.resolved}")
 
 # An unparseable first reply triggers exactly one re-ask with a firmer
 # instruction appended; a clean second reply still resolves.
-endpoint = ScriptedEndpoint(["hmm, hard to say...", "1"])
-result = rank(query, candidates, ontology, config, endpoint)
+result = link_one(ScriptedEndpoint(["hmm, hard to say...", "1"]))
 print(f"after {result.attempts} attempts -> {result.selection.kind.value} "
       f"({result.resolved})")
 
@@ -69,8 +74,7 @@ print(f"after {result.attempts} attempts -> {result.selection.kind.value} "
 # keyed by the SHA-256 of the prompt, so a replayed run needs no model.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "transcript.jsonl"
-    recorded = rank(query, candidates, ontology, config,
-                    TranscriptStore(path, ScriptedEndpoint(["option 0"])))
-    replayed = rank(query, candidates, ontology, config, TranscriptStore(path))
+    recorded = link_one(TranscriptStore(path, ScriptedEndpoint(["option 0"])))
+    replayed = link_one(TranscriptStore(path))
     print(f"record/replay agree: {recorded.resolved == replayed.resolved} "
           f"({replayed.resolved})")

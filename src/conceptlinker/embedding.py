@@ -204,8 +204,9 @@ class VectorCache:
         """The dim-``dim`` vector stored under ``key``, or None when there is none.
 
         An entry that is not a whole dim-``dim`` vector (shorter than its
-        header, with another magic or dim, or with a body that is not
-        ``4 × dim`` bytes) is logged and left for :meth:`put` to replace: a
+        header, with another magic or dim, with a body that is not
+        ``4 × dim`` bytes, or whose norm is not finite and nonzero, the rule
+        of :func:`_unit`) is logged and left for :meth:`put` to replace: a
         cache entry can always be fetched again.
         """
         try:
@@ -215,7 +216,9 @@ class VectorCache:
             return None
         if (len(blob) == _CACHE_HEADER.size + 4 * dim
                 and _CACHE_HEADER.unpack_from(blob) == (CACHE_MAGIC, dim)):
-            return np.frombuffer(blob, dtype="<f4", offset=_CACHE_HEADER.size).astype(np.float32)
+            vector = np.frombuffer(blob, dtype="<f4", offset=_CACHE_HEADER.size)
+            if 0.0 < np.linalg.norm(vector.astype(np.float64)) < np.inf:
+                return vector.astype(np.float32)
         logger.warning("cache entry %s is not a whole dim-%d vector, so it is a miss", key, dim)
         return None
 

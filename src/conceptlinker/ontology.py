@@ -14,25 +14,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DuplicateId, EmptyFile, EmptyMention, MalformedRecord, MissingField, UnknownId
 from .fileio import file_reader, read_records, record_field
 from .textutil import normalize_whitespace, truncate_at_word
 
 MAX_DESCRIPTION_CHARS = 2000
-
-
-@dataclass(frozen=True)
-class Concept:
-    """One ontology entry: a unique id, a canonical name, optional context."""
-
-    id: str
-    name: str
-    description: str | None = None
-    ontology_tag: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,8 +37,7 @@ class Ontology:
     """Immutable, id-addressable concept inventory, held as columns in file order.
 
     ``ids``, ``names`` and ``descriptions`` are equal-length tuples, one
-    position per concept. A :class:`Concept` is built only when :meth:`get`
-    or iteration asks for one.
+    position per concept; :meth:`position` maps an id to its index.
     """
 
     def __init__(self, tag: str, ids: Sequence[str], names: Sequence[str],
@@ -72,9 +60,6 @@ class Ontology:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[Concept]:
-        return map(Concept, self.ids, self.names, self.descriptions, repeat(self.tag))
-
     def __contains__(self, concept_id: str) -> bool:
         return concept_id in self._positions
 
@@ -84,11 +69,6 @@ class Ontology:
             return self._positions[concept_id]
         except KeyError:
             raise UnknownId(concept_id) from None
-
-    def get(self, concept_id: str) -> Concept:
-        """Look up a concept by id; raises :class:`UnknownId` if absent."""
-        i = self.position(concept_id)
-        return Concept(self.ids[i], self.names[i], self.descriptions[i], self.tag)
 
 
 def _refused(obj: dict, key: str, lineno: int) -> MissingField:

@@ -25,7 +25,7 @@ from .ranker import (
     Selection,
     SelectionKind,
     _rank_prompt,
-    fit_prompt,
+    build_prompt,
     prompt_digest,
 )
 
@@ -181,12 +181,15 @@ def link_queries(
 ) -> list[LinkResult]:
     """Rank every query against its candidate slate; results in input order.
 
-    The calling thread and up to ``concurrency - 1`` helper threads take
-    pending queries one at a time, so at most ``concurrency`` completions
-    are in flight; ``concurrency=1`` ranks inline. Helpers are lent from a
-    per-process idle list and parked there between calls, so a process
-    starts each helper once. Every prompt sent fits ``token_budget``
-    estimated tokens, when one is given. The journal, when given, is
+    An empty slate is none-of-the-above without an endpoint call; a reply
+    that does not parse earns one re-ask, and a transport failure is a
+    result kind of its own, never a silent none. Every prompt sent, a
+    re-ask included, fits ``token_budget`` estimated tokens, when one is
+    given. The calling thread and up to ``concurrency - 1`` helper threads
+    take pending queries one at a time, so at most ``concurrency``
+    completions are in flight; ``concurrency=1`` ranks inline. Helpers are
+    lent from a per-process idle list and parked there between calls, so a
+    process starts each helper once. The journal, when given, is
     consulted before and appended after each query. Once a query
     raises, or the caller is interrupted, no further query is started; the
     calls in flight finish and are journaled, then the exception of the
@@ -208,7 +211,8 @@ def link_queries(
     # every prompt is hashed here, once: hashlib releases the GIL on long
     # inputs, so hashing on a helper thread hands it over on every query
     for i, (query, slate) in enumerate(zip(queries, candidates)):
-        prompts.append(fit_prompt(query, slate, ontology, config, token_budget) if slate else "")
+        prompts.append(build_prompt(query, slate, ontology, config, token_budget=token_budget)
+                       if slate else "")
         digests.append(prompt_digest(prompts[i]))
         if journal is not None:
             results[i] = journal.get(query.id, digests[i], slate)

@@ -110,10 +110,24 @@ def build_prompt(
     candidates: list[Candidate],
     ontology: Ontology,
     config: PromptConfig,
+    *,
+    token_budget: int | None = None,
 ) -> str:
-    """Render the ranking prompt; deterministic for identical inputs."""
+    """Render the ranking prompt; deterministic for identical inputs.
+
+    A prompt over ``token_budget`` estimated tokens sheds candidate
+    context: the per-option description cut halves while it stays at least
+    50 characters, 600 to 300, 150 and 75, then descriptions go entirely.
+    Raises PromptBudgetExceeded only when even the bare prompt does not fit.
+    """
     chars = MAX_OPTION_CONTEXT_CHARS if config.include_candidate_context else None
-    return _render(query, candidates, ontology, config, chars)
+    prompt = _render(query, candidates, ontology, config, chars)
+    while token_budget is not None and estimate_tokens(prompt) > token_budget:
+        if chars is None:
+            raise PromptBudgetExceeded(estimate_tokens(prompt), token_budget)
+        chars = chars // 2 if chars >= 100 else None
+        prompt = _render(query, candidates, ontology, config, chars)
+    return prompt
 
 
 def _render(query: Query, candidates: list[Candidate], ontology: Ontology,
@@ -239,53 +253,12 @@ def estimate_tokens(text: str) -> int:
     return len(text) // 4 + 1
 
 
-def fit_prompt(
-    query: Query,
-    candidates: list[Candidate],
-    ontology: Ontology,
-    config: PromptConfig,
-    budget: int | None = None,
-) -> str:
-    """Build the prompt, progressively shedding candidate context to fit.
-
-    Halves the per-option description cut while it stays at least 50
-    characters, 600 to 300, 150 and 75, then drops descriptions entirely;
-    raises PromptBudgetExceeded only when even the bare prompt does not fit.
-    """
-    prompt = build_prompt(query, candidates, ontology, config)
-    chars = MAX_OPTION_CONTEXT_CHARS if config.include_candidate_context else None
-    while budget is not None and estimate_tokens(prompt) > budget:
-        if chars is None:
-            raise PromptBudgetExceeded(estimate_tokens(prompt), budget)
-        chars = chars // 2 if chars >= 100 else None
-        prompt = _render(query, candidates, ontology, config, chars)
-    return prompt
-
-
-def rank(
-    query: Query,
-    candidates: list[Candidate],
-    ontology: Ontology,
-    config: PromptConfig,
-    endpoint,
-    *,
-    token_budget: int | None = None,
-) -> LinkResult:
-    """Run one query through prompt, completion, and parsing.
-
-    An empty candidate list short-circuits to none-of-the-above without
-    touching the endpoint. A ParseFailure earns one re-ask with an
-    appended answer-format reminder, unless the re-ask would not fit
-    ``token_budget``. Transport failures become a distinct
-    failure kind in the result, never a silent none.
-    """
-    prompt = fit_prompt(query, candidates, ontology, config, token_budget) if candidates else ""
-    return _rank_prompt(query, candidates, endpoint, prompt, prompt_digest(prompt), token_budget)
-
-
 def _rank_prompt(query: Query, candidates: list[Candidate], endpoint,
                  prompt: str, digest: str, token_budget: int | None) -> LinkResult:
-    """:func:`rank` for a ``prompt`` already fitted, ``""`` for no candidates, and its ``digest``."""
+    """Rank one query of :func:`link_queries` from its fitted ``prompt`` and its ``digest``.
+
+    ``prompt`` is ``""`` when there are no candidates.
+    """
     if not candidates:
         return LinkResult(
             query_id=query.id,

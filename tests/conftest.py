@@ -16,7 +16,6 @@ import pytest
 
 from conceptlinker import (
     LOCAL_PROVIDER_ID,
-    Concept,
     LocalTrigramProvider,
     Memory,
     Ontology,
@@ -42,6 +41,19 @@ def make_sentence(rng: random.Random, n_words: int) -> str:
     return " ".join(make_word(rng) for _ in range(n_words))
 
 
+class Concept(NamedTuple):
+    """One concept as a test writes it: a row of an Ontology's three columns."""
+
+    id: str
+    name: str
+    description: str | None = None
+
+
+def concepts_of(ontology: Ontology) -> list[Concept]:
+    """The rows of ``ontology``'s columns, in order."""
+    return list(map(Concept, ontology.ids, ontology.names, ontology.descriptions))
+
+
 def synthetic_ontology(
     rng: random.Random,
     n_concepts: int,
@@ -62,9 +74,7 @@ def synthetic_ontology(
             if rng.random() < described_fraction
             else None
         )
-        concepts.append(
-            Concept(id=f"C{i:04d}", name=name, description=description, ontology_tag=tag)
-        )
+        concepts.append(Concept(id=f"C{i:04d}", name=name, description=description))
     return ontology_from(tag, concepts)
 
 
@@ -94,7 +104,7 @@ def queries_for(
     noisy: bool = False,
 ) -> tuple[list[Query], dict[str, str]]:
     """Queries drawn from concept names, plus the gold map they imply."""
-    concepts = list(ontology)
+    concepts = concepts_of(ontology)
     queries: list[Query] = []
     gold: dict[str, str] = {}
     for i in range(n_queries):

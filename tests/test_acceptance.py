@@ -13,7 +13,6 @@ import pytest
 
 from conceptlinker import (
     AblationArm,
-    Concept,
     ExactMatchMockEndpoint,
     GoldPair,
     KeywordMockEndpoint,
@@ -36,6 +35,8 @@ import conceptlinker.cli as cli_module
 
 from .conftest import (
     MASTER_SEED,
+    Concept,
+    concepts_of,
     local_provider,
     make_word,
     memory_rows,
@@ -95,7 +96,7 @@ def test_criterion_1_retrieval_matches_oracle(corpus):
 def test_criterion_2_memory_entry_accounting(corpus):
     for _, ontology, memory in corpus["runs"]:
         n = len(ontology)
-        m = sum(1 for concept in ontology if concept.description)
+        m = sum(1 for description in ontology.descriptions if description)
         assert len(memory_rows(memory)) == n + m
 
 
@@ -104,7 +105,7 @@ def test_criterion_3_exact_match_end_to_end(rng):
     provider = local_provider()
     memory = build_memory(ontology, provider)
 
-    chosen = rng.sample(list(ontology), 100)
+    chosen = rng.sample(concepts_of(ontology), 100)
     queries = [Query(id=f"q{i:03d}", mention=c.name) for i, c in enumerate(chosen)]
     gold = [GoldPair(q.id, c.id) for q, c in zip(queries, chosen)]
 
@@ -211,7 +212,7 @@ def test_criterion_7_parser_grammar_suite():
 def staged(tmp_path, rng):
     """A small on-disk dataset for the CLI-level criteria."""
     ontology = synthetic_ontology(rng, 60, tag="staged")
-    concepts = rng.sample(list(ontology), 10)
+    concepts = rng.sample(concepts_of(ontology), 10)
     queries = [Query(id=f"q{i}", mention=c.name) for i, c in enumerate(concepts)]
     gold = [GoldPair(q.id, c.id) for q, c in zip(queries, concepts)]
     paths = {

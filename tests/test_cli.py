@@ -15,7 +15,6 @@ import pytest
 
 import conceptlinker
 from conceptlinker import (
-    Concept,
     GoldPair,
     Memory,
     Prediction,
@@ -31,6 +30,7 @@ from conceptlinker.cli import SETTINGS, main
 from conceptlinker.ranker import parse_prompt
 
 from .conftest import (
+    Concept,
     ontology_from,
     run_cli,
     write_gold,

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from conceptlinker import (
     LOCAL_PROVIDER_ID,
     REMOTE_PROVIDER_ID,
-    Concept,
     LocalTrigramProvider,
     ProviderSpec,
     RemoteProvider,
@@ -27,7 +26,7 @@ from conceptlinker import transport
 from conceptlinker.embedding import _CACHE_HEADER, CACHE_MAGIC
 from conceptlinker.errors import DimMismatch, EmptyText, InvalidVector, TransportError
 
-from .conftest import ontology_from
+from .conftest import Concept, ontology_from
 from .oracles import embed_ref
 
 texts = st.text(
@@ -483,7 +482,11 @@ def test_always_failing_post_pauses_once_per_retry(monkeypatch):
     lambda blob: b"XXXX" + blob[4:],
     lambda blob: blob[:-1],
     lambda blob: _CACHE_HEADER.pack(CACHE_MAGIC, 8) + np.ones(8, dtype="<f4").tobytes(),
-], ids=["truncated", "bad-magic", "short-body", "another-dim"])
+    lambda blob: blob[:-16] + np.array([np.nan, 0, 0, 0], dtype="<f4").tobytes(),
+    lambda blob: blob[:-16] + np.array([np.inf, 0, 0, 0], dtype="<f4").tobytes(),
+    lambda blob: blob[:-16] + bytes(16),
+], ids=["truncated", "bad-magic", "short-body", "another-dim", "nan-body", "inf-body",
+        "zero-body"])
 def test_cache_entry_that_is_not_whole_is_fetched_again(tmp_path, caplog, spoil):
     texts = ["alpha", "beta", "gamma"]
     clean, spoilt = tmp_path / "clean", tmp_path / "spoilt"

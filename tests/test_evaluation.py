@@ -190,7 +190,7 @@ class TestHitsAtK:
 
     def test_monotone_and_matches_oracle(self, rng):
         ontology = synthetic_ontology(rng, 40)
-        ids = [c.id for c in ontology]
+        ids = list(ontology.ids)
         gold = {}
         retrievals = {}
         for i in range(30):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from conceptlinker import (
     Candidate,
-    Concept,
     LinkJournal,
     TranscriptStore,
     VectorCache,
@@ -27,7 +26,7 @@ from conceptlinker import (
 from conceptlinker.errors import MalformedRecord, MissingField
 from conceptlinker.fileio import read_records, record_field
 
-from .conftest import local_provider, ontology_from
+from .conftest import Concept, local_provider, ontology_from
 from .oracles import read_records_ref
 from .test_evaluation import linked
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from conceptlinker import (
     Candidate,
-    Concept,
     ExactMatchMockEndpoint,
     HttpCompletionEndpoint,
     KeywordMockEndpoint,
@@ -25,7 +24,6 @@ from conceptlinker import (
     TranscriptStore,
     Variant,
     build_prompt,
-    fit_prompt,
     parse_prompt,
     prompt_digest,
 )
@@ -33,7 +31,7 @@ from conceptlinker import transport
 from conceptlinker.errors import Timeout, TranscriptMiss, TransportError
 from conceptlinker.ranker import NONE_LABEL, _render, estimate_tokens
 
-from .conftest import ontology_from
+from .conftest import Concept, ontology_from
 from .oracles import keyword_mock_ref
 from .test_embedding import FakeResponse, FakeSession
 from .test_ranker import (
@@ -368,7 +366,7 @@ _WORDS = (
 )
 _NAMES = ("Cold", "cold ", "\u212ainase deficiency", "\u0130nhibitor", "Marrow failure")
 _SENTENCES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=40).map(" ".join)
-# long enough that fit_prompt's cuts at 300, 150 and 75 characters all bite
+# long enough that build_prompt's budget cuts at 300, 150 and 75 characters all bite
 _DESCRIPTIONS = st.lists(st.sampled_from(_WORDS), min_size=20, max_size=120).map(" ".join)
 
 # the benchmark's grid: the four arms of demos/data/grid.jsonl, then one-shot
@@ -384,7 +382,7 @@ _ARMS = (
         answer="option 0",
     )),
 )
-# the description cuts fit_prompt tries in turn; None drops them
+# the description cuts build_prompt tries in turn under a budget; None drops them
 _SHED_TO = (600, 300, 150, 75, None)
 
 
@@ -406,12 +404,13 @@ def mock_prompts(draw) -> list[str]:
         candidates = [Candidate(id, 0.5, Variant.NAME_ONLY)
                       for id in ids[: draw(st.integers(1, len(ids)))]]
         for config in _ARMS:
-            prompts.append(fit_prompt(query, candidates, ontology, config))
+            prompts.append(build_prompt(query, candidates, ontology, config))
             for chars in _SHED_TO:  # the budget that this cut just fits
                 if not config.include_candidate_context:
                     chars = None
                 budget = estimate_tokens(_render(query, candidates, ontology, config, chars))
-                prompts.append(fit_prompt(query, candidates, ontology, config, budget))
+                prompts.append(build_prompt(query, candidates, ontology, config,
+                                            token_budget=budget))
     return prompts
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conceptlinker import (
-    Concept,
     Memory,
     Ontology,
     Query,
@@ -47,6 +46,8 @@ from conceptlinker.errors import (
 )
 
 from .conftest import (
+    Concept,
+    concepts_of,
     local_provider,
     memory_from_rows,
     memory_rows,
@@ -112,7 +113,7 @@ class TestBuildMemory:
         provider = local_provider(dim=32)
         for _ in range(5):
             onto = synthetic_ontology(rng, rng.randint(5, 60))
-            described = sum(1 for c in onto if c.description)
+            described = sum(1 for description in onto.descriptions if description)
             memory = build_memory(onto, provider)
             assert len(memory) == len(onto) + described
 
@@ -313,7 +314,7 @@ class TestRetrieveTopK:
         onto, provider, memory = self.build(rng, 80)
         entries = [(cid, vector) for cid, _, vector in memory_rows(memory)]
         for _ in range(10):
-            concept = rng.choice(list(onto))
+            concept = rng.choice(concepts_of(onto))
             qv = provider.embed_batch([concept.name])[0]
             for k in (1, 5, 10):
                 got = retrieve_batch(memory, [qv], k)[0]
@@ -324,7 +325,7 @@ class TestRetrieveTopK:
 
     def test_exact_name_scores_one(self, rng):
         onto, provider, memory = self.build(rng, 30)
-        concept = list(onto)[7]
+        concept = concepts_of(onto)[7]
         qv = provider.embed_batch([concept.name])[0]
         top = retrieve_batch(memory, [qv], 1)[0][0]
         assert top.concept_id == concept.id
@@ -332,7 +333,7 @@ class TestRetrieveTopK:
 
     def test_distinct_concepts_and_descending(self, rng):
         onto, provider, memory = self.build(rng, 50)
-        qv = provider.embed_batch([list(onto)[0].name])[0]
+        qv = provider.embed_batch([onto.names[0]])[0]
         got = retrieve_batch(memory, [qv], 10)[0]
         ids = [c.concept_id for c in got]
         assert len(ids) == len(set(ids))
@@ -497,7 +498,7 @@ class TestBatchRetrieval:
     @given(
         texts=st.lists(
             st.lists(st.sampled_from(["aspirin", "fever", "heparin"]
-                                     + [c.name for c in _homonym_ontology()]),
+                                     + list(_homonym_ontology().names)),
                      min_size=1, max_size=3).map(" ".join),
             min_size=1, max_size=12,
         ),
@@ -1006,7 +1007,7 @@ class TestSelectionMargin:
 
     def test_scores_pushed_by_the_proven_error_change_no_slate(self):
         provider, homonyms, _ = _homonym_store()
-        names = sorted({c.name for c in _homonym_ontology()})
+        names = sorted(set(_homonym_ontology().names))
         texts = names + [f"{a} {b}" for a, b in zip(names, names[1:] + names[:1])]
         cases = [(*self.near_tie_memory(), (1,)),
                  (homonyms, list(provider.embed_batch(texts).astype(np.float64)), (1, 3, 10))]
@@ -1141,7 +1142,7 @@ class TestStoreFile:
         memory = build_memory(onto, provider)
         save_memory(memory, tmp_path / "m.lm")
         loaded = load_memory(tmp_path / "m.lm")
-        qv = provider.embed_batch([list(onto)[3].name])[0]
+        qv = provider.embed_batch([onto.names[3]])[0]
         assert retrieve_batch(loaded, [qv], 5)[0] == retrieve_batch(memory, [qv], 5)[0]
 
     def test_truncated_file_rejected(self, tmp_path, rng):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conceptlinker import (
-    Concept,
     Ontology,
     Query,
     parse_ontology,
@@ -27,6 +26,8 @@ from conceptlinker.ontology import MAX_DESCRIPTION_CHARS
 from conceptlinker.textutil import normalize_whitespace
 
 from .conftest import (
+    Concept,
+    concepts_of,
     ontology_from,
     queries_for,
     synthetic_ontology,
@@ -50,14 +51,13 @@ class TestParseOntology:
         ])
         onto = parse_ontology(path, "demo")
         assert len(onto) == 2
-        assert onto.get("C1").description == "pain reliever"
-        assert onto.get("C2").description is None
-        assert all(c.ontology_tag == "demo" for c in onto)
+        assert onto.descriptions == ("pain reliever", None)
+        assert onto.tag == "demo"
 
     def test_order_preserved(self, tmp_path):
         path = tmp_path / "onto.jsonl"
         write_jsonl(path, [{"id": f"C{i}", "name": f"name {i}"} for i in (3, 1, 2)])
-        assert [c.id for c in parse_ontology(path, "t")] == ["C3", "C1", "C2"]
+        assert parse_ontology(path, "t").ids == ("C3", "C1", "C2")
 
     def test_blank_lines_and_comments_skipped(self, tmp_path):
         path = tmp_path / "onto.jsonl"
@@ -135,12 +135,13 @@ class TestParseOntology:
         # ids are opaque strings; only surrounding whitespace is trimmed
         path = tmp_path / "onto.jsonl"
         write_jsonl(path, [{"id": "  odd id  ", "name": "x"}])
-        assert parse_ontology(path, "t").get("odd id").id == "odd id"
+        onto = parse_ontology(path, "t")
+        assert onto.ids == ("odd id",) and onto.position("odd id") == 0
 
     def test_name_whitespace_collapsed(self, tmp_path):
         path = tmp_path / "onto.jsonl"
         write_jsonl(path, [{"id": "C1", "name": "  two\t spaces \n here "}])
-        assert parse_ontology(path, "t").get("C1").name == "two spaces here"
+        assert parse_ontology(path, "t").names == ("two spaces here",)
 
     def test_description_truncated_at_word(self, tmp_path):
         path = tmp_path / "onto.jsonl"
@@ -148,25 +149,26 @@ class TestParseOntology:
         write_jsonl(path, [{"id": "C1", "name": "x", "description": long}])
         # the cut at MAX_DESCRIPTION_CHARS falls inside a word, which is dropped
         assert MAX_DESCRIPTION_CHARS == 2000
-        assert parse_ontology(path, "t").get("C1").description == "alpha beta " * 181 + "alpha"
+        assert parse_ontology(path, "t").descriptions == ("alpha beta " * 181 + "alpha",)
 
     def test_unknown_fields_ignored(self, tmp_path):
         path = tmp_path / "onto.jsonl"
         write_jsonl(path, [{"id": "C1", "name": "x", "synonyms": "ASA", "extra": [1]}])
-        assert parse_ontology(path, "t").get("C1") == Concept(id="C1", name="x", ontology_tag="t")
+        onto = parse_ontology(path, "t")
+        assert (onto.tag, concepts_of(onto)) == ("t", [Concept(id="C1", name="x")])
 
 
 class TestOntologyContainer:
     def test_lookup_and_membership(self):
         onto = ontology_from("t", [Concept(id="C1", name="a"), Concept(id="C2", name="b")])
         assert "C1" in onto and "C9" not in onto
-        assert onto.get("C2").name == "b"
-        assert onto.get("C1").id == "C1"
+        assert onto.names[onto.position("C2")] == "b"
+        assert onto.ids[onto.position("C1")] == "C1"
 
     def test_unknown_id(self):
         onto = ontology_from("t", [Concept(id="C1", name="a")])
         with pytest.raises(UnknownId):
-            onto.get("missing")
+            onto.position("missing")
 
     def test_programmatic_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -178,7 +180,7 @@ class TestOntologyContainer:
         assert onto.names == ("a", "b")
         assert onto.descriptions == ("about a", None)
         assert onto.position("C2") == 1
-        assert list(onto) == [Concept("C1", "a", "about a", "t"), Concept("C2", "b", None, "t")]
+        assert (onto.tag, len(onto)) == ("t", 2)
         with pytest.raises(UnknownId):
             onto.position("C3")
 
@@ -334,7 +336,7 @@ class TestRoundTrip:
         path = tmp_path / "onto.jsonl"
         write_ontology(path, onto)
         again = parse_ontology(path, onto.tag)
-        assert [c for c in again] == [c for c in onto]
+        assert concepts_of(again) == concepts_of(onto)
 
     def test_queries_round_trip(self, tmp_path, rng):
         onto = synthetic_ontology(rng, 20)
@@ -354,9 +356,9 @@ class TestRoundTrip:
     def test_any_printable_names_round_trip(self, tmp_path_factory, names):
         tmp = tmp_path_factory.mktemp("ontorr")
         concepts = [
-            Concept(id=f"C{i}", name=" ".join(name.split()), ontology_tag="t")
+            Concept(id=f"C{i}", name=" ".join(name.split()))
             for i, name in enumerate(names)
         ]
         path = tmp / "o.jsonl"
         write_ontology(path, ontology_from("t", concepts))
-        assert [c.name for c in parse_ontology(path, "t")] == [c.name for c in concepts]
+        assert list(parse_ontology(path, "t").names) == [c.name for c in concepts]

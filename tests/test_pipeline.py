@@ -19,7 +19,6 @@ import pytest
 
 from conceptlinker import (
     Candidate,
-    Concept,
     ExactMatchMockEndpoint,
     KeywordMockEndpoint,
     LinkJournal,
@@ -33,17 +32,18 @@ from conceptlinker import (
     TranscriptStore,
     Variant,
     build_memory,
-    fit_prompt,
+    build_prompt,
     link_queries,
     query_text,
     retrieve_for_queries,
 )
+from conceptlinker import pipeline as pipeline_module
 from conceptlinker import ranker as ranker_module
 from conceptlinker.errors import TranscriptMiss, TransportError
 from conceptlinker.ranker import estimate_tokens
 from conceptlinker.pipeline import journal_row, result_from_row
 
-from .conftest import local_provider, ontology_from, queries_for, synthetic_ontology
+from .conftest import Concept, local_provider, ontology_from, queries_for, synthetic_ontology
 
 
 class CountingExactMatch(ExactMatchMockEndpoint):
@@ -289,22 +289,24 @@ class TestLinkQueries:
     def test_each_prompt_built_once(self, setting):
         ontology, queries, _, _, _, candidates = setting
         candidates = [[] if i % 3 == 0 else slate for i, slate in enumerate(candidates)]
-        with mock.patch.object(ranker_module, "build_prompt",
-                               wraps=ranker_module.build_prompt) as build:
+        # one wrapper under both names, so a build anywhere in the ranking path is counted
+        build = mock.Mock(wraps=ranker_module.build_prompt)
+        with mock.patch.object(ranker_module, "build_prompt", build), \
+                mock.patch.object(pipeline_module, "build_prompt", build):
             results = link_queries(queries, candidates, ontology, PromptConfig(),
                                    ExactMatchMockEndpoint())
         assert build.call_count == sum(1 for slate in candidates if slate)
-        # the digest and the prompt sent are still those rank builds alone
+        # the digest and the prompt sent are still those a one-query call builds
         for query, slate, result in zip(queries, candidates, results):
-            alone = ranker_module.rank(query, slate, ontology, PromptConfig(),
-                                       ExactMatchMockEndpoint())
+            [alone] = link_queries([query], [slate], ontology, PromptConfig(),
+                                   ExactMatchMockEndpoint(), concurrency=1)
             assert (result.prompt_digest, result.selection) == (alone.prompt_digest,
                                                                 alone.selection)
 
     def test_each_prompt_hashed_once_in_the_calling_thread(self, setting, tmp_path):
         ontology, queries, _, _, _, candidates = setting
         candidates = [[] if i % 3 == 0 else slate for i, slate in enumerate(candidates)]
-        prompts = [ranker_module.fit_prompt(query, slate, ontology, PromptConfig()) if slate else ""
+        prompts = [build_prompt(query, slate, ontology, PromptConfig()) if slate else ""
                    for query, slate in zip(queries, candidates)]
         hashed = []
 
@@ -505,7 +507,7 @@ class TestTokenBudget:
     def test_budgeted_record_then_replay(self, setting, tmp_path):
         ontology, queries, _, _, _, candidates = setting
         bare = PromptConfig(include_candidate_context=False)
-        budget = max(estimate_tokens(fit_prompt(q, slate, ontology, bare))
+        budget = max(estimate_tokens(build_prompt(q, slate, ontology, bare))
                      for q, slate in zip(queries, candidates))
         path = tmp_path / "transcript.jsonl"
         inner = RecordingEndpoint()
@@ -514,7 +516,7 @@ class TestTokenBudget:
         # the budget shed context from the prompts that were sent
         sent = inner.prompts
         assert max(estimate_tokens(p) for p in sent) <= budget
-        assert any(p != fit_prompt(q, slate, ontology, PromptConfig())
+        assert any(p != build_prompt(q, slate, ontology, PromptConfig())
                    for p, q, slate in zip(sent, queries, candidates))
 
         replayed = link_queries(queries, candidates, ontology, PromptConfig(),
@@ -526,7 +528,7 @@ class TestTokenBudget:
 
     def test_reask_at_the_budget_is_not_sent(self, setting):
         ontology, queries, _, _, _, candidates = setting
-        prompt = fit_prompt(queries[0], candidates[0], ontology, PromptConfig())
+        prompt = build_prompt(queries[0], candidates[0], ontology, PromptConfig())
         endpoint = ScriptedEndpoint(["mumble"] * 2)
         [result] = link_queries(queries[:1], candidates[:1], ontology, PromptConfig(),
                                 endpoint, token_budget=estimate_tokens(prompt))

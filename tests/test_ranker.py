@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from conceptlinker import (
     Candidate,
-    Concept,
     OneShotExample,
     Ontology,
     PromptConfig,
@@ -22,10 +21,9 @@ from conceptlinker import (
     SelectionKind,
     Variant,
     build_prompt,
-    fit_prompt,
+    link_queries,
     parse_response,
     prompt_digest,
-    rank,
 )
 from conceptlinker.errors import (
     EmptyCandidates,
@@ -36,7 +34,7 @@ from conceptlinker.errors import (
 from conceptlinker.ranker import MAX_OPTION_CONTEXT_CHARS, NONE_LABEL, estimate_tokens
 from conceptlinker.textutil import truncate_at_word
 
-from .conftest import ontology_from
+from .conftest import Concept, ontology_from
 from .oracles import parse_response_ref
 
 DATA = Path(__file__).parent / "data"
@@ -182,13 +180,14 @@ class TestBuildPrompt:
         full = build_prompt(
             fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig()
         )
-        prompt = fit_prompt(
+        prompt = build_prompt(
             fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig(),
-            estimate_tokens(full) - 1,
+            token_budget=estimate_tokens(full) - 1,
         )
         option_line = next(l for l in prompt.splitlines() if l.startswith("0: "))
         description = option_line.split(" | ")[1]
-        whole = fixture_ontology().get("ORPHA:721").description
+        ontology = fixture_ontology()
+        whole = ontology.descriptions[ontology.position("ORPHA:721")]
         assert len(description) <= 75 < len(whole)
         assert not description.endswith(" ")
         assert whole.startswith(description)
@@ -275,13 +274,15 @@ class TestParseResponse:
 
 class TestRank:
     def run(self, endpoint, config=None, candidates=None):
-        return rank(
-            fixture_query(),
-            fixture_candidates() if candidates is None else candidates,
+        [result] = link_queries(
+            [fixture_query()],
+            [fixture_candidates() if candidates is None else candidates],
             fixture_ontology(),
             config or PromptConfig(),
             endpoint,
+            concurrency=1,
         )
+        return result
 
     def test_option_resolves_concept(self):
         endpoint = ScriptedEndpoint(["option 1"])
@@ -347,10 +348,10 @@ class TestBudget:
         full = build_prompt(
             fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig()
         )
-        fitted = fit_prompt(
-            fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig()
-        )
-        assert fitted == full
+        args = (fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig())
+        assert build_prompt(*args, token_budget=None) == full
+        # a budget the whole prompt meets sheds nothing either
+        assert build_prompt(*args, token_budget=estimate_tokens(full)) == full
 
     def test_fit_shrinks_descriptions_first(self):
         config = PromptConfig()
@@ -358,8 +359,9 @@ class TestBudget:
             fixture_query(), fixture_candidates(), fixture_ontology(), config
         )
         budget = estimate_tokens(full) - 5
-        fitted = fit_prompt(
-            fixture_query(), fixture_candidates(), fixture_ontology(), config, budget
+        fitted = build_prompt(
+            fixture_query(), fixture_candidates(), fixture_ontology(), config,
+            token_budget=budget,
         )
         assert estimate_tokens(fitted) <= budget
         # names survive even when descriptions shrink
@@ -372,8 +374,9 @@ class TestBudget:
             PromptConfig(include_candidate_context=False),
         )
         budget = estimate_tokens(bare)
-        fitted = fit_prompt(
-            fixture_query(), fixture_candidates(), fixture_ontology(), config, budget
+        fitted = build_prompt(
+            fixture_query(), fixture_candidates(), fixture_ontology(), config,
+            token_budget=budget,
         )
         assert fitted == bare
 
@@ -387,7 +390,7 @@ class TestBudget:
         candidates = [Candidate("L:1", 0.9, Variant.NAME_ONLY),
                       Candidate("L:2", 0.5, Variant.NAME_ONLY)]
         config = PromptConfig()
-        prompt = fit_prompt(query, candidates, ontology, config)
+        prompt = build_prompt(query, candidates, ontology, config)
         cuts = []
         while True:
             options = {line.split(": ", 1)[0]: line for line in prompt.splitlines()}
@@ -395,8 +398,8 @@ class TestBudget:
             # the short description survives every cut, then goes with the long one
             assert ("A short description" in options["1"]) == (cuts[-1] is not None)
             try:
-                prompt = fit_prompt(query, candidates, ontology, config,
-                                    estimate_tokens(prompt) - 1)
+                prompt = build_prompt(query, candidates, ontology, config,
+                                      token_budget=estimate_tokens(prompt) - 1)
             except PromptBudgetExceeded:
                 break
         widths = (MAX_OPTION_CONTEXT_CHARS, 300, 150, 75)
@@ -405,9 +408,9 @@ class TestBudget:
 
     def test_budget_exceeded_when_bare_prompt_too_big(self):
         with pytest.raises(PromptBudgetExceeded):
-            fit_prompt(
+            build_prompt(
                 fixture_query(), fixture_candidates(), fixture_ontology(),
-                PromptConfig(), 10,
+                PromptConfig(), token_budget=10,
             )
 
     def test_rank_fits_to_endpoint_budget(self):
@@ -426,9 +429,9 @@ class TestBudget:
                 return "option 0"
 
         endpoint = Tight()
-        result = rank(
-            fixture_query(), fixture_candidates(), fixture_ontology(), config, endpoint,
-            token_budget=estimate_tokens(bare),
+        [result] = link_queries(
+            [fixture_query()], [fixture_candidates()], fixture_ontology(), config, endpoint,
+            concurrency=1, token_budget=estimate_tokens(bare),
         )
         assert result.resolved == "ORPHA:721"
         assert endpoint.prompts[0] == bare
@@ -438,9 +441,9 @@ class TestBudget:
             fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig()
         )
         endpoint = ScriptedEndpoint(["mumble", "option 0"])
-        result = rank(
-            fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig(),
-            endpoint, token_budget=estimate_tokens(prompt),
+        [result] = link_queries(
+            [fixture_query()], [fixture_candidates()], fixture_ontology(), PromptConfig(),
+            endpoint, concurrency=1, token_budget=estimate_tokens(prompt),
         )
         assert result.selection == Selection(FAIL, "mumble")
         assert result.attempts == 1
@@ -451,9 +454,9 @@ class TestBudget:
             fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig()
         )
         endpoint = ScriptedEndpoint(["mumble", "option 0"])
-        result = rank(
-            fixture_query(), fixture_candidates(), fixture_ontology(), PromptConfig(),
-            endpoint, token_budget=estimate_tokens(prompt) + 20,
+        [result] = link_queries(
+            [fixture_query()], [fixture_candidates()], fixture_ontology(), PromptConfig(),
+            endpoint, concurrency=1, token_budget=estimate_tokens(prompt) + 20,
         )
         assert result.resolved == "ORPHA:721"
         assert result.attempts == 2
