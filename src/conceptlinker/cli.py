@@ -127,11 +127,16 @@ class Settings:
                                  + ", ".join(unread))
 
     def get(self, name: str):
-        section, key, default, _ = SETTINGS[name]
+        value = self.given(name)
+        return SETTINGS[name][2] if value is None else value
+
+    def given(self, name: str):
+        """The flag if given, else the config file's value, else None."""
+        section, key, _, _ = SETTINGS[name]
         value = getattr(self._args, name, None)
         if value is None and self._config is not None:
             value = self._config.get(section, key, fallback=None)
-        return default if value is None else value
+        return value
 
     def integer(self, name: str) -> int | None:
         value = self.get(name)
@@ -244,6 +249,19 @@ def _completion_endpoint(s: Settings):
     return base
 
 
+def _concurrency(s: Settings) -> int:
+    """The ``concurrency`` setting; unset, 1 for an in-process endpoint.
+
+    ``mock:*`` and pure replay (``--fixtures`` without ``--endpoint``) rank
+    in Python, so helper threads would only take turns with the caller;
+    any other endpoint waits on the network, where they overlap.
+    """
+    url = s.get("endpoint")
+    if s.given("concurrency") is None and (url is None or url.startswith("mock:")):
+        return 1
+    return s.positive("concurrency")
+
+
 def _prompt_config(s: Settings) -> PromptConfig:
     return PromptConfig(
         include_source_context=s.boolean("source_context"),
@@ -314,7 +332,7 @@ def cmd_retrieve(s: Settings) -> int:
 def cmd_link(s: Settings) -> int:
     out = s.output_path("predictions")
     k = s.positive("k")
-    concurrency = s.positive("concurrency")
+    concurrency = _concurrency(s)
     token_budget = s.positive("token_budget")
     endpoint = _completion_endpoint(s)
     prompt_config = _prompt_config(s)
@@ -372,7 +390,7 @@ def cmd_ablate(s: Settings) -> int:
     grid_path = s.input_path("grid")
     out = s.output_path("report")
     k = s.positive("k")
-    concurrency = s.positive("concurrency")
+    concurrency = _concurrency(s)
     token_budget = s.positive("token_budget")
     endpoint = _completion_endpoint(s)
     ontology, provider, memory, queries = _open_inputs(s, with_ontology=True)

@@ -29,15 +29,17 @@ A query's squares, like each sum :func:`cosine` makes, are one plain
 ``math.fsum``. An entry's square depends on its row alone, so the store
 keeps it: it is summed once, when the memory is made, and saved beside the
 matrix. The rescore, a dot for every pick, and the entry squares take a
-fast path to fsum's values, one numpy pass per block: error-free
-transformations make a correctly rounded sum cheap to vectorise (Ogita,
-Rump and Oishi, Accurate Sum and Dot Product, 2005). A pairwise TwoSum tree
-sums each row to hi and keeps every rounding error exactly, the errors sum
-to lo with a proven bound, and fl(hi + lo) is kept only where the exact
-remainder plus that bound stays below half the gap to the next float
-toward zero, so no exact sum could round elsewhere. What that certificate
-does not settle, exact midpoints most of all, goes to ``math.fsum``; every
-sum is therefore fsum's, bit for bit. :func:`_exact_sums` gives the proof.
+fast path to fsum's values, one numpy pass per block of rows: an
+error-free split makes a correctly rounded sum cheap to vectorise
+(ExtractScalar; Rump, Ogita and Oishi, Accurate Floating-Point Summation
+Part I, 2008). One power of two per row splits every term into a high
+part and a low part; the high parts sum to hi exactly in any order, the
+low parts sum to lo with a proven bound, and fl(hi + lo) is kept only
+where the exact remainder plus that bound stays below half the gap to the
+next float toward zero, so no exact sum could round elsewhere. What that
+certificate does not settle, exact midpoints most of all, goes to
+``math.fsum``; every sum is therefore fsum's, bit for bit.
+:func:`_exact_sums` gives the proof.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ _SUM_BLOCK = 1 << 14
 # the head copied to rows
 _FLOOR_BYTES = 128 << 10
 
-# a column of n values each below this over n sums without overflow, in
-# the TwoSum tree and in fsum alike
+# a row of n values each below this over n sums without overflow, in the
+# split and in fsum alike
 _SUM_LIMIT = 2.0 ** 1020
 
 
@@ -263,9 +265,9 @@ def _entry_squares(vectors: np.ndarray) -> np.ndarray:
     for lo in range(0, count, step):
         rows = vectors[lo : lo + step]
         width = len(rows)
-        cols = np.multiply(rows.T, rows.T, dtype=np.float64,
-                           out=flat[: dim * width].reshape(dim, width))
-        squares[lo : lo + width] = _exact_sums(cols, flat[dim * width :])
+        products = np.multiply(rows, rows, dtype=np.float64,
+                               out=flat[: dim * width].reshape(width, dim))
+        squares[lo : lo + width] = _exact_sums(products, flat[dim * width :])
     return squares
 
 
@@ -542,8 +544,8 @@ def _pair_sums(memory: Memory, rows: np.ndarray, owners: np.ndarray, queries: np
                block: int) -> np.ndarray:
     """``fsum`` of each entry ``rows[i]`` times ``queries[owners[i]]``.
 
-    The products go into column blocks of about ``block`` values, and the
-    scratch space of three such blocks serves every block in turn.
+    Each pick's products fill one row of a block of about ``block`` values,
+    and the scratch space of three such blocks serves every block in turn.
     """
     dim = memory.dim
     step = max(1, block // dim)
@@ -552,121 +554,89 @@ def _pair_sums(memory: Memory, rows: np.ndarray, owners: np.ndarray, queries: np
     for lo in range(0, len(rows), step):
         picked = rows[lo : lo + step]
         width = len(picked)
-        cols = flat[: dim * width].reshape(dim, width)
-        # the factors are laid out in the scratch space the sums use next
-        work = flat[dim * width :]
-        entries = work[: dim * width].reshape(width, dim)
-        entries[...] = memory.vectors[picked]
         products = np.take(queries, owners[lo : lo + step], axis=0, mode="clip",
-                           out=work[dim * width : 2 * dim * width].reshape(width, dim))
-        cols[...] = np.multiply(entries, products, out=products).T
-        dots[lo : lo + width] = _exact_sums(cols, work)
+                           out=flat[: dim * width].reshape(width, dim))
+        products *= memory.vectors[picked]
+        dots[lo : lo + width] = _exact_sums(products, flat[dim * width :])
     return dots
 
 
-def _exact_sums(columns: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """``[math.fsum(c) for c in columns.T.tolist()]`` as one float64 array, bit for bit.
+def _exact_sums(rows: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """``[math.fsum(r) for r in rows.tolist()]`` as one float64 array, bit for bit.
 
-    Sums each column of the float64 (n, m) ``columns``; raises, returns
-    infinity or NaN exactly as :func:`math.fsum` does. ``work`` is scratch
-    space of at least 2 n m values; ``columns`` is left as it is. One
-    TwoSum tree and one certificate settle most columns, and fsum the rest.
+    Sums each row of the float64 (m, n) ``rows``; raises, returns infinity
+    or NaN exactly as :func:`math.fsum` does. ``work`` is scratch space of
+    at least 2 m n values; ``rows`` is left as it is. One error-free split
+    of every term and one certificate settle most rows, and fsum the rest.
 
-    Why it is exact. Let S be a column's exact sum.
+    Why it is exact. Let S be a row's exact sum, u = 2**-53, and 2**L >= n.
 
-    - TwoSum (Knuth; Ogita, Rump and Oishi 2005, algorithm 3.1) of floats a
-      and b gives s = fl(a + b) and e with s + e = a + b exactly, in any
+    - A row is kept only if each term is below ``_SUM_LIMIT`` / n in
+      magnitude, so nothing below overflows, nor does fsum's running sum;
+      a row with a larger term, a NaN or an infinity goes to fsum itself.
+    - ExtractScalar (Rump, Ogita and Oishi, Accurate Floating-Point
+      Summation Part I, 2008) splits each term x of a row whose peak is
+      below 2**e at sigma = 2**(e + L + 1): the high part h = fl(sigma +
+      x) - sigma and the low part x - h are both computed exactly, in
       binary floating-point arithmetic with round-to-nearest and gradual
-      underflow, unless something overflows. A column is kept only if
-      each entry is below ``_SUM_LIMIT`` / n in magnitude, so no partial
-      sum of its tree, nor of fsum, comes near the overflow threshold; a
-      column with a larger entry, a NaN or an infinity goes to fsum itself.
-    - The pairwise tree makes n - 1 TwoSums, so S = hi + sum(errs) exactly,
-      with hi the tree's sum and errs its n - 1 errors.
-    - lo, the plain float sum of errs in any order, is within gamma_n A of
-      sum(errs), where A bounds sum(|errs|), u = 2**-53 and gamma_n =
-      n u / (1 - n u) (Higham 4.2). A float sum of the |errs| is at least
+      underflow. The low part is at most u sigma, and h is a multiple of
+      u sigma no larger than 2**e. Every partial sum of the n high parts
+      is then a multiple of u sigma, and of the smallest subnormal, below
+      sigma / 2, so it is a float: they sum to hi exactly in any order,
+      and S = hi + sum(los), los the low parts.
+    - lo, the plain float sum of the n los in any order, is within
+      gamma_n A of sum(los), where A bounds sum(|los|) and gamma_n =
+      n u / (1 - n u) (Higham, 4.2). A float sum of the |los| is at least
       (1 - gamma_n) of their exact sum; scaling it by 4 n u covers both,
       and the rounding of that product, while n u < 0.01. Had the scaled
       bound underflowed, the error it bounds would be below the smallest
       subnormal, and a sum of floats is off by a multiple of that, so 0.
     - r = fl(hi + lo), and t, the exact remainder hi + lo - r, comes from
-      one more TwoSum. Then S = r + t + d with |d| <= the bound, and r is
-      the correctly rounded S when |t| + bound is below half the gap from
-      r to its neighbour toward zero. That gap is the smaller of the two:
-      at a power of two the gap away from zero is twice as wide, elsewhere
-      they are equal. The rounded sum |t| + bound can only fall below a
-      power of two if the exact one does, so the test in floats is sound.
-    - A bound of 0 makes lo exactly sum(errs), so hi + lo is S itself and
+      TwoSum (Knuth; Ogita, Rump and Oishi, Accurate Sum and Dot Product,
+      2005, algorithm 3.1). Then S = r + t + d with |d| <= the bound, and r
+      is the correctly rounded S when |t| + bound is below half the gap
+      from r to its neighbour toward zero. That gap is the smaller of the
+      two: at a power of two the gap away from zero is twice as wide,
+      elsewhere they are equal. The rounded sum |t| + bound can only fall
+      below a power of two if the exact one does, so the test in floats
+      is sound.
+    - A bound of 0 makes lo exactly sum(los), so hi + lo is S itself and
       IEEE addition rounds it as fsum does, midpoints included. That keeps
       r = 0 too, where the gap is 0: S is then exactly 0, and CPython's
       fsum returns +0.0 for every exactly zero sum (it keeps no zero
       partial), so r + 0.0 is fsum's sum.
-    - Every other column, an exact midpoint among them by construction,
-      goes to fsum.
+    - Every other row, an exact midpoint among them by construction, goes
+      to fsum.
     """
-    n, m = columns.shape
-    if n == 0 or m == 0:
+    m, n = rows.shape
+    if m == 0 or n == 0:
         return np.zeros(m)
     if work is None:
-        work = np.empty(2 * n * m)
-    # a column the tree cannot take overflows or meets inf - inf; it is refused below
+        work = np.empty(2 * m * n)
+    high = work[: m * n].reshape(m, n)
+    low = work[m * n : 2 * m * n].reshape(m, n)
+    # a row the split cannot take overflows or meets inf - inf; it is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        hi, errs = _distill(columns, work[: 2 * n * m].reshape(2 * n, m))
-        lo = errs.sum(axis=0)
-        spread = np.abs(errs, out=work[(n - 1) * m : 2 * (n - 1) * m].reshape(n - 1, m))
-        bound = spread.sum(axis=0) * (n * 2.0 ** -51)
+        peaks = np.abs(rows, out=high).max(axis=1)
+        sigma = np.ldexp(1.0, np.frexp(peaks)[1] + (n - 1).bit_length() + 1)[:, None]
+        np.add(rows, sigma, out=high)
+        high -= sigma
+        np.subtract(rows, high, out=low)
+        hi = high.sum(axis=1)
+        lo = low.sum(axis=1)
+        bound = np.abs(low, out=low).sum(axis=1) * (n * 2.0 ** -51)
         sums = hi + lo
         back = sums - hi
         remainder = (hi - (sums - back)) + (lo - back)
         size = np.abs(sums)
         half_gap = (size - np.nextafter(size, 0.0)) * 0.5
         settled = (np.abs(remainder) + bound < half_gap) | (bound == 0.0)
-        peaks = np.abs(columns, out=work[: n * m].reshape(n, m)).max(axis=0)
     settled &= peaks < _SUM_LIMIT / n  # NaN compares false as well
     sums += 0.0  # an exact zero is fsum's +0.0
-    # in column order, so the first column fsum raises for raises first
-    for j in np.flatnonzero(~settled).tolist():
-        sums[j] = math.fsum(columns[:, j].tolist())
+    # in row order, so the first row fsum raises for raises first
+    for i in np.flatnonzero(~settled).tolist():
+        sums[i] = math.fsum(rows[i].tolist())
     return sums
-
-
-def _distill(columns: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A pairwise TwoSum tree down each column: its sums, and its n - 1 errors per column.
-
-    ``work`` is (2 n, m) scratch; the errors are its first n - 1 rows. The
-    two halves of each level pair up, and an odd row is carried to the
-    next level as it is.
-    """
-    n = len(columns)
-    half = (n + 1) // 2
-    errs = work[: n - 1]
-    spare = (work[n - 1 : n - 1 + half], work[n - 1 + half : n - 1 + 2 * half])
-    # each level sums into the spare buffer that does not hold the level
-    level, at, (free, held) = columns, 0, spare
-    while len(level) > 1:
-        pairs = len(level) // 2
-        width = len(level) - pairs
-        sums = free[:width]
-        scratch = held[:pairs] if level is columns else free[width : width + pairs]
-        _two_sum(level[:pairs], level[pairs : 2 * pairs], sums[:pairs], errs[at : at + pairs],
-                 scratch)
-        if width > pairs:
-            sums[pairs] = level[2 * pairs]
-        at += pairs
-        level, free, held = sums, held, free
-    return level[0].copy(), errs
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray, s: np.ndarray, err: np.ndarray,
-             scratch: np.ndarray) -> None:
-    """s = fl(a + b) and err = a + b - s exactly; s, err and scratch alias neither input."""
-    np.add(a, b, out=s)
-    np.subtract(s, a, out=scratch)
-    np.subtract(b, scratch, out=err)
-    np.subtract(s, scratch, out=scratch)
-    np.subtract(a, scratch, out=scratch)
-    np.add(err, scratch, out=err)
 
 
 def save_memory(memory: Memory, path: str | Path) -> None:

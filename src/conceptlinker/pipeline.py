@@ -24,6 +24,7 @@ from .ranker import (
     PromptConfig,
     Selection,
     SelectionKind,
+    _check_budget,
     _rank_prompt,
     build_prompt,
     prompt_digest,
@@ -201,8 +202,7 @@ def link_queries(
         )
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
-    if token_budget is not None and token_budget < 1:
-        raise ValueError("token_budget must be >= 1")
+    _check_budget(token_budget)
 
     results: list[LinkResult | None] = [None] * len(queries)
     prompts: list[str] = []

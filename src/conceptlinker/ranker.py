@@ -118,8 +118,10 @@ def build_prompt(
     A prompt over ``token_budget`` estimated tokens sheds candidate
     context: the per-option description cut halves while it stays at least
     50 characters, 600 to 300, 150 and 75, then descriptions go entirely.
-    Raises PromptBudgetExceeded only when even the bare prompt does not fit.
+    Raises PromptBudgetExceeded only when even the bare prompt does not fit,
+    and ValueError for a budget below 1.
     """
+    _check_budget(token_budget)
     chars = MAX_OPTION_CONTEXT_CHARS if config.include_candidate_context else None
     prompt = _render(query, candidates, ontology, config, chars)
     while token_budget is not None and estimate_tokens(prompt) > token_budget:
@@ -128,6 +130,12 @@ def build_prompt(
         chars = chars // 2 if chars >= 100 else None
         prompt = _render(query, candidates, ontology, config, chars)
     return prompt
+
+
+def _check_budget(token_budget: int | None) -> None:
+    """Refuse a ``token_budget`` below 1, which no prompt could fit."""
+    if token_budget is not None and token_budget < 1:
+        raise ValueError("token_budget must be >= 1")
 
 
 def _render(query: Query, candidates: list[Candidate], ontology: Ontology,

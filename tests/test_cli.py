@@ -26,7 +26,9 @@ from conceptlinker import (
     save_memory,
 )
 from conceptlinker import cli as cli_module
+from conceptlinker import pipeline as pipeline_module
 from conceptlinker.cli import SETTINGS, main
+from conceptlinker.pipeline import DEFAULT_CONCURRENCY
 from conceptlinker.ranker import parse_prompt
 
 from .conftest import (
@@ -270,6 +272,18 @@ class TestLink:
         assert {p.query_id: p.resolved for p in predictions} == {
             "q1": "D:1", "q2": "D:4", "q3": "D:3", "q4": "D:5"
         }
+
+    @pytest.mark.parametrize("extra, helpers", [((), 0), (("--concurrency", "4"), 3)])
+    def test_offline_ranking_lends_a_helper_only_when_asked(self, workspace, monkeypatch,
+                                                            extra, helpers):
+        # mock ranking is Python, which helper threads would only take turns at
+        build(workspace)
+        lent = []
+        real = pipeline_module._lend
+        monkeypatch.setattr(pipeline_module, "_lend",
+                            lambda task, count: lent.append(count) or real(task, count))
+        assert link(workspace, "--endpoint", "mock:keyword", *extra) == 0
+        assert lent == [helpers]
 
     def test_k_bounds_candidate_slates(self, workspace):
         build(workspace)
@@ -737,7 +751,7 @@ class TestConfigKeys:
                 seen.update(url=url, model=model, timeout=timeout)
 
         def link_queries(*args, **kwargs):
-            seen.update(budget=kwargs["token_budget"])
+            seen.update(budget=kwargs["token_budget"], concurrency=kwargs["concurrency"])
             raise Stop("stop")
 
         monkeypatch.setattr("conceptlinker.cli.HttpCompletionEndpoint", Recording)
@@ -758,8 +772,9 @@ class TestConfigKeys:
             "--output", str(workspace["out"] / "pred.jsonl"),
             "--dim", "64",
         ]) == 2
+        # an endpoint on the network keeps the default concurrency
         assert seen == {"url": "http://127.0.0.1:9/v1/chat", "model": "ranker-x",
-                        "timeout": 12.5, "budget": 5000}
+                        "timeout": 12.5, "budget": 5000, "concurrency": DEFAULT_CONCURRENCY}
 
     def test_token_budget_from_file_applies(self, workspace, capsys):
         build(workspace)

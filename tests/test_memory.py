@@ -52,6 +52,7 @@ from .conftest import (
     memory_from_rows,
     memory_rows,
     ontology_from,
+    queries_for,
     synthetic_ontology,
 )
 from .oracles import cosine_ref, retrieve_ref
@@ -736,16 +737,25 @@ def _fsum_bits(rows: np.ndarray) -> list[int]:
 
 
 def _assert_exact_sums(rows) -> None:
-    """The rescore's column sums equal fsum of each row, bit for bit, sign of zero included."""
-    rows = np.asarray(rows, dtype=np.float64)
-    columns = np.ascontiguousarray(rows.T)
-    before = columns.copy()
-    got = memory_module._exact_sums(columns)
+    """The rescore's row sums equal fsum of each row, bit for bit, sign of zero included."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    before = rows.copy()
+    got = memory_module._exact_sums(rows)
     assert got.dtype == np.float64 and got.shape == (len(rows),)
     assert got.view(np.uint64).tolist() == _fsum_bits(rows)
-    assert np.array_equal(columns, before)
-    # a strided view of the same values sums the same
-    assert memory_module._exact_sums(rows.T).view(np.uint64).tolist() == _fsum_bits(rows)
+    assert np.array_equal(rows, before)
+    # a strided copy of the same values sums the same
+    strided = np.asfortranarray(rows)
+    assert memory_module._exact_sums(strided).view(np.uint64).tolist() == _fsum_bits(rows)
+
+
+def _unit_products(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """The products of ``count`` correlated and ``count`` independent pairs of signed unit
+    float32 vectors, as a dense embedder gives them, one pair per row."""
+    a, b, c = gen.normal(size=(3, count, dim))
+    a, b, c = ((v / np.linalg.norm(v, axis=1, keepdims=True)).astype(np.float32).astype(np.float64)
+               for v in (a, a + 0.3 * b, c))
+    return np.vstack([a * b, a * c])
 
 
 _F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -855,12 +865,13 @@ class TestExactSums:
         _assert_exact_sums(rows[:, order])
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (1, 1), (4, 1), (2, 2), (5, 3),
-                                       (3, 7), (2, 255), (2, 257)])
+                                       (3, 7), (2, 255), (2, 257), (2, 768), (2, 1024)])
     def test_widths_and_empty(self, shape):
         gen = np.random.default_rng(sum(shape))
         _assert_exact_sums(gen.normal(size=shape))
         _assert_exact_sums(np.zeros(shape))
         _assert_exact_sums(-np.zeros(shape))
+        _assert_exact_sums(_unit_products(gen, 64, shape[1]))
 
     def test_signed_zero_rows(self):
         _assert_exact_sums([[-0.0, -0.0, -0.0], [1.0, -1.0, -0.0], [-0.0, 0.0, -0.0],
@@ -878,7 +889,7 @@ class TestExactSums:
         cancelling = np.array([gen.permutation(row) for row in np.hstack([halves, -halves])])
         rows = np.vstack([signed_zeros, disjoint, cancelling])
         wants = [math.fsum(row) for row in rows.tolist()]
-        got = memory_module._exact_sums(rows.T)
+        got = memory_module._exact_sums(rows)
         for value, want in zip(got.tolist(), wants):
             assert value.hex() == want.hex()
             assert math.copysign(1.0, value) == math.copysign(1.0, want)
@@ -887,20 +898,43 @@ class TestExactSums:
         fsum = math.fsum
         monkeypatch.setattr(memory_module.math, "fsum", lambda values: calls.append(1) or fsum(values))
         zero_rows = np.vstack([signed_zeros, disjoint])
-        assert not memory_module._exact_sums(zero_rows.T).any()
+        assert not memory_module._exact_sums(zero_rows).any()
         assert calls == []
 
     def test_certificate_refuses_a_plain_rounding(self):
-        # the TwoSum tree gives hi = 1.5 and errors summing to half an ulp of
+        # the split gives hi = 1.5 and low parts summing to half an ulp of
         # 1.5 plus 2**-113; fl(hi + lo) rounds that to 1.5, but the exact sum
         # lies above the midpoint, so fsum rounds up
         half = _half_gap_up(1.5)
         row = np.array([half / 2, 1.5, half * 2.0 ** -60, half / 2])
-        columns = row[:, None].copy()
-        hi, errs = memory_module._distill(columns, np.empty((2 * len(row), 1)))
-        plain = hi[0] + errs[:, 0].sum()
+        plain = 1.5 + (half / 2 + half * 2.0 ** -60 + half / 2)
         assert plain == 1.5 != math.fsum(row.tolist())
         _assert_exact_sums(row[None, :])
+
+    def test_certificate_refuses_no_more_rows_than_it_must(self, rng, monkeypatch):
+        # a certificate that refused more rows would stay exact, only slower.
+        # Each query's dots with its own concept's entries are formed here,
+        # not picked by the float32 selection, so no BLAS summation order can
+        # change them; float32 products are exact, so their sums often land
+        # on a midpoint, and unit float64 queries give products that are not
+        ontology = synthetic_ontology(rng, 300, described_fraction=0.9)
+        provider = local_provider(dim=256)
+        memory = build_memory(ontology, provider)
+        queries, gold = queries_for(ontology, rng, 300, noisy=True)
+        vectors = provider.embed_batch([query_text(q) for q in queries]).astype(np.float64)
+        vectors = np.vstack([vectors, vectors / np.linalg.norm(vectors, axis=1)[:, None]])
+        concepts = [ontology.position(gold[q.id]) for q in queries] * 2
+        rows, owners = np.array([(row, owner) for owner, concept in enumerate(concepts)
+                                 for row in np.flatnonzero(memory._concepts == concept)]).T
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(memory_module.math, "fsum",
+                            lambda values: calls.append(1) or fsum(values))
+        dots = memory_module._pair_sums(memory, rows, owners, vectors, 1 << 14)
+        assert len(rows) == 1136 and len(calls) <= 93
+        want = [fsum(memory.vectors[row].astype(np.float64) * vectors[owner])
+                for row, owner in zip(rows, owners)]
+        assert dots.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
     def test_gap_below_a_power_of_two_is_the_narrow_one(self):
         # hi = 1.0 and the errors sum to a hair below -2**-54, so fl(hi + lo)
@@ -918,7 +952,7 @@ class TestExactSums:
         ([1e308, -1e308, 1e308, 1e308], OverflowError),
         ([math.inf, -math.inf], ValueError),
         ([math.inf, 1e308, 1e308], OverflowError),
-        # the tree's pairs cancel to 0, but fsum's running sum overflows
+        # the row sums to 0, but fsum's running sum overflows
         ([1e308, 1e308, -1e308, -1e308], OverflowError),
     ])
     def test_overflow_raises_as_fsum_does(self, row, error):
@@ -927,22 +961,22 @@ class TestExactSums:
         # the same row beside fine ones, in either order
         for rows in ([row, [1.0] * len(row)], [[2.0] * len(row), row]):
             with pytest.raises(error):
-                memory_module._exact_sums(np.array(rows).T)
+                memory_module._exact_sums(np.array(rows))
 
     def test_first_failing_row_decides_the_error(self):
         rows = np.array([[1.0, 2.0], [math.inf, -math.inf], [1e308, 1e308]])
         with pytest.raises(ValueError):
-            memory_module._exact_sums(rows.T)
+            memory_module._exact_sums(rows)
 
     def test_non_finite_rows_as_fsum(self):
         rows = np.array([[math.inf, 1.0, 2.0], [math.nan, 1.0, 0.0], [-math.inf, -math.inf, 5.0],
                          [1e308, 1.0, -1e308], [3.0, 4.0, 5.0]])
-        got = memory_module._exact_sums(rows.T)
+        got = memory_module._exact_sums(rows)
         want = np.array([math.fsum(r) for r in rows.tolist()])
         assert np.array_equal(got, want, equal_nan=True)
 
     def test_large_but_safe_rows(self):
-        # the largest magnitudes the tree takes without deferring to fsum
+        # the largest magnitudes the split takes without deferring to fsum
         limit = memory_module._SUM_LIMIT
         _assert_exact_sums([[limit / 8, limit / 8, -limit / 16, 1.0], [limit / 5, 3.0, 0.5, -1.5]])
 
@@ -1411,7 +1445,7 @@ class TestFormatV4:
     def test_rebuild_is_byte_identical(self, tmp_path, rng, block):
         ontology = synthetic_ontology(rng, 40)
         save_memory(build_memory(ontology, local_provider(dim=32)), tmp_path / "a.lm")
-        # however many entries one pass of the tree sums
+        # however many entries one pass of the exact sums takes
         with mock.patch.object(memory_module, "_SUM_BLOCK", block):
             save_memory(build_memory(ontology, local_provider(dim=32)), tmp_path / "b.lm")
         assert (tmp_path / "a.lm").read_bytes() == (tmp_path / "b.lm").read_bytes()

@@ -494,15 +494,20 @@ class TestLentHelpers:
 
 
 class TestTokenBudget:
-    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("budget", [0, -1, -5])
     def test_validated(self, setting, budget):
+        # one error for both entry points, before any prompt is rendered
         ontology, queries, _, _, _, candidates = setting
-        with pytest.raises(ValueError, match="token_budget"):
+        message = r"^token_budget must be >= 1$"
+        with pytest.raises(ValueError, match=message):
             link_queries(queries, candidates, ontology, PromptConfig(),
                          ExactMatchMockEndpoint(), token_budget=budget)
-        with pytest.raises(ValueError, match="token_budget"):
+        with pytest.raises(ValueError, match=message):
             link_queries([], [], ontology, PromptConfig(),
                          ExactMatchMockEndpoint(), token_budget=budget)
+        with pytest.raises(ValueError, match=message), mock.patch.object(
+                ranker_module, "_render", side_effect=AssertionError("a prompt was rendered")):
+            build_prompt(queries[0], candidates[0], ontology, PromptConfig(), token_budget=budget)
 
     def test_budgeted_record_then_replay(self, setting, tmp_path):
         ontology, queries, _, _, _, candidates = setting
