@@ -18,7 +18,7 @@ import tempfile
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Callable, Hashable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Hashable, Iterator, TextIO, TypeVar
 
 from .errors import MalformedRecord, MissingField, RecordError
 
@@ -48,16 +48,19 @@ def file_reader(read: _Reader) -> _Reader:
     return reader  # type: ignore[return-value]
 
 
-def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+def read_records(source: str | Path | TextIO) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, object) for every record line of a JSON Lines file.
 
-    Line numbers count universal-newline lines (``\\n``, ``\\r\\n`` or a lone
-    ``\\r``). Blank lines and lines starting with ``#`` are skipped; a line
-    that is not valid JSON, is nested too deep to decode, is not a JSON
-    object, or holds a lone surrogate escape such as ``"\\ud800"``, which
-    no UTF-8 text can hold, raises :class:`MalformedRecord`.
+    ``source`` is a path, opened as UTF-8 text, or a text stream decoded
+    the same way. Line numbers count universal-newline lines (``\\n``,
+    ``\\r\\n`` or a lone ``\\r``). Blank lines and lines starting with ``#``
+    are skipped; a line that is not valid JSON, is nested too deep to
+    decode, is not a JSON object, or holds a lone surrogate escape such as
+    ``"\\ud800"``, which no UTF-8 text can hold, raises
+    :class:`MalformedRecord`.
     """
-    with open(path, encoding="utf-8") as fh:
+    with (open(source, encoding="utf-8") if isinstance(source, (str, os.PathLike))
+          else source) as fh:
         for lineno, raw in enumerate(fh, start=1):
             stripped = raw.strip()
             if not stripped or stripped[0] == "#":

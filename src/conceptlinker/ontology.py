@@ -8,20 +8,34 @@ gold ids come from a gold file. Lines starting with ``#`` are skipped in
 both. Validation stops at the first bad line and the diagnostic names it.
 Ids are trimmed; names, descriptions, mentions and contexts follow the
 whitespace rule of README's "File formats" section.
+
+An ontology's parsed columns are kept in a sidecar ``.<file name>.columns``
+beside it, keyed by the file's SHA-256 and the parse rules' version, so a
+later parse of the same bytes decodes no record (README, "File formats").
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
+import unicodedata
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import DuplicateId, EmptyFile, EmptyMention, MalformedRecord, MissingField, UnknownId
-from .fileio import file_reader, read_records, record_field
+from .fileio import atomic_writer, file_reader, read_records, record_field
 from .textutil import normalize_whitespace, truncate_at_word
 
 MAX_DESCRIPTION_CHARS = 2000
+
+# the sidecar key besides the file's digest: bump the number whenever
+# parse_ontology would return other columns for the same bytes; the
+# whitespace rule reads the Unicode database, so its version is part of it
+_RULES = [1, unicodedata.unidata_version]
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,6 +95,31 @@ def _refused(obj: dict, key: str, lineno: int) -> MissingField:
     return MissingField(key, lineno)
 
 
+def _cached_columns(sidecar: Path, key: dict) -> list | None:
+    """The columns ``sidecar`` holds under ``key``, or None for a miss.
+
+    A sidecar counts only when its header equals ``key`` plus the CRC-32 of
+    its body, and the body is three lists of strings, descriptions also
+    holding nulls; :class:`Ontology` checks their lengths and ids.
+    """
+    try:
+        with open(sidecar, "rb") as fh:
+            head = json.loads(fh.readline())
+            body = fh.read()
+        if head != {**key, "crc32": zlib.crc32(body)}:
+            return None
+        # json.loads would decode bytes with surrogatepass, a slower codec path
+        columns = json.loads(body.decode("utf-8"))
+    except (OSError, ValueError, RecursionError):
+        return None
+    if (type(columns) is list and len(columns) == 3
+            and all(type(column) is list for column in columns)
+            and set(map(type, columns[0])) | set(map(type, columns[1])) == {str}
+            and set(map(type, columns[2])) <= {str, type(None)}):
+        return columns
+    return None
+
+
 @file_reader
 def parse_ontology(path: str | Path, tag: str) -> Ontology:
     """Load and validate a concept inventory from a JSON Lines file.
@@ -88,15 +127,27 @@ def parse_ontology(path: str | Path, tag: str) -> Ontology:
     Record order is preserved. Names and descriptions are
     whitespace-normalized, and descriptions are capped at
     ``MAX_DESCRIPTION_CHARS``, ending on a whole word. Fields other than
-    ``id``, ``name`` and ``description`` are ignored.
+    ``id``, ``name`` and ``description`` are ignored. The file is opened
+    once; its columns come from the sidecar when it matches its bytes, and
+    a parse that succeeds writes the sidecar, unless the directory refuses.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    sidecar = Path(path).with_name(f".{Path(path).name}.columns")
+    key = {"source": hashlib.sha256(data).hexdigest(), "rules": _RULES}
+    columns = _cached_columns(sidecar, key)
+    if columns is not None:
+        try:
+            return Ontology(tag, *columns)
+        except ValueError:  # unequal columns or a repeated id: parse again
+            pass
     ids: list[str] = []
     names: list[str] = []
     descriptions: list[str | None] = []
     seen: set[str] = set()
     # record_field's checks, inlined: this loop runs once per concept on
-    # every command that reads an ontology, and only its errors take the call
-    for lineno, obj in read_records(path):
+    # every parse that misses the sidecar, and only its errors take the call
+    for lineno, obj in read_records(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
         cid = obj.get("id")
         if not isinstance(cid, str) or not (cid := cid.strip()):
             raise _refused(obj, "id", lineno)
@@ -121,7 +172,15 @@ def parse_ontology(path: str | Path, tag: str) -> Ontology:
         descriptions.append(description)
     if not ids:
         raise EmptyFile(str(path))
-    return Ontology(tag, ids, names, descriptions)
+    ontology = Ontology(tag, ids, names, descriptions)
+    body = json.dumps([ids, names, descriptions], ensure_ascii=False).encode("utf-8")
+    try:
+        with atomic_writer(sidecar) as handle:
+            handle.write(json.dumps({**key, "crc32": zlib.crc32(body)}).encode() + b"\n")
+            handle.write(body)
+    except OSError:
+        pass  # a read-only directory: every parse reads the records, as without a sidecar
+    return ontology
 
 
 @file_reader

@@ -3,7 +3,10 @@
 Each pin is the sha256 of a file a command writes from the demo inputs.
 Every CLI check runs in tier-1 and nowhere else: these run ``cli.main`` in
 process, and one runs ``python -m conceptlinker.cli`` under
-``OPENBLAS_NUM_THREADS=1``, which must be set before numpy loads.
+``OPENBLAS_NUM_THREADS=1``, which must be set before numpy loads. Every pin
+is checked twice, on a fresh copy of the demo inputs: cold, where each
+command that reads the ontology parses it, and warm, where each reads the
+columns sidecar an earlier parse wrote.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,29 +39,51 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_pinned(demo: Path, state: str, *argv: str):
+    """``run_cli`` of a command that reads the ontology, ``cold`` or ``warm``.
+
+    Cold, the command starts with no sidecar and writes one; warm, it reads
+    the one there and leaves it as it was.
+    """
+    sidecar = demo / "data" / ".ontology.jsonl.columns"
+    if state == "cold":
+        sidecar.unlink(missing_ok=True)
+    before = sidecar.stat() if state == "warm" else None
+    run = run_cli(demo, *argv)
+    assert (run.code, run.err) == (0, "")
+    after = sidecar.stat()
+    if before is not None:
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    return run
+
+
 @pytest.fixture(scope="module")
 def demo(tmp_path_factory) -> Path:
-    """A directory holding a ``run.ini`` of the demo inputs and its built memory."""
+    """A directory holding a fresh copy of the demo inputs, a ``run.ini`` of
+    them, and the memory built from them cold (``memory.bin``), then warm
+    (``memory-warm.bin``)."""
     tmp = tmp_path_factory.mktemp("pins")
+    data = shutil.copytree(DATA, tmp / "data")
     (tmp / "run.ini").write_text(
         "[paths]\n"
-        f"ontology = {DATA / 'ontology.jsonl'}\n"
-        f"queries = {DATA / 'queries.jsonl'}\n"
-        f"gold = {DATA / 'gold.jsonl'}\n"
-        f"grid = {DATA / 'grid.jsonl'}\n"
+        f"ontology = {data / 'ontology.jsonl'}\n"
+        f"queries = {data / 'queries.jsonl'}\n"
+        f"gold = {data / 'gold.jsonl'}\n"
+        f"grid = {data / 'grid.jsonl'}\n"
         f"memory = {tmp / 'memory.bin'}\n",
         encoding="utf-8",
     )
-    run = run_cli(tmp, "build-memory")
-    assert (run.code, run.err) == (0, "")
-    (tmp / "build.out").write_text(run.out, encoding="utf-8")
+    for state, memory in (("cold", "memory.bin"), ("warm", "memory-warm.bin")):
+        run = run_pinned(tmp, state, "build-memory", "--output", str(tmp / memory))
+        (tmp / f"build-{state}.out").write_text(run.out, encoding="utf-8")
     return tmp
 
 
 def test_memory_pin(demo):
-    assert sha256(demo / "memory.bin") == PINS["memory"]
-    printed = (demo / "build.out").read_text(encoding="utf-8").splitlines()
-    assert f"sha256: {PINS['memory']}" in printed
+    for state, memory in (("cold", "memory.bin"), ("warm", "memory-warm.bin")):
+        assert sha256(demo / memory) == PINS["memory"], state
+        printed = (demo / f"build-{state}.out").read_text(encoding="utf-8").splitlines()
+        assert f"sha256: {PINS['memory']}" in printed, state
 
 
 def test_memory_pin_from_a_whitespace_mangled_ontology(demo, tmp_path):
@@ -83,9 +109,12 @@ def test_memory_pin_from_a_whitespace_mangled_ontology(demo, tmp_path):
 
 
 def test_retrieve_pin(demo):
-    run = run_cli(demo, "retrieve", "--output", str(demo / "retrievals.jsonl"))
-    assert (run.code, run.err) == (0, "")
-    assert sha256(demo / "retrievals.jsonl") == PINS["retrieve"]
+    # retrieve reads no ontology: its cold and warm runs are on the two memories
+    for memory in ("memory.bin", "memory-warm.bin"):
+        output = demo / f"retrievals-{memory}.jsonl"
+        run = run_cli(demo, "retrieve", "--memory", str(demo / memory), "--output", str(output))
+        assert (run.code, run.err) == (0, "")
+        assert sha256(output) == PINS["retrieve"], memory
 
 
 def test_module_entry_point_on_one_blas_thread(demo):
@@ -106,11 +135,11 @@ def test_module_entry_point_on_one_blas_thread(demo):
 
 def test_link_pin_at_any_concurrency(demo):
     for concurrency in ("1", "4"):
-        output = demo / f"predictions-{concurrency}.jsonl"
-        run = run_cli(demo, "link", "--endpoint", "mock:keyword",
-                      "--concurrency", concurrency, "--output", str(output))
-        assert (run.code, run.err) == (0, "")
-        assert sha256(output) == PINS["link"]
+        for state in ("cold", "warm"):
+            output = demo / f"predictions-{concurrency}-{state}.jsonl"
+            run_pinned(demo, state, "link", "--endpoint", "mock:keyword",
+                       "--concurrency", concurrency, "--output", str(output))
+            assert sha256(output) == PINS["link"], (concurrency, state)
 
 
 def test_ablate_pin(demo):
@@ -119,7 +148,7 @@ def test_ablate_pin(demo):
     for name, endpoint in (("ablation", ["--endpoint", "mock:keyword"]),
                            ("recorded", ["--endpoint", "mock:keyword", "--fixtures", transcript]),
                            ("replayed", ["--fixtures", transcript])):
-        output = demo / f"{name}.json"
-        run = run_cli(demo, "ablate", *endpoint, "--output", str(output))
-        assert (run.code, run.err) == (0, "")
-        assert sha256(output) == PINS["ablate"], name
+        for state in ("cold", "warm"):
+            output = demo / f"{name}-{state}.json"
+            run_pinned(demo, state, "ablate", *endpoint, "--output", str(output))
+            assert sha256(output) == PINS["ablate"], (name, state)

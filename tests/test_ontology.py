@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import sys
+import unicodedata
+import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,8 +28,10 @@ from conceptlinker.errors import (
     MissingField,
     UnknownId,
 )
+from conceptlinker import ontology as ontology_module
+from conceptlinker.fileio import read_records
 from conceptlinker.ontology import MAX_DESCRIPTION_CHARS
-from conceptlinker.textutil import normalize_whitespace
+from conceptlinker.textutil import normalize_whitespace, truncate_at_word
 
 from .conftest import (
     Concept,
@@ -362,3 +370,300 @@ class TestRoundTrip:
         path = tmp / "o.jsonl"
         write_ontology(path, ontology_from("t", concepts))
         assert list(parse_ontology(path, "t").names) == [c.name for c in concepts]
+
+
+# --- the columns sidecar ------------------------------------------------------
+
+def sidecar_of(path):
+    return path.with_name(f".{path.name}.columns")
+
+
+def columns_of(onto: Ontology) -> tuple:
+    return onto.ids, onto.names, onto.descriptions
+
+
+def parse_counting(path) -> tuple[Ontology, int]:
+    """The parse of ``path`` and how many record decodes it ran: 0 on a hit, 1 on a miss."""
+    with mock.patch.object(ontology_module, "read_records", wraps=read_records) as spy:
+        onto = parse_ontology(path, "t")
+    return onto, spy.call_count
+
+
+def expected_columns(rows) -> tuple:
+    """What the rules make of (id, name, description) rows, worked out here."""
+    descriptions = []
+    for _, _, description in rows:
+        if description is not None:
+            description = " ".join(description.split())
+            if len(description) > MAX_DESCRIPTION_CHARS:
+                description = truncate_at_word(description, MAX_DESCRIPTION_CHARS)
+        descriptions.append(description or None)
+    return (tuple(cid.strip() for cid, _, _ in rows),
+            tuple(" ".join(name.split()) for _, name, _ in rows), tuple(descriptions))
+
+
+# the whitespace rule's cases, non-printables, and U+2028, which JSON allows
+# raw in a string and which must not end a line, as str.splitlines would
+SIDECAR_TEXT = st.lists(st.sampled_from(
+    [" ", "  ", "\t", "\xa0", "\u3000", "\u2028", "\x00", "\x7f", "\xad", "\u200b",
+     "a", "Z", "é", "word", "\U0001f600"]), max_size=10).map("".join)
+
+
+@st.composite
+def ontology_files(draw) -> tuple[bytes, tuple]:
+    """The bytes of a valid ontology file and the columns it parses to."""
+    lines, rows = [], []
+    for i in range(draw(st.integers(1, 6))):
+        end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        for noise in draw(st.lists(st.sampled_from(["# a comment", "", " \t", '#{"id": 1}']),
+                                   max_size=2)):
+            lines.append(noise + end)
+        pad = draw(st.sampled_from(["", " ", "\t", "\xa0 ", "\u3000"]))
+        name = draw(SIDECAR_TEXT) + f"n{i}" + draw(SIDECAR_TEXT)
+        description = draw(st.one_of(
+            st.none(), SIDECAR_TEXT,
+            # past the cap, with word breaks or with none
+            st.tuples(SIDECAR_TEXT, st.sampled_from([" lorem", "-ipsum"])).map(
+                lambda parts: parts[0] + parts[1] * 400)))
+        rows.append((f"{pad}C {i}{pad}", name, description))
+        record = {"id": rows[-1][0], "name": name}
+        if description is not None:
+            record["description"] = description
+        lines.append(json.dumps(record, ensure_ascii=draw(st.booleans())) + end)
+    return "".join(lines).encode("utf-8"), expected_columns(rows)
+
+
+class TestColumnsSidecar:
+    @settings(max_examples=150, deadline=None)
+    @given(ontology_files())
+    @example((b'{"id": "C1", "name": "a\xe2\x80\xa8b", "description": "x\xe2\x80\xa8 y"}\r\n',
+              (("C1",), ("a b",), ("x y",))))
+    def test_warm_parse_returns_the_cold_columns(self, tmp_path_factory, case):
+        data, expected = case
+        path = tmp_path_factory.mktemp("sidecar") / "onto.jsonl"
+        path.write_bytes(data)
+        cold, decodes = parse_counting(path)
+        assert (columns_of(cold), decodes) == (expected, 1)
+        assert sidecar_of(path).exists()
+        warm, decodes = parse_counting(path)
+        assert (columns_of(warm), decodes) == (expected, 0)
+        assert warm.tag == "t"
+
+    @pytest.fixture
+    def cached(self, tmp_path):
+        """An ontology file parsed once: its path, its columns and the sidecar's bytes."""
+        path = tmp_path / "onto.jsonl"
+        write_jsonl(path, [
+            {"id": "C1", "name": "Aspirin", "description": "pain reliever"},
+            {"id": "C2", "name": "Héparin"},
+            {"id": "C3", "name": "Factor\tVIII", "description": "  "},
+        ])
+        onto, decodes = parse_counting(path)
+        assert decodes == 1
+        return path, columns_of(onto), sidecar_of(path).read_bytes()
+
+    @staticmethod
+    def forge(path, body: bytes) -> None:
+        """Give the sidecar ``body`` under its own header, with the CRC-32 that fits it."""
+        sidecar = sidecar_of(path)
+        head = json.loads(sidecar.read_bytes().partition(b"\n")[0])
+        sidecar.write_bytes(json.dumps({**head, "crc32": zlib.crc32(body)}).encode()
+                            + b"\n" + body)
+
+    def assert_reparsed(self, path, columns, sidecar: bytes) -> None:
+        # a miss decodes the records and writes the sidecar back; the next parse hits
+        onto, decodes = parse_counting(path)
+        assert (columns_of(onto), decodes) == (columns, 1)
+        assert sidecar_of(path).read_bytes() == sidecar
+        onto, decodes = parse_counting(path)
+        assert (columns_of(onto), decodes) == (columns, 0)
+
+    def test_layout(self, cached):
+        path, columns, sidecar = cached
+        head, newline, body = sidecar.partition(b"\n")
+        assert newline and b"\n" not in body
+        assert json.loads(head) == {
+            "source": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "rules": [ontology_module._RULES[0], unicodedata.unidata_version],
+            "crc32": zlib.crc32(body),
+        }
+        assert json.loads(body) == [list(column) for column in columns]
+
+    def test_an_edited_source_byte_is_a_miss(self, cached):
+        path, columns, _ = cached
+        path.write_bytes(path.read_bytes().replace(b"Aspirin", b"Aspirim"))
+        onto, decodes = parse_counting(path)
+        assert (onto.names[0], decodes) == ("Aspirim", 1)
+        head = json.loads(sidecar_of(path).read_bytes().partition(b"\n")[0])
+        assert head["source"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert parse_counting(path)[1] == 0
+
+    @pytest.mark.parametrize("rules", [
+        [2, unicodedata.unidata_version], [1, "0.0.0"]], ids=["version", "unicode"])
+    def test_other_rules_are_a_miss(self, cached, monkeypatch, rules):
+        path, columns, sidecar = cached
+        monkeypatch.setattr(ontology_module, "_RULES", rules)
+        head, _, body = sidecar.partition(b"\n")
+        rewritten = json.dumps({**json.loads(head), "rules": rules}).encode() + b"\n" + body
+        self.assert_reparsed(path, columns, rewritten)
+
+    def test_a_flipped_body_byte_is_caught_by_the_crc(self, cached):
+        # the body still decodes to valid columns; only the CRC tells
+        path, columns, sidecar = cached
+        sidecar_of(path).write_bytes(sidecar.replace(b'"Aspirin"', b'"Aspirim"'))
+        self.assert_reparsed(path, columns, sidecar)
+
+    @pytest.mark.parametrize("cut", [0, 10, "header", "body", -1])
+    def test_a_truncated_sidecar_is_a_miss(self, cached, cut):
+        path, columns, sidecar = cached
+        if cut == "header":
+            cut = sidecar.index(b"\n") + 1
+        elif cut == "body":
+            cut = sidecar.index(b"\n") + 20
+        sidecar_of(path).write_bytes(sidecar[:cut])
+        self.assert_reparsed(path, columns, sidecar)
+
+    def test_a_header_that_is_not_json_is_a_miss(self, cached):
+        path, columns, sidecar = cached
+        sidecar_of(path).write_bytes(b"columns\n" + sidecar.partition(b"\n")[2])
+        self.assert_reparsed(path, columns, sidecar)
+
+    @pytest.mark.parametrize("body", [
+        b'{"ids": ["C1", "C2", "C3"]}',
+        b'[["C1", "C2", "C3"], ["Aspirin", "H\\u00e9parin", "Factor VIII"]]',
+        b'[["C1", "C2", "C3"], ["a", "b", "c"], [null, null, null], []]',
+        b'["C1 C2 C3", ["a", "b", "c"], [null, null, null]]',
+        b'[["C1", 2, "C3"], ["a", "b", "c"], [null, null, null]]',
+        b'[["C1", "C2", "C3"], ["a", null, "c"], [null, null, null]]',
+        b'[["C1", "C2", "C3"], ["a", "b", "c"], [null, 5, null]]',
+        b'[["C1", "C2", "C3"], ["a", "b", "c"], [null, ["x"], null]]',
+        b'[["C1", "C2", "C3"], ["a", "b"], [null, null, null]]',
+        b"[[], [], []]",
+        b"[",
+        b"\xff\xfe",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["object", "two columns", "four columns", "string column", "int id", "null name",
+            "int description", "list description", "unequal", "empty", "not json",
+            "not utf-8", "nested too deep"])
+    def test_a_body_of_another_shape_or_type_is_a_miss(self, cached, body):
+        path, columns, sidecar = cached
+        self.forge(path, body)
+        self.assert_reparsed(path, columns, sidecar)
+
+    def test_a_body_with_a_repeated_id_is_a_miss(self, cached):
+        path, columns, sidecar = cached
+        self.forge(path, b'[["C1", "C2", "C1"], ["a", "b", "c"], [null, null, null]]')
+        self.assert_reparsed(path, columns, sidecar)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ('{"id": "C1", "name": "a"}\n{broken\n', MalformedRecord,
+         "{path}: line 2: malformed record: invalid JSON "
+         "(Expecting property name enclosed in double quotes)"),
+        ('{"id": "C1", "name": "a"}\r\n\r{"id": " C1", "name": "b"}\r\n', DuplicateId,
+         "{path}: line 3: duplicate concept id 'C1'"),
+        ("# nothing\n\n", EmptyFile, "no records found in {path}"),
+    ], ids=["malformed", "duplicate", "empty"])
+    def test_a_parse_that_raises_writes_no_sidecar(self, tmp_path, text, error, message):
+        # the errors and line numbers of a parse with no sidecar
+        path = tmp_path / "onto.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(error) as exc:
+            parse_ontology(path, "t")
+        assert (type(exc.value), str(exc.value)) == (error, message.format(path=path))
+        assert [p.name for p in tmp_path.iterdir()] == ["onto.jsonl"]
+
+    def test_read_only_directory(self, tmp_path):
+        path = tmp_path / "onto.jsonl"
+        write_jsonl(path, [{"id": "C1", "name": "a"}])
+        tmp_path.chmod(0o555)
+        try:
+            if os.access(tmp_path, os.W_OK):
+                pytest.skip("this user may write to a read-only directory")
+            for _ in range(2):
+                onto, decodes = parse_counting(path)
+                assert (columns_of(onto), decodes) == ((("C1",), ("a",), (None,)), 1)
+            assert [p.name for p in tmp_path.iterdir()] == ["onto.jsonl"]
+        finally:
+            tmp_path.chmod(0o755)
+
+    @pytest.mark.parametrize("refused", ["conceptlinker.fileio.tempfile.mkstemp",
+                                         "conceptlinker.fileio.os.replace"],
+                             ids=["mkstemp", "replace"])
+    def test_a_refused_write_is_ignored(self, tmp_path, monkeypatch, refused):
+        # what a read-only directory refuses, for a user whom chmod does not stop
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(refused, refuse)
+        path = tmp_path / "onto.jsonl"
+        write_jsonl(path, [{"id": "C1", "name": "a"}])
+        onto, decodes = parse_counting(path)
+        assert (columns_of(onto), decodes) == ((("C1",), ("a",), (None,)), 1)
+        assert [p.name for p in tmp_path.iterdir()] == ["onto.jsonl"]
+
+    def test_the_file_is_opened_once(self, cached, opened):
+        path, columns, sidecar = cached
+        for stale in (False, True, False):
+            if stale:
+                sidecar_of(path).write_bytes(sidecar[:-1])
+            opened.clear()
+            onto, decodes = parse_counting(path)
+            assert (columns_of(onto), decodes) == (columns, int(stale))
+            assert opened.count(str(path)) == 1
+
+
+_opened: list[str] | None = None  # the paths opened while a test records them
+_hooked = False
+
+
+def _record_open(event: str, args: tuple) -> None:
+    if event == "open" and _opened is not None and isinstance(args[0], (str, os.PathLike)):
+        _opened.append(os.fspath(args[0]))
+
+
+@pytest.fixture
+def opened():
+    """The paths this process opens, by the ``open`` audit event, while the test runs.
+
+    An audit hook cannot be removed, so the one hook is added on first use.
+    """
+    global _opened, _hooked
+    if not _hooked:
+        sys.addaudithook(_record_open)
+        _hooked = True
+    _opened = []
+    try:
+        yield _opened
+    finally:
+        _opened = None
+
+
+# The parse rules' version, and the digest of TRICKY's parsed columns. A
+# change to the whitespace rule, the id trim or the description cap changes
+# the digest; bump the version with the digest, or sidecars written under the
+# old rules would still be read.
+RULES_PIN = (1, "d91a89f24f28e2ae83e1aea6dbe4e8e81d694a1c389cdab6562acfd1ff257052")
+
+TRICKY = (
+    "# ids are trimmed, names and descriptions take the whitespace rule\r\n"
+    + json.dumps({"id": "  C 1\t", "name": " \tLow\xa0\xa0platelet  count \u2028",
+                  "description": "easy\x1c bruising\x85and \u3000 bleeding "}) + "\r\n"
+    + "\r\n"
+    + json.dumps({"id": "\xa0C2\u3000", "name": "a\x00b\u200bc\xad  d\x7f",
+                  "description": " \t\u2029 "}) + "\r"
+    + json.dumps({"id": "C3", "name": "alpha", "description": "alpha beta " * 200}) + "\n"
+    + json.dumps({"id": "C4", "name": "x", "description": "x" * 2500}) + "\n"
+    + json.dumps({"id": "C5", "name": "y", "description": "ab  " * 500 + "cd"},
+                 ensure_ascii=False) + "\n"
+    + json.dumps({"id": "C6", "name": "\u2002z\u205f\u202fz\u1680", "description": "é\xa0é"},
+                 ensure_ascii=False) + "\n"
+)
+
+
+def test_rules_version_pins_the_parse_rules(tmp_path):
+    path = tmp_path / "tricky.jsonl"
+    path.write_text(TRICKY, encoding="utf-8", newline="")
+    onto, decodes = parse_counting(path)
+    assert decodes == 1
+    digest = hashlib.sha256(json.dumps(columns_of(onto)).encode()).hexdigest()
+    assert (ontology_module._RULES[0], digest) == RULES_PIN
